@@ -30,7 +30,7 @@ for label, got, want in rows:
     print(f"{label:<34} {got:+.15f}   err {abs(got - want):.1e}")
 
 print()
-print("== the circle needs the integral recursion, not the series ==")
+print("== on the circle the series is too slow: the log-series in log z ==")
 v = polylog_complex(2, 1j)
 print(f"Li2(i)  = {v.real:+.15f} {v.imag:+.15f}i")
 print(f"expected  {-PI * PI / 48.0:+.15f} {G:+.15f}i   (-pi^2/48 + iG)")

@@ -29,7 +29,7 @@ from .ledger import (
     verify,
     verify_all,
 )
-from .numerics import CONSTANTS, DEFAULT_TOL, Tolerance, compensated_sum
+from .numerics import CONSTANTS, DEFAULT_TOL, Tolerance
 from .quadrature import (
     IntegrandSpec,
     QuadratureError,
@@ -44,7 +44,6 @@ from .series import (
     sum_alternating_accelerated,
     sum_direct,
     sum_eq8,
-    sum_richardson,
 )
 from .specfun import (
     catalan_reference,
@@ -75,7 +74,6 @@ __all__ = [
     "arctan_power_coeff",
     "arctan_series",
     "catalan_reference",
-    "compensated_sum",
     "dilog_identity_rhs",
     "eq19_rhs",
     "eta",
@@ -98,7 +96,6 @@ __all__ = [
     "sum_alternating_accelerated",
     "sum_direct",
     "sum_eq8",
-    "sum_richardson",
     "verify",
     "verify_all",
     "zeta",

@@ -13,6 +13,7 @@ with the same inputs are byte-identical apart from the timestamp.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -191,51 +192,34 @@ def verify_all(grid_size: int = 5, tol: Optional[Tolerance] = None) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _json_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if x is None or not math.isfinite(x):
-        return "null"
-    return format(x, ".17g")
+def _finite(x):
+    """The value as written to JSON: non-finite floats become null."""
+    return x if x is None or math.isfinite(x) else None
 
 
-def _json_string(s: str) -> str:
-    out = s.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{out}"'
-
-
-def _outcome_json(o: VerificationOutcome) -> str:
-    params = ",".join(
-        f"{_json_string(k)}:{_json_number(v)}" for k, v in sorted(o.params.items())
-    )
-    fields = [
-        f'"id":{_json_string(o.id)}',
-        f'"params":{{{params}}}',
-        f'"lhs":{_json_number(o.lhs_value)}',
-        f'"rhs":{_json_number(o.rhs_value)}',
-        f'"abs_error":{_json_number(o.abs_error)}',
-        f'"rel_error":{_json_number(o.rel_error)}',
-        f'"pass":{_json_number(o.passed)}',
-        f'"reason":{_json_string(o.reason)}',
-        f'"work":{{"evals":{o.evals},"terms":{o.terms}}}',
-    ]
-    return "{" + ",".join(fields) + "}"
+def _outcome_fields(o: VerificationOutcome) -> dict:
+    return {
+        "id": o.id,
+        "params": {k: _finite(v) for k, v in sorted(o.params.items())},
+        "lhs": _finite(o.lhs_value),
+        "rhs": _finite(o.rhs_value),
+        "abs_error": _finite(o.abs_error),
+        "rel_error": _finite(o.rel_error),
+        "pass": o.passed,
+        "reason": o.reason,
+        "work": {"evals": o.evals, "terms": o.terms},
+    }
 
 
 def render_json(report: Report) -> str:
-    s = report.summary
-    parts = [
-        f'"version":{_json_string(report.version)}',
-        f'"timestamp":{_json_string(report.timestamp)}',
-        f'"tolerance":{{"abs":{_json_number(report.tol_abs)},'
-        f'"rel":{_json_number(report.tol_rel)}}}',
-        '"outcomes":[' + ",".join(_outcome_json(o) for o in report.outcomes) + "]",
-        f'"summary":{{"passed":{s["passed"]},"failed":{s["failed"]},'
-        f'"not_converged":{s["not_converged"]}}}',
-    ]
-    return "{" + ",".join(parts) + "}"
+    doc = {
+        "version": report.version,
+        "timestamp": report.timestamp,
+        "tolerance": {"abs": _finite(report.tol_abs), "rel": _finite(report.tol_rel)},
+        "outcomes": [_outcome_fields(o) for o in report.outcomes],
+        "summary": report.summary,
+    }
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def render_table(report: Report) -> str:

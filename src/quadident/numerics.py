@@ -34,7 +34,7 @@ class Tolerance:
 
     def passes(self, a: float, b: float) -> bool:
         d = abs(a - b)
-        return d <= self.margin(a, b) if math.isfinite(d) else False
+        return bool(d <= self.margin(a, b)) if math.isfinite(d) else False
 
 
 DEFAULT_TOL = Tolerance()
@@ -69,15 +69,6 @@ def zeta3_reference() -> float:
 def catalan_reference() -> float:
     """Stored reference value of Catalan's constant."""
     return CONSTANTS.catalan
-
-
-def compensated_sum(terms) -> float:
-    """Sum a finite sequence of floats with error-free-transformation accuracy.
-
-    Backed by ``math.fsum`` (Shewchuk's exact accumulation), so the result is
-    the correctly rounded exact sum and permutation invariant.
-    """
-    return math.fsum(terms)
 
 
 class NeumaierSum:

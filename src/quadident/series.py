@@ -25,7 +25,6 @@ UNKNOWN = "unknown"
 
 METHOD_DIRECT = "direct"
 METHOD_EULER = "alternating_euler"
-METHOD_RICHARDSON = "richardson"
 
 _SIGN_GRACE = 4  # leading terms exempt from the alternation check
 
@@ -218,54 +217,3 @@ def sum_eq8(tol: Tolerance = DEFAULT_TOL) -> SummationResult:
 
     g = TermGenerator(term, first_index=1, sign_pattern=ALTERNATING, name="pi^3 series")
     return sum_alternating_accelerated(g, tol)
-
-
-def sum_richardson(
-    g: TermGenerator,
-    tol: Tolerance = DEFAULT_TOL,
-    base_terms: int = 16,
-    levels: int = 8,
-) -> SummationResult:
-    """Richardson extrapolation for positive-term series whose partial-sum
-    error expands in powers of 1/N.
-
-    Partial sums at N, 2N, 4N, ... feed the standard extrapolation table.
-    Reserved for series where direct summation stalls; the ledger grids avoid
-    that regime, so this is exercised by tests and demos rather than by the
-    default verification paths.
-    """
-    acc = NeumaierSum()
-    n_done = 0
-
-    def partial(upto: int) -> float:
-        nonlocal n_done
-        while n_done < upto:
-            acc.add(g.term(g.first_index + n_done))
-            n_done += 1
-        return acc.value
-
-    row_prev: list[float] = []
-    best, best_bound = math.nan, math.inf
-    for i in range(levels):
-        n_i = base_terms * 2**i
-        if n_i > tol.max_work:
-            break
-        row = [partial(n_i)]
-        for j in range(1, i + 1):
-            factor = 2.0**j
-            row.append((factor * row[j - 1] - row_prev[j - 1]) / (factor - 1.0))
-        if i > 0:
-            bound = abs(row[-1] - row_prev[-1])
-            target = tol.abs_tol + tol.rel_tol * abs(row[-1])
-            if bound <= target:
-                return SummationResult(row[-1], n_done, bound, METHOD_RICHARDSON, True)
-            if bound < best_bound:
-                best, best_bound = row[-1], bound
-        row_prev = row
-    return SummationResult(
-        best if not math.isnan(best) else row_prev[-1],
-        n_done,
-        best_bound,
-        METHOD_RICHARDSON,
-        False,
-    )

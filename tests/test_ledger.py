@@ -208,6 +208,17 @@ def test_nan_renders_as_null():
     assert parsed["outcomes"][0]["reason"] == "error: boom"
 
 
+def test_reason_control_characters_round_trip():
+    from quadident.ledger import VerificationOutcome
+
+    reason = 'error: line one\nline two\tcol "q" \\ \x01'
+    out = VerificationOutcome(
+        "EX", {"alpha": 0.5}, 1.0, 1.0, 0.0, 0.0, False, reason, 0, 0,
+    )
+    parsed = json.loads(render_report(Report("v", "t", None, None, (out,)), "json"))
+    assert parsed["outcomes"][0]["reason"] == reason
+
+
 def test_report_determinism_modulo_timestamp():
     a = verify_all(2)
     b = verify_all(2)
@@ -228,6 +239,13 @@ def test_cli_verify_pass_subset(capsys):
     parsed = json.loads(out)
     assert parsed["summary"]["failed"] == 0
     assert {o["id"] for o in parsed["outcomes"]} == {"E13", "E15"}
+
+
+def test_cli_json_pass_is_boolean(capsys):
+    assert cli.main(["verify", "--ids", "E17", "--format", "json"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["outcomes"]
+    assert all(isinstance(o["pass"], bool) for o in parsed["outcomes"])
 
 
 def test_cli_exit_code_on_failure(capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from quadident.numerics import CONSTANTS, NeumaierSum, Tolerance, compensated_sum
+from quadident.numerics import CONSTANTS, NeumaierSum, Tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -34,31 +34,6 @@ def test_tolerance_validation():
 # ---------------------------------------------------------------------------
 # Compensated summation
 # ---------------------------------------------------------------------------
-
-def test_compensated_sum_empty():
-    assert compensated_sum([]) == 0.0
-
-
-def test_compensated_sum_cancellation():
-    # naive left-to-right addition would return 0.0 here
-    assert compensated_sum([1.0, -1.0, 1e-16]) == 1e-16
-
-
-def test_compensated_sum_basel_partial():
-    terms = [1.0 / n**2 for n in range(1, 10**6 + 1)]
-    ascending = sum(sorted(terms))  # ascending-magnitude naive sum as oracle
-    assert abs(compensated_sum(terms) - ascending) <= 1e-14
-
-
-def test_compensated_sum_permutation_insensitive():
-    rng = random.Random(42)
-    terms = [rng.uniform(-1, 1) * 10 ** rng.randint(-12, 12) for _ in range(500)]
-    reference = compensated_sum(terms)
-    scale = sum(abs(t) for t in terms)
-    for _ in range(5):
-        rng.shuffle(terms)
-        assert abs(compensated_sum(terms) - reference) <= 4e-16 * scale
-
 
 def test_neumaier_stream_matches_fsum():
     rng = random.Random(7)

@@ -14,13 +14,11 @@ from quadident.series import (
     sum_alternating_accelerated,
     sum_direct,
     sum_eq8,
-    sum_richardson,
 )
 
 PI = CONSTANTS.pi
 LOG2 = CONSTANTS.log2
 G = CONSTANTS.catalan
-Z2 = CONSTANTS.zeta2
 Z3 = CONSTANTS.zeta3
 
 
@@ -230,17 +228,3 @@ def test_eq8_accelerated_value():
     assert res.method == "alternating_euler"
     assert abs(res.value - PI**3 / 192.0) <= res.remainder_bound
     assert abs(192.0 * res.value - PI**3) <= 1e-7
-
-
-# ---------------------------------------------------------------------------
-# Richardson extrapolation
-# ---------------------------------------------------------------------------
-
-def test_richardson_on_basel_partial_sums():
-    g = TermGenerator(
-        lambda n: 1.0 / n**2, 1, POSITIVE, tail_bound=lambda m, t: 1.0 / (m - 1)
-    )
-    res = sum_richardson(g, Tolerance(1e-10, 0.0))
-    assert res.converged
-    assert res.method == "richardson"
-    assert abs(res.value - Z2) <= 1e-10

@@ -73,15 +73,13 @@ def test_polylog_duplication(p, x):
     assert abs(lhs - rhs) <= 1e-11
 
 
-def test_polylog_near_boundary_quadrature_path_matches_series():
-    # the integral recursion (used for |x| -> 1) against a long direct sum
+def test_polylog_near_one_matches_long_series():
+    # the log-series (used for |x| > 0.85) against a long direct sum
     for p in (2, 3):
         x = 0.99999
         n = np.arange(1.0, 4_000_001.0)
         oracle = math.fsum(np.power(x, n) / np.power(n, p))
-        from quadident.specfun import _polylog_quad_real
-
-        assert abs(_polylog_quad_real(p, x) - oracle) <= 1e-11
+        assert abs(polylog_real(p, x) - oracle) <= 1e-11
 
 
 def test_polylog_domain_errors():
@@ -136,13 +134,40 @@ def test_polylog_complex_matches_real_on_axis():
 
 
 def test_polylog_circle_high_order_series():
-    # p >= 4 on the circle sums directly; cross-check against the recursion
+    # Li_4 on the circle comes from the log-series; cross-check against the
+    # defining series, whose tail past 3e5 terms is below 1e-16
     z = cmath.exp(1.1j)
     direct = polylog_complex(4, z)
     n = np.arange(1.0, 300_001.0)
     brute = np.power(z, n) / np.power(n, 4)
     oracle = complex(math.fsum(brute.real), math.fsum(brute.imag))
     assert abs(direct - oracle) <= 1e-11
+
+
+_CIRCLE_ANGLES = (0.001, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.14)
+# 0.85 is where the defining series hands over to the log-series
+_RADII = (0.49, 0.5, 0.51, 0.84, 0.85, 0.86, 0.9, 1.0 - 1e-6)
+_DISC_ANGLES = (0.3, 1.2, 2.7, -0.3, -1.2, -2.7)
+_REAL_POINTS = (
+    -1.0, -1.0 + 1e-12, -1.0 + 1e-6, -0.999, -0.99, -0.86, -0.84,
+    0.84, 0.86, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-12, 1.0,
+)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_polylog_against_mpmath(p):
+    mpmath = pytest.importorskip("mpmath")
+    points = [cmath.exp(1j * t) for t in _CIRCLE_ANGLES]
+    points += [cmath.rect(r, t) for r in _RADII for t in _DISC_ANGLES]
+    with mpmath.workdps(30):
+        for z in points:
+            ref = complex(mpmath.polylog(p, mpmath.mpc(z.real, z.imag)))
+            val = polylog_complex(p, z)
+            assert abs(val.real - ref.real) <= 1e-13, z
+            assert abs(val.imag - ref.imag) <= 1e-13, z
+        for x in _REAL_POINTS:
+            ref = float(mpmath.polylog(p, x))
+            assert abs(polylog_real(p, x) - ref) <= 1e-13, x
 
 
 def test_zeta_and_eta():
