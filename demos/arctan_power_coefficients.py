@@ -15,7 +15,7 @@ from quadident.registry import lookup
 PI = CONSTANTS.pi
 
 print("== coefficients A(n,p) of (arctan x)^p, exact rationals ==")
-print("closed form (Stirling/binomial sum) vs brute-force Cauchy product:")
+print("three-term recurrence vs brute-force Cauchy product:")
 base = arctan_series(12)
 for p in (2, 3, 4):
     powered = series_pow(base, p)

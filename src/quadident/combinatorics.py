@@ -1,8 +1,9 @@
 """Exact integer and rational combinatorics.
 
 Harmonic-type prefix sums, signed Stirling numbers of the first kind, Lah
-numbers, the coefficients of integer powers of the arctangent series, and a
-truncated rational power series type that serves as an independent
+numbers, the coefficients A(n, p) of integer powers of the arctangent series
+(grown from A(p, p) = 1 by a three-term recurrence, one rational step each),
+and a truncated rational power series type that serves as an independent
 brute-force oracle for those coefficients.
 
 Exact values use :class:`fractions.Fraction`. Caches grow on demand and are
@@ -166,56 +167,43 @@ def lah(n: int, k: int) -> int:
 # Coefficients of (arctan x)^p
 # ---------------------------------------------------------------------------
 
-_ATAN_POW_CACHE: dict[tuple[int, int], Fraction] = {}
+# _ATAN_COLUMNS[p][n] = A(n, p) for n = 0, 1, ..., grown on demand
+_ATAN_COLUMNS: dict[int, list[Fraction]] = {}
+
+
+def _atan_column(p: int, n: int) -> list[Fraction]:
+    """Column p of the arctan-power coefficients, grown to hold index n >= p."""
+    col = _ATAN_COLUMNS.get(p)
+    if col is not None and len(col) > n:
+        return col
+    # grow column p - 1 first: _CACHE_LOCK is not reentrant
+    below = _atan_column(p - 1, n - 1) if p > 1 else None
+    with _CACHE_LOCK:
+        col = _ATAN_COLUMNS.setdefault(p, [Fraction(0)] * p + [Fraction(1)])
+        while len(col) <= n:
+            m = len(col)  # entries of parity other than p's come out zero
+            feed = p * below[m - 1] if below else 0  # A(m-1, 0) = 0 for m > 1
+            col.append((feed - (m - 2) * col[m - 2]) / m)
+    return col
 
 
 def arctan_power_coeff(n: int, p: int) -> Fraction:
-    """Coefficient of x^n in (arctan x)^p, exactly.
+    """Coefficient A(n, p) of x^n in (arctan x)^p, exactly.
 
-    Zero for n < p and for n - p odd (the series of an odd function raised to
-    the p-th power only has terms of parity p; the half-integer exponents the
-    closed form would otherwise produce never get evaluated). For n = p + 2j
-    the two sign terms of the closed form coincide, giving
+    Zero for n < p and for n - p odd. The others follow term by term from
+    (1 + x^2) d/dx arctan^p = p arctan^(p-1):
 
-        A(n, p) = 2 (-1)^j * p!/2^(p+1) * sum_{k=p}^{n} 2^k C(n-1, k-1) s(k, p) / k!
+        A(n, p) = (p A(n-1, p-1) - (n-2) A(n-2, p)) / n,
 
-    evaluated as a single integer sum over a common denominator n!.
+    from A(p, p) = 1 and A(n, 0) = 0 for n >= 1, so A(n, 1) = (-1)^((n-1)/2)/n
+    for odd n. Each column p is grown once and cached: a new coefficient costs
+    one rational step, not a sum over n terms.
     """
     if n < 1 or p < 1:
         raise ValueError("arctan_power_coeff requires n >= 1 and p >= 1")
     if n < p or (n - p) % 2:
         return Fraction(0)
-    key = (n, p)
-    got = _ATAN_POW_CACHE.get(key)
-    if got is not None:
-        return got
-    j = (n - p) // 2
-    total = 0
-    falling = 1  # n! / k!, built up while k descends from n to p
-    for k in range(n, p - 1, -1):
-        total += (1 << k) * math.comb(n - 1, k - 1) * stirling_first(k, p) * falling
-        falling *= k
-    # falling is now n!/(p-1)!; multiply the remaining (p-1)! to reach n!
-    n_fact = falling * math.factorial(p - 1)
-    sign = -1 if j % 2 else 1
-    value = Fraction(sign * math.factorial(p) * total, (1 << p) * n_fact)
-    _ATAN_POW_CACHE[key] = value
-    return value
-
-
-def arctan_power_coeff_lah(n: int, p: int) -> Fraction:
-    """Same coefficient through the Lah-number form of the closed formula.
-
-    Cross-check route: A(n, p) = 2 (-1)^j * p!/(n! 2^(p+1)) sum 2^k L(n, k) s(k, p).
-    """
-    if n < 1 or p < 1:
-        raise ValueError("arctan_power_coeff_lah requires n >= 1 and p >= 1")
-    if n < p or (n - p) % 2:
-        return Fraction(0)
-    j = (n - p) // 2
-    total = sum((1 << k) * lah(n, k) * stirling_first(k, p) for k in range(p, n + 1))
-    sign = -1 if j % 2 else 1
-    return Fraction(sign * math.factorial(p) * total, (1 << p) * math.factorial(n))
+    return _atan_column(p, n)[n]
 
 
 # ---------------------------------------------------------------------------

@@ -211,15 +211,19 @@ def _outcome_fields(o: VerificationOutcome) -> dict:
     }
 
 
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
 def render_json(report: Report) -> str:
-    doc = {
+    """The report as compact JSON. Outcomes are dumped one by one and joined,
+    so the whole report never exists as one nested dict."""
+    head = _dumps({
         "version": report.version,
         "timestamp": report.timestamp,
         "tolerance": {"abs": _finite(report.tol_abs), "rel": _finite(report.tol_rel)},
-        "outcomes": [_outcome_fields(o) for o in report.outcomes],
-        "summary": report.summary,
-    }
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    })
+    outcomes = ",".join(_dumps(_outcome_fields(o)) for o in report.outcomes)
+    return f'{head[:-1]},"outcomes":[{outcomes}],"summary":{_dumps(report.summary)}}}'
 
 
 def render_table(report: Report) -> str:

@@ -2,14 +2,18 @@
 coefficients, and the power-series oracle that cross-checks them."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadident import combinatorics
 from quadident.combinatorics import (
     RationalPowerSeries,
     arctan_power_coeff,
-    arctan_power_coeff_lah,
     arctan_series,
     lah,
     leibniz_partial,
@@ -21,6 +25,8 @@ from quadident.combinatorics import (
     skew_harmonic_float,
     stirling_first,
 )
+
+from _arctan_oracles import arctan_power_coeff_lah, arctan_power_coeff_stirling
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +157,72 @@ def test_arctan_power_oracle_equivalence():
             expected = powered.coefficient(n)
             assert arctan_power_coeff(n, p) == expected
             assert arctan_power_coeff_lah(n, p) == expected
+
+
+def test_arctan_power_recurrence_matches_stirling_sum():
+    # every nonzero A(n, p) a grid-33 pass reads (p <= 4, n <= 430), and
+    # higher powers to n = 119, against the closed-form sum, exactly
+    pairs = [(n, p) for p in range(1, 5) for n in range(p, 431, 2)]
+    pairs += [(n, p) for p in range(5, 9) for n in range(p, 120, 2)]
+    for n, p in pairs:
+        assert arctan_power_coeff(n, p) == arctan_power_coeff_stirling(n, p), (n, p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(p=st.integers(1, 4), q=st.integers(1, 4), n=st.integers(1, 60))
+def test_arctan_power_cauchy_product(p, q, n):
+    # arctan^(p+q) = arctan^p * arctan^q, coefficient by coefficient
+    product = sum(
+        (arctan_power_coeff(k, p) * arctan_power_coeff(n - k, q) for k in range(1, n)),
+        Fraction(0),
+    )
+    assert arctan_power_coeff(n, p + q) == product
+
+
+def _fill_in_threads(orders):
+    """Request every pair of each order from its own thread; a thread still
+    running after the timeout fails the test instead of hanging it."""
+    results = [{} for _ in orders]
+    errors = []
+    start = threading.Barrier(len(orders))
+
+    def work(order, out):
+        try:
+            start.wait()
+            for pair in order:
+                out[pair] = arctan_power_coeff(*pair)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(order, out), daemon=True)
+               for order, out in zip(orders, results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "column growth deadlocked"
+    assert errors == []
+    return results
+
+
+def test_arctan_columns_grow_safely_across_threads(monkeypatch):
+    by_power = [(n, p) for p in range(1, 5) for n in range(p, 201)]
+    by_index = sorted(by_power)
+    monkeypatch.setattr(combinatorics, "_ATAN_COLUMNS", {})
+    [expected] = _fill_in_threads([by_power])
+    # four overlapping request orders; the two descending ones both grow
+    # every column from the top at once. An unguarded append shows up in
+    # most rounds, so ten rounds leave little chance of missing one.
+    orders = [by_index, by_index[::-1], by_power, by_power[::-1]]
+    for _ in range(10):
+        monkeypatch.setattr(combinatorics, "_ATAN_COLUMNS", {})
+        for out in _fill_in_threads(orders):
+            assert out == expected
 
 
 def test_arctan_power_squared_is_odd_harmonic():

@@ -164,7 +164,11 @@ def test_verify_all_small_grid_everything_passes():
 
 def test_report_json_round_trip():
     report = verify_all(1)
-    parsed = json.loads(render_report(report, "json"))
+    text = render_report(report, "json")
+    parsed = json.loads(text)
+    # the outcomes are dumped one by one; joined, they must read exactly as
+    # one compact dump of the whole document
+    assert text == json.dumps(parsed, separators=(",", ":"))
     assert parsed["version"] == report.version
     assert parsed["tolerance"] == {"abs": None, "rel": None}
     assert len(parsed["outcomes"]) == len(report.outcomes)
@@ -180,7 +184,9 @@ def test_report_json_round_trip():
 
 def test_empty_report_rendering():
     report = Report("0.0-test", "2000-01-01T00:00:00+00:00", None, None, ())
-    parsed = json.loads(render_report(report, "json"))
+    text = render_report(report, "json")
+    parsed = json.loads(text)
+    assert text == json.dumps(parsed, separators=(",", ":"))
     assert parsed["outcomes"] == []
     assert parsed["summary"] == {"passed": 0, "failed": 0, "not_converged": 0}
 

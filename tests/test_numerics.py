@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadident.numerics import CONSTANTS, NeumaierSum, Tolerance
 
@@ -19,6 +21,16 @@ def test_tolerance_pass_predicate():
     assert tol.passes(1.0, 1.0 + 5e-11)
     assert not tol.passes(1.0, 1.0 + 5e-10)
     assert not tol.passes(float("nan"), 0.0)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(a=_FINITE, b=_FINITE, abs_tol=st.floats(0.0, 1e3), rel_tol=st.floats(1e-16, 1.0))
+def test_tolerance_passes_is_symmetric(a, b, abs_tol, rel_tol):
+    tol = Tolerance(abs_tol, rel_tol)
+    assert tol.passes(a, b) == tol.passes(b, a)
 
 
 def test_tolerance_validation():
