@@ -46,7 +46,6 @@ from .series import (
     sum_eq8,
 )
 from .specfun import (
-    catalan_reference,
     dilog_identity_rhs,
     eq19_rhs,
     eta,
@@ -55,7 +54,6 @@ from .specfun import (
     polylog_real,
     ramanujan_rhs,
     zeta,
-    zeta3_reference,
 )
 
 __all__ = [
@@ -73,7 +71,6 @@ __all__ = [
     "VerificationOutcome",
     "arctan_power_coeff",
     "arctan_series",
-    "catalan_reference",
     "dilog_identity_rhs",
     "eq19_rhs",
     "eta",
@@ -99,5 +96,4 @@ __all__ = [
     "verify",
     "verify_all",
     "zeta",
-    "zeta3_reference",
 ]

@@ -1,13 +1,15 @@
 """Exact integer and rational combinatorics.
 
 Harmonic-type prefix sums, signed Stirling numbers of the first kind, Lah
-numbers, the coefficients A(n, p) of integer powers of the arctangent series
-(grown from A(p, p) = 1 by a three-term recurrence, one rational step each),
+numbers, the coefficients A(n, p) of integer powers of the arctangent series,
 and a truncated rational power series type that serves as an independent
-brute-force oracle for those coefficients.
+brute-force oracle for those coefficients. The Stirling numbers and the
+arctan-power coefficients are both triangular tables, grown one column per p
+from the column below by a recurrence, one exact step per entry, through one
+shared column grower.
 
-Exact values use :class:`fractions.Fraction`. Caches grow on demand and are
-read-only once a row is published, so sharing across threads is safe.
+Exact values use :class:`fractions.Fraction`. Caches grow on demand under one
+lock and only ever append, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -101,59 +103,52 @@ def leibniz_partial_float(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Stirling numbers of the first kind (signed) and Lah numbers
+# Triangular tables grown column by column: Stirling numbers of the first
+# kind and the coefficients of (arctan x)^p
 # ---------------------------------------------------------------------------
 
-_STIRLING_ROWS: list[list[int]] = [[1]]  # full triangular rows, small k
+
+def _grow_column(columns: dict, p: int, n: int, one, step) -> list:
+    """Column p >= 1 of a triangular table T(m, p), grown to hold index n >= p.
+
+    T(m, p) = 0 for m < p and T(p, p) = one; each later entry is
+    step(p, m, column, T(m-1, p-1)), with T(m-1, 0) = 0 feeding column 1.
+    """
+    col = columns.get(p)
+    if col is not None and len(col) > n:
+        return col
+    # grow column p - 1 first: _CACHE_LOCK is not reentrant
+    below = _grow_column(columns, p - 1, n - 1, one, step) if p > 1 else None
+    with _CACHE_LOCK:
+        col = columns.setdefault(p, [0 * one] * p + [one])
+        while len(col) <= n:
+            m = len(col)
+            col.append(step(p, m, col, below[m - 1] if below else 0))
+    return col
 
 
-def _stirling_row(k: int) -> list[int]:
-    if len(_STIRLING_ROWS) <= k:
-        with _CACHE_LOCK:
-            while len(_STIRLING_ROWS) <= k:
-                m = len(_STIRLING_ROWS) - 1  # have rows 0..m, build row m+1
-                prev = _STIRLING_ROWS[m]
-                row = [0] * (m + 2)
-                for p in range(1, m + 2):
-                    above = prev[p] if p <= m else 0
-                    row[p] = prev[p - 1] - m * above
-                _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[k]
+# _STIRLING_COLUMNS[p][k] = s(k, p) for k = 0, 1, ..., grown on demand
+_STIRLING_COLUMNS: dict[int, list[int]] = {}
 
 
-# Column-truncated table for large k: row k holds s(k, p) for p <= _P_TRUNC.
-# The recurrence s(k+1, p) = s(k, p-1) - k s(k, p) never needs columns above p,
-# so truncation is exact. Full rows at k ~ 10^3 would cost gigabytes.
-_P_TRUNC = 8
-_STIRLING_TRUNC: list[list[int]] = [[1] + [0] * _P_TRUNC]
-
-
-def _stirling_trunc(k: int, p: int) -> int:
-    if len(_STIRLING_TRUNC) <= k:
-        with _CACHE_LOCK:
-            while len(_STIRLING_TRUNC) <= k:
-                m = len(_STIRLING_TRUNC) - 1
-                prev = _STIRLING_TRUNC[m]
-                row = [0] * (_P_TRUNC + 1)
-                for q in range(1, _P_TRUNC + 1):
-                    row[q] = prev[q - 1] - m * prev[q]
-                _STIRLING_TRUNC.append(row)
-    return _STIRLING_TRUNC[k][p]
+def _stirling_step(p: int, k: int, col: list[int], below: int) -> int:
+    return below - (k - 1) * col[k - 1]
 
 
 def stirling_first(k: int, p: int) -> int:
     """Signed Stirling number of the first kind.
 
     Convention fixed by the recurrence s(k+1, p) = s(k, p-1) - k s(k, p) with
-    s(0, 0) = 1; zero outside 0 <= p <= k.
+    s(0, 0) = 1; zero outside 0 <= p <= k. Column p is grown from column
+    p - 1 by that recurrence, once, and cached.
     """
     if k < 0 or p < 0:
         raise ValueError("arguments must be nonnegative")
     if p > k:
         return 0
-    if p <= _P_TRUNC:
-        return _stirling_trunc(k, p)
-    return _stirling_row(k)[p]
+    if p == 0:
+        return int(k == 0)
+    return _grow_column(_STIRLING_COLUMNS, p, k, 1, _stirling_step)[k]
 
 
 def lah(n: int, k: int) -> int:
@@ -163,28 +158,14 @@ def lah(n: int, k: int) -> int:
     return math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
 
 
-# ---------------------------------------------------------------------------
-# Coefficients of (arctan x)^p
-# ---------------------------------------------------------------------------
-
 # _ATAN_COLUMNS[p][n] = A(n, p) for n = 0, 1, ..., grown on demand
 _ATAN_COLUMNS: dict[int, list[Fraction]] = {}
+_ONE = Fraction(1)
 
 
-def _atan_column(p: int, n: int) -> list[Fraction]:
-    """Column p of the arctan-power coefficients, grown to hold index n >= p."""
-    col = _ATAN_COLUMNS.get(p)
-    if col is not None and len(col) > n:
-        return col
-    # grow column p - 1 first: _CACHE_LOCK is not reentrant
-    below = _atan_column(p - 1, n - 1) if p > 1 else None
-    with _CACHE_LOCK:
-        col = _ATAN_COLUMNS.setdefault(p, [Fraction(0)] * p + [Fraction(1)])
-        while len(col) <= n:
-            m = len(col)  # entries of parity other than p's come out zero
-            feed = p * below[m - 1] if below else 0  # A(m-1, 0) = 0 for m > 1
-            col.append((feed - (m - 2) * col[m - 2]) / m)
-    return col
+def _atan_step(p: int, n: int, col: list[Fraction], below: Fraction) -> Fraction:
+    # entries of parity other than p's come out zero
+    return (p * below - (n - 2) * col[n - 2]) / n
 
 
 def arctan_power_coeff(n: int, p: int) -> Fraction:
@@ -203,7 +184,7 @@ def arctan_power_coeff(n: int, p: int) -> Fraction:
         raise ValueError("arctan_power_coeff requires n >= 1 and p >= 1")
     if n < p or (n - p) % 2:
         return Fraction(0)
-    return _atan_column(p, n)[n]
+    return _grow_column(_ATAN_COLUMNS, p, n, _ONE, _atan_step)[n]
 
 
 # ---------------------------------------------------------------------------

@@ -61,16 +61,6 @@ class ConstantsTable:
 CONSTANTS = ConstantsTable()
 
 
-def zeta3_reference() -> float:
-    """Stored reference value of zeta(3) (Apery's constant)."""
-    return CONSTANTS.zeta3
-
-
-def catalan_reference() -> float:
-    """Stored reference value of Catalan's constant."""
-    return CONSTANTS.catalan
-
-
 class NeumaierSum:
     """Streaming compensated accumulator (Neumaier's variant of Kahan summation).
 

@@ -10,8 +10,10 @@ Semi-infinite integrals are split at 1 and the far part is mapped back to the
 unit interval with ``x -> 1/x``, mirroring the classical manipulation of the
 integrals this package verifies.
 
-Integrand callables must be numpy vectorized: they receive a float ndarray of
-abscissae strictly inside the interval and must return an ndarray of values.
+Integrand callables must be numpy vectorized and real-valued: they receive a
+float ndarray of abscissae strictly inside the interval and must return a
+real ndarray of values (numpy drops the imaginary part of complex values with
+a ``ComplexWarning``).
 For integrands singular at the right endpoint, supply ``f_right`` which is
 called with the exact distance ``delta = 1 - x`` (doubles cannot represent
 ``1 - delta`` to useful relative precision once ``delta`` is tiny).
@@ -115,12 +117,6 @@ def _level_nodes(level: int):
     return entry
 
 
-def _fsum_maybe_complex(values: np.ndarray):
-    if np.iscomplexobj(values):
-        return complex(math.fsum(values.real), math.fsum(values.imag))
-    return math.fsum(values)
-
-
 def _eval_level(f, f_right, level: int):
     """Weighted integrand values at the new nodes of a level."""
     t, x, delta, w = _level_nodes(level)
@@ -128,11 +124,9 @@ def _eval_level(f, f_right, level: int):
         v = np.asarray(f(x))
     else:
         left = t <= 0.0
-        v_left = np.asarray(f(x[left]))
-        v_right = np.asarray(f_right(delta[~left]))
-        v = np.empty(len(t), dtype=np.result_type(v_left, v_right))
-        v[left] = v_left
-        v[~left] = v_right
+        v = np.empty(len(t))
+        v[left] = f(x[left])
+        v[~left] = f_right(delta[~left])
     v = np.broadcast_to(v, x.shape)
     finite = np.isfinite(v)
     if not finite.all():
@@ -145,7 +139,7 @@ def _eval_level(f, f_right, level: int):
 
 
 def _tanh_sinh(f, tol: Tolerance, f_right=None):
-    """Core trapezoid-with-halving driver; value may be real or complex."""
+    """Core trapezoid-with-halving driver for a real-valued integrand."""
     total = 0.0
     err = math.inf
     evals = 0
@@ -157,7 +151,7 @@ def _tanh_sinh(f, tol: Tolerance, f_right=None):
         wf, n_new = _eval_level(f, f_right, level)
         evals += n_new
         h = 0.5 ** level
-        s_new = _fsum_maybe_complex(wf)
+        s_new = math.fsum(wf)
         a_new = math.fsum(np.abs(wf))
         if level == 0:
             total = h * s_new

@@ -33,6 +33,7 @@ from .quadrature import (
     LOG_SINGULAR,
     REGULAR,
     SEMI_INFINITE,
+    UNIT_INTERVAL,
     IntegrandSpec,
     integrate_semi_infinite,
     integrate_unit,
@@ -78,7 +79,6 @@ class EvalOutcome:
 
 @dataclass(frozen=True)
 class Evaluator:
-    kind: str  # "quadrature" | "series" | "closed_form"
     describe: str
     fn: Callable[[dict, Tolerance], EvalOutcome]
 
@@ -150,7 +150,7 @@ def _quad(describe: str, build: Callable[..., IntegrandSpec]) -> Evaluator:
             res = integrate_unit(spec, tol)
         return EvalOutcome(res.value, evals=res.evaluations, converged=res.converged)
 
-    return Evaluator("quadrature", describe, fn)
+    return Evaluator(describe, fn)
 
 
 def _series(describe: str, build: Callable[..., TermGenerator],
@@ -162,14 +162,14 @@ def _series(describe: str, build: Callable[..., TermGenerator],
         res = (sum_alternating_accelerated if accel else sum_direct)(gen, tol)
         return EvalOutcome(scale * res.value, terms=res.terms_used, converged=res.converged)
 
-    return Evaluator("series", describe, fn)
+    return Evaluator(describe, fn)
 
 
 def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
     def fn(params: dict, tol: Tolerance) -> EvalOutcome:
         return EvalOutcome(value(**params))
 
-    return Evaluator("closed_form", describe, fn)
+    return Evaluator(describe, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -195,41 +195,21 @@ def _spec_arcsin(alpha: float) -> IntegrandSpec:
     )
 
 
-def _spec_atan_cauchy_inf(alpha: float) -> IntegrandSpec:
+def _spec_atan_cauchy(alpha: float, domain: str) -> IntegrandSpec:
     return IntegrandSpec(
         lambda x: 2.0 * np.arctan(alpha * x) / (1.0 + x * x),
-        domain=SEMI_INFINITE,
-        name="2 arctan(a x)/(1+x^2) on (0,inf)",
-    )
-
-
-def _spec_atan_cauchy_unit(alpha: float) -> IntegrandSpec:
-    return IntegrandSpec(
-        lambda x: 2.0 * np.arctan(alpha * x) / (1.0 + x * x),
+        domain=domain,
         name="2 arctan(a x)/(1+x^2)",
     )
 
 
-def _spec_atan_sq_cauchy(alpha: float) -> IntegrandSpec:
-    return IntegrandSpec(
-        lambda x: np.arctan(alpha * x) ** 2 / (1.0 + x * x),
-        name="arctan(a x)^2/(1+x^2)",
-    )
-
-
-def _spec_log_kernel_inf(alpha: float) -> IntegrandSpec:
-    # log(1+a x)/(x(1+x)) -> a at x -> 0; decays like log(x)/x^2 at infinity
+def _spec_log_kernel(alpha: float, domain: str) -> IntegrandSpec:
+    # log(1+a x)/(x(1+x)) -> a at x -> 0; decays like log(x)/x^2 at infinity,
+    # so the x -> 1/u image of the half-line is log-singular at u = 0
     return IntegrandSpec(
         lambda x: np.log1p(alpha * x) / (x * (1.0 + x)),
-        domain=SEMI_INFINITE,
-        right=LOG_SINGULAR,  # the x -> 1/u image is log-singular at u = 0
-        name="log(1+a x)/(x(1+x)) on (0,inf)",
-    )
-
-
-def _spec_log_kernel_unit(alpha: float) -> IntegrandSpec:
-    return IntegrandSpec(
-        lambda x: np.log1p(alpha * x) / (x * (1.0 + x)),
+        domain=domain,
+        right=LOG_SINGULAR if domain == SEMI_INFINITE else REGULAR,
         name="log(1+a x)/(x(1+x))",
     )
 
@@ -287,10 +267,6 @@ def _spec_log_recip(domain: str) -> IntegrandSpec:
         right=LOG_SINGULAR if domain == SEMI_INFINITE else REGULAR,
         name="log(1+t) log(1+1/t)/t",
     )
-
-
-def _spec_atan_sq_over_t() -> IntegrandSpec:
-    return IntegrandSpec(lambda t: np.arctan(t) ** 2 / t, name="arctan(t)^2/t")
 
 
 def _spec_atan_pow_over_x(alpha: float, p: int = 2) -> IntegrandSpec:
@@ -514,7 +490,8 @@ def register_all() -> list[IdentityCase]:
                 "log a log((1-a)/(1+a)) + Li2(a) - Li2(-a)"
             ),
             source="parameter differentiation; cf. Prudnikov 2.7.4(12)",
-            lhs=_quad("split semi-infinite tanh-sinh", _spec_atan_cauchy_inf),
+            lhs=_quad("split semi-infinite tanh-sinh",
+                      lambda alpha: _spec_atan_cauchy(alpha, SEMI_INFINITE)),
             rhs=_closed("log/dilog closed form", _rhs_atan_inf),
             continuous=(_ALPHA_OPEN,),
             extra_points=(
@@ -526,7 +503,8 @@ def register_all() -> list[IdentityCase]:
             id="E4alt",
             description="same integral in the tabulated alternative closed form",
             source="Prudnikov, Integrals and Series I, 2.7.4(12)",
-            lhs=_quad("split semi-infinite tanh-sinh", _spec_atan_cauchy_inf),
+            lhs=_quad("split semi-infinite tanh-sinh",
+                      lambda alpha: _spec_atan_cauchy(alpha, SEMI_INFINITE)),
             rhs=_closed("pi^2/3 - log^2(1+a)/2 - Li2(1/(1+a)) - Li2(1-a)",
                         _rhs_atan_inf_alt),
             continuous=(_ALPHA_OPEN,),
@@ -539,7 +517,8 @@ def register_all() -> list[IdentityCase]:
                 "sum (log2 - H_n^-) a^(2n+1)/(2n+1)"
             ),
             source="skew-harmonic expansion via the incomplete beta series",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_atan_cauchy_unit),
+            lhs=_quad("tanh-sinh on (0,1)",
+                      lambda alpha: _spec_atan_cauchy(alpha, UNIT_INTERVAL)),
             rhs=_series("alternating skew-harmonic series", _gen_skew_odd_denom,
                         accelerated=_accel_near_one),
             continuous=(_ALPHA_OPEN,),
@@ -560,7 +539,8 @@ def register_all() -> list[IdentityCase]:
                 "sum (h_n/n)(L_n - pi/4) a^(2n)"
             ),
             source="squared-arctangent expansion, odd harmonic numbers",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_atan_sq_cauchy),
+            lhs=_quad("tanh-sinh on (0,1)",
+                      lambda alpha: _spec_atan_pow_cauchy(alpha, 2)),
             rhs=_series("alternating odd-harmonic Leibniz series",
                         _gen_odd_harmonic_leibniz),
             continuous=(_ALPHA_OPEN,),
@@ -571,7 +551,7 @@ def register_all() -> list[IdentityCase]:
             description="pi^3 = 192 sum (h_n/n)(L_n - pi/4)",
             source="squared-arctangent series at a = 1",
             lhs=_closed("pi^3", lambda: _PI**3),
-            rhs=Evaluator("series", "192 x Euler-accelerated series", _eval_eq8),
+            rhs=Evaluator("192 x Euler-accelerated series", _eval_eq8),
             default_tol=TOL_SLOW_SERIES,
         ),
         IdentityCase(
@@ -582,7 +562,8 @@ def register_all() -> list[IdentityCase]:
                 "on the half-line)"
             ),
             source="G&R 4.295.18 at a=1; Prudnikov 2.6.10.52",
-            lhs=_quad("split semi-infinite tanh-sinh", _spec_log_kernel_inf),
+            lhs=_quad("split semi-infinite tanh-sinh",
+                      lambda alpha: _spec_log_kernel(alpha, SEMI_INFINITE)),
             rhs=_closed("log a log(1-a) + Li2(a)", _rhs_log_inf),
             continuous=(_ALPHA_OPEN,),
             extra_points=(_pt(alpha=1.0, rhs=_Z2),),
@@ -593,7 +574,8 @@ def register_all() -> list[IdentityCase]:
                 "int_0^1 log(1+a x)/(x(1+x)) dx = Li2(1/2) - Li2((1-a)/2)"
             ),
             source="G&R 4.291.12 at a=1; Prudnikov 2.6.10.8",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_log_kernel_unit),
+            lhs=_quad("tanh-sinh on (0,1)",
+                      lambda alpha: _spec_log_kernel(alpha, UNIT_INTERVAL)),
             rhs=_closed("Li2(1/2) - Li2((1-a)/2)", _rhs_li2_half_diff),
             continuous=(_ALPHA_OPEN,),
             extra_points=(_pt(alpha=1.0),),
@@ -602,7 +584,8 @@ def register_all() -> list[IdentityCase]:
             id="E10b",
             description="int_0^1 log(1+x)/(x(1+x)) dx = pi^2/12 - log^2(2)/2",
             source="Gradshteyn-Ryzhik, entry 4.291.12",
-            lhs=_quad("tanh-sinh on (0,1)", lambda: _spec_log_kernel_unit(1.0)),
+            lhs=_quad("tanh-sinh on (0,1)",
+                      lambda: _spec_log_kernel(1.0, UNIT_INTERVAL)),
             rhs=_closed("pi^2/12 - log^2(2)/2",
                         lambda: 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2),
         ),
@@ -656,7 +639,7 @@ def register_all() -> list[IdentityCase]:
             id="E13",
             description="int_0^1 arctan(t) arctan(1/t)/t dt = (7/8) zeta(3)",
             source="Catalan/zeta(3) companion integral",
-            lhs=_quad("tanh-sinh on (0,1)", lambda: _spec_atan_recip("unit_interval")),
+            lhs=_quad("tanh-sinh on (0,1)", lambda: _spec_atan_recip(UNIT_INTERVAL)),
             rhs=_closed("(7/8) zeta(3)", lambda: 0.875 * _Z3),
         ),
         IdentityCase(
@@ -672,7 +655,7 @@ def register_all() -> list[IdentityCase]:
             description="int_0^1 log(1+t) log(1+1/t)/t dt = zeta(3)",
             source="zeta(3) as a log-product integral",
             lhs=_quad("tanh-sinh, log-singular at 0",
-                      lambda: _spec_log_recip("unit_interval")),
+                      lambda: _spec_log_recip(UNIT_INTERVAL)),
             rhs=_closed("zeta(3)", lambda: _Z3),
         ),
         IdentityCase(
@@ -689,7 +672,7 @@ def register_all() -> list[IdentityCase]:
                 "int_0^1 arctan(t)^2/t dt = (pi/2) G - (7/8) zeta(3)"
             ),
             source="Adamchik's Catalan list, entry 8; Bradley (2001), p. 18",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_atan_sq_over_t),
+            lhs=_quad("tanh-sinh on (0,1)", lambda: _spec_atan_pow_over_x(1.0)),
             rhs=_closed("(pi/2) G - (7/8) zeta(3)",
                         lambda: 0.5 * _PI * _G - 0.875 * _Z3),
         ),
@@ -782,7 +765,7 @@ def register_all() -> list[IdentityCase]:
             description="pi^(p+1) = (p+1) 2^(2p+1) sum A(n,p) beta((n+1)/2)",
             source="arctan-power series at a = 1",
             lhs=_closed("pi^(p+1)", lambda p: _PI ** (p + 1)),
-            rhs=Evaluator("series", "scaled Euler-accelerated beta series",
+            rhs=Evaluator("scaled Euler-accelerated beta series",
                           _eval_eq23_series),
             discrete=(_P_POWERS,),
             default_tol=TOL_SLOW_SERIES,

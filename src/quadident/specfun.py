@@ -34,10 +34,9 @@ import math
 
 import numpy as np
 
-from .numerics import CONSTANTS, catalan_reference, zeta3_reference
+from .numerics import CONSTANTS
 
 __all__ = [
-    "catalan_reference",
     "dilog_identity_rhs",
     "eq19_rhs",
     "eta",
@@ -46,7 +45,6 @@ __all__ = [
     "polylog_real",
     "ramanujan_rhs",
     "zeta",
-    "zeta3_reference",
 ]
 
 _CIRCLE_EPS = 1e-12         # |z| may exceed 1 by at most this much

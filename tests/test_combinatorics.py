@@ -4,6 +4,7 @@ coefficients, and the power-series oracle that cross-checks them."""
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,14 +107,18 @@ def test_stirling_row_sums():
         assert sum(abs(v) for v in row) == math.factorial(k)
 
 
-def test_stirling_truncated_matches_full():
-    # the column-truncated table must agree with full rows where both exist
-    from quadident.combinatorics import _stirling_row, _stirling_trunc
-
-    for k in range(0, 40):
-        row = _stirling_row(k)
-        for p in range(0, min(k, 8) + 1):
-            assert _stirling_trunc(k, p) == row[p]
+def test_stirling_matches_falling_factorial():
+    # s(k, p) is the coefficient of x^p in x (x-1) ... (x-k+1): every p for
+    # k <= 40, and the low columns at k = 430, as deep as the arctan oracle
+    poly = [1]  # coefficients of the falling factorial of degree k, from x^0
+    for k in range(431):
+        if k <= 40:
+            assert [stirling_first(k, p) for p in range(k + 1)] == poly, k
+        if k == 430:
+            assert [stirling_first(k, p) for p in range(9)] == poly[:9]
+        # multiply by (x - k)
+        poly = [(poly[p - 1] if p else 0) - k * (poly[p] if p <= k else 0)
+                for p in range(k + 2)]
 
 
 def test_lah_values_and_recurrence():
@@ -179,9 +184,10 @@ def test_arctan_power_cauchy_product(p, q, n):
     assert arctan_power_coeff(n, p + q) == product
 
 
-def _fill_in_threads(orders):
-    """Request every pair of each order from its own thread; a thread still
-    running after the timeout fails the test instead of hanging it."""
+def _fill_in_threads(table, orders):
+    """Request ``table(*pair)`` for every pair of each order from its own
+    thread; a thread still running after the timeout fails the test instead
+    of hanging it."""
     results = [{} for _ in orders]
     errors = []
     start = threading.Barrier(len(orders))
@@ -190,7 +196,7 @@ def _fill_in_threads(orders):
         try:
             start.wait()
             for pair in order:
-                out[pair] = arctan_power_coeff(*pair)
+                out[pair] = table(*pair)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -210,18 +216,33 @@ def _fill_in_threads(orders):
     return results
 
 
-def test_arctan_columns_grow_safely_across_threads(monkeypatch):
+@pytest.mark.parametrize(
+    "cache, step, table",
+    [("_ATAN_COLUMNS", "_atan_step", arctan_power_coeff),
+     ("_STIRLING_COLUMNS", "_stirling_step", stirling_first)],
+    ids=["arctan", "stirling"],
+)
+def test_columns_grow_safely_across_threads(monkeypatch, cache, step, table):
+    # every step offers the interpreter lock to another thread, so an append
+    # left unguarded races even where a step is one fast integer operation
+    exact_step = getattr(combinatorics, step)
+
+    def yielding_step(*args):
+        time.sleep(0)
+        return exact_step(*args)
+
+    monkeypatch.setattr(combinatorics, step, yielding_step)
     by_power = [(n, p) for p in range(1, 5) for n in range(p, 201)]
     by_index = sorted(by_power)
-    monkeypatch.setattr(combinatorics, "_ATAN_COLUMNS", {})
-    [expected] = _fill_in_threads([by_power])
+    monkeypatch.setattr(combinatorics, cache, {})
+    [expected] = _fill_in_threads(table, [by_power])
     # four overlapping request orders; the two descending ones both grow
     # every column from the top at once. An unguarded append shows up in
     # most rounds, so ten rounds leave little chance of missing one.
     orders = [by_index, by_index[::-1], by_power, by_power[::-1]]
     for _ in range(10):
-        monkeypatch.setattr(combinatorics, "_ATAN_COLUMNS", {})
-        for out in _fill_in_threads(orders):
+        monkeypatch.setattr(combinatorics, cache, {})
+        for out in _fill_in_threads(table, orders):
             assert out == expected
 
 

@@ -1,0 +1,67 @@
+"""Layout rules of the package: module boundaries, and the entry points the
+benchmark's tracer wraps from outside."""
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quadident"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_imports_another_modules_private_names():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            parts = [part for name in names for part in name.split(".")]
+            if any(_is_private(part) for part in parts):
+                offences.append(f"{path.name}:{node.lineno}")
+    assert offences == []
+
+
+_TRACED_PASS = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracer import Tracer
+tracer = Tracer()
+verify = tracer.install()
+for case_id in ("E2", "E8", "E19", "E21", "E22"):
+    verify(case_id, grid_size=1)
+print(json.dumps(sorted(tracer.take_pass()["calls"])))
+"""
+
+
+def test_benchmark_tracer_installs_and_traces_its_layers():
+    # perfbench/tracer.py wraps entry points by name in the modules that call
+    # them; a renamed or unbound one fails its install, an unused one drops
+    # its layer from a pass. -B keeps bytecode out of perfbench/.
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_PASS,
+         str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {
+        "quadrature",
+        "series",
+        "specfun.incomplete_beta",
+        "specfun.polylog_real",
+        "specfun.polylog_complex.circle",
+        "specfun.closed_form",
+        "combinatorics.arctan_power_coeff",
+        "combinatorics.prefix",
+        "case:E21",
+    } <= layers, sorted(layers)
