@@ -13,7 +13,6 @@ from quadident.combinatorics import skew_harmonic_float
 from quadident.numerics import NeumaierSum
 from quadident.series import (
     ALTERNATING,
-    euler_diagonal_estimates,
     sum_alternating_accelerated,
     sum_direct,
     sum_eq8,
@@ -35,10 +34,13 @@ for n in range(256):
     partials.append(acc.value)
 print(f"partial sum after 256 terms:  error {abs(partials[-1] - target):.2e}")
 
-# each averaging pass of the Euler transform removes another factor
-estimates = euler_diagonal_estimates(partials)
-for k in (0, 2, 4, 8, 16, 32):
-    print(f"  after {k:2d} averaging passes:  error {abs(estimates[k] - target):.2e}")
+# each averaging pass of the Euler transform (the mean of neighbouring
+# partial sums) removes another factor
+averaged = partials
+for k in range(33):
+    if k in (0, 2, 4, 8, 16, 32):
+        print(f"  after {k:2d} averaging passes:  error {abs(averaged[-1] - target):.2e}")
+    averaged = [0.5 * (a + b) for a, b in zip(averaged, averaged[1:])]
 
 res = sum_alternating_accelerated(gen, Tolerance(1e-10, 1e-10))
 print(f"engine result: {res.value:.15f}  error {abs(res.value - target):.2e}  "

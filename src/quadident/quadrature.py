@@ -12,8 +12,8 @@ integrals this package verifies.
 
 Integrand callables must be numpy vectorized and real-valued: they receive a
 float ndarray of abscissae strictly inside the interval and must return a
-real ndarray of values (numpy drops the imaginary part of complex values with
-a ``ComplexWarning``).
+real ndarray of values (or a real scalar, broadcast over the nodes). Complex
+values raise :class:`QuadratureError`.
 For integrands singular at the right endpoint, supply ``f_right`` which is
 called with the exact distance ``delta = 1 - x`` (doubles cannot represent
 ``1 - delta`` to useful relative precision once ``delta`` is tiny).
@@ -44,7 +44,8 @@ _TINY = 1e-300      # clamp so flagged endpoints are never touched
 
 
 class QuadratureError(RuntimeError):
-    """Raised when an integrand returns a non-finite value at an interior point."""
+    """Raised when an integrand returns a complex value, or a non-finite value
+    at an interior point."""
 
 
 @dataclass(frozen=True)
@@ -117,17 +118,26 @@ def _level_nodes(level: int):
     return entry
 
 
+def _real_values(piece, fn, arg):
+    v = np.asarray(fn(arg))
+    if np.iscomplexobj(v):
+        raise QuadratureError(f"integrand piece {piece} returned complex values")
+    return v
+
+
 def _eval_level(f, f_right, level: int):
-    """Weighted integrand values at the new nodes of a level."""
+    """Weighted integrand values at the new nodes of a level, as a list of
+    Python floats, and the number of nodes."""
     t, x, delta, w = _level_nodes(level)
     if f_right is None:
-        v = np.asarray(f(x))
+        v = _real_values("f", f, x)
     else:
         left = t <= 0.0
         v = np.empty(len(t))
-        v[left] = f(x[left])
-        v[~left] = f_right(delta[~left])
-    v = np.broadcast_to(v, x.shape)
+        v[left] = _real_values("f", f, x[left])
+        v[~left] = _real_values("f_right", f_right, delta[~left])
+    if v.shape != x.shape:
+        v = np.broadcast_to(v, x.shape)
     finite = np.isfinite(v)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
@@ -135,7 +145,7 @@ def _eval_level(f, f_right, level: int):
             f"integrand returned a non-finite value at x={x[bad]!r} "
             f"(distance {delta[bad]!r} from 1)"
         )
-    return w * v, len(t)
+    return (w * v).tolist(), len(t)
 
 
 def _tanh_sinh(f, tol: Tolerance, f_right=None):
@@ -152,7 +162,7 @@ def _tanh_sinh(f, tol: Tolerance, f_right=None):
         evals += n_new
         h = 0.5 ** level
         s_new = math.fsum(wf)
-        a_new = math.fsum(np.abs(wf))
+        a_new = math.fsum(map(abs, wf))
         if level == 0:
             total = h * s_new
             habs = h * a_new

@@ -15,6 +15,7 @@ stated or tabulated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -344,11 +345,26 @@ def _gen_pos_odd_harmonic_sq(alpha: float) -> TermGenerator:
                          name="odd-harmonic power series")
 
 
+# A(n,p) and A(n,p) beta((n+1)/2) do not depend on alpha, so every grid point
+# of E21-E23 shares one cached double per (n, p). The products keep the order
+# of the uncached expressions, so each term is the same double. Both helpers
+# look up arctan_power_coeff and incomplete_beta in this module at call time,
+# where the benchmark's tracer wraps them.
+@functools.cache
+def _atan_coeff_float(n: int, p: int) -> float:
+    return float(arctan_power_coeff(n, p))
+
+
+@functools.cache
+def _atan_beta_coeff(n: int, p: int) -> float:
+    return _atan_coeff_float(n, p) * incomplete_beta((n + 1) / 2.0)
+
+
 def _gen_atan_pow_over_n(alpha: float, p: int) -> TermGenerator:
     # nonzero coefficients only: n = p + 2m, term A(n,p) a^n / n
     def term(m: int) -> float:
         n = p + 2 * m
-        return float(arctan_power_coeff(n, p)) * alpha**n / n
+        return _atan_coeff_float(n, p) * alpha**n / n
 
     return TermGenerator(term, 0, ALTERNATING, name="arctan-power coefficient series")
 
@@ -357,11 +373,7 @@ def _gen_atan_pow_beta(alpha: float, p: int) -> TermGenerator:
     # term A(n,p) beta((n+1)/2) a^n over nonzero n = p + 2m
     def term(m: int) -> float:
         n = p + 2 * m
-        return (
-            float(arctan_power_coeff(n, p))
-            * incomplete_beta((n + 1) / 2.0)
-            * alpha**n
-        )
+        return _atan_beta_coeff(n, p) * alpha**n
 
     return TermGenerator(term, 0, ALTERNATING, name="arctan-power beta series")
 

@@ -117,18 +117,6 @@ def sum_direct(g: TermGenerator, tol: Tolerance = DEFAULT_TOL) -> SummationResul
         t = t_next
 
 
-def euler_diagonal_estimates(partial_sums) -> np.ndarray:
-    """Iterated-averaging estimates: entry k is the last element after k
-    pairwise-averaging passes over the partial sums (entry 0 is the plain
-    partial sum)."""
-    s = np.asarray(partial_sums, dtype=float)
-    out = [s[-1]]
-    while len(s) >= 2:
-        s = 0.5 * (s[:-1] + s[1:])
-        out.append(s[-1])
-    return np.array(out)
-
-
 def _euler_scan(partials: np.ndarray, tol: Tolerance, floor: float):
     """Run averaging passes; return (value, bound, converged) for the first
     pass meeting the stopping rule, else the best pass seen.

@@ -25,8 +25,9 @@ from quadident.ledger import verify, verify_all
 from quadident.numerics import CONSTANTS, Tolerance
 from quadident.quadrature import integrate_unit
 from quadident.registry import lookup
-from quadident.series import euler_diagonal_estimates, sum_eq8
+from quadident.series import sum_eq8
 from quadident.specfun import incomplete_beta, polylog_real
+from test_series import euler_diagonal_estimates
 
 PI = CONSTANTS.pi
 G = CONSTANTS.catalan

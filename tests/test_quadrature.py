@@ -221,6 +221,26 @@ def test_nan_integrand_raises_with_abscissa():
         quad(f)
 
 
+def test_complex_integrand_raises_naming_the_piece():
+    with pytest.raises(QuadratureError, match="piece f returned complex"):
+        quad(lambda x: x + 0.5j)
+
+
+def test_complex_right_piece_raises_naming_the_piece():
+    # each piece is assigned into a float64 array, which would drop the
+    # imaginary part with only a ComplexWarning
+    with pytest.raises(QuadratureError, match="piece f_right returned complex"):
+        quad(lambda x: x, right=LOG_SINGULAR, f_right=lambda d: (1.0 - d) + 0.5j)
+
+
+@pytest.mark.parametrize("right_piece", [False, True])
+def test_scalar_integrand_is_broadcast(right_piece):
+    spec = dict(right=LOG_SINGULAR, f_right=lambda d: 2.0) if right_piece else {}
+    res = quad(lambda x: 2.0, **spec)
+    assert res.converged
+    assert abs(res.value - 2.0) <= 1e-15
+
+
 def test_non_convergence_flag():
     res = quad(lambda x: 1.0 / np.sqrt(x), tol=Tolerance(1e-10, 1e-10, max_work=20))
     assert not res.converged

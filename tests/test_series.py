@@ -10,7 +10,6 @@ from quadident.series import (
     POSITIVE,
     SignPatternError,
     TermGenerator,
-    euler_diagonal_estimates,
     sum_alternating_accelerated,
     sum_direct,
     sum_eq8,
@@ -165,6 +164,18 @@ def test_acceleration_consistent_across_registry_series():
         assert abs(direct.value - accel.value) <= (
             direct.remainder_bound + accel.remainder_bound
         ), g.name
+
+
+def euler_diagonal_estimates(partial_sums) -> np.ndarray:
+    """Iterated-averaging estimates: entry k is the last element after k
+    pairwise-averaging passes over the partial sums (entry 0 is the plain
+    partial sum)."""
+    s = np.asarray(partial_sums, dtype=float)
+    out = [s[-1]]
+    while len(s) >= 2:
+        s = 0.5 * (s[:-1] + s[1:])
+        out.append(s[-1])
+    return np.array(out)
 
 
 def test_monotone_improvement_with_averaging_depth():

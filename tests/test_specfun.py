@@ -209,6 +209,25 @@ def test_beta_half_integer_vs_leibniz():
         assert abs(0.5 * incomplete_beta(n + 0.5) - target) <= 1e-13
 
 
+# every argument (n + 1)/2 the registry's arctan-power beta series can reach,
+# plus both sides of the switch to the tail formula and far beyond it
+_BETA_POINTS = [k / 2.0 for k in range(1, 520)] + [
+    0.001, 0.37, 79.9, 159.9, 160.0, 160.1, 1000.5,
+]
+
+
+def test_beta_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for z in _BETA_POINTS:
+            ref = (mpmath.digamma((mpmath.mpf(z) + 1) / 2)
+                   - mpmath.digamma(mpmath.mpf(z) / 2)) / 2
+            err = abs(mpmath.mpf(incomplete_beta(z)) - ref)
+            assert err <= 1e-12 * abs(ref), z
+            if z >= 0.5:
+                assert err <= 1e-15, z
+
+
 def test_beta_domain():
     with pytest.raises(ValueError):
         incomplete_beta(0.0)
