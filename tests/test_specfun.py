@@ -209,8 +209,8 @@ def test_beta_half_integer_vs_leibniz():
         assert abs(0.5 * incomplete_beta(n + 0.5) - target) <= 1e-13
 
 
-# every argument (n + 1)/2 the registry's arctan-power beta series can reach,
-# plus both sides of the switch to the tail formula and far beyond it
+# every argument (n + 1)/2 the registered grids' arctan-power beta series use
+# (n <= 430), plus both sides of the switch to the tail formula at 160
 _BETA_POINTS = [k / 2.0 for k in range(1, 520)] + [
     0.001, 0.37, 79.9, 159.9, 160.0, 160.1, 1000.5,
 ]
