@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import __version__
 from .numerics import Tolerance
-from .registry import IdentityCase, lookup, registry
+from .registry import EvalOutcome, IdentityCase, lookup, registry
 
 REASON_MISMATCH = "mismatch"
 REASON_NOT_CONVERGED = "not_converged"
@@ -111,47 +111,92 @@ def verify(
         for combo in combos:
             jobs.append((dict(combo) | base, ep.lhs_value, ep.rhs_value))
 
-    outcomes = []
-    for params, lhs_override, rhs_override in jobs:
-        outcomes.append(
-            _verify_point(case, params, eff, eval_tol, lhs_override, rhs_override)
-        )
-    return outcomes
+    # each side in one pass over the jobs; a point whose left side raised
+    # never evaluates its right side
+    lhs = _evaluate(case, case.lhs, [(p, lo) for p, lo, _ in jobs], eval_tol)
+    rhs = _evaluate(case, case.rhs, [
+        None if isinstance(left, Exception) else (p, ro)
+        for (p, _, ro), left in zip(jobs, lhs)
+    ], eval_tol)
+    return [_verify_point(case, params, eff, left, right)
+            for (params, _, _), left, right in zip(jobs, lhs, rhs)]
 
 
-def _verify_point(case, params, eff, eval_tol, lhs_override, rhs_override):
+def _evaluate(case, evaluator, jobs, tol):
+    """One side of each ``(params, override)`` job: the override, the
+    ``EvalOutcome``, or the exception the evaluation raised; None for a job
+    that is None.
+
+    Points that differ only in the case's continuous parameter go through
+    one ``evaluator.rows`` call. If that call raises, its points are
+    evaluated one at a time, so each failure reads as it would alone
+    (failures are data, not aborts).
+    """
+    results: list = [None] * len(jobs)
+    todo = []
+    for i, job in enumerate(jobs):
+        if job is None:
+            continue
+        if job[1] is not None:
+            results[i] = job[1]
+        else:
+            todo.append(i)
+    if evaluator.rows is not None and case.continuous:
+        axis = case.continuous[0].name
+        groups: dict = {}
+        for i in todo:
+            params = jobs[i][0]
+            if axis in params:
+                key = tuple(sorted((k, v) for k, v in params.items() if k != axis))
+                groups.setdefault(key, []).append(i)
+        for key, idx in groups.items():
+            try:
+                outs = evaluator.rows(dict(key), axis, [jobs[i][0][axis] for i in idx], tol)
+            except Exception:
+                continue  # left to the one-point path below
+            for i, out in zip(idx, outs):
+                results[i] = out
+    for i in todo:
+        if results[i] is None:
+            try:
+                results[i] = evaluator.fn(jobs[i][0], tol)
+            except Exception as exc:  # failures are data, not aborts
+                results[i] = exc
+    return results
+
+
+def _verify_point(case, params, eff, lhs, rhs):
+    """One outcome from each side's override value, ``EvalOutcome`` or
+    exception; the right side is ignored once the left one raised."""
     evals = terms = 0
     converged = True
     reason = ""
     lhs_value = rhs_value = math.nan
     imag_excess = None
-    try:
-        for side, override in (("lhs", lhs_override), ("rhs", rhs_override)):
-            evaluator = case.lhs if side == "lhs" else case.rhs
-            if override is not None:
-                value = override
-            else:
-                out = evaluator.fn(params, eval_tol)
-                evals += out.evals
-                terms += out.terms
-                converged = converged and out.converged
-                value = out.value
-            if isinstance(value, complex):
-                margin = eff.abs_tol + eff.rel_tol * max(
-                    abs(value.real), abs(lhs_value) if side == "rhs" else 0.0
-                )
-                if abs(value.imag) > margin:
-                    imag_excess = value.imag
-                value = value.real
-            if side == "lhs":
-                lhs_value = value
-            else:
-                rhs_value = value
-    except Exception as exc:  # failures are data, not aborts
-        return VerificationOutcome(
-            case.id, params, lhs_value, rhs_value, math.nan, math.nan,
-            False, f"error: {exc}", evals, terms,
-        )
+    for side, result in (("lhs", lhs), ("rhs", rhs)):
+        if isinstance(result, Exception):
+            return VerificationOutcome(
+                case.id, params, lhs_value, rhs_value, math.nan, math.nan,
+                False, f"error: {result}", evals, terms,
+            )
+        if isinstance(result, EvalOutcome):
+            evals += result.evals
+            terms += result.terms
+            converged = converged and result.converged
+            value = result.value
+        else:
+            value = result
+        if isinstance(value, complex):
+            margin = eff.abs_tol + eff.rel_tol * max(
+                abs(value.real), abs(lhs_value) if side == "rhs" else 0.0
+            )
+            if abs(value.imag) > margin:
+                imag_excess = value.imag
+            value = value.real
+        if side == "lhs":
+            lhs_value = value
+        else:
+            rhs_value = value
 
     diff = abs(lhs_value - rhs_value)
     ok = eff.passes(lhs_value, rhs_value)

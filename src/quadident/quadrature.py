@@ -17,6 +17,17 @@ values raise :class:`QuadratureError`.
 For integrands singular at the right endpoint, supply ``f_right`` which is
 called with the exact distance ``delta = 1 - x`` (doubles cannot represent
 ``1 - delta`` to useful relative precision once ``delta`` is tiny).
+
+Rows: an :class:`IntegrandRows` holds integrands that differ only in one
+parameter. Its builder takes the parameter as a ``(rows, 1)`` column, so one
+level of every active row is evaluated as one ``(rows, nodes)`` array. There
+is one driver: a single :class:`IntegrandSpec` is its one-row case. Each row
+keeps its own sums (``math.fsum`` of the row, in node order) and leaves the
+active set at the level where it would have converged alone, so its value,
+error estimate, evaluation count and convergence flag are bit for bit those
+of the one-row run. A rows call returns :class:`QuadratureRows`: the per-row
+results plus the batch totals ``evaluations`` (sum over rows) and
+``converged`` (all rows).
 """
 
 from __future__ import annotations
@@ -75,12 +86,47 @@ class IntegrandSpec:
             raise ValueError("f_right applies to unit-interval integrands only")
 
 
+@dataclass(frozen=True, eq=False)
+class IntegrandRows:
+    """Integrands that differ only in one parameter, integrated in one pass.
+
+    ``build(column)`` receives the parameter values of some rows as a
+    ``(rows, 1)`` float array and returns their :class:`IntegrandSpec`, whose
+    ``f`` (and ``f_right``) return one row of values per parameter, shape
+    ``(rows, nodes)``. Each row must be computed by the same elementwise
+    operations as the one-row spec of a scalar parameter.
+    """
+
+    build: Callable[[np.ndarray], IntegrandSpec]
+    values: tuple[float, ...]
+
+    def spec(self, rows=None) -> IntegrandSpec:
+        """The spec of the rows at the given indices (all rows for None)."""
+        column = np.asarray(self.values, dtype=float)
+        return self.build(column[:, None] if rows is None else column[rows, None])
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
+
+
+@dataclass(frozen=True)
+class QuadratureRows:
+    """Per-row results of one :class:`IntegrandRows` pass, with batch totals."""
+
+    rows: tuple[QuadratureResult, ...]
+
+    @property
+    def evaluations(self) -> int:
+        return sum(r.evaluations for r in self.rows)
+
+    @property
+    def converged(self) -> bool:
+        return all(r.converged for r in self.rows)
 
 
 _node_cache: dict[int, tuple] = {}
@@ -125,87 +171,128 @@ def _real_values(piece, fn, arg):
     return v
 
 
-def _eval_level(f, f_right, level: int):
-    """Weighted integrand values at the new nodes of a level, as a list of
-    Python floats, and the number of nodes."""
+def _eval_level(f, f_right, level: int, k: int):
+    """Weighted integrand values of ``k`` rows at the new nodes of a level,
+    as a ``(k, nodes)`` array, and the number of nodes."""
     t, x, delta, w = _level_nodes(level)
+    shape = (k, len(t))
     if f_right is None:
         v = _real_values("f", f, x)
     else:
         left = t <= 0.0
-        v = np.empty(len(t))
-        v[left] = _real_values("f", f, x[left])
-        v[~left] = _real_values("f_right", f_right, delta[~left])
-    if v.shape != x.shape:
-        v = np.broadcast_to(v, x.shape)
+        v = np.empty(shape)
+        v[:, left] = _real_values("f", f, x[left])
+        v[:, ~left] = _real_values("f_right", f_right, delta[~left])
+    if v.shape != shape:
+        v = np.broadcast_to(v, shape)
     finite = np.isfinite(v)
     if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
+        bad = int(np.flatnonzero(~finite)[0]) % len(t)
         raise QuadratureError(
             f"integrand returned a non-finite value at x={x[bad]!r} "
             f"(distance {delta[bad]!r} from 1)"
         )
-    return (w * v).tolist(), len(t)
+    return w * v, len(t)
 
 
-def _tanh_sinh(f, tol: Tolerance, f_right=None):
-    """Core trapezoid-with-halving driver for a real-valued integrand."""
-    total = 0.0
-    err = math.inf
+def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> list[QuadratureResult]:
+    """Trapezoid-with-halving driver for ``k`` real-valued integrand rows.
+
+    ``spec_of(rows)`` returns the spec of the active rows (all for None). A
+    row leaves the active set at the level where it converges; every row
+    still active shares the level count, so the ``max_work`` stop applies to
+    all of them at once.
+    """
+    total = [0.0] * k
+    habs = [0.0] * k  # h * sum |w f|, tracked for the rounding floor
+    err = [math.inf] * k
+    out: list = [None] * k
+    active = list(range(k))
+    spec = spec_of(None)
     evals = 0
-    habs = 0.0  # h * sum |w f|, tracked for the rounding floor
-    converged = False
     for level in range(_MAX_LEVELS + 1):
         if level >= 1 and evals + len(_level_nodes(level)[0]) > tol.max_work:
             break
-        wf, n_new = _eval_level(f, f_right, level)
+        wf, n_new = _eval_level(spec.f, spec.f_right, level, len(active))
         evals += n_new
         h = 0.5 ** level
-        s_new = math.fsum(wf)
-        a_new = math.fsum(map(abs, wf))
-        if level == 0:
-            total = h * s_new
-            habs = h * a_new
-            continue
-        prev = total
-        total = 0.5 * prev + h * s_new
-        habs = 0.5 * habs + h * a_new
-        diff = abs(total - prev)
-        err = 10.0 * diff + 8e-16 * habs
-        target = tol.abs_tol + tol.rel_tol * abs(total)
-        if level >= 2 and err <= target:
-            converged = True
-            break
-    return total, err, evals, converged
+        still = []
+        for i, row in zip(active, wf):
+            row = row.tolist()  # row by row: one row of Python floats alive at a time
+            s_new = math.fsum(row)
+            a_new = math.fsum(map(abs, row))
+            if level == 0:
+                total[i] = h * s_new
+                habs[i] = h * a_new
+                still.append(i)
+                continue
+            prev = total[i]
+            total[i] = 0.5 * prev + h * s_new
+            habs[i] = 0.5 * habs[i] + h * a_new
+            diff = abs(total[i] - prev)
+            err[i] = 10.0 * diff + 8e-16 * habs[i]
+            target = tol.abs_tol + tol.rel_tol * abs(total[i])
+            if level >= 2 and err[i] <= target:
+                out[i] = QuadratureResult(total[i], err[i], evals, True)
+            else:
+                still.append(i)
+        if len(still) < len(active):
+            active = still
+            if not active:
+                break
+            spec = spec_of(active)
+    for i in active:
+        out[i] = QuadratureResult(total[i], err[i], evals, False)
+    return out
 
 
-def integrate_unit(spec: IntegrandSpec, tol: Tolerance = DEFAULT_TOL) -> QuadratureResult:
-    """Integrate ``spec.f`` over (0, 1).
+def _rows_of(spec: IntegrandSpec | IntegrandRows):
+    """``(spec_of, k)`` for the driver; a single spec is one row."""
+    if isinstance(spec, IntegrandRows):
+        return spec.spec, len(spec.values)
+    return (lambda rows: spec), 1
+
+
+def _result(spec, rows: list[QuadratureResult]):
+    return QuadratureRows(tuple(rows)) if isinstance(spec, IntegrandRows) else rows[0]
+
+
+def integrate_unit(spec: IntegrandSpec | IntegrandRows,
+                   tol: Tolerance = DEFAULT_TOL) -> QuadratureResult | QuadratureRows:
+    """Integrate ``spec.f`` over (0, 1): a :class:`QuadratureResult`, or a
+    :class:`QuadratureRows` for :class:`IntegrandRows`.
 
     The result's ``error_estimate`` bounds ``|value - integral|`` a posteriori;
     ``converged`` is set when the estimate met ``tol`` within ``tol.max_work``
     evaluations. Non-finite integrand values raise :class:`QuadratureError`.
     """
-    if spec.domain != UNIT_INTERVAL:
+    spec_of, k = _rows_of(spec)
+    if spec_of(None).domain != UNIT_INTERVAL:
         raise ValueError("integrate_unit requires a unit_interval spec")
-    value, err, evals, conv = _tanh_sinh(spec.f, tol, spec.f_right)
-    return QuadratureResult(float(value), err, evals, conv)
+    return _result(spec, _tanh_sinh(spec_of, k, tol))
 
 
-def integrate_semi_infinite(spec: IntegrandSpec, tol: Tolerance = DEFAULT_TOL) -> QuadratureResult:
+def integrate_semi_infinite(spec: IntegrandSpec | IntegrandRows,
+                            tol: Tolerance = DEFAULT_TOL) -> QuadratureResult | QuadratureRows:
     """Integrate ``spec.f`` over (0, inf) as the sum of two unit-interval pieces.
 
-    Splits at 1 and substitutes ``x -> 1/u`` on the far piece, so the result is
+    Splits at 1 and substitutes ``x -> 1/u`` on the far piece, so each row is
     ``int_0^1 f(x) dx + int_0^1 f(1/u)/u^2 du`` with the two error estimates
-    added.
+    added; each piece runs at half the tolerance.
     """
-    if spec.domain != SEMI_INFINITE:
+    spec_of, k = _rows_of(spec)
+    if spec_of(None).domain != SEMI_INFINITE:
         raise ValueError("integrate_semi_infinite requires a semi_infinite spec")
     half = Tolerance(tol.abs_tol / 2.0, tol.rel_tol / 2.0, max(1, tol.max_work // 2))
 
-    def far(u):
-        return spec.f(1.0 / u) / u**2
+    def far_of(rows):
+        f = spec_of(rows).f
+        return IntegrandSpec(lambda u: f(1.0 / u) / u**2)
 
-    v1, e1, n1, c1 = _tanh_sinh(spec.f, half)
-    v2, e2, n2, c2 = _tanh_sinh(far, half)
-    return QuadratureResult(float(v1 + v2), e1 + e2, n1 + n2, c1 and c2)
+    near = _tanh_sinh(spec_of, k, half)
+    far = _tanh_sinh(far_of, k, half)
+    return _result(spec, [
+        QuadratureResult(a.value + b.value, a.error_estimate + b.error_estimate,
+                         a.evaluations + b.evaluations, a.converged and b.converged)
+        for a, b in zip(near, far)
+    ])

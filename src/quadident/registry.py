@@ -35,6 +35,7 @@ from .quadrature import (
     REGULAR,
     SEMI_INFINITE,
     UNIT_INTERVAL,
+    IntegrandRows,
     IntegrandSpec,
     integrate_semi_infinite,
     integrate_unit,
@@ -80,8 +81,14 @@ class EvalOutcome:
 
 @dataclass(frozen=True)
 class Evaluator:
+    """One side of an identity. ``fn(params, tol)`` evaluates one point;
+    ``rows(fixed, name, values, tol)``, where present, evaluates the points
+    ``fixed | {name: v}`` for every v in ``values`` in one batched call and
+    returns their outcomes in order, each equal to ``fn``'s."""
+
     describe: str
     fn: Callable[[dict, Tolerance], EvalOutcome]
+    rows: Optional[Callable[[dict, str, list, Tolerance], list[EvalOutcome]]] = None
 
 
 @dataclass(frozen=True)
@@ -142,16 +149,30 @@ class IdentityCase:
 # ---------------------------------------------------------------------------
 
 
+def _integrate(spec: IntegrandSpec | IntegrandRows, domain: str, tol: Tolerance):
+    if domain == SEMI_INFINITE:
+        return integrate_semi_infinite(spec, tol)
+    return integrate_unit(spec, tol)
+
+
+def _quad_outcome(res) -> EvalOutcome:
+    return EvalOutcome(res.value, evals=res.evaluations, converged=res.converged)
+
+
 def _quad(describe: str, build: Callable[..., IntegrandSpec]) -> Evaluator:
+    """Quadrature side; ``build`` takes the continuous parameter as a scalar
+    or as a column array (one integrand row per value)."""
     def fn(params: dict, tol: Tolerance) -> EvalOutcome:
         spec = build(**params)
-        if spec.domain == SEMI_INFINITE:
-            res = integrate_semi_infinite(spec, tol)
-        else:
-            res = integrate_unit(spec, tol)
-        return EvalOutcome(res.value, evals=res.evaluations, converged=res.converged)
+        return _quad_outcome(_integrate(spec, spec.domain, tol))
 
-    return Evaluator(describe, fn)
+    def rows(fixed: dict, name: str, values: list, tol: Tolerance) -> list[EvalOutcome]:
+        batch = IntegrandRows(lambda column: build(**fixed, **{name: column}),
+                              tuple(values))
+        res = _integrate(batch, batch.spec().domain, tol)
+        return [_quad_outcome(r) for r in res.rows]
+
+    return Evaluator(describe, fn, rows)
 
 
 def _series(describe: str, build: Callable[..., TermGenerator],
@@ -174,7 +195,9 @@ def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
 
 
 # ---------------------------------------------------------------------------
-# Integrand builders (numpy-vectorized; stable forms near flagged endpoints)
+# Integrand builders (numpy-vectorized; stable forms near flagged endpoints).
+# A parameter given as a (rows, 1) column yields one row of values per
+# parameter through the same elementwise operations as a scalar.
 # ---------------------------------------------------------------------------
 
 
@@ -229,7 +252,7 @@ def _spec_logpow_odd(p: int, beta: float) -> IntegrandSpec:
     return IntegrandSpec(
         f,
         left=LOG_SINGULAR,
-        right=LOG_SINGULAR if beta >= 1.0 else REGULAR,
+        right=LOG_SINGULAR if np.any(beta >= 1.0) else REGULAR,
         f_right=f_right,
         name="log(x)^p log((1-bx)/(1+bx))/x",
     )
@@ -245,7 +268,7 @@ def _spec_logpow_single(p: int, beta: float) -> IntegrandSpec:
     return IntegrandSpec(
         f,
         left=LOG_SINGULAR,
-        right=LOG_SINGULAR if beta >= 1.0 else REGULAR,
+        right=LOG_SINGULAR if np.any(beta >= 1.0) else REGULAR,
         f_right=f_right,
         name="log(x)^p log(1-bx)/x",
     )

@@ -21,7 +21,6 @@ from .numerics import CONSTANTS, DEFAULT_TOL, NeumaierSum, Tolerance
 
 POSITIVE = "positive"
 ALTERNATING = "alternating"
-UNKNOWN = "unknown"
 
 METHOD_DIRECT = "direct"
 METHOD_EULER = "alternating_euler"
@@ -38,20 +37,20 @@ class SignPatternError(RuntimeError):
 class TermGenerator:
     """A series given by its general term.
 
-    ``term(n)`` must be defined for all n >= first_index. For
-    ``sign_pattern=POSITIVE`` (or UNKNOWN), direct summation needs
+    ``term(n)`` must be defined for all n >= first_index. ``sign_pattern`` is
+    POSITIVE or ALTERNATING. For POSITIVE, direct summation needs
     ``tail_bound(m, t)``: an upper bound on ``sum_{k>=m} |term(k)|`` given the
     first omitted index m and its term value t.
     """
 
     term: Callable[[int], float]
     first_index: int = 0
-    sign_pattern: str = UNKNOWN
+    sign_pattern: str = POSITIVE
     tail_bound: Optional[Callable[[int, float], float]] = None
     name: str = ""
 
     def __post_init__(self):
-        if self.sign_pattern not in (POSITIVE, ALTERNATING, UNKNOWN):
+        if self.sign_pattern not in (POSITIVE, ALTERNATING):
             raise ValueError(f"unknown sign pattern {self.sign_pattern!r}")
 
 
@@ -80,7 +79,7 @@ def sum_direct(g: TermGenerator, tol: Tolerance = DEFAULT_TOL) -> SummationResul
     """Partial sum with an a-posteriori remainder bound.
 
     Alternating series use the classical bound |first omitted term|; positive
-    or unknown-sign series require the generator's tail_bound.
+    series require the generator's tail_bound.
     """
     if g.sign_pattern != ALTERNATING and g.tail_bound is None:
         raise ValueError(

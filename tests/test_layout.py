@@ -65,3 +65,44 @@ def test_benchmark_tracer_installs_and_traces_its_layers():
         "combinatorics.prefix",
         "case:E21",
     } <= layers, sorted(layers)
+
+
+_COUNTED_PASS = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracer import Tracer
+tracer = Tracer()
+verify = tracer.install()
+outs = verify("E5", grid_size=3) + verify("E11", grid_size=3)
+counts = tracer.take_pass()["counts"]
+print(json.dumps([counts.get("quadrature.evals", 0), sum(o.evals for o in outs),
+                  counts.get("series.terms", 0), sum(o.terms for o in outs)]))
+"""
+
+
+def test_benchmark_tracer_counts_every_point_of_a_batched_call():
+    # a batched quadrature call carries the summed evaluations of its rows,
+    # so the traced counts still equal the report's work per outcome
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _COUNTED_PASS,
+         str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    evals, outcome_evals, terms, outcome_terms = json.loads(proc.stdout.splitlines()[-1])
+    assert evals == outcome_evals > 0
+    assert terms == outcome_terms > 0
+
+
+def test_package_name_registry_shadows_the_submodule():
+    # quadident binds the name registry to the function registry.registry, so
+    # attribute access on the package yields the function; code that patches
+    # the module (as the benchmark's tracer does) must import it by name
+    import importlib
+
+    import quadident.registry as by_attribute
+
+    module = importlib.import_module("quadident.registry")
+    assert callable(by_attribute) and by_attribute is module.registry
+    assert module.__name__ == "quadident.registry"
+    assert by_attribute is not module

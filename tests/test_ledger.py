@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from quadident import cli
@@ -13,7 +14,16 @@ from quadident.ledger import (
     verify_all,
 )
 from quadident.numerics import CONSTANTS, Tolerance
-from quadident.registry import lookup, register_all, registry
+from quadident.quadrature import IntegrandSpec, QuadratureError
+from quadident.registry import (
+    GridAxis,
+    IdentityCase,
+    _closed,
+    _quad,
+    lookup,
+    register_all,
+    registry,
+)
 
 PI = CONSTANTS.pi
 G = CONSTANTS.catalan
@@ -73,6 +83,39 @@ def test_verify_e4_grid_and_endpoints():
     assert all(o.passed for o in outs)
     endpoint = next(o for o in outs if o.params["alpha"] == 1.0)
     assert abs(endpoint.rhs_value - 1.5 * Z2) <= 1e-12
+
+
+def test_failing_row_fails_only_its_own_outcome(monkeypatch):
+    # the integrand goes non-finite for alpha = 0.5 only: the batched call
+    # raises, and the group's points are evaluated one at a time
+    def build(alpha):
+        return IntegrandSpec(lambda x: np.where(alpha == 0.5, np.nan, alpha * x))
+
+    case = IdentityCase(
+        id="X1", description="int_0^1 a x dx = a/2", source="synthetic",
+        lhs=_quad("tanh-sinh on (0,1)", build),
+        rhs=_closed("a/2", lambda alpha: 0.5 * alpha),
+        continuous=(GridAxis("alpha", 0.0, 1.0),),
+    )
+    monkeypatch.setitem(registry(), "X1", case)
+    outs = verify("X1", 3)
+    assert [o.params["alpha"] for o in outs] == [0.25, 0.5, 0.75]
+    eval_tol = Tolerance(2.5e-11, 2.5e-11)
+    with pytest.raises(QuadratureError):
+        case.lhs.rows({}, "alpha", [0.25, 0.5, 0.75], eval_tol)
+    with pytest.raises(QuadratureError) as alone:
+        case.lhs.fn({"alpha": 0.5}, eval_tol)
+    bad = outs[1]
+    assert not bad.passed
+    assert bad.reason == f"error: {alone.value}"
+    assert bad.reason.startswith("error: integrand returned a non-finite value at x=")
+    assert math.isnan(bad.lhs_value) and math.isnan(bad.rhs_value)
+    assert (bad.evals, bad.terms) == (0, 0)
+    for o in (outs[0], outs[2]):
+        one = case.lhs.fn(o.params, eval_tol)
+        assert o.passed and o.reason == ""
+        assert (o.lhs_value, o.evals) == (one.value, one.evals)
+        assert o.rhs_value == 0.5 * o.params["alpha"]
 
 
 def test_verify_e19_checks_imaginary_part():

@@ -74,6 +74,12 @@ def test_direct_alternating_bound_is_valid():
     assert np.all(errors[:-1] <= np.abs(terms[1:]) + 1e-15)
 
 
+@pytest.mark.parametrize("pattern", ["unknown", "mixed"])
+def test_unknown_sign_pattern_rejected(pattern):
+    with pytest.raises(ValueError, match="unknown sign pattern"):
+        TermGenerator(lambda n: 1.0, 0, pattern)
+
+
 def test_direct_requires_tail_bound_for_positive():
     g = TermGenerator(lambda n: 1.0 / (n + 1.0) ** 2, 0, POSITIVE)
     with pytest.raises(ValueError, match="tail_bound"):
