@@ -3,8 +3,8 @@
 Each case couples two independently computed sides: a tanh-sinh quadrature, a
 series summation (direct or Euler-accelerated), or a closed form built from
 polylogarithms and the constants table. Removable-singularity handling and
-endpoint registration are owned here: integrand definitions state their
-stable forms near flagged endpoints, and grid endpoints appear only as
+endpoint registration are owned here: integrands singular at 1 state their
+stable form ``f_right`` in the distance to 1, and grid endpoints appear only as
 registered extra points (with value overrides where the closed form
 degenerates to 0 * inf at the limit).
 
@@ -30,11 +30,6 @@ from .combinatorics import (
 )
 from .numerics import CONSTANTS, Tolerance
 from .quadrature import (
-    INVERSE_SQRT_SINGULAR,
-    LOG_SINGULAR,
-    REGULAR,
-    SEMI_INFINITE,
-    UNIT_INTERVAL,
     IntegrandRows,
     IntegrandSpec,
     integrate_semi_infinite,
@@ -149,28 +144,26 @@ class IdentityCase:
 # ---------------------------------------------------------------------------
 
 
-def _integrate(spec: IntegrandSpec | IntegrandRows, domain: str, tol: Tolerance):
-    if domain == SEMI_INFINITE:
-        return integrate_semi_infinite(spec, tol)
-    return integrate_unit(spec, tol)
-
-
 def _quad_outcome(res) -> EvalOutcome:
     return EvalOutcome(res.value, evals=res.evaluations, converged=res.converged)
 
 
-def _quad(describe: str, build: Callable[..., IntegrandSpec]) -> Evaluator:
-    """Quadrature side; ``build`` takes the continuous parameter as a scalar
-    or as a column array (one integrand row per value)."""
+def _quad(describe: str, build: Callable[..., IntegrandSpec],
+          half_line: bool = False) -> Evaluator:
+    """Quadrature side on (0, 1), or on (0, inf) for ``half_line``; ``build``
+    takes the continuous parameter as a scalar or as a column array (one
+    integrand row per value). The integrator is looked up in this module at
+    call time, where the benchmark's tracer wraps it."""
+    def integrate(spec, tol):
+        return (integrate_semi_infinite if half_line else integrate_unit)(spec, tol)
+
     def fn(params: dict, tol: Tolerance) -> EvalOutcome:
-        spec = build(**params)
-        return _quad_outcome(_integrate(spec, spec.domain, tol))
+        return _quad_outcome(integrate(build(**params), tol))
 
     def rows(fixed: dict, name: str, values: list, tol: Tolerance) -> list[EvalOutcome]:
         batch = IntegrandRows(lambda column: build(**fixed, **{name: column}),
                               tuple(values))
-        res = _integrate(batch, batch.spec().domain, tol)
-        return [_quad_outcome(r) for r in res.rows]
+        return [_quad_outcome(r) for r in integrate(batch, tol).rows]
 
     return Evaluator(describe, fn, rows)
 
@@ -195,7 +188,7 @@ def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
 
 
 # ---------------------------------------------------------------------------
-# Integrand builders (numpy-vectorized; stable forms near flagged endpoints).
+# Integrand builders (numpy-vectorized; f_right is the stable form near 1).
 # A parameter given as a (rows, 1) column yields one row of values per
 # parameter through the same elementwise operations as a scalar.
 # ---------------------------------------------------------------------------
@@ -204,38 +197,25 @@ def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
 def _spec_basel() -> IntegrandSpec:
     return IntegrandSpec(
         lambda t: -np.log1p(-t) / t,
-        right=LOG_SINGULAR,
         f_right=lambda d: -np.log(d) / (1.0 - d),
-        name="-log(1-t)/t",
     )
 
 
 def _spec_arcsin(alpha: float) -> IntegrandSpec:
     return IntegrandSpec(
         lambda x: np.arcsin(alpha * x) / np.sqrt((1.0 - x) * (1.0 + x)),
-        right=INVERSE_SQRT_SINGULAR,
         f_right=lambda d: np.arcsin(alpha * (1.0 - d)) / np.sqrt(d * (2.0 - d)),
-        name="arcsin(a x)/sqrt(1-x^2)",
     )
 
 
-def _spec_atan_cauchy(alpha: float, domain: str) -> IntegrandSpec:
-    return IntegrandSpec(
-        lambda x: 2.0 * np.arctan(alpha * x) / (1.0 + x * x),
-        domain=domain,
-        name="2 arctan(a x)/(1+x^2)",
-    )
+def _spec_atan_cauchy(alpha: float) -> IntegrandSpec:
+    return IntegrandSpec(lambda x: 2.0 * np.arctan(alpha * x) / (1.0 + x * x))
 
 
-def _spec_log_kernel(alpha: float, domain: str) -> IntegrandSpec:
+def _spec_log_kernel(alpha: float) -> IntegrandSpec:
     # log(1+a x)/(x(1+x)) -> a at x -> 0; decays like log(x)/x^2 at infinity,
     # so the x -> 1/u image of the half-line is log-singular at u = 0
-    return IntegrandSpec(
-        lambda x: np.log1p(alpha * x) / (x * (1.0 + x)),
-        domain=domain,
-        right=LOG_SINGULAR if domain == SEMI_INFINITE else REGULAR,
-        name="log(1+a x)/(x(1+x))",
-    )
+    return IntegrandSpec(lambda x: np.log1p(alpha * x) / (x * (1.0 + x)))
 
 
 def _spec_logpow_odd(p: int, beta: float) -> IntegrandSpec:
@@ -249,13 +229,7 @@ def _spec_logpow_odd(p: int, beta: float) -> IntegrandSpec:
             / (1.0 - d)
         )
 
-    return IntegrandSpec(
-        f,
-        left=LOG_SINGULAR,
-        right=LOG_SINGULAR if np.any(beta >= 1.0) else REGULAR,
-        f_right=f_right,
-        name="log(x)^p log((1-bx)/(1+bx))/x",
-    )
+    return IntegrandSpec(f, f_right)
 
 
 def _spec_logpow_single(p: int, beta: float) -> IntegrandSpec:
@@ -265,45 +239,24 @@ def _spec_logpow_single(p: int, beta: float) -> IntegrandSpec:
     def f_right(d):
         return np.log1p(-d) ** p * np.log(1.0 - beta + beta * d) / (1.0 - d)
 
-    return IntegrandSpec(
-        f,
-        left=LOG_SINGULAR,
-        right=LOG_SINGULAR if np.any(beta >= 1.0) else REGULAR,
-        f_right=f_right,
-        name="log(x)^p log(1-bx)/x",
-    )
+    return IntegrandSpec(f, f_right)
 
 
-def _spec_atan_recip(domain: str) -> IntegrandSpec:
-    return IntegrandSpec(
-        lambda t: np.arctan(t) * np.arctan(1.0 / t) / t,
-        domain=domain,
-        name="arctan(t) arctan(1/t)/t",
-    )
+def _spec_atan_recip() -> IntegrandSpec:
+    return IntegrandSpec(lambda t: np.arctan(t) * np.arctan(1.0 / t) / t)
 
 
-def _spec_log_recip(domain: str) -> IntegrandSpec:
+def _spec_log_recip() -> IntegrandSpec:
     # log(1+t) log(1+1/t)/t; log-singular at 0 (and, transformed, at infinity)
-    return IntegrandSpec(
-        lambda t: np.log1p(t) * (np.log1p(t) - np.log(t)) / t,
-        domain=domain,
-        left=LOG_SINGULAR,
-        right=LOG_SINGULAR if domain == SEMI_INFINITE else REGULAR,
-        name="log(1+t) log(1+1/t)/t",
-    )
+    return IntegrandSpec(lambda t: np.log1p(t) * (np.log1p(t) - np.log(t)) / t)
 
 
 def _spec_atan_pow_over_x(alpha: float, p: int = 2) -> IntegrandSpec:
-    return IntegrandSpec(
-        lambda x: np.arctan(alpha * x) ** p / x, name="arctan(a x)^p/x"
-    )
+    return IntegrandSpec(lambda x: np.arctan(alpha * x) ** p / x)
 
 
 def _spec_atan_pow_cauchy(alpha: float, p: int) -> IntegrandSpec:
-    return IntegrandSpec(
-        lambda x: np.arctan(alpha * x) ** p / (1.0 + x * x),
-        name="arctan(a x)^p/(1+x^2)",
-    )
+    return IntegrandSpec(lambda x: np.arctan(alpha * x) ** p / (1.0 + x * x))
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +478,8 @@ def register_all() -> list[IdentityCase]:
                 "log a log((1-a)/(1+a)) + Li2(a) - Li2(-a)"
             ),
             source="parameter differentiation; cf. Prudnikov 2.7.4(12)",
-            lhs=_quad("split semi-infinite tanh-sinh",
-                      lambda alpha: _spec_atan_cauchy(alpha, SEMI_INFINITE)),
+            lhs=_quad("split semi-infinite tanh-sinh", _spec_atan_cauchy,
+                      half_line=True),
             rhs=_closed("log/dilog closed form", _rhs_atan_inf),
             continuous=(_ALPHA_OPEN,),
             extra_points=(
@@ -538,8 +491,8 @@ def register_all() -> list[IdentityCase]:
             id="E4alt",
             description="same integral in the tabulated alternative closed form",
             source="Prudnikov, Integrals and Series I, 2.7.4(12)",
-            lhs=_quad("split semi-infinite tanh-sinh",
-                      lambda alpha: _spec_atan_cauchy(alpha, SEMI_INFINITE)),
+            lhs=_quad("split semi-infinite tanh-sinh", _spec_atan_cauchy,
+                      half_line=True),
             rhs=_closed("pi^2/3 - log^2(1+a)/2 - Li2(1/(1+a)) - Li2(1-a)",
                         _rhs_atan_inf_alt),
             continuous=(_ALPHA_OPEN,),
@@ -552,8 +505,7 @@ def register_all() -> list[IdentityCase]:
                 "sum (log2 - H_n^-) a^(2n+1)/(2n+1)"
             ),
             source="skew-harmonic expansion via the incomplete beta series",
-            lhs=_quad("tanh-sinh on (0,1)",
-                      lambda alpha: _spec_atan_cauchy(alpha, UNIT_INTERVAL)),
+            lhs=_quad("tanh-sinh on (0,1)", _spec_atan_cauchy),
             rhs=_series("alternating skew-harmonic series", _gen_skew_odd_denom,
                         accelerated=_accel_near_one),
             continuous=(_ALPHA_OPEN,),
@@ -597,8 +549,8 @@ def register_all() -> list[IdentityCase]:
                 "on the half-line)"
             ),
             source="G&R 4.295.18 at a=1; Prudnikov 2.6.10.52",
-            lhs=_quad("split semi-infinite tanh-sinh",
-                      lambda alpha: _spec_log_kernel(alpha, SEMI_INFINITE)),
+            lhs=_quad("split semi-infinite tanh-sinh", _spec_log_kernel,
+                      half_line=True),
             rhs=_closed("log a log(1-a) + Li2(a)", _rhs_log_inf),
             continuous=(_ALPHA_OPEN,),
             extra_points=(_pt(alpha=1.0, rhs=_Z2),),
@@ -609,8 +561,7 @@ def register_all() -> list[IdentityCase]:
                 "int_0^1 log(1+a x)/(x(1+x)) dx = Li2(1/2) - Li2((1-a)/2)"
             ),
             source="G&R 4.291.12 at a=1; Prudnikov 2.6.10.8",
-            lhs=_quad("tanh-sinh on (0,1)",
-                      lambda alpha: _spec_log_kernel(alpha, UNIT_INTERVAL)),
+            lhs=_quad("tanh-sinh on (0,1)", _spec_log_kernel),
             rhs=_closed("Li2(1/2) - Li2((1-a)/2)", _rhs_li2_half_diff),
             continuous=(_ALPHA_OPEN,),
             extra_points=(_pt(alpha=1.0),),
@@ -619,8 +570,7 @@ def register_all() -> list[IdentityCase]:
             id="E10b",
             description="int_0^1 log(1+x)/(x(1+x)) dx = pi^2/12 - log^2(2)/2",
             source="Gradshteyn-Ryzhik, entry 4.291.12",
-            lhs=_quad("tanh-sinh on (0,1)",
-                      lambda: _spec_log_kernel(1.0, UNIT_INTERVAL)),
+            lhs=_quad("tanh-sinh on (0,1)", lambda: _spec_log_kernel(1.0)),
             rhs=_closed("pi^2/12 - log^2(2)/2",
                         lambda: 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2),
         ),
@@ -674,31 +624,30 @@ def register_all() -> list[IdentityCase]:
             id="E13",
             description="int_0^1 arctan(t) arctan(1/t)/t dt = (7/8) zeta(3)",
             source="Catalan/zeta(3) companion integral",
-            lhs=_quad("tanh-sinh on (0,1)", lambda: _spec_atan_recip(UNIT_INTERVAL)),
+            lhs=_quad("tanh-sinh on (0,1)", _spec_atan_recip),
             rhs=_closed("(7/8) zeta(3)", lambda: 0.875 * _Z3),
         ),
         IdentityCase(
             id="E13inf",
             description="int_0^inf arctan(t) arctan(1/t)/t dt = (7/4) zeta(3)",
             source="reciprocal-split form of E13",
-            lhs=_quad("split semi-infinite tanh-sinh",
-                      lambda: _spec_atan_recip(SEMI_INFINITE)),
+            lhs=_quad("split semi-infinite tanh-sinh", _spec_atan_recip,
+                      half_line=True),
             rhs=_closed("(7/4) zeta(3)", lambda: 1.75 * _Z3),
         ),
         IdentityCase(
             id="E14",
             description="int_0^1 log(1+t) log(1+1/t)/t dt = zeta(3)",
             source="zeta(3) as a log-product integral",
-            lhs=_quad("tanh-sinh, log-singular at 0",
-                      lambda: _spec_log_recip(UNIT_INTERVAL)),
+            lhs=_quad("tanh-sinh, log-singular at 0", _spec_log_recip),
             rhs=_closed("zeta(3)", lambda: _Z3),
         ),
         IdentityCase(
             id="E14inf",
             description="int_0^inf log(1+t) log(1+1/t)/t dt = 2 zeta(3)",
             source="reciprocal-split form of E14",
-            lhs=_quad("split semi-infinite tanh-sinh",
-                      lambda: _spec_log_recip(SEMI_INFINITE)),
+            lhs=_quad("split semi-infinite tanh-sinh", _spec_log_recip,
+                      half_line=True),
             rhs=_closed("2 zeta(3)", lambda: 2.0 * _Z3),
         ),
         IdentityCase(

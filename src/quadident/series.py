@@ -153,6 +153,10 @@ def sum_alternating_accelerated(
     averaged estimates stabilize to the tolerance or ``tol.max_work`` raw
     terms have been spent. Alternation is enforced beyond a short grace
     window; a violation raises :class:`SignPatternError` naming the index.
+
+    The result's ``remainder_bound`` (last change of the averaged estimate,
+    plus the last difference of the final pass, plus a rounding floor) is a
+    stopping heuristic, not a proven bound on the error.
     """
     terms: list[float] = []
     partials: list[float] = []

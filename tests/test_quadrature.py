@@ -7,11 +7,10 @@ import pytest
 
 from quadident.numerics import CONSTANTS, Tolerance
 from quadident.quadrature import (
-    INVERSE_SQRT_SINGULAR,
-    LOG_SINGULAR,
-    SEMI_INFINITE,
+    _MAX_LEVELS,
     IntegrandSpec,
     QuadratureError,
+    _level_nodes,
     integrate_semi_infinite,
     integrate_unit,
 )
@@ -51,8 +50,6 @@ def test_dilog_half_integral():
 def test_log_kernel_zeta3():
     spec = IntegrandSpec(
         lambda x: np.log(x) * (np.log1p(-x) - np.log1p(x)) / x,
-        left=LOG_SINGULAR,
-        right=LOG_SINGULAR,
         f_right=lambda d: np.log1p(-d) * (np.log(d) - np.log(2.0 - d)) / (1.0 - d),
     )
     res = integrate_unit(spec, Tolerance())
@@ -65,7 +62,7 @@ def test_log_kernel_zeta3():
 
 def test_semi_infinite_arctan():
     spec = IntegrandSpec(
-        lambda x: 2.0 * np.arctan(x) / (1.0 + x * x), domain=SEMI_INFINITE
+        lambda x: 2.0 * np.arctan(x) / (1.0 + x * x)
     )
     res = integrate_semi_infinite(spec, Tolerance())
     assert abs(res.value - PI**2 / 4) <= 1e-11
@@ -73,7 +70,7 @@ def test_semi_infinite_arctan():
 
 def test_semi_infinite_log_kernel():
     spec = IntegrandSpec(
-        lambda x: np.log1p(x) / (x * (1.0 + x)), domain=SEMI_INFINITE
+        lambda x: np.log1p(x) / (x * (1.0 + x))
     )
     res = integrate_semi_infinite(spec, Tolerance())
     assert abs(res.value - Z2) <= 1e-11
@@ -81,7 +78,7 @@ def test_semi_infinite_log_kernel():
 
 def test_semi_infinite_atan_reciprocal():
     spec = IntegrandSpec(
-        lambda x: np.arctan(x) * np.arctan(1.0 / x) / x, domain=SEMI_INFINITE
+        lambda x: np.arctan(x) * np.arctan(1.0 / x) / x
     )
     res = integrate_semi_infinite(spec, Tolerance())
     assert abs(res.value - 1.75 * Z3) <= 1e-11
@@ -143,7 +140,7 @@ def test_reciprocal_split_identity():
 
     unit = quad(f_atan)
     full = integrate_semi_infinite(
-        IntegrandSpec(f_atan, domain=SEMI_INFINITE), Tolerance()
+        IntegrandSpec(f_atan), Tolerance()
     )
     assert abs(full.value - 2.0 * unit.value) <= 1e-10
 
@@ -158,39 +155,35 @@ _KNOWN_INTEGRALS = [
     (IntegrandSpec(np.exp), math.e - 1.0),
     (IntegrandSpec(np.sin), 1.0 - math.cos(1.0)),
     (IntegrandSpec(lambda x: 1.0 / (1.0 + x * x)), PI / 4.0),
-    (IntegrandSpec(np.log, left=LOG_SINGULAR), -1.0),
+    (IntegrandSpec(np.log), -1.0),
     (
         IntegrandSpec(
             lambda x: np.log1p(-x),
-            right=LOG_SINGULAR,
             f_right=lambda d: np.log(d),
         ),
         -1.0,
     ),
-    (IntegrandSpec(lambda x: 1.0 / np.sqrt(x), left=INVERSE_SQRT_SINGULAR), 2.0),
+    (IntegrandSpec(lambda x: 1.0 / np.sqrt(x)), 2.0),
     (
         IntegrandSpec(
             lambda x: 1.0 / np.sqrt(1.0 - x),
-            right=INVERSE_SQRT_SINGULAR,
             f_right=lambda d: 1.0 / np.sqrt(d),
         ),
         2.0,
     ),
     (IntegrandSpec(np.sqrt), 2.0 / 3.0),
-    (IntegrandSpec(lambda x: np.log(x) ** 2, left=LOG_SINGULAR), 2.0),
+    (IntegrandSpec(lambda x: np.log(x) ** 2), 2.0),
     (IntegrandSpec(np.arctan), PI / 4.0 - LOG2 / 2.0),
     (IntegrandSpec(lambda x: np.log1p(x) / x), Z2 / 2.0),
     (IntegrandSpec(lambda x: 5.0 * x**3 - 2.0 * x**2 + 3.0), 5.0 / 4.0 - 2.0 / 3.0 + 3.0),
     (
         IntegrandSpec(
             lambda x: 1.0 / np.sqrt(x * (1.0 - x)),
-            left=INVERSE_SQRT_SINGULAR,
-            right=INVERSE_SQRT_SINGULAR,
             f_right=lambda d: 1.0 / np.sqrt(d * (1.0 - d)),
         ),
         PI,
     ),
-    (IntegrandSpec(lambda x: x * np.log(x), left=LOG_SINGULAR), -0.25),
+    (IntegrandSpec(lambda x: x * np.log(x)), -0.25),
     (IntegrandSpec(lambda x: np.sqrt((1.0 - x) * (1.0 + x))), PI / 4.0),
     (IntegrandSpec(lambda x: np.exp(-x * x)), math.sqrt(PI) / 2.0 * math.erf(1.0)),
     (IntegrandSpec(lambda x: 1.0 / (2.0 - x)), LOG2),
@@ -217,8 +210,9 @@ def test_nan_integrand_raises_with_abscissa():
     def f(x):
         return np.where(np.abs(x - 0.5) < 0.01, np.nan, x)
 
-    with pytest.raises(QuadratureError, match="x="):
+    with pytest.raises(QuadratureError, match="x=") as info:
         quad(f)
+    assert "np.float64" not in str(info.value)  # plain floats under numpy 2
 
 
 def test_complex_integrand_raises_naming_the_piece():
@@ -230,12 +224,12 @@ def test_complex_right_piece_raises_naming_the_piece():
     # each piece is assigned into a float64 array, which would drop the
     # imaginary part with only a ComplexWarning
     with pytest.raises(QuadratureError, match="piece f_right returned complex"):
-        quad(lambda x: x, right=LOG_SINGULAR, f_right=lambda d: (1.0 - d) + 0.5j)
+        quad(lambda x: x, f_right=lambda d: (1.0 - d) + 0.5j)
 
 
 @pytest.mark.parametrize("right_piece", [False, True])
 def test_scalar_integrand_is_broadcast(right_piece):
-    spec = dict(right=LOG_SINGULAR, f_right=lambda d: 2.0) if right_piece else {}
+    spec = dict(f_right=lambda d: 2.0) if right_piece else {}
     res = quad(lambda x: 2.0, **spec)
     assert res.converged
     assert abs(res.value - 2.0) <= 1e-15
@@ -254,13 +248,27 @@ def test_unreachable_tolerance_flagged():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        IntegrandSpec(lambda x: x, domain="interval")
-    with pytest.raises(ValueError):
-        IntegrandSpec(lambda x: x, left="weird")
-    with pytest.raises(ValueError):
-        IntegrandSpec(lambda x: x, domain=SEMI_INFINITE, f_right=lambda d: d)
-    with pytest.raises(ValueError):
-        integrate_unit(IntegrandSpec(lambda x: x, domain=SEMI_INFINITE))
-    with pytest.raises(ValueError):
-        integrate_semi_infinite(IntegrandSpec(lambda x: x))
+    with pytest.raises(ValueError, match="f_right"):
+        integrate_semi_infinite(IntegrandSpec(lambda x: x, f_right=lambda d: d))
+
+
+# ---------------------------------------------------------------------------
+# Node contract: never on 0, but x rounds to 1.0 near the right end
+# ---------------------------------------------------------------------------
+
+def test_nodes_stay_off_zero_at_every_level():
+    for level in range(_MAX_LEVELS + 1):
+        _, x, delta, _ = _level_nodes(level)
+        assert x.min() > 0.0 and delta.min() > 0.0, level
+
+
+def test_some_right_end_nodes_round_to_one():
+    assert any((_level_nodes(level)[1] == 1.0).any() for level in range(_MAX_LEVELS + 1))
+
+
+def test_right_singular_integrand_needs_f_right():
+    with np.errstate(divide="ignore"), pytest.raises(QuadratureError, match="x=1.0"):
+        quad(lambda x: np.log1p(-x))
+    res = quad(lambda x: np.log1p(-x), f_right=np.log)
+    assert res.converged
+    assert abs(res.value + 1.0) <= 1e-12
