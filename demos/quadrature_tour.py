@@ -58,7 +58,7 @@ show("int arctan(t) arctan(1/t)/t dt = (7/4) z3",
      1.75 * Z3)
 
 print()
-print("== the error estimate is a bound, not a guess ==")
+print("== the error estimate is an estimate, not a bound ==")
 res = integrate_unit(IntegrandSpec(lambda x: np.exp(-x * x)),
                      Tolerance(1e-6, 1e-6))
 print(f"loose tolerance: value={res.value:.12f}, estimate={res.error_estimate:.1e}, "

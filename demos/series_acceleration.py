@@ -22,15 +22,17 @@ PI, LOG2 = CONSTANTS.pi, CONSTANTS.log2
 
 print("== pi^2/16 = sum_{n>=0} (log2 - H_n^-)/(2n+1) ==")
 gen = TermGenerator(
-    lambda n: (LOG2 - skew_harmonic_float(n)) / (2 * n + 1), 0, ALTERNATING
+    lambda n0, n1: [(LOG2 - skew_harmonic_float(n)) / (2 * n + 1) for n in range(n0, n1)],
+    0,
+    ALTERNATING,
 )
 target = PI * PI / 16.0
 
 # raw partial sums barely move: the alternating tail is ~ 1/(4n)
 acc = NeumaierSum()
 partials = []
-for n in range(256):
-    acc.add(gen.term(n))
+for t in gen.terms(0, 256):
+    acc.add(t)
     partials.append(acc.value)
 print(f"partial sum after 256 terms:  error {abs(partials[-1] - target):.2e}")
 
@@ -57,7 +59,8 @@ print()
 print("== direct summation still wins when decay is geometric ==")
 alpha = 0.5
 gen_half = TermGenerator(
-    lambda n: (LOG2 - skew_harmonic_float(n)) * alpha ** (2 * n + 1) / (2 * n + 1),
+    lambda n0, n1: [(LOG2 - skew_harmonic_float(n)) * alpha ** (2 * n + 1) / (2 * n + 1)
+                    for n in range(n0, n1)],
     0,
     ALTERNATING,
 )

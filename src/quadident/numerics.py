@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -86,3 +88,21 @@ class NeumaierSum:
     @property
     def value(self) -> float:
         return self._s + self._c
+
+
+def neumaier_prefix(s: np.ndarray, c: np.ndarray, terms: np.ndarray):
+    """Running Neumaier sums of the rows of ``terms`` (shape ``(rows, m)``),
+    seeded with each row's sum ``s`` and compensation ``c`` (shape ``(rows,)``).
+
+    Returns the running sums and running compensations, each ``(rows, m)``:
+    entry ``[i, j]`` holds the ``_s`` and ``_c`` of a :class:`NeumaierSum`
+    started at ``(s[i], c[i])`` after adding ``terms[i, :j+1]``, bit for bit.
+    ``np.cumsum`` (``np.add.accumulate``) adds left to right, so both are the
+    accumulator's chain of additions; the correction of each step is computed
+    elementwise from the running sums before and after it.
+    """
+    sums = np.cumsum(np.concatenate([s[:, None], terms], axis=1), axis=1)
+    prev, cur = sums[:, :-1], sums[:, 1:]
+    corr = np.where(np.abs(prev) >= np.abs(terms), (prev - cur) + terms, (terms - cur) + prev)
+    comp = np.cumsum(np.concatenate([c[:, None], corr], axis=1), axis=1)[:, 1:]
+    return cur, comp

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,6 +40,7 @@ from .series import (
     ALTERNATING,
     POSITIVE,
     TermGenerator,
+    TermRows,
     sum_alternating_accelerated,
     sum_direct,
     sum_eq8,
@@ -168,16 +170,37 @@ def _quad(describe: str, build: Callable[..., IntegrandSpec],
     return Evaluator(describe, fn, rows)
 
 
+def _summed(res, scale: float) -> EvalOutcome:
+    return EvalOutcome(scale * res.value, terms=res.terms_used, converged=res.converged)
+
+
 def _series(describe: str, build: Callable[..., TermGenerator],
             accelerated: Callable[..., bool] | bool = False,
             scale: float = 1.0) -> Evaluator:
-    def fn(params: dict, tol: Tolerance) -> EvalOutcome:
-        gen = build(**params)
-        accel = accelerated(**params) if callable(accelerated) else accelerated
-        res = (sum_alternating_accelerated if accel else sum_direct)(gen, tol)
-        return EvalOutcome(scale * res.value, terms=res.terms_used, converged=res.converged)
+    """Series side; ``build`` takes the continuous parameter as a scalar or as
+    a column array (one row of terms per value). Points that ``accelerated``
+    selects are summed one at a time by the Euler transform. The summation
+    functions are looked up in this module at call time, where the
+    benchmark's tracer wraps them."""
+    def accel(params: dict) -> bool:
+        return accelerated(**params) if callable(accelerated) else accelerated
 
-    return Evaluator(describe, fn)
+    def fn(params: dict, tol: Tolerance) -> EvalOutcome:
+        total = sum_alternating_accelerated if accel(params) else sum_direct
+        return _summed(total(build(**params), tol), scale)
+
+    def rows(fixed: dict, name: str, values: list, tol: Tolerance) -> list[EvalOutcome]:
+        out: list = [None] * len(values)
+        direct = [i for i, v in enumerate(values) if not accel(fixed | {name: v})]
+        if direct:
+            batch = TermRows(lambda column: build(**fixed, **{name: column}),
+                             tuple(values[i] for i in direct))
+            for i, res in zip(direct, sum_direct(batch, tol).rows):
+                out[i] = _summed(res, scale)
+        return [fn(fixed | {name: v}, tol) if o is None else o
+                for o, v in zip(out, values)]
+
+    return Evaluator(describe, fn, rows)
 
 
 def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
@@ -260,65 +283,79 @@ def _spec_atan_pow_cauchy(alpha: float, p: int) -> IntegrandSpec:
 
 
 # ---------------------------------------------------------------------------
-# Series term generators
+# Series term builders: each takes the continuous parameter as a scalar or as a
+# (rows, 1) column and returns a generator whose terms(n0, n1) is one row of
+# terms per parameter. A row of a column goes through the same operations in
+# the same order as a scalar parameter, so each term is the one-point double.
 # ---------------------------------------------------------------------------
 
 
-def _gen_skew_odd_denom(alpha: float = 1.0) -> TermGenerator:
+def _powers(base, exponents: range) -> np.ndarray:
+    """``base ** e`` for each row of a scalar or column ``base`` and each
+    exponent, shape ``(rows, len(exponents))``. Computed by Python's pow: at
+    the grid alphas np.power rounds some of these powers differently."""
+    bases = np.ravel(base).tolist()
+    flat = chain.from_iterable(map(pow, repeat(b), exponents) for b in bases)
+    return np.fromiter(flat, float, len(bases) * len(exponents)).reshape(len(bases), -1)
+
+
+def _gen_skew_odd_denom(alpha=1.0) -> TermGenerator:
     # sum_{n>=0} (log2 - H_n^-) a^(2n+1) / (2n+1)
     r = alpha * alpha
 
-    def term(n: int) -> float:
-        return (_LOG2 - skew_harmonic_float(n)) * alpha * r**n / (2 * n + 1)
+    def terms(n0: int, n1: int) -> np.ndarray:
+        lead = np.array([_LOG2 - skew_harmonic_float(n) for n in range(n0, n1)])
+        return lead * alpha * _powers(r, range(n0, n1)) / (2.0 * np.arange(n0, n1) + 1.0)
 
-    return TermGenerator(term, 0, ALTERNATING, name="skew-harmonic odd series")
+    return TermGenerator(terms, 0, ALTERNATING, name="skew-harmonic odd series")
 
 
-def _gen_skew_linear_denom(alpha: float = 1.0) -> TermGenerator:
+def _gen_skew_linear_denom(alpha=1.0) -> TermGenerator:
     # sum_{n>=0} (log2 - H_n^-) a^(n+1) / (n+1)
-    def term(n: int) -> float:
-        return (_LOG2 - skew_harmonic_float(n)) * alpha ** (n + 1) / (n + 1)
+    def terms(n0: int, n1: int) -> np.ndarray:
+        lead = np.array([_LOG2 - skew_harmonic_float(n) for n in range(n0, n1)])
+        return lead * _powers(alpha, range(n0 + 1, n1 + 1)) / np.arange(n0 + 1.0, n1 + 1.0)
 
-    return TermGenerator(term, 0, ALTERNATING, name="skew-harmonic series")
+    return TermGenerator(terms, 0, ALTERNATING, name="skew-harmonic series")
 
 
-def _gen_odd_harmonic_leibniz(alpha: float) -> TermGenerator:
+def _gen_odd_harmonic_leibniz(alpha) -> TermGenerator:
     # sum_{n>=1} (h_n/n) (L_n - pi/4) a^(2n)
     r = alpha * alpha
     quarter_pi = _PI / 4.0
 
-    def term(n: int) -> float:
-        return (
-            odd_harmonic_float(n) / n * (leibniz_partial_float(n) - quarter_pi) * r**n
-        )
+    def terms(n0: int, n1: int) -> np.ndarray:
+        lead = np.array([odd_harmonic_float(n) / n * (leibniz_partial_float(n) - quarter_pi)
+                         for n in range(n0, n1)])
+        return lead * _powers(r, range(n0, n1))
 
-    return TermGenerator(term, 1, ALTERNATING, name="odd-harmonic Leibniz series")
+    return TermGenerator(terms, 1, ALTERNATING, name="odd-harmonic Leibniz series")
 
 
-def _gen_alt_odd_harmonic_sq(alpha: float = 1.0) -> TermGenerator:
+def _odd_harmonic_over_square(alpha, n0: int, n1: int, signed: bool) -> np.ndarray:
+    # (-1)^(n-1) h_n a^(2n) / n^2 when signed, else h_n a^(2n) / n^2
+    lead = np.array([(1.0 if n % 2 or not signed else -1.0) * odd_harmonic_float(n)
+                     for n in range(n0, n1)])
+    n = np.arange(n0, n1, dtype=float)
+    return lead * _powers(alpha * alpha, range(n0, n1)) / (n * n)
+
+
+def _gen_alt_odd_harmonic_sq(alpha=1.0) -> TermGenerator:
     # sum_{n>=1} (-1)^(n-1) h_n a^(2n) / n^2
-    r = alpha * alpha
-
-    def term(n: int) -> float:
-        sign = 1.0 if n % 2 else -1.0
-        return sign * odd_harmonic_float(n) * r**n / (n * n)
-
-    return TermGenerator(term, 1, ALTERNATING, name="alternating odd-harmonic series")
+    return TermGenerator(lambda n0, n1: _odd_harmonic_over_square(alpha, n0, n1, True),
+                         1, ALTERNATING, name="alternating odd-harmonic series")
 
 
-def _gen_pos_odd_harmonic_sq(alpha: float) -> TermGenerator:
+def _gen_pos_odd_harmonic_sq(alpha) -> TermGenerator:
     # sum_{n>=1} h_n a^(2n) / n^2, positive terms, geometric-ratio tail bound
     r = alpha * alpha
 
-    def term(n: int) -> float:
-        return odd_harmonic_float(n) * r**n / (n * n)
-
-    def tail(m: int, t: float) -> float:
+    def tail(m: np.ndarray, t: np.ndarray) -> np.ndarray:
         q = r * (1.0 + 1.0 / (2 * m + 1))
-        return abs(t) / (1.0 - q) if q < 1.0 else math.inf
+        return np.where(q < 1.0, np.abs(t) / (1.0 - q), math.inf)
 
-    return TermGenerator(term, 1, POSITIVE, tail_bound=tail,
-                         name="odd-harmonic power series")
+    return TermGenerator(lambda n0, n1: _odd_harmonic_over_square(alpha, n0, n1, False),
+                         1, POSITIVE, tail_bound=tail, name="odd-harmonic power series")
 
 
 # A(n,p) and A(n,p) beta((n+1)/2) do not depend on alpha, so every grid point
@@ -336,22 +373,23 @@ def _atan_beta_coeff(n: int, p: int) -> float:
     return _atan_coeff_float(n, p) * incomplete_beta((n + 1) / 2.0)
 
 
-def _gen_atan_pow_over_n(alpha: float, p: int) -> TermGenerator:
-    # nonzero coefficients only: n = p + 2m, term A(n,p) a^n / n
-    def term(m: int) -> float:
-        n = p + 2 * m
-        return _atan_coeff_float(n, p) * alpha**n / n
+def _gen_atan_pow_over_n(alpha, p: int) -> TermGenerator:
+    # nonzero coefficients only: term m is A(n,p) a^n / n at n = p + 2m
+    def terms(m0: int, m1: int) -> np.ndarray:
+        ns = range(p + 2 * m0, p + 2 * m1, 2)
+        lead = np.array([_atan_coeff_float(n, p) for n in ns])
+        return lead * _powers(alpha, ns) / np.array(ns, dtype=float)
 
-    return TermGenerator(term, 0, ALTERNATING, name="arctan-power coefficient series")
+    return TermGenerator(terms, 0, ALTERNATING, name="arctan-power coefficient series")
 
 
-def _gen_atan_pow_beta(alpha: float, p: int) -> TermGenerator:
-    # term A(n,p) beta((n+1)/2) a^n over nonzero n = p + 2m
-    def term(m: int) -> float:
-        n = p + 2 * m
-        return _atan_beta_coeff(n, p) * alpha**n
+def _gen_atan_pow_beta(alpha, p: int) -> TermGenerator:
+    # term m is A(n,p) beta((n+1)/2) a^n at n = p + 2m
+    def terms(m0: int, m1: int) -> np.ndarray:
+        ns = range(p + 2 * m0, p + 2 * m1, 2)
+        return np.array([_atan_beta_coeff(n, p) for n in ns]) * _powers(alpha, ns)
 
-    return TermGenerator(term, 0, ALTERNATING, name="arctan-power beta series")
+    return TermGenerator(terms, 0, ALTERNATING, name="arctan-power beta series")
 
 
 def _accel_near_one(**params) -> bool:
@@ -418,8 +456,7 @@ def _eval_eq8(params: dict, tol: Tolerance) -> EvalOutcome:
     # the comparison target is pi^3 = 192 x the series value, so the series
     # itself needs a 192-fold tighter absolute tolerance
     inner = Tolerance(max(tol.abs_tol / 192.0, 1e-16), tol.rel_tol, tol.max_work)
-    res = sum_eq8(inner)
-    return EvalOutcome(192.0 * res.value, terms=res.terms_used, converged=res.converged)
+    return _summed(sum_eq8(inner), 192.0)
 
 
 def _eval_eq23_series(params: dict, tol: Tolerance) -> EvalOutcome:
@@ -431,10 +468,7 @@ def _eval_eq23_series(params: dict, tol: Tolerance) -> EvalOutcome:
     inner = Tolerance(
         max(tol.abs_tol / prefactor, 1e-16), tol.rel_tol, tol.max_work
     )
-    res = sum_alternating_accelerated(gen, inner)
-    return EvalOutcome(
-        prefactor * res.value, terms=res.terms_used, converged=res.converged
-    )
+    return _summed(sum_alternating_accelerated(gen, inner), prefactor)
 
 
 # ---------------------------------------------------------------------------

@@ -143,13 +143,30 @@ def _series_length(a: float) -> int:
     return max(1, math.ceil(math.log(2.0**-54 * (1.0 - a)) / math.log(a)))
 
 
+@functools.cache
+def _series_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """n = 1 .. N and n**p, read-only, for the longest defining series
+    (|z| = _SERIES_RADIUS); a shorter series takes a prefix of each."""
+    n = np.arange(1.0, _series_length(_SERIES_RADIUS) + 1.0)
+    power = np.power(n, p)
+    for arr in (n, power):
+        arr.setflags(write=False)
+    return n, power
+
+
 def _polylog(p: int, z: complex) -> complex:
     """Li_p(z) for p >= 2 and 0 < |z| <= 1 + _CIRCLE_EPS, z != 1."""
     a = abs(z)
     if a <= _SERIES_RADIUS:
-        n = np.arange(1.0, _series_length(a) + 1.0)
-        terms = np.power(z, n) / np.power(n, p)
-        return complex(math.fsum(terms.real), math.fsum(terms.imag))
+        n, power = _series_indices(p)
+        count = _series_length(a)
+        terms = np.power(z, n[:count]) / power[:count]
+        # fsum of a list of Python floats: iterating the array would hand it
+        # numpy scalars one by one
+        real = math.fsum(terms.real.tolist())
+        if z.imag == 0.0:
+            return complex(real, 0.0)  # Li_p is real on the real segment
+        return complex(real, math.fsum(terms.imag.tolist()))
     coeffs, harmonic = _log_series_coefficients(p)
     mu = cmath.log(z)
     acc = 0j

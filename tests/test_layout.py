@@ -73,25 +73,33 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from tracer import Tracer
 tracer = Tracer()
 verify = tracer.install()
-outs = verify("E5", grid_size=3) + verify("E11", grid_size=3)
-counts = tracer.take_pass()["counts"]
+outs = [o for case_id in ("E5", "E11", "E18", "E21", "E22")
+        for o in verify(case_id, grid_size=3)]
+traced = tracer.take_pass()
+counts = traced["counts"]
 print(json.dumps([counts.get("quadrature.evals", 0), sum(o.evals for o in outs),
-                  counts.get("series.terms", 0), sum(o.terms for o in outs)]))
+                  counts.get("series.terms", 0), sum(o.terms for o in outs),
+                  traced["calls"].get("series", 0)]))
 """
 
 
 def test_benchmark_tracer_counts_every_point_of_a_batched_call():
-    # a batched quadrature call carries the summed evaluations of its rows,
-    # so the traced counts still equal the report's work per outcome
+    # a batched quadrature or series call carries the summed evaluations or
+    # terms of its rows, so the traced counts still equal the report's work
+    # per outcome: E18 is a positive series with a tail bound, E21 and E22
+    # batch once per p
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _COUNTED_PASS,
          str(ROOT / "perfbench"), str(ROOT / "src")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    evals, outcome_evals, terms, outcome_terms = json.loads(proc.stdout.splitlines()[-1])
+    evals, outcome_evals, terms, outcome_terms, series_calls = json.loads(
+        proc.stdout.splitlines()[-1])
     assert evals == outcome_evals > 0
     assert terms == outcome_terms > 0
+    # E5: one batch and the Euler sum at alpha = 1; E18: one; E21, E22: one per p
+    assert series_calls == 2 + 1 + 4 + 4
 
 
 def test_package_name_registry_shadows_the_submodule():

@@ -15,11 +15,13 @@ from quadident.ledger import (
 )
 from quadident.numerics import CONSTANTS, Tolerance
 from quadident.quadrature import IntegrandSpec, QuadratureError
+from quadident.series import ALTERNATING, SignPatternError, TermGenerator
 from quadident.registry import (
     GridAxis,
     IdentityCase,
     _closed,
     _quad,
+    _series,
     lookup,
     register_all,
     registry,
@@ -116,6 +118,43 @@ def test_failing_row_fails_only_its_own_outcome(monkeypatch):
         assert o.passed and o.reason == ""
         assert (o.lhs_value, o.evals) == (one.value, one.evals)
         assert o.rhs_value == 0.5 * o.params["alpha"]
+
+
+def test_failing_series_row_fails_only_its_own_outcome(monkeypatch):
+    # the terms of alpha = 0.5 stop alternating at index 5: the batched sum
+    # raises, and the group's points are summed one at a time
+    def build(alpha):
+        def terms(n0, n1):
+            n = np.arange(n0, n1)
+            t = (-alpha) ** n / (n + 1.0)
+            return np.where((alpha == 0.5) & (n == 6), -t, t)
+
+        return TermGenerator(terms, 0, ALTERNATING, name="synthetic series")
+
+    case = IdentityCase(
+        id="X2", description="sum (-a)^n/(n+1) = log(1+a)/a", source="synthetic",
+        lhs=_series("alternating series", build),
+        rhs=_closed("log(1+a)/a", lambda alpha: math.log1p(alpha) / alpha),
+        continuous=(GridAxis("alpha", 0.0, 1.0),),
+    )
+    monkeypatch.setitem(registry(), "X2", case)
+    outs = verify("X2", 3)
+    assert [o.params["alpha"] for o in outs] == [0.25, 0.5, 0.75]
+    eval_tol = Tolerance(2.5e-11, 2.5e-11)
+    with pytest.raises(SignPatternError, match="indices 5 and 6 of synthetic series"):
+        case.lhs.rows({}, "alpha", [0.25, 0.5, 0.75], eval_tol)
+    with pytest.raises(SignPatternError) as alone:
+        case.lhs.fn({"alpha": 0.5}, eval_tol)
+    bad = outs[1]
+    assert not bad.passed
+    assert bad.reason == f"error: {alone.value}"
+    assert bad.reason.startswith("error: terms at indices 5 and 6 of synthetic series")
+    assert math.isnan(bad.lhs_value) and math.isnan(bad.rhs_value)
+    assert (bad.evals, bad.terms) == (0, 0)
+    for o in (outs[0], outs[2]):
+        one = case.lhs.fn(o.params, eval_tol)
+        assert o.passed and o.reason == ""
+        assert (o.lhs_value, o.terms) == (one.value, one.terms)
 
 
 def test_verify_e19_checks_imaginary_part():

@@ -3,11 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadident.numerics import CONSTANTS, NeumaierSum, Tolerance
+from quadident.numerics import CONSTANTS, NeumaierSum, Tolerance, neumaier_prefix
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +55,47 @@ def test_neumaier_stream_matches_fsum():
     for t in terms:
         acc.add(t)
     assert abs(acc.value - math.fsum(terms)) <= 4e-16 * sum(map(abs, terms))
+
+
+# terms spread over 120 binades, each followed later by its near-negative, so
+# the running sums cancel heavily and every addition order rounds differently
+_SPREAD = st.builds(lambda m, e: m * 2.0 ** e,
+                    st.floats(-1.0, 1.0, allow_nan=False), st.integers(-60, 60))
+
+
+@st.composite
+def _cancelling_rows(draw):
+    width = draw(st.integers(1, 24))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        head = draw(st.lists(_SPREAD, min_size=width, max_size=width))
+        nudge = draw(st.lists(_SPREAD, min_size=width, max_size=width))
+        rows.append(head + [-t + 1e-9 * d for t, d in zip(reversed(head), nudge)])
+    return rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(rows=_cancelling_rows(), split=st.integers(0, 48))
+def test_neumaier_prefix_is_the_streaming_sum(rows, split):
+    # every prefix of every row, computed in two chunks (the second seeded
+    # with the first's last sum and compensation), equals NeumaierSum fed the
+    # same terms one by one, bit for bit
+    terms = np.array(rows)
+    s, c = np.zeros(len(rows)), np.zeros(len(rows))
+    sums, comps = [], []
+    for part in (terms[:, :split], terms[:, split:]):
+        part_sums, part_comps = neumaier_prefix(s, c, part)
+        sums.append(part_sums)
+        comps.append(part_comps)
+        if part.shape[1]:
+            s, c = part_sums[:, -1], part_comps[:, -1]
+    sums, comps = np.concatenate(sums, axis=1), np.concatenate(comps, axis=1)
+    for i, row in enumerate(rows):
+        acc = NeumaierSum()
+        for j, t in enumerate(row):
+            acc.add(t)
+            assert (sums[i, j], comps[i, j]) == (acc._s, acc._c), (i, j)
+            assert sums[i, j] + comps[i, j] == acc.value
 
 
 # ---------------------------------------------------------------------------

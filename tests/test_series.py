@@ -1,7 +1,12 @@
 """Series engine: remainder bounds, Euler acceleration, and failure modes."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadident.combinatorics import odd_harmonic_float, skew_harmonic_float
 from quadident.numerics import CONSTANTS, NeumaierSum, Tolerance
@@ -10,6 +15,7 @@ from quadident.series import (
     POSITIVE,
     SignPatternError,
     TermGenerator,
+    TermRows,
     sum_alternating_accelerated,
     sum_direct,
     sum_eq8,
@@ -21,15 +27,19 @@ G = CONSTANTS.catalan
 Z3 = CONSTANTS.zeta3
 
 
+def _gen(term, first=0, pattern=ALTERNATING, **kw):
+    """A generator from a function of one index."""
+    return TermGenerator(lambda n0, n1: [term(n) for n in range(n0, n1)],
+                         first, pattern, **kw)
+
+
 def _alt_harmonic_gen():
-    return TermGenerator(lambda n: (-1.0) ** n / (n + 1.0), 0, ALTERNATING)
+    return _gen(lambda n: (-1.0) ** n / (n + 1.0))
 
 
 def _skew_odd_gen():
     # terms of pi^2/16 = sum (log2 - H_n^-)/(2n+1)
-    return TermGenerator(
-        lambda n: (LOG2 - skew_harmonic_float(n)) / (2 * n + 1), 0, ALTERNATING
-    )
+    return _gen(lambda n: (LOG2 - skew_harmonic_float(n)) / (2 * n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +49,7 @@ def _skew_odd_gen():
 def test_direct_geometric_series():
     # sum_{n>=1} alpha^(2n) at alpha = 0.5 is 1/3
     r = 0.25
-    g = TermGenerator(
-        lambda n: r**n, 1, POSITIVE, tail_bound=lambda m, t: abs(t) / (1 - r)
-    )
+    g = _gen(lambda n: r**n, 1, POSITIVE, tail_bound=lambda m, t: abs(t) / (1 - r))
     res = sum_direct(g, Tolerance(1e-12, 0.0, 10**4))
     assert res.converged
     assert abs(res.value - 1.0 / 3.0) <= res.remainder_bound
@@ -56,7 +64,7 @@ def test_direct_cross_module_against_quadrature():
     def term(n):
         return (LOG2 - skew_harmonic_float(n)) * 0.5 ** (2 * n + 1) / (2 * n + 1)
 
-    res = sum_direct(TermGenerator(term, 0, ALTERNATING), Tolerance(1e-12, 0.0))
+    res = sum_direct(_gen(term), Tolerance(1e-12, 0.0))
     oracle = integrate_unit(
         IntegrandSpec(lambda x: 2.0 * np.arctan(0.5 * x) / (1.0 + x * x)),
         Tolerance(1e-13, 1e-13),
@@ -77,30 +85,79 @@ def test_direct_alternating_bound_is_valid():
 @pytest.mark.parametrize("pattern", ["unknown", "mixed"])
 def test_unknown_sign_pattern_rejected(pattern):
     with pytest.raises(ValueError, match="unknown sign pattern"):
-        TermGenerator(lambda n: 1.0, 0, pattern)
+        _gen(lambda n: 1.0, 0, pattern)
 
 
 def test_direct_requires_tail_bound_for_positive():
-    g = TermGenerator(lambda n: 1.0 / (n + 1.0) ** 2, 0, POSITIVE)
+    g = _gen(lambda n: 1.0 / (n + 1.0) ** 2, 0, POSITIVE)
     with pytest.raises(ValueError, match="tail_bound"):
         sum_direct(g)
 
 
 def test_direct_not_converged_flag():
-    g = TermGenerator(
-        lambda n: 1.0 / (n + 1.0) ** 2,
-        0,
-        POSITIVE,
-        tail_bound=lambda m, t: 1.0 / m,
-    )
+    g = _gen(lambda n: 1.0 / (n + 1.0) ** 2, 0, POSITIVE, tail_bound=lambda m, t: 1.0 / m)
     res = sum_direct(g, Tolerance(1e-12, 0.0, max_work=50))
     assert not res.converged
     assert res.terms_used == 50
 
 
+def _bits(res):
+    return (res.value.hex(), res.terms_used, res.remainder_bound.hex(), res.converged)
+
+
+@pytest.mark.parametrize("poison", ["nan", "same_sign"])
+def test_terms_past_every_stop_are_never_read(poison):
+    # a row that stops after u terms reads terms 0..u (term u is the first
+    # omitted one); anything the chunked driver computes beyond that must not
+    # reach a value, a bound or the alternation check
+    from quadident.registry import _gen_skew_odd_denom
+
+    values = tuple(k / 10.0 for k in range(1, 10))
+    tol = Tolerance(2.5e-11, 2.5e-11)
+    clean = sum_direct(TermRows(_gen_skew_odd_denom, values), tol).rows
+    last = {v: r.terms_used for v, r in zip(values, clean)}
+    assert max(last.values()) > 32  # some row reads past the first chunk
+
+    def build(column):
+        g = _gen_skew_odd_denom(column)
+        limit = np.array([last[v] for v in column.ravel().tolist()])[:, None]
+
+        def terms(n0, n1):
+            t = g.terms(n0, n1)
+            past = np.arange(n0, n1) > limit
+            return np.where(past, np.nan if poison == "nan" else np.abs(t), t)
+
+        return replace(g, terms=terms)
+
+    poisoned = sum_direct(TermRows(build, values), tol).rows
+    assert [_bits(r) for r in poisoned] == [_bits(r) for r in clean]
+
+
 # ---------------------------------------------------------------------------
 # Euler acceleration
 # ---------------------------------------------------------------------------
+
+_KNOWN_ALTERNATING = {
+    "log 2": (lambda n: (-1.0) ** n / (n + 1.0), LOG2),
+    "pi/4": (lambda n: (-1.0) ** n / (2 * n + 1.0), PI / 4.0),
+    "eta(2)": (lambda n: (-1.0) ** n / (n + 1.0) ** 2, PI * PI / 12.0),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(name=st.sampled_from(sorted(_KNOWN_ALTERNATING)),
+       scale=st.floats(1e-3, 1e3), shift=st.integers(0, 30),
+       digits=st.sampled_from([10, 12]))
+def test_accelerated_sum_of_known_alternating_series(name, scale, shift, digits):
+    # sum_{n>=shift} scale a_n = scale (S - sum_{n<shift} a_n) for the
+    # alternating series of log 2, pi/4 and eta(2) = pi^2/12
+    term, total = _KNOWN_ALTERNATING[name]
+    g = _gen(lambda n: scale * term(n), first=shift)
+    truth = scale * (total - math.fsum(term(n) for n in range(shift)))
+    tol = Tolerance(10.0 ** -digits * scale, 0.0)
+    res = sum_alternating_accelerated(g, tol)
+    assert res.converged
+    assert abs(res.value - truth) <= tol.abs_tol
 
 def test_accelerated_log2_under_100_terms():
     res = sum_alternating_accelerated(_alt_harmonic_gen(), Tolerance(1e-12, 0.0))
@@ -118,9 +175,7 @@ def test_accelerated_pi_squared_over_16():
 
 
 def test_accelerated_catalan_zeta3_combination():
-    g = TermGenerator(
-        lambda n: (-1.0) ** (n - 1) * odd_harmonic_float(n) / n**2, 1, ALTERNATING
-    )
+    g = _gen(lambda n: (-1.0) ** (n - 1) * odd_harmonic_float(n) / n**2, 1)
     res = sum_alternating_accelerated(g, Tolerance(1e-10, 1e-10))
     assert res.converged
     assert abs(res.value - (PI * G - 1.75 * Z3)) <= 1e-10
@@ -132,7 +187,7 @@ def test_acceleration_consistent_with_direct():
         def term(n, a=alpha):
             return (LOG2 - skew_harmonic_float(n)) * a ** (2 * n + 1) / (2 * n + 1)
 
-        g = TermGenerator(term, 0, ALTERNATING)
+        g = _gen(term)
         direct = sum_direct(g, Tolerance(1e-12, 0.0))
         accel = sum_alternating_accelerated(g, Tolerance(1e-12, 0.0))
         assert abs(direct.value - accel.value) <= (
@@ -203,7 +258,7 @@ def test_scaling_is_exact():
     # scaling terms by a power of two scales the value and bound exactly
     scale = 0.5
     g = _skew_odd_gen()
-    gs = TermGenerator(lambda n: scale * g.term(n), 0, ALTERNATING)
+    gs = TermGenerator(lambda n0, n1: scale * np.asarray(g.terms(n0, n1)), 0, ALTERNATING)
     tol = Tolerance(1e-10, 0.0)
     res = sum_alternating_accelerated(g, tol)
     res_s = sum_alternating_accelerated(
@@ -215,7 +270,7 @@ def test_scaling_is_exact():
 
 
 def test_sign_violation_raises_with_index():
-    g = TermGenerator(lambda n: 1.0 / (n + 1.0) ** 2, 0, ALTERNATING, name="bogus")
+    g = _gen(lambda n: 1.0 / (n + 1.0) ** 2, name="bogus")
     with pytest.raises(SignPatternError, match=r"indices \d+"):
         sum_alternating_accelerated(g)
 
