@@ -4,7 +4,8 @@ Direct summation stops at the first index whose remainder bound meets the
 tolerance. For a declared-alternating series the bound is the first omitted
 term, which bounds the truncation error when the terms alternate in sign and
 decrease in magnitude from there on; only the alternation is checked. For a
-positive series the bound is the caller's comparison-tail bound. Slowly
+positive series the bound is the caller's comparison-tail bound. A direct sum
+that reads an infinite or NaN term raises :class:`NonFiniteTermError`. Slowly
 convergent alternating series (terms like log(n)/n^2) go through an iterated
 Euler transform: partial sums are repeatedly averaged pairwise, and the run
 stops once two successive averaged estimates agree to half the tolerance and
@@ -55,6 +56,10 @@ _CHUNK_MAX = 4096  # later chunks double up to this size
 class SignPatternError(RuntimeError):
     """Raised when a declared-alternating series produces two consecutive
     same-sign terms beyond the grace window."""
+
+
+class NonFiniteTermError(RuntimeError):
+    """Raised when a term read before a row's stop is infinite or NaN."""
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,11 @@ def _sign_error(g: TermGenerator, n: int, t: float, t_next: float) -> SignPatter
     )
 
 
+def _non_finite_error(g: TermGenerator, n: int, t: float) -> NonFiniteTermError:
+    return NonFiniteTermError(
+        f"term at index {n} of {g.name or 'series'} is not finite ({t!r})")
+
+
 def _next_chunk(size: int, a: np.ndarray, tail: np.ndarray, target: np.ndarray) -> int:
     """Terms per row in the next chunk: twice ``size``, but no more than a
     margin over the count at which the active rows' last ``tail`` bounds,
@@ -170,10 +180,11 @@ def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
     of the active rows (all for None).
 
     At index ``n`` a row adds term ``n``, then reads term ``n + 1``: a
-    same-sign pair raises, else the row stops once ``tail + floor`` meets the
-    target, once the rounding floor dominates both, or at ``tol.max_work``
-    terms. A chunk evaluates these steps for indices ``n0 .. n0+m-1`` of every
-    active row at once; each row then takes its first stop.
+    non-finite term or a same-sign pair raises, else the row stops once
+    ``tail + floor`` meets the target, once the rounding floor dominates both,
+    or at ``tol.max_work`` terms. A chunk evaluates these steps for indices
+    ``n0 .. n0+m-1`` of every active row at once; each row then takes its
+    first stop.
     """
     g = gen_of(None)
     if g.sign_pattern != ALTERNATING and g.tail_bound is None:
@@ -214,6 +225,12 @@ def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
                 stop[:, -1] = True
             same = _same_sign(g, t, t_next, n)
         ends = np.where(stop.any(axis=1), stop.argmax(axis=1), m)
+        bad = ~np.isfinite(a)  # a row reads terms n0 .. n0 + ends + 1
+        if bad.any():
+            rows = np.flatnonzero(bad.any(axis=1) & (bad.argmax(axis=1) <= ends + 1))
+            if rows.size:
+                j = bad[rows[0]].argmax()
+                raise _non_finite_error(g, n0 + int(j), float(a[rows[0], j]))
         if same.any():
             bad = np.flatnonzero(same.any(axis=1) & (same.argmax(axis=1) <= ends))
             if bad.size:
@@ -247,7 +264,8 @@ def sum_direct(g: TermGenerator | TermRows,
     error once the terms alternate and decrease in magnitude; positive series
     require the generator's tail_bound. A rounding floor is added to either.
     A same-sign pair of a declared-alternating series before a row's stop
-    raises :class:`SignPatternError`.
+    raises :class:`SignPatternError`, and a term read before a row's stop
+    that is infinite or NaN raises :class:`NonFiniteTermError`.
     """
     if isinstance(g, TermRows):
         return SummationRows(tuple(_direct(g.generator, len(g.values), tol)))

@@ -73,7 +73,7 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from tracer import Tracer
 tracer = Tracer()
 verify = tracer.install()
-outs = [o for case_id in ("E5", "E11", "E18", "E21", "E22")
+outs = [o for case_id in ("E5", "E9", "E11", "E18", "E21", "E22")
         for o in verify(case_id, grid_size=3)]
 traced = tracer.take_pass()
 counts = traced["counts"]
@@ -86,8 +86,8 @@ print(json.dumps([counts.get("quadrature.evals", 0), sum(o.evals for o in outs),
 def test_benchmark_tracer_counts_every_point_of_a_batched_call():
     # a batched quadrature or series call carries the summed evaluations or
     # terms of its rows, so the traced counts still equal the report's work
-    # per outcome: E18 is a positive series with a tail bound, E21 and E22
-    # batch once per p
+    # per outcome: E9 is a half-line integral (two batched pieces), E18 a
+    # positive series with a tail bound, E21 and E22 batch once per p
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _COUNTED_PASS,
          str(ROOT / "perfbench"), str(ROOT / "src")],

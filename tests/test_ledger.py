@@ -15,7 +15,12 @@ from quadident.ledger import (
 )
 from quadident.numerics import CONSTANTS, Tolerance
 from quadident.quadrature import IntegrandSpec, QuadratureError
-from quadident.series import ALTERNATING, SignPatternError, TermGenerator
+from quadident.series import (
+    ALTERNATING,
+    NonFiniteTermError,
+    SignPatternError,
+    TermGenerator,
+)
 from quadident.registry import (
     GridAxis,
     IdentityCase,
@@ -155,6 +160,30 @@ def test_failing_series_row_fails_only_its_own_outcome(monkeypatch):
         one = case.lhs.fn(o.params, eval_tol)
         assert o.passed and o.reason == ""
         assert (o.lhs_value, o.terms) == (one.value, one.terms)
+
+
+def test_non_finite_series_row_fails_only_its_own_outcome(monkeypatch):
+    # the alpha = 0.5 row has a NaN term at index 6, read before its stop
+    def build(alpha):
+        def terms(n0, n1):
+            n = np.arange(n0, n1)
+            return np.where((alpha == 0.5) & (n == 6), np.nan, (-alpha) ** n / (n + 1.0))
+
+        return TermGenerator(terms, 0, ALTERNATING, name="synthetic series")
+
+    case = IdentityCase(
+        id="X3", description="sum (-a)^n/(n+1) = log(1+a)/a", source="synthetic",
+        lhs=_series("alternating series", build),
+        rhs=_closed("log(1+a)/a", lambda alpha: math.log1p(alpha) / alpha),
+        continuous=(GridAxis("alpha", 0.0, 1.0),),
+    )
+    monkeypatch.setitem(registry(), "X3", case)
+    outs = verify("X3", 3)
+    with pytest.raises(NonFiniteTermError) as alone:
+        case.lhs.fn({"alpha": 0.5}, Tolerance(2.5e-11, 2.5e-11))
+    assert [o.passed for o in outs] == [True, False, True]
+    assert outs[1].reason == f"error: {alone.value}"
+    assert outs[1].reason == "error: term at index 6 of synthetic series is not finite (nan)"
 
 
 def test_verify_e19_checks_imaginary_part():

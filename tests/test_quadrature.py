@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadident.numerics import CONSTANTS, Tolerance
 from quadident.quadrature import (
     _MAX_LEVELS,
+    IntegrandRows,
     IntegrandSpec,
     QuadratureError,
     _level_nodes,
@@ -146,6 +149,49 @@ def test_reciprocal_split_identity():
 
 
 # ---------------------------------------------------------------------------
+# Rows: a (k, nodes) batch is k one-row runs
+# ---------------------------------------------------------------------------
+
+# Built from correctly rounded operations only, so every row's values are the
+# same bits at any shape and the test isolates the row sums and bookkeeping.
+_ROW_FAMILIES = {
+    "unit": (integrate_unit, lambda a: IntegrandSpec(lambda x: 1.0 / (1.0 + a * x * x))),
+    "f_right": (integrate_unit, lambda a: IntegrandSpec(
+        lambda x: 1.0 / np.sqrt(x) + a / np.sqrt(1.0 - x),
+        f_right=lambda d: 1.0 / np.sqrt(1.0 - d) + a / np.sqrt(d))),
+    "half_line": (integrate_semi_infinite,
+                  lambda a: IntegrandSpec(lambda x: 1.0 / (1.0 + a * x * x) ** 2)),
+}
+
+
+def _quad_bits(res):
+    return (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.converged)
+
+
+@settings(deadline=None, max_examples=60)
+@given(family=st.sampled_from(sorted(_ROW_FAMILIES)), k=st.integers(1, 100),
+       seed=st.integers(0, 2**32 - 1), levels=st.integers(0, 7),
+       digits=st.sampled_from([6, 10, 14]))
+@example(family="f_right", k=100, seed=1, levels=7, digits=14)
+@example(family="half_line", k=33, seed=2, levels=5, digits=10)
+@example(family="unit", k=9, seed=3, levels=3, digits=14)
+def test_rows_equal_one_row_runs_at_any_row_count(family, k, seed, levels, digits):
+    # numpy could sum a (k, nodes) array in another order for some k, which
+    # would break the row contract silently; the level cap and the tolerance
+    # make rows leave the batch at different levels
+    integrate, build = _ROW_FAMILIES[family]
+    values = np.random.default_rng(seed).uniform(0.05, 20.0, k).tolist()
+    nodes = sum(len(_level_nodes(level)[0]) for level in range(levels + 1))
+    pieces = 2 if integrate is integrate_semi_infinite else 1
+    tol = Tolerance(10.0**-digits, 10.0**-digits, max_work=pieces * nodes)
+    batch = integrate(IntegrandRows(build, tuple(values)), tol)
+    assert len(batch.rows) == len(values)
+    for a, row in zip(values, batch.rows):
+        assert _quad_bits(row) == _quad_bits(integrate(build(a), tol)), a
+    assert batch.evaluations == sum(r.evaluations for r in batch.rows)
+
+
+# ---------------------------------------------------------------------------
 # Error-estimate honesty on a suite of known integrals
 # ---------------------------------------------------------------------------
 
@@ -200,6 +246,14 @@ def test_error_estimate_honesty():
         if abs(res.value - truth) <= 5.0 * res.error_estimate:
             honest += 1
     assert honest >= 19
+
+
+def test_error_estimate_covers_the_truncation_at_the_outermost_nodes():
+    # x**-0.9 is still large at t = -4: the level-to-level change alone
+    # (about 2e-5) misses the truncated tail of the trapezoid sum
+    res = quad(lambda x: x**-0.9)
+    assert not res.converged
+    assert abs(res.value - 10.0) <= res.error_estimate <= 10.0 * abs(res.value - 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from quadident.numerics import CONSTANTS, NeumaierSum, Tolerance
 from quadident.series import (
     ALTERNATING,
     POSITIVE,
+    NonFiniteTermError,
     SignPatternError,
     TermGenerator,
     TermRows,
@@ -131,6 +132,28 @@ def test_terms_past_every_stop_are_never_read(poison):
 
     poisoned = sum_direct(TermRows(build, values), tol).rows
     assert [_bits(r) for r in poisoned] == [_bits(r) for r in clean]
+
+
+def test_non_finite_term_fails_fast_in_one_chunk():
+    # a NaN term makes the value and the bound NaN, so no stop test can pass:
+    # without the check the sum would run to tol.max_work (2,000,000 terms)
+    calls = []
+
+    def build(column):
+        def terms(n0, n1):
+            calls.append((n0, n1))
+            n = np.arange(n0, n1)
+            return np.where((column == 0.5) & (n == 3), np.nan, column**n)
+
+        return TermGenerator(terms, 0, POSITIVE, tail_bound=lambda m, t: 2.0 * t,
+                             name="geometric series")
+
+    for g in (build(np.array([[0.5]])), TermRows(build, (0.25, 0.5, 0.75))):
+        calls.clear()
+        with pytest.raises(NonFiniteTermError,
+                           match=r"index 3 of geometric series is not finite \(nan\)"):
+            sum_direct(g)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
