@@ -184,7 +184,9 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> list[QuadratureResult]:
     The error estimate is ten times the level-to-level change, plus a
     rounding floor, plus the level-0 ``|w f|`` at the two outermost nodes
     (``t = +-4``) for the truncation of the trapezoid sum (Takahasi & Mori,
-    "Double exponential formulas for numerical integration", 1974).
+    "Double exponential formulas for numerical integration", 1974; Bailey,
+    Jeyabalan & Li, "A comparison of three high-precision quadrature
+    schemes", 2005).
     """
     out: list = [None] * k
     active = np.arange(k)

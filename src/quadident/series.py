@@ -154,11 +154,6 @@ def _sign_error(g: TermGenerator, n: int, t: float, t_next: float) -> SignPatter
     )
 
 
-def _non_finite_error(g: TermGenerator, n: int, t: float) -> NonFiniteTermError:
-    return NonFiniteTermError(
-        f"term at index {n} of {g.name or 'series'} is not finite ({t!r})")
-
-
 def _next_chunk(size: int, a: np.ndarray, tail: np.ndarray, target: np.ndarray) -> int:
     """Terms per row in the next chunk: twice ``size``, but no more than a
     margin over the count at which the active rows' last ``tail`` bounds,
@@ -225,12 +220,14 @@ def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
                 stop[:, -1] = True
             same = _same_sign(g, t, t_next, n)
         ends = np.where(stop.any(axis=1), stop.argmax(axis=1), m)
-        bad = ~np.isfinite(a)  # a row reads terms n0 .. n0 + ends + 1
-        if bad.any():
-            rows = np.flatnonzero(bad.any(axis=1) & (bad.argmax(axis=1) <= ends + 1))
-            if rows.size:
-                j = bad[rows[0]].argmax()
-                raise _non_finite_error(g, n0 + int(j), float(a[rows[0], j]))
+        nonfinite = ~np.isfinite(a)  # a row reads terms n0 .. n0 + ends + 1
+        if nonfinite.any():
+            read = nonfinite.any(axis=1) & (nonfinite.argmax(axis=1) <= ends + 1)
+            if read.any():
+                i = read.argmax()
+                j = nonfinite[i].argmax()
+                raise NonFiniteTermError(f"term at index {n0 + j} of {g.name or 'series'} "
+                                         f"is not finite ({float(a[i, j])!r})")
         if same.any():
             bad = np.flatnonzero(same.any(axis=1) & (same.argmax(axis=1) <= ends))
             if bad.size:

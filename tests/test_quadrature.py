@@ -13,6 +13,7 @@ from quadident.quadrature import (
     IntegrandRows,
     IntegrandSpec,
     QuadratureError,
+    _eval_level,
     _level_nodes,
     integrate_semi_infinite,
     integrate_unit,
@@ -254,6 +255,46 @@ def test_error_estimate_covers_the_truncation_at_the_outermost_nodes():
     res = quad(lambda x: x**-0.9)
     assert not res.converged
     assert abs(res.value - 10.0) <= res.error_estimate <= 10.0 * abs(res.value - 10.0)
+
+
+def _fsum_reference(spec, tol):
+    """The per-row loop the array driver replaced: ``math.fsum`` of each
+    level, Python-float bookkeeping, the same estimate and stop rule."""
+    total = habs = edge = 0.0
+    err = math.inf
+    evals = 0
+    for level in range(_MAX_LEVELS + 1):
+        if level >= 1 and evals + len(_level_nodes(level)[0]) > tol.max_work:
+            break
+        wf, n_new = _eval_level(spec.f, spec.f_right, level, 1)
+        row = wf[0].tolist()
+        evals += n_new
+        h = 0.5 ** level
+        s, a = h * math.fsum(row), h * math.fsum(map(abs, row))
+        if level == 0:
+            total, habs, edge = s, a, abs(row[0]) + abs(row[-1])
+            continue
+        prev, total, habs = total, 0.5 * total + s, 0.5 * habs + a
+        err = 10.0 * abs(total - prev) + 8e-16 * habs + edge
+        if level >= 2 and err <= tol.abs_tol + tol.rel_tol * abs(total):
+            return total, err, evals, True
+    return total, err, evals, False
+
+
+@pytest.mark.parametrize("digits", [10, 14])
+def test_pairwise_row_sums_stay_within_4_ulps_of_the_fsum_loop(digits):
+    # numpy's pairwise row sum replaced an exactly rounded math.fsum per row:
+    # values may move in the last bits, the work and the convergence may not
+    tol = Tolerance(10.0**-digits, 10.0**-digits)
+    specs = [spec for spec, _ in _KNOWN_INTEGRALS] + [
+        build(a) for _, build in _ROW_FAMILIES.values() for a in (0.3, 7.0)]
+    for i, spec in enumerate(specs):
+        res = integrate_unit(spec, tol)
+        value, err, evals, ok = _fsum_reference(spec, tol)
+        ulp = np.spacing(abs(value))
+        assert (res.evaluations, res.converged) == (evals, ok), i
+        assert abs(res.value - value) <= 4.0 * ulp, i
+        assert abs(res.error_estimate - err) <= 100.0 * ulp, i
 
 
 # ---------------------------------------------------------------------------
