@@ -128,41 +128,39 @@ def _evaluate(case, evaluator, jobs, tol):
     that is None.
 
     Points that differ only in the case's continuous parameter go through
-    one ``evaluator.rows`` call. If that call raises, its points are
+    one ``evaluator.rows`` call; a point without it (every point of a case
+    without one) is a call of its own. If a call raises, its points are
     evaluated one at a time, so each failure reads as it would alone
     (failures are data, not aborts).
     """
     results: list = [None] * len(jobs)
-    todo = []
+    axis = case.continuous[0].name if case.continuous else None
+    groups: dict = {}
     for i, job in enumerate(jobs):
         if job is None:
             continue
-        if job[1] is not None:
-            results[i] = job[1]
-        else:
-            todo.append(i)
-    if evaluator.rows is not None and case.continuous:
-        axis = case.continuous[0].name
-        groups: dict = {}
-        for i in todo:
-            params = jobs[i][0]
-            if axis in params:
-                key = tuple(sorted((k, v) for k, v in params.items() if k != axis))
-                groups.setdefault(key, []).append(i)
-        for key, idx in groups.items():
-            try:
-                outs = evaluator.rows(dict(key), axis, [jobs[i][0][axis] for i in idx], tol)
-            except Exception:
-                continue  # left to the one-point path below
-            for i, out in zip(idx, outs):
-                results[i] = out
-    for i in todo:
-        if results[i] is None:
-            try:
-                results[i] = evaluator.fn(jobs[i][0], tol)
-            except Exception as exc:  # failures are data, not aborts
-                results[i] = exc
+        params, override = job
+        if override is not None:
+            results[i] = override
+            continue
+        name = axis if axis in params else None
+        key = (name, tuple(sorted((k, v) for k, v in params.items() if k != name)))
+        groups.setdefault(key, []).append(i)
+    for (name, fixed), idx in groups.items():
+        try:
+            outs = evaluator.rows(dict(fixed), name, [jobs[i][0].get(name) for i in idx], tol)
+        except Exception:
+            outs = [_evaluate_one(evaluator, jobs[i][0], tol) for i in idx]
+        for i, out in zip(idx, outs):
+            results[i] = out
     return results
+
+
+def _evaluate_one(evaluator, params, tol):
+    try:
+        return evaluator.fn(params, tol)
+    except Exception as exc:  # failures are data, not aborts
+        return exc
 
 
 def _verify_point(case, params, eff, lhs, rhs):
@@ -212,24 +210,26 @@ def _verify_point(case, params, eff, lhs, rhs):
     )
 
 
-def param_sort_key(outcome: VerificationOutcome):
-    """Report ordering within an id: lexicographic in the parameter items."""
-    return tuple(sorted(outcome.params.items()))
+def make_report(outcomes, tol_abs: Optional[float], tol_rel: Optional[float]) -> Report:
+    """A report of the outcomes, ordered by identity id and then by parameter
+    items, stamped with the package version and the current time.
+    ``tol_abs``/``tol_rel`` record a global tolerance override (None when
+    each case keeps its default)."""
+    return Report(
+        version=__version__,
+        timestamp=datetime.now(timezone.utc).isoformat(),
+        tol_abs=tol_abs,
+        tol_rel=tol_rel,
+        outcomes=tuple(sorted(outcomes, key=lambda o: (o.id, sorted(o.params.items())))),
+    )
 
 
 def verify_all(grid_size: int = 5, tol: Optional[Tolerance] = None) -> Report:
     """Run every registered identity; outcomes ordered by id, then parameters."""
-    outcomes: list[VerificationOutcome] = []
-    for case_id in sorted(registry()):
-        outcomes.extend(sorted(verify(case_id, grid_size=grid_size, tol=tol),
-                               key=param_sort_key))
-    return Report(
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        tol_abs=tol.abs_tol if tol is not None else None,
-        tol_rel=tol.rel_tol if tol is not None else None,
-        outcomes=tuple(outcomes),
-    )
+    outcomes = [o for case_id in sorted(registry())
+                for o in verify(case_id, grid_size=grid_size, tol=tol)]
+    return make_report(outcomes, tol.abs_tol if tol is not None else None,
+                       tol.rel_tol if tol is not None else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared numeric primitives: tolerance policy, compensated summation, reference constants.
+"""Shared numeric primitives: tolerance policy, compensated summation, reference
+constants, and the parameter rows that the quadrature and series drivers batch.
 
 Everything here is pure and immutable; values are safe to share across threads.
 """
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -61,6 +63,30 @@ class ConstantsTable:
 
 
 CONSTANTS = ConstantsTable()
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Integrands or series that differ only in one parameter, run in one pass
+    by :func:`~quadident.quadrature.integrate_unit`,
+    :func:`~quadident.quadrature.integrate_semi_infinite` or
+    :func:`~quadident.series.sum_direct`.
+
+    ``build(column)`` receives the parameter values of some rows as a
+    ``(rows, 1)`` float array and returns their ``IntegrandSpec`` or
+    ``TermGenerator``, whose callables return one row per parameter. Each row
+    must be computed by the same elementwise operations as the spec or
+    generator of a scalar parameter. A ``build`` that ignores its column
+    gives every row the same spec or generator (the one-point call).
+    """
+
+    build: Callable[[np.ndarray], Any]
+    values: tuple
+
+    def at(self, rows=None):
+        """The spec or generator of the rows at the given indices (all for None)."""
+        column = np.asarray(self.values, dtype=float)
+        return self.build(column[:, None] if rows is None else column[rows, None])
 
 
 class NeumaierSum:

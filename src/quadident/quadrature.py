@@ -23,10 +23,10 @@ useful relative precision once ``delta`` is tiny). The interval is chosen by
 the integrator called: :func:`integrate_unit` or
 :func:`integrate_semi_infinite`.
 
-Rows: an :class:`IntegrandRows` holds integrands that differ only in one
-parameter. Its builder takes the parameter as a ``(rows, 1)`` column, so one
-level of every active row is evaluated as one ``(rows, nodes)`` array. There
-is one driver: a single :class:`IntegrandSpec` is its one-row case. Each
+Rows: a :class:`~quadident.numerics.Rows` of integrands that differ only in
+one parameter passes that parameter to its builder as a ``(rows, 1)`` column,
+so one level of every active row is evaluated as one ``(rows, nodes)`` array.
+There is one driver: a single :class:`IntegrandSpec` is its one-row case. Each
 level is one array pass: the level sum of a row is numpy's pairwise sum of
 that row (``wf.sum(axis=1)`` on a C-ordered array), whose order depends only
 on the number of nodes, so it is the same for every row count. Each row
@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import DEFAULT_TOL, Rows, Tolerance
 
 _T_MAX = 4.0        # |t| range of the trapezoid in the transformed variable
 _MAX_LEVELS = 12    # step-halving levels before giving up
@@ -70,26 +70,6 @@ class IntegrandSpec:
     f_right: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-@dataclass(frozen=True, eq=False)
-class IntegrandRows:
-    """Integrands that differ only in one parameter, integrated in one pass.
-
-    ``build(column)`` receives the parameter values of some rows as a
-    ``(rows, 1)`` float array and returns their :class:`IntegrandSpec`, whose
-    ``f`` (and ``f_right``) return one row of values per parameter, shape
-    ``(rows, nodes)``. Each row must be computed by the same elementwise
-    operations as the one-row spec of a scalar parameter.
-    """
-
-    build: Callable[[np.ndarray], IntegrandSpec]
-    values: tuple[float, ...]
-
-    def spec(self, rows=None) -> IntegrandSpec:
-        """The spec of the rows at the given indices (all rows for None)."""
-        column = np.asarray(self.values, dtype=float)
-        return self.build(column[:, None] if rows is None else column[rows, None])
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
@@ -100,7 +80,7 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class QuadratureRows:
-    """Per-row results of one :class:`IntegrandRows` pass, with batch totals."""
+    """Per-row results of one :class:`Rows` pass, with batch totals."""
 
     rows: tuple[QuadratureResult, ...]
 
@@ -228,21 +208,21 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> list[QuadratureResult]:
     return out
 
 
-def _rows_of(spec: IntegrandSpec | IntegrandRows):
+def _rows_of(spec: IntegrandSpec | Rows):
     """``(spec_of, k)`` for the driver; a single spec is one row."""
-    if isinstance(spec, IntegrandRows):
-        return spec.spec, len(spec.values)
+    if isinstance(spec, Rows):
+        return spec.at, len(spec.values)
     return (lambda rows: spec), 1
 
 
 def _result(spec, rows: list[QuadratureResult]):
-    return QuadratureRows(tuple(rows)) if isinstance(spec, IntegrandRows) else rows[0]
+    return QuadratureRows(tuple(rows)) if isinstance(spec, Rows) else rows[0]
 
 
-def integrate_unit(spec: IntegrandSpec | IntegrandRows,
+def integrate_unit(spec: IntegrandSpec | Rows,
                    tol: Tolerance = DEFAULT_TOL) -> QuadratureResult | QuadratureRows:
     """Integrate ``spec.f`` over (0, 1): a :class:`QuadratureResult`, or a
-    :class:`QuadratureRows` for :class:`IntegrandRows`.
+    :class:`QuadratureRows` for :class:`~quadident.numerics.Rows`.
 
     The result's ``error_estimate`` is an a posteriori estimate of
     ``|value - integral|``, not a bound: ten times the last level-to-level
@@ -257,7 +237,7 @@ def integrate_unit(spec: IntegrandSpec | IntegrandRows,
     return _result(spec, _tanh_sinh(spec_of, k, tol))
 
 
-def integrate_semi_infinite(spec: IntegrandSpec | IntegrandRows,
+def integrate_semi_infinite(spec: IntegrandSpec | Rows,
                             tol: Tolerance = DEFAULT_TOL) -> QuadratureResult | QuadratureRows:
     """Integrate ``spec.f`` over (0, inf) as the sum of two unit-interval pieces.
 

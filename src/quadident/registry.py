@@ -29,18 +29,12 @@ from .combinatorics import (
     odd_harmonic_float,
     skew_harmonic_float,
 )
-from .numerics import CONSTANTS, Tolerance
-from .quadrature import (
-    IntegrandRows,
-    IntegrandSpec,
-    integrate_semi_infinite,
-    integrate_unit,
-)
+from .numerics import CONSTANTS, Rows, Tolerance
+from .quadrature import IntegrandSpec, integrate_semi_infinite, integrate_unit
 from .series import (
     ALTERNATING,
     POSITIVE,
     TermGenerator,
-    TermRows,
     sum_alternating_accelerated,
     sum_direct,
     sum_eq8,
@@ -78,14 +72,20 @@ class EvalOutcome:
 
 @dataclass(frozen=True)
 class Evaluator:
-    """One side of an identity. ``fn(params, tol)`` evaluates one point;
-    ``rows(fixed, name, values, tol)``, where present, evaluates the points
-    ``fixed | {name: v}`` for every v in ``values`` in one batched call and
-    returns their outcomes in order, each equal to ``fn``'s."""
+    """One side of an identity. ``rows(fixed, name, values, tol)`` evaluates
+    the points ``fixed | {name: v}`` for every v in ``values`` in one batched
+    call and returns their outcomes in order; the builders receive the values
+    as a ``(rows, 1)`` column. With ``name`` None, each value (None) stands
+    for the point ``fixed`` itself, whose parameters reach the builders as
+    scalars."""
 
     describe: str
-    fn: Callable[[dict, Tolerance], EvalOutcome]
-    rows: Optional[Callable[[dict, str, list, Tolerance], list[EvalOutcome]]] = None
+    rows: Callable[[dict, Optional[str], list, Tolerance], list[EvalOutcome]]
+
+    def fn(self, params: dict, tol: Tolerance) -> EvalOutcome:
+        """One point: the one-value call of ``rows``."""
+        [out] = self.rows(params, None, [None], tol)
+        return out
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,14 @@ class IdentityCase:
 # ---------------------------------------------------------------------------
 
 
-def _quad_outcome(res) -> EvalOutcome:
-    return EvalOutcome(res.value, evals=res.evaluations, converged=res.converged)
+def _point(fixed: dict, name: Optional[str], value) -> dict:
+    """The parameters of a point of a ``rows`` call (``value`` may be a column)."""
+    return fixed if name is None else fixed | {name: value}
+
+
+def _pointwise(one: Callable[[dict, Tolerance], EvalOutcome]) -> Callable:
+    """``rows`` that evaluates its points one at a time with ``one(params, tol)``."""
+    return lambda fixed, name, values, tol: [one(_point(fixed, name, v), tol) for v in values]
 
 
 def _quad(describe: str, build: Callable[..., IntegrandSpec],
@@ -156,18 +162,13 @@ def _quad(describe: str, build: Callable[..., IntegrandSpec],
     takes the continuous parameter as a scalar or as a column array (one
     integrand row per value). The integrator is looked up in this module at
     call time, where the benchmark's tracer wraps it."""
-    def integrate(spec, tol):
-        return (integrate_semi_infinite if half_line else integrate_unit)(spec, tol)
+    def rows(fixed: dict, name, values: list, tol: Tolerance) -> list[EvalOutcome]:
+        batch = Rows(lambda column: build(**_point(fixed, name, column)), tuple(values))
+        res = (integrate_semi_infinite if half_line else integrate_unit)(batch, tol)
+        return [EvalOutcome(r.value, evals=r.evaluations, converged=r.converged)
+                for r in res.rows]
 
-    def fn(params: dict, tol: Tolerance) -> EvalOutcome:
-        return _quad_outcome(integrate(build(**params), tol))
-
-    def rows(fixed: dict, name: str, values: list, tol: Tolerance) -> list[EvalOutcome]:
-        batch = IntegrandRows(lambda column: build(**fixed, **{name: column}),
-                              tuple(values))
-        return [_quad_outcome(r) for r in integrate(batch, tol).rows]
-
-    return Evaluator(describe, fn, rows)
+    return Evaluator(describe, rows)
 
 
 def _summed(res, scale: float) -> EvalOutcome:
@@ -179,35 +180,26 @@ def _series(describe: str, build: Callable[..., TermGenerator],
             scale: float = 1.0) -> Evaluator:
     """Series side; ``build`` takes the continuous parameter as a scalar or as
     a column array (one row of terms per value). Points that ``accelerated``
-    selects are summed one at a time by the Euler transform. The summation
-    functions are looked up in this module at call time, where the
-    benchmark's tracer wraps them."""
-    def accel(params: dict) -> bool:
-        return accelerated(**params) if callable(accelerated) else accelerated
-
-    def fn(params: dict, tol: Tolerance) -> EvalOutcome:
-        total = sum_alternating_accelerated if accel(params) else sum_direct
-        return _summed(total(build(**params), tol), scale)
-
-    def rows(fixed: dict, name: str, values: list, tol: Tolerance) -> list[EvalOutcome]:
-        out: list = [None] * len(values)
-        direct = [i for i, v in enumerate(values) if not accel(fixed | {name: v})]
+    selects are summed one at a time by the Euler transform, their parameters
+    scalars. The summation functions are looked up in this module at call
+    time, where the benchmark's tracer wraps them."""
+    def rows(fixed: dict, name, values: list, tol: Tolerance) -> list[EvalOutcome]:
+        points = [_point(fixed, name, v) for v in values]
+        accel = [accelerated(**p) if callable(accelerated) else accelerated for p in points]
+        direct = [v for v, a in zip(values, accel) if not a]
+        batched = iter(())
         if direct:
-            batch = TermRows(lambda column: build(**fixed, **{name: column}),
-                             tuple(values[i] for i in direct))
-            for i, res in zip(direct, sum_direct(batch, tol).rows):
-                out[i] = _summed(res, scale)
-        return [fn(fixed | {name: v}, tol) if o is None else o
-                for o, v in zip(out, values)]
+            batch = Rows(lambda column: build(**_point(fixed, name, column)), tuple(direct))
+            batched = iter(sum_direct(batch, tol).rows)
+        return [_summed(sum_alternating_accelerated(build(**p), tol) if a else next(batched),
+                        scale)
+                for p, a in zip(points, accel)]
 
-    return Evaluator(describe, fn, rows)
+    return Evaluator(describe, rows)
 
 
 def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
-    def fn(params: dict, tol: Tolerance) -> EvalOutcome:
-        return EvalOutcome(value(**params))
-
-    return Evaluator(describe, fn)
+    return Evaluator(describe, _pointwise(lambda params, tol: EvalOutcome(value(**params))))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +564,7 @@ def register_all() -> list[IdentityCase]:
             description="pi^3 = 192 sum (h_n/n)(L_n - pi/4)",
             source="squared-arctangent series at a = 1",
             lhs=_closed("pi^3", lambda: _PI**3),
-            rhs=Evaluator("192 x Euler-accelerated series", _eval_eq8),
+            rhs=Evaluator("192 x Euler-accelerated series", _pointwise(_eval_eq8)),
             default_tol=TOL_SLOW_SERIES,
         ),
         IdentityCase(
@@ -784,7 +776,7 @@ def register_all() -> list[IdentityCase]:
             source="arctan-power series at a = 1",
             lhs=_closed("pi^(p+1)", lambda p: _PI ** (p + 1)),
             rhs=Evaluator("scaled Euler-accelerated beta series",
-                          _eval_eq23_series),
+                          _pointwise(_eval_eq23_series)),
             discrete=(_P_POWERS,),
             default_tol=TOL_SLOW_SERIES,
         ),

@@ -4,21 +4,23 @@ Direct summation stops at the first index whose remainder bound meets the
 tolerance. For a declared-alternating series the bound is the first omitted
 term, which bounds the truncation error when the terms alternate in sign and
 decrease in magnitude from there on; only the alternation is checked. For a
-positive series the bound is the caller's comparison-tail bound. A direct sum
-that reads an infinite or NaN term raises :class:`NonFiniteTermError`. Slowly
+positive series the bound is the caller's comparison-tail bound. Slowly
 convergent alternating series (terms like log(n)/n^2) go through an iterated
 Euler transform: partial sums are repeatedly averaged pairwise, and the run
 stops once two successive averaged estimates agree to half the tolerance and
 the last difference of the transformed sequence is below the other half.
+Either sum raises :class:`NonFiniteTermError` when it reads an infinite or
+NaN term.
 
 Terms come in index ranges: a :class:`TermGenerator`'s ``terms(n0, n1)``
 returns the terms of indices ``n0 .. n1-1`` as an array.
 
-Rows: a :class:`TermRows` holds series that differ only in one parameter. Its
-builder takes the parameter as a ``(rows, 1)`` column, and its generator
-returns a ``(rows, n1 - n0)`` array of terms. :func:`sum_direct` sums every
-row chunk by chunk; a chunk is at most twice the last one, and no longer than
-the decay of the terms predicts the slowest row needs. Each row carries its own
+Rows: a :class:`~quadident.numerics.Rows` of series that differ only in one
+parameter passes that parameter to its builder as a ``(rows, 1)`` column, and
+the generator it builds returns a ``(rows, n1 - n0)`` array of terms.
+:func:`sum_direct` sums every row chunk by chunk; a chunk is at most twice the
+last one, and no longer than the decay of the terms predicts the slowest row
+needs. Each row carries its own
 running sum, Neumaier compensation and largest term; inside a chunk these are
 ``np.cumsum`` and ``np.fmax.accumulate`` along the term axis
 (:func:`~quadident.numerics.neumaier_prefix`), which run left to right, so
@@ -40,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .combinatorics import leibniz_partial_float, odd_harmonic_float
-from .numerics import CONSTANTS, DEFAULT_TOL, Tolerance, neumaier_prefix
+from .numerics import CONSTANTS, DEFAULT_TOL, Rows, Tolerance, neumaier_prefix
 
 POSITIVE = "positive"
 ALTERNATING = "alternating"
@@ -87,25 +89,6 @@ class TermGenerator:
             raise ValueError(f"unknown sign pattern {self.sign_pattern!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class TermRows:
-    """Series that differ only in one parameter, summed in one pass.
-
-    ``build(column)`` receives the parameter values of some rows as a
-    ``(rows, 1)`` float array and returns their :class:`TermGenerator`, whose
-    ``terms`` return one row of terms per parameter. Each row must be computed
-    by the same operations as the generator of a scalar parameter.
-    """
-
-    build: Callable[[np.ndarray], TermGenerator]
-    values: tuple[float, ...]
-
-    def generator(self, rows=None) -> TermGenerator:
-        """The generator of the rows at the given indices (all rows for None)."""
-        column = np.asarray(self.values, dtype=float)
-        return self.build(column[:, None] if rows is None else column[rows, None])
-
-
 @dataclass(frozen=True)
 class SummationResult:
     value: float
@@ -117,7 +100,7 @@ class SummationResult:
 
 @dataclass(frozen=True)
 class SummationRows:
-    """Per-row results of one :class:`TermRows` pass, with batch totals."""
+    """Per-row results of one :class:`Rows` pass, with batch totals."""
 
     rows: tuple[SummationResult, ...]
 
@@ -152,6 +135,10 @@ def _sign_error(g: TermGenerator, n: int, t: float, t_next: float) -> SignPatter
         f"terms at indices {n} and {n + 1} of {g.name or 'series'} "
         f"have the same sign ({t!r}, {t_next!r})"
     )
+
+
+def _nonfinite_error(g: TermGenerator, n: int, t: float) -> NonFiniteTermError:
+    return NonFiniteTermError(f"term at index {n} of {g.name or 'series'} is not finite ({t!r})")
 
 
 def _next_chunk(size: int, a: np.ndarray, tail: np.ndarray, target: np.ndarray) -> int:
@@ -226,8 +213,7 @@ def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
             if read.any():
                 i = read.argmax()
                 j = nonfinite[i].argmax()
-                raise NonFiniteTermError(f"term at index {n0 + j} of {g.name or 'series'} "
-                                         f"is not finite ({float(a[i, j])!r})")
+                raise _nonfinite_error(g, n0 + j, float(a[i, j]))
         if same.any():
             bad = np.flatnonzero(same.any(axis=1) & (same.argmax(axis=1) <= ends))
             if bad.size:
@@ -251,11 +237,11 @@ def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
         size = _next_chunk(size, a[keep], tail[keep, -1], target[keep, -1])
 
 
-def sum_direct(g: TermGenerator | TermRows,
+def sum_direct(g: TermGenerator | Rows,
                tol: Tolerance = DEFAULT_TOL) -> SummationResult | SummationRows:
     """Partial sum with an a-posteriori remainder bound: a
     :class:`SummationResult`, or a :class:`SummationRows` for
-    :class:`TermRows`.
+    :class:`~quadident.numerics.Rows`.
 
     Alternating series use |first omitted term|, a bound on the truncation
     error once the terms alternate and decrease in magnitude; positive series
@@ -264,8 +250,8 @@ def sum_direct(g: TermGenerator | TermRows,
     raises :class:`SignPatternError`, and a term read before a row's stop
     that is infinite or NaN raises :class:`NonFiniteTermError`.
     """
-    if isinstance(g, TermRows):
-        return SummationRows(tuple(_direct(g.generator, len(g.values), tol)))
+    if isinstance(g, Rows):
+        return SummationRows(tuple(_direct(g.at, len(g.values), tol)))
     return _direct(lambda rows: g, 1, tol)[0]
 
 
@@ -305,7 +291,9 @@ def sum_alternating_accelerated(
     Raw terms are generated in doubling batches (64, 128, ...) until the
     averaged estimates stabilize to the tolerance or ``tol.max_work`` raw
     terms have been spent. Alternation is enforced beyond a short grace
-    window; a violation raises :class:`SignPatternError` naming the index.
+    window; a violation raises :class:`SignPatternError` naming the index, and
+    an infinite or NaN term raises :class:`NonFiniteTermError` once its batch
+    is generated.
     Partial sums are the running Neumaier sums of the terms.
 
     The result's ``remainder_bound`` (last change of the averaged estimate,
@@ -327,6 +315,10 @@ def sum_alternating_accelerated(
         count, limit = len(partials), min(batch, batch_cap)
         if count < limit:
             new = _terms(g, first + count, first + limit, 1)[0]
+            nonfinite = ~np.isfinite(new)
+            if nonfinite.any():
+                j = nonfinite.argmax()
+                raise _nonfinite_error(g, first + count + j, float(new[j]))
             pairs = np.concatenate([last, new])
             n = np.arange(first + count - len(last), first + limit - 1)
             same = _same_sign(g, pairs[:-1], pairs[1:], n)

@@ -102,6 +102,23 @@ def test_benchmark_tracer_counts_every_point_of_a_batched_call():
     assert series_calls == 2 + 1 + 4 + 4
 
 
+def test_cli_verifies_through_its_traced_name(monkeypatch, capsys):
+    # the benchmark's tracer assigns quadident.cli.verify to time each case,
+    # so the CLI must call verify by that module-level name, once per id
+    from quadident import cli, ledger
+
+    seen = []
+
+    def record(case_id, *args, **kwargs):
+        seen.append(case_id)
+        return ledger.verify(case_id, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify", record)
+    assert cli.main(["verify", "--ids", "E1,E2", "--grid", "1"]) == 0
+    capsys.readouterr()
+    assert seen == ["E1", "E2"]
+
+
 def test_package_name_registry_shadows_the_submodule():
     # quadident binds the name registry to the function registry.registry, so
     # attribute access on the package yields the function; code that patches

@@ -186,6 +186,44 @@ def test_non_finite_series_row_fails_only_its_own_outcome(monkeypatch):
     assert outs[1].reason == "error: term at index 6 of synthetic series is not finite (nan)"
 
 
+def test_raising_closed_form_fails_only_its_own_outcome(monkeypatch):
+    # closed forms go through the grouped call too: the left side raises at
+    # alpha = 0.5 only, so the group is evaluated again one point at a time,
+    # and the right side of that point is never evaluated
+    def lhs(alpha):
+        if alpha == 0.5:
+            raise ValueError(f"no closed form at alpha={alpha!r}")
+        return 0.5 * alpha
+
+    seen = []
+
+    def rhs(alpha):
+        seen.append(alpha)
+        return alpha / 2.0
+
+    case = IdentityCase(
+        id="X4", description="a/2 = a/2", source="synthetic",
+        lhs=_closed("a/2, raising at 1/2", lhs),
+        rhs=_closed("a/2", rhs),
+        continuous=(GridAxis("alpha", 0.0, 1.0),),
+    )
+    monkeypatch.setitem(registry(), "X4", case)
+    outs = verify("X4", 3)
+    assert [o.params["alpha"] for o in outs] == [0.25, 0.5, 0.75]
+    assert seen == [0.25, 0.75]
+    with pytest.raises(ValueError):
+        case.lhs.rows({}, "alpha", [0.25, 0.5, 0.75], Tolerance())
+    with pytest.raises(ValueError) as alone:
+        case.lhs.fn({"alpha": 0.5}, Tolerance())
+    assert [o.passed for o in outs] == [True, False, True]
+    bad = outs[1]
+    assert bad.reason == f"error: {alone.value}" == "error: no closed form at alpha=0.5"
+    assert math.isnan(bad.lhs_value) and math.isnan(bad.rhs_value)
+    assert (bad.evals, bad.terms) == (0, 0)
+    for o in (outs[0], outs[2]):
+        assert o.lhs_value == o.rhs_value == 0.5 * o.params["alpha"]
+
+
 def test_verify_e19_checks_imaginary_part():
     outs = verify("E19", 3)
     assert all(o.passed for o in outs)

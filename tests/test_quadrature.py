@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadident.numerics import CONSTANTS, Tolerance
+from quadident.numerics import CONSTANTS, Rows, Tolerance
 from quadident.quadrature import (
     _MAX_LEVELS,
-    IntegrandRows,
     IntegrandSpec,
     QuadratureError,
     _eval_level,
@@ -185,7 +184,7 @@ def test_rows_equal_one_row_runs_at_any_row_count(family, k, seed, levels, digit
     nodes = sum(len(_level_nodes(level)[0]) for level in range(levels + 1))
     pieces = 2 if integrate is integrate_semi_infinite else 1
     tol = Tolerance(10.0**-digits, 10.0**-digits, max_work=pieces * nodes)
-    batch = integrate(IntegrandRows(build, tuple(values)), tol)
+    batch = integrate(Rows(build, tuple(values)), tol)
     assert len(batch.rows) == len(values)
     for a, row in zip(values, batch.rows):
         assert _quad_bits(row) == _quad_bits(integrate(build(a), tol)), a

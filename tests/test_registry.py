@@ -50,17 +50,31 @@ def _bits(res):
     return (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.converged)
 
 
-def test_quadrature_rows_equal_one_point_runs(monkeypatch):
-    # a (rows x nodes) level must give every row the bits of its one-row run;
-    # a different SIMD path for 2-D ufunc calls could break this
+def _record_calls(monkeypatch, names):
+    """Replace the registry's ``names`` by recorders; each call appends
+    ``(name, argument, result)`` to the returned list. The originals are
+    returned too, to run the scalar-parameter spec or generator of a point."""
     module = importlib.import_module("quadident.registry")
-    results = []
-    for name in ("integrate_unit", "integrate_semi_infinite"):
-        def record(spec, tol, _fn=getattr(module, name)):
-            results.append(_fn(spec, tol))
-            return results[-1]
+    calls, originals = [], {name: getattr(module, name) for name in names}
+    for name, fn in originals.items():
+        def record(arg, tol, _name=name, _fn=fn):
+            calls.append((_name, arg, _fn(arg, tol)))
+            return calls[-1][2]
         monkeypatch.setattr(module, name, record)
+    return calls, originals
 
+
+def _is_scalar_spec(spec):
+    # a spec built from scalar parameters returns one value per node, not a row
+    return np.ndim(spec.f(np.array([0.5]))) == 1
+
+
+def test_quadrature_rows_equal_one_point_runs(monkeypatch):
+    # a (rows x nodes) level must give every row the bits of the one-point run
+    # of its scalar-parameter spec; a different SIMD path for 2-D ufunc calls
+    # could break this. A call is batched or one-point by what made it: the
+    # evaluator's rows over the grid, or its fn at one point
+    calls, originals = _record_calls(monkeypatch, ("integrate_unit", "integrate_semi_infinite"))
     batched = set()
     for case in registry().values():
         if "tanh-sinh" not in case.lhs.describe or not case.continuous:
@@ -75,12 +89,20 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
         for combo in itertools.product(*[[(d.name, v) for v in d.values]
                                          for d in case.discrete]):
             fixed = dict(combo)
+            del calls[:]
             outs = case.lhs.rows(fixed, axis.name, values, tol)
-            rows = results[-1].rows
-            assert len(rows) == len(outs) == len(values)
-            for value, row, out in zip(values, rows, outs):
+            [(_, batch, res)] = calls
+            assert batch.values == tuple(values)
+            assert len(res.rows) == len(outs) == len(values)
+            for value, row, out in zip(values, res.rows, outs):
+                del calls[:]
                 one = case.lhs.fn(fixed | {axis.name: value}, tol)
-                assert _bits(results[-1]) == _bits(row), (case.id, fixed, value)
+                [(name, point, point_res)] = calls
+                spec = point.at()
+                assert _is_scalar_spec(spec), (case.id, fixed, value)
+                alone = originals[name](spec, tol)
+                assert _bits(alone) == _bits(row) == _bits(point_res.rows[0]), (
+                    case.id, fixed, value)
                 assert (out.value, out.evals, out.converged) == (
                     one.value, one.evals, one.converged)
     assert batched == {"E2", "E4", "E4alt", "E5", "E7", "E9", "E10", "E11", "E12",
@@ -92,21 +114,14 @@ def _sum_bits(res):
 
 
 def test_series_rows_equal_one_point_runs(monkeypatch):
-    # every row of a batched direct sum must carry the bits of its one-row
-    # run; points the case sums by the Euler transform stay one at a time
-    module = importlib.import_module("quadident.registry")
-    batches, singles = [], []
-    for name in ("sum_direct", "sum_alternating_accelerated"):
-        def record(g, tol, _fn=getattr(module, name)):
-            res = _fn(g, tol)
-            (batches if hasattr(res, "rows") else singles).append((g, res))
-            return res
-        monkeypatch.setattr(module, name, record)
-
+    # every row of a batched direct sum must carry the bits of the one-point
+    # run of its scalar-parameter generator; points the case sums by the Euler
+    # transform stay one at a time, with scalar parameters
+    calls, originals = _record_calls(monkeypatch, ("sum_direct", "sum_alternating_accelerated"))
     batched = set()
     for case in registry().values():
         for side, override in ((case.lhs, "lhs_value"), (case.rhs, "rhs_value")):
-            if "series" not in side.describe or side.rows is None or not case.continuous:
+            if "series" not in side.describe or not case.continuous:
                 continue
             batched.add(case.id)
             tol = Tolerance(case.default_tol.abs_tol / 4.0,
@@ -118,19 +133,27 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
             for combo in itertools.product(*[[(d.name, v) for v in d.values]
                                              for d in case.discrete]):
                 fixed = dict(combo)
-                del batches[:], singles[:]
+                del calls[:]
                 outs = side.rows(fixed, axis.name, values, tol)
-                [(batch, res)] = batches
+                [(_, batch, res)] = [c for c in calls if c[0] == "sum_direct"]
+                singles = [c for c in calls if c[0] == "sum_alternating_accelerated"]
                 assert batch.values == tuple(v for v in values if v <= 0.98)
                 assert len(singles) == len(values) - len(batch.values)
                 rows = dict(zip(batch.values, res.rows))
                 for value, out in zip(values, outs):
-                    del singles[:]
+                    del calls[:]
                     one = side.fn(fixed | {axis.name: value}, tol)
-                    [(_, alone)] = singles
+                    [(name, point, point_res)] = calls
                     if value in rows:
-                        assert _sum_bits(rows[value]) == _sum_bits(alone), (
-                            case.id, fixed, value)
+                        # the one-point row's column is NaN: a generator that
+                        # read it instead of its scalar parameters would not
+                        # match the finite batched row
+                        assert name == "sum_direct" and point.values == (None,)
+                        alone = originals[name](point.at(), tol)
+                        assert _sum_bits(rows[value]) == _sum_bits(alone) == _sum_bits(
+                            point_res.rows[0]), (case.id, fixed, value)
+                    else:
+                        assert name == "sum_alternating_accelerated"
                     assert (out.value, out.terms, out.converged) == (
                         one.value, one.terms, one.converged)
     assert batched == {"E5", "E7", "EC6", "E16", "E18", "E19", "E21", "E22"}

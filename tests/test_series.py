@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadident.combinatorics import odd_harmonic_float, skew_harmonic_float
-from quadident.numerics import CONSTANTS, NeumaierSum, Tolerance
+from quadident.numerics import CONSTANTS, NeumaierSum, Rows, Tolerance
 from quadident.series import (
     ALTERNATING,
     POSITIVE,
     NonFiniteTermError,
     SignPatternError,
     TermGenerator,
-    TermRows,
     sum_alternating_accelerated,
     sum_direct,
     sum_eq8,
@@ -115,7 +114,7 @@ def test_terms_past_every_stop_are_never_read(poison):
 
     values = tuple(k / 10.0 for k in range(1, 10))
     tol = Tolerance(2.5e-11, 2.5e-11)
-    clean = sum_direct(TermRows(_gen_skew_odd_denom, values), tol).rows
+    clean = sum_direct(Rows(_gen_skew_odd_denom, values), tol).rows
     last = {v: r.terms_used for v, r in zip(values, clean)}
     assert max(last.values()) > 32  # some row reads past the first chunk
 
@@ -130,7 +129,7 @@ def test_terms_past_every_stop_are_never_read(poison):
 
         return replace(g, terms=terms)
 
-    poisoned = sum_direct(TermRows(build, values), tol).rows
+    poisoned = sum_direct(Rows(build, values), tol).rows
     assert [_bits(r) for r in poisoned] == [_bits(r) for r in clean]
 
 
@@ -148,7 +147,7 @@ def test_non_finite_term_fails_fast_in_one_chunk():
         return TermGenerator(terms, 0, POSITIVE, tail_bound=lambda m, t: 2.0 * t,
                              name="geometric series")
 
-    for g in (build(np.array([[0.5]])), TermRows(build, (0.25, 0.5, 0.75))):
+    for g in (build(np.array([[0.5]])), Rows(build, (0.25, 0.5, 0.75))):
         calls.clear()
         with pytest.raises(NonFiniteTermError,
                            match=r"index 3 of geometric series is not finite \(nan\)"):
@@ -296,6 +295,26 @@ def test_sign_violation_raises_with_index():
     g = _gen(lambda n: 1.0 / (n + 1.0) ** 2, name="bogus")
     with pytest.raises(SignPatternError, match=r"indices \d+"):
         sum_alternating_accelerated(g)
+
+
+def test_accelerated_non_finite_term_fails_fast():
+    # a NaN partial sum makes every averaged estimate NaN, so no stop test can
+    # pass: without the check the sum would run to its 16384-term cap and
+    # return NaN; it raises with the direct sum's text after the first batch
+    calls = []
+
+    def terms(n0, n1):
+        calls.append((n0, n1))
+        n = np.arange(n0, n1)
+        return np.where(n == 3, np.nan, (-1.0) ** n / (n + 1.0))
+
+    g = TermGenerator(terms, 0, ALTERNATING, name="poisoned series")
+    with pytest.raises(NonFiniteTermError,
+                       match=r"^term at index 3 of poisoned series is not finite \(nan\)$"):
+        sum_alternating_accelerated(g)
+    assert calls == [(0, 64)]
+    with pytest.raises(NonFiniteTermError, match=r"index 3 of poisoned series"):
+        sum_direct(g)
 
 
 def test_unreachable_tolerance_flagged_not_converged():
