@@ -89,6 +89,15 @@ class Rows:
         return self.build(column[:, None] if rows is None else column[rows, None])
 
 
+def fsum_rows(*pieces):
+    """``math.fsum`` of the pieces, one row at a time. Each piece is a scalar
+    or an array of one value per row; the sums take the pieces' broadcast
+    shape, and scalar pieces alone give a float."""
+    table = np.broadcast_arrays(*pieces)
+    sums = [math.fsum(row) for row in zip(*(t.ravel().tolist() for t in table))]
+    return sums[0] if table[0].ndim == 0 else np.reshape(sums, table[0].shape)
+
+
 class NeumaierSum:
     """Streaming compensated accumulator (Neumaier's variant of Kahan summation).
 

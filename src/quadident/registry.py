@@ -29,7 +29,7 @@ from .combinatorics import (
     odd_harmonic_float,
     skew_harmonic_float,
 )
-from .numerics import CONSTANTS, Rows, Tolerance
+from .numerics import CONSTANTS, Rows, Tolerance, fsum_rows
 from .quadrature import IntegrandSpec, integrate_semi_infinite, integrate_unit
 from .series import (
     ALTERNATING,
@@ -198,8 +198,17 @@ def _series(describe: str, build: Callable[..., TermGenerator],
     return Evaluator(describe, rows)
 
 
-def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
-    return Evaluator(describe, _pointwise(lambda params, tol: EvalOutcome(value(**params))))
+def _closed(describe: str, value: Callable[..., float]) -> Evaluator:
+    """Real closed-form side; ``value`` takes the continuous parameter as a scalar
+    or a column and returns one value per row, or one value for every row."""
+    def rows(fixed: dict, name, values: list, tol: Tolerance) -> list[EvalOutcome]:
+        column = None if name is None else np.array(values, dtype=float)[:, None]
+        result = np.ravel(value(**_point(fixed, name, column))).tolist()
+        if len(result) == 1:  # one value for every row, as from a constant
+            result *= len(values)
+        return [EvalOutcome(v) for v in result]
+
+    return Evaluator(describe, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +398,8 @@ def _accel_near_one(**params) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms
+# Closed forms: each takes the continuous parameter as a scalar or as a column
+# and makes one polylog_real call per polylogarithm over all of its rows.
 # ---------------------------------------------------------------------------
 
 
@@ -398,29 +408,25 @@ def _rhs_arcsin(alpha: float) -> float:
 
 
 def _rhs_atan_inf(alpha: float) -> float:
-    return math.fsum(
-        (
-            math.log(alpha) * (math.log1p(-alpha) - math.log1p(alpha)),
-            polylog_real(2, alpha),
-            -polylog_real(2, -alpha),
-        )
+    return fsum_rows(
+        np.log(alpha) * (np.log1p(-alpha) - np.log1p(alpha)),
+        polylog_real(2, alpha),
+        -polylog_real(2, -alpha),
     )
 
 
 def _rhs_atan_inf_alt(alpha: float) -> float:
     # equivalent tabulated form of the same integral
-    return math.fsum(
-        (
-            _PI * _PI / 3.0,
-            -0.5 * math.log1p(alpha) ** 2,
-            -polylog_real(2, 1.0 / (1.0 + alpha)),
-            -polylog_real(2, 1.0 - alpha),
-        )
+    return fsum_rows(
+        _PI * _PI / 3.0,
+        -0.5 * np.log1p(alpha) ** 2,
+        -polylog_real(2, 1.0 / (1.0 + alpha)),
+        -polylog_real(2, 1.0 - alpha),
     )
 
 
 def _rhs_log_inf(alpha: float) -> float:
-    return math.log(alpha) * math.log1p(-alpha) + polylog_real(2, alpha)
+    return np.log(alpha) * np.log1p(-alpha) + polylog_real(2, alpha)
 
 
 def _rhs_li2_half_diff(alpha: float) -> float:
@@ -742,7 +748,8 @@ def register_all() -> list[IdentityCase]:
             source="alternating odd-harmonic sum via circle trilogarithms",
             lhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq,
                         accelerated=_accel_near_one),
-            rhs=_closed("complex closed form (real part)", eq19_rhs),
+            rhs=Evaluator("complex closed form (real part)",
+                          _pointwise(lambda params, tol: EvalOutcome(eq19_rhs(**params)))),
             continuous=(_ALPHA_OPEN,),
             extra_points=(_pt(alpha=1.0),),
             default_tol=TOL_MEDIUM,

@@ -139,7 +139,7 @@ def test_failing_series_row_fails_only_its_own_outcome(monkeypatch):
     case = IdentityCase(
         id="X2", description="sum (-a)^n/(n+1) = log(1+a)/a", source="synthetic",
         lhs=_series("alternating series", build),
-        rhs=_closed("log(1+a)/a", lambda alpha: math.log1p(alpha) / alpha),
+        rhs=_closed("log(1+a)/a", lambda alpha: np.log1p(alpha) / alpha),
         continuous=(GridAxis("alpha", 0.0, 1.0),),
     )
     monkeypatch.setitem(registry(), "X2", case)
@@ -174,7 +174,7 @@ def test_non_finite_series_row_fails_only_its_own_outcome(monkeypatch):
     case = IdentityCase(
         id="X3", description="sum (-a)^n/(n+1) = log(1+a)/a", source="synthetic",
         lhs=_series("alternating series", build),
-        rhs=_closed("log(1+a)/a", lambda alpha: math.log1p(alpha) / alpha),
+        rhs=_closed("log(1+a)/a", lambda alpha: np.log1p(alpha) / alpha),
         continuous=(GridAxis("alpha", 0.0, 1.0),),
     )
     monkeypatch.setitem(registry(), "X3", case)
@@ -187,18 +187,19 @@ def test_non_finite_series_row_fails_only_its_own_outcome(monkeypatch):
 
 
 def test_raising_closed_form_fails_only_its_own_outcome(monkeypatch):
-    # closed forms go through the grouped call too: the left side raises at
-    # alpha = 0.5 only, so the group is evaluated again one point at a time,
-    # and the right side of that point is never evaluated
+    # closed forms go through the grouped call too, with the parameter as a
+    # column: the left side raises when its column holds alpha = 0.5, so the
+    # group is evaluated again one point at a time, and the right side of
+    # that point is never evaluated
     def lhs(alpha):
-        if alpha == 0.5:
-            raise ValueError(f"no closed form at alpha={alpha!r}")
+        if 0.5 in np.ravel(alpha):
+            raise ValueError("no closed form at alpha=0.5")
         return 0.5 * alpha
 
     seen = []
 
     def rhs(alpha):
-        seen.append(alpha)
+        seen.extend(np.ravel(alpha).tolist())
         return alpha / 2.0
 
     case = IdentityCase(

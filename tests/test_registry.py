@@ -1,5 +1,5 @@
 """Registry evaluators: the per-(n, p) coefficient cache, and batched
-quadrature and series rows against one-point runs."""
+quadrature, series and closed-form rows against one-point runs."""
 
 import importlib
 import itertools
@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from quadident.combinatorics import arctan_power_coeff
+from quadident.ledger import verify
 from quadident.numerics import Tolerance
 from quadident.registry import (
     GridAxis,
@@ -157,3 +158,62 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
                     assert (out.value, out.terms, out.converged) == (
                         one.value, one.terms, one.converged)
     assert batched == {"E5", "E7", "EC6", "E16", "E18", "E19", "E21", "E22"}
+
+
+def _is_closed_form(side):
+    return side.rows.__qualname__.startswith("_closed.")
+
+
+def test_closed_form_rows_equal_one_point_runs():
+    # a closed form over a column must give every row the bits of its
+    # one-point run, whose builder receives the parameters as scalars
+    batched = set()
+    tol = Tolerance()
+    for case in registry().values():
+        if not case.continuous:
+            continue
+        axis = case.continuous[0]
+        for side, override in ((case.lhs, "lhs_value"), (case.rhs, "rhs_value")):
+            if not _is_closed_form(side):
+                continue
+            batched.add(case.id)
+            values = axis.points(33) + [dict(ep.params)[axis.name]
+                                        for ep in case.extra_points
+                                        if getattr(ep, override) is None]
+            for combo in itertools.product(*[[(d.name, v) for v in d.values]
+                                             for d in case.discrete]):
+                fixed = dict(combo)
+                outs = side.rows(fixed, axis.name, values, tol)
+                assert len(outs) == len(values)
+                for value, out in zip(values, outs):
+                    one = side.fn(fixed | {axis.name: value}, tol)
+                    assert type(out.value) is type(one.value) is float
+                    assert out.value.hex() == one.value.hex(), (case.id, fixed, value)
+    assert batched == {"E2", "E4", "E4alt", "E9", "E10", "EC6", "E11", "E12", "E18", "E18d"}
+
+
+def test_every_grouped_call_runs_without_the_one_point_fallback(monkeypatch):
+    # a side whose rows call raises is evaluated again one point at a time:
+    # correct, but slow and silent. No registered side may take that path
+    def fallback(evaluator, params, tol):
+        raise AssertionError(f"{evaluator.describe!r} fell back to one point at {params}")
+
+    monkeypatch.setattr(importlib.import_module("quadident.ledger"), "_evaluate_one", fallback)
+    for case_id in registry():
+        assert verify(case_id, 33)
+
+
+def test_e11_makes_one_polylog_call_per_group_and_order(monkeypatch):
+    # E11 has four groups (p = 0..3), each of 33 grid points and beta = 1,
+    # and its closed form evaluates Li_{p+2}(b) and Li_{p+2}(-b) over the column
+    module = importlib.import_module("quadident.registry")
+    calls = []
+    polylog_real = module.polylog_real
+
+    def record(p, x):
+        calls.append((p, np.shape(x)))
+        return polylog_real(p, x)
+
+    monkeypatch.setattr(module, "polylog_real", record)
+    assert all(o.passed for o in verify("E11", 33))
+    assert calls == [(p, (34, 1)) for p in (2, 3, 4, 5) for _ in range(2)]

@@ -95,6 +95,52 @@ def test_polylog_domain_errors():
         polylog_complex(2, 1.1 + 0.1j)
 
 
+# arguments from each real path: the defining series (|x| <= 0.85), the
+# log-series (x > 0.85), the duplication formula (x < -0.85), and 0 and +-1
+_REAL_ARGS = st.one_of(
+    st.floats(-0.85, 0.85),
+    st.floats(0.85, 1.0),
+    st.floats(-1.0, -0.85),
+    st.sampled_from([0.0, 1.0, -1.0]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(p=st.integers(1, 5), xs=st.lists(_REAL_ARGS, min_size=1, max_size=40))
+def test_polylog_real_array_equals_scalar_calls(p, xs):
+    # each element of an array call carries the bits of its own scalar call,
+    # whatever else the array holds
+    if p == 1:
+        xs = [x for x in xs if x != 1.0]  # the pole of Li_1
+    batch = polylog_real(p, np.array(xs))
+    assert [v.hex() for v in batch.tolist()] == [polylog_real(p, x).hex() for x in xs]
+    assert polylog_real(p, np.array(xs)[:, None]).shape == (len(xs), 1)
+
+
+def test_polylog_real_array_domain_errors():
+    with pytest.raises(ValueError, match=r"requires -1 <= x <= 1, got 1\.5$"):
+        polylog_real(2, np.array([0.5, 1.5, -2.0]))
+    with pytest.raises(ValueError, match="pole at x = 1"):
+        polylog_real(1, np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_polylog_real_array_against_mpmath(p):
+    # 400 seeded points in (-1, 1) and both sides of the |x| = 0.85 switch,
+    # in one array call: worst measured 4 ulp and 4.4e-16 absolute (p = 2)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([rng.uniform(-1.0, 1.0, 400),
+                         [0.85 - 1e-12, 0.85 + 1e-12, -0.85 - 1e-12, -0.85 + 1e-12]])
+    values = polylog_real(p, xs)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.polylog(p, mpmath.mpf(x))) for x in xs.tolist()])
+    err = np.abs(values - ref)
+    assert err.max() <= 4.5e-16
+    ulps = err / np.spacing(np.abs(ref))
+    assert ulps.max() <= 4.0, xs[np.argmax(ulps)]
+
+
 # ---------------------------------------------------------------------------
 # Complex polylogarithm
 # ---------------------------------------------------------------------------
@@ -133,7 +179,7 @@ _DISC = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
 @given(p=st.integers(2, 5), z=_DISC)
 def test_polylog_complex_duplication(p, z):
     # Li_p(z) + Li_p(-z) = 2^(1-p) Li_p(z^2) on the disc: worst measured
-    # 5.4e-15 over 6000 samples weighted to the circle and the real axis
+    # 6.0e-16 over 6000 samples weighted to the circle and the real axis
     lhs = polylog_complex(p, z) + polylog_complex(p, -z)
     assert abs(lhs - 2.0 ** (1 - p) * polylog_complex(p, z * z)) <= 1e-14
 
@@ -180,6 +226,10 @@ def test_polylog_circle_high_order_series():
     assert abs(direct - oracle) <= 1e-11
 
 
+# complex values, each component: worst measured 3.9e-16 at these points and
+# 7.2e-16 over 199 angles in (0, pi) at |z| in {0.86, 0.95, 1} and their
+# conjugates, with the duplication formula taking Re z < 0, |z| > 0.85
+_COMPLEX_BOUND = 1.5e-15
 _CIRCLE_ANGLES = (0.001, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.14)
 # 0.85 is where the defining series hands over to the log-series
 _RADII = (0.49, 0.5, 0.51, 0.84, 0.85, 0.86, 0.9, 1.0 - 1e-6)
@@ -199,8 +249,8 @@ def test_polylog_against_mpmath(p):
         for z in points:
             ref = complex(mpmath.polylog(p, mpmath.mpc(z.real, z.imag)))
             val = polylog_complex(p, z)
-            assert abs(val.real - ref.real) <= 1e-13, z
-            assert abs(val.imag - ref.imag) <= 1e-13, z
+            assert abs(val.real - ref.real) <= _COMPLEX_BOUND, z
+            assert abs(val.imag - ref.imag) <= _COMPLEX_BOUND, z
         for x in _REAL_POINTS:
             ref = float(mpmath.polylog(p, x))
             assert abs(polylog_real(p, x) - ref) <= 1e-13, x
