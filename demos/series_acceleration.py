@@ -1,16 +1,19 @@
-"""Euler acceleration of slowly convergent alternating series.
+"""Acceleration of slowly convergent alternating series.
 
 The series behind pi^2/16 and pi^3/192 have terms that decay only like
-log(n)/n^2, so direct summation to 1e-10 would need billions of terms.
-Iterated averaging of the partial sums (the Euler transform) collapses them
-in a few dozen terms.
+log(n)/n^2, so direct summation to 1e-10 would need billions of terms. The
+algorithm of Cohen, Rodriguez Villegas and Zagier (Exp. Math. 9, 2000,
+Algorithm 1) weights the first n terms by fixed Chebyshev-derived weights;
+for terms whose magnitudes are moments of a positive measure on [0, 1] its
+error falls like (3 + sqrt 8)^-n, so about 20 terms reach double precision.
 
 Run:  python demos/series_acceleration.py
 """
 
+import math
+
 from quadident import CONSTANTS, TermGenerator, Tolerance
 from quadident.combinatorics import skew_harmonic_float
-from quadident.numerics import NeumaierSum
 from quadident.series import (
     ALTERNATING,
     sum_alternating_accelerated,
@@ -20,6 +23,19 @@ from quadident.series import (
 
 PI, LOG2 = CONSTANTS.pi, CONSTANTS.log2
 
+
+def cvz(terms, n):
+    """S_n of Algorithm 1 from the first n terms t_k = (-1)^k a_k."""
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = (d + 1.0 / d) / 2.0
+    b, c, s = -1.0, -d, 0.0
+    for k in range(n):
+        c = b - c
+        s += c * (-1) ** k * terms[k]
+        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1))
+    return s / d
+
+
 print("== pi^2/16 = sum_{n>=0} (log2 - H_n^-)/(2n+1) ==")
 gen = TermGenerator(
     lambda n0, n1: [(LOG2 - skew_harmonic_float(n)) / (2 * n + 1) for n in range(n0, n1)],
@@ -28,21 +44,16 @@ gen = TermGenerator(
 )
 target = PI * PI / 16.0
 
-# raw partial sums barely move: the alternating tail is ~ 1/(4n)
-acc = NeumaierSum()
-partials = []
-for t in gen.terms(0, 256):
-    acc.add(t)
-    partials.append(acc.value)
-print(f"partial sum after 256 terms:  error {abs(partials[-1] - target):.2e}")
-
-# each averaging pass of the Euler transform (the mean of neighbouring
-# partial sums) removes another factor
-averaged = partials
-for k in range(33):
-    if k in (0, 2, 4, 8, 16, 32):
-        print(f"  after {k:2d} averaging passes:  error {abs(averaged[-1] - target):.2e}")
-    averaged = [0.5 * (a + b) for a, b in zip(averaged, averaged[1:])]
+# raw partial sums barely move (the alternating tail is ~ 1/(4n)); the
+# weighted sum S_n of the same n terms gains a factor of about 5.8 per term,
+# ahead of its proven bound 2|t_0|/(3 + sqrt 8)^n
+terms = list(gen.terms(0, 24))
+print("   n   partial sum error   S_n error   proven bound")
+for n in (4, 8, 12, 16, 20, 24):
+    partial = math.fsum(terms[:n])
+    bound = 2.0 * abs(terms[0]) / (3.0 + math.sqrt(8.0)) ** n
+    print(f"  {n:2d}   {abs(partial - target):.2e}            "
+          f"{abs(cvz(terms, n) - target):.2e}    {bound:.2e}")
 
 res = sum_alternating_accelerated(gen, Tolerance(1e-10, 1e-10))
 print(f"engine result: {res.value:.15f}  error {abs(res.value - target):.2e}  "

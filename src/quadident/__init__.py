@@ -4,9 +4,9 @@ The library evaluates polylogarithms on the closed unit disc, the alternating
 incomplete beta series, exact harmonic/Stirling/Lah combinatorics and the
 coefficients of integer arctangent powers; integrates with tanh-sinh
 quadrature robust to endpoint singularities; accelerates slowly convergent
-alternating series with an iterated Euler transform; and verifies a registry
-of classical integral/series identities over parameter grids, reporting
-machine-readable results.
+alternating series with the Cohen-Rodriguez Villegas-Zagier weighted sum; and
+verifies a registry of classical integral/series identities over parameter
+grids, reporting machine-readable results.
 """
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """The identity registry: every verified equation as an LHS/RHS evaluator pair.
 
 Each case couples two independently computed sides: a tanh-sinh quadrature, a
-series summation (direct or Euler-accelerated), or a closed form built from
+series summation (direct or CVZ-accelerated), or a closed form built from
 polylogarithms and the constants table. Removable-singularity handling and
 endpoint registration are owned here: integrands singular at 1 state their
 stable form ``f_right`` in the distance to 1, and grid endpoints appear only as
@@ -179,21 +179,20 @@ def _series(describe: str, build: Callable[..., TermGenerator],
             accelerated: Callable[..., bool] | bool = False,
             scale: float = 1.0) -> Evaluator:
     """Series side; ``build`` takes the continuous parameter as a scalar or as
-    a column array (one row of terms per value). Points that ``accelerated``
-    selects are summed one at a time by the Euler transform, their parameters
-    scalars. The summation functions are looked up in this module at call
-    time, where the benchmark's tracer wraps them."""
+    a column array (one row of terms per value). The points that
+    ``accelerated`` selects go to the accelerated sum, the others to the
+    direct sum: one rows call each. The summation functions are looked up in
+    this module at call time, where the benchmark's tracer wraps them."""
     def rows(fixed: dict, name, values: list, tol: Tolerance) -> list[EvalOutcome]:
-        points = [_point(fixed, name, v) for v in values]
-        accel = [accelerated(**p) if callable(accelerated) else accelerated for p in points]
-        direct = [v for v, a in zip(values, accel) if not a]
-        batched = iter(())
-        if direct:
-            batch = Rows(lambda column: build(**_point(fixed, name, column)), tuple(direct))
-            batched = iter(sum_direct(batch, tol).rows)
-        return [_summed(sum_alternating_accelerated(build(**p), tol) if a else next(batched),
-                        scale)
-                for p, a in zip(points, accel)]
+        accel = [accelerated(**_point(fixed, name, v)) if callable(accelerated)
+                 else accelerated for v in values]
+        results = {}
+        for summer, flag in ((sum_direct, False), (sum_alternating_accelerated, True)):
+            chosen = tuple(v for v, a in zip(values, accel) if a == flag)
+            if chosen:
+                batch = Rows(lambda column: build(**_point(fixed, name, column)), chosen)
+                results[flag] = iter(summer(batch, tol).rows)
+        return [_summed(next(results[a]), scale) for a in accel]
 
     return Evaluator(describe, rows)
 
@@ -548,7 +547,7 @@ def register_all() -> list[IdentityCase]:
             description="pi^2/16 = sum_{n>=0} (log2 - H_n^-)/(2n+1)",
             source="skew-harmonic series at a = 1",
             lhs=_closed("pi^2/16", lambda: _PI * _PI / 16.0),
-            rhs=_series("Euler-accelerated series", _gen_skew_odd_denom,
+            rhs=_series("accelerated series", _gen_skew_odd_denom,
                         accelerated=True),
         ),
         IdentityCase(
@@ -570,7 +569,7 @@ def register_all() -> list[IdentityCase]:
             description="pi^3 = 192 sum (h_n/n)(L_n - pi/4)",
             source="squared-arctangent series at a = 1",
             lhs=_closed("pi^3", lambda: _PI**3),
-            rhs=Evaluator("192 x Euler-accelerated series", _pointwise(_eval_eq8)),
+            rhs=Evaluator("192 x accelerated series", _pointwise(_eval_eq8)),
             default_tol=TOL_SLOW_SERIES,
         ),
         IdentityCase(
@@ -621,7 +620,7 @@ def register_all() -> list[IdentityCase]:
             id="EC6b",
             description="sum (log2 - H_n^-)/(n+1) = pi^2/12 - log^2(2)/2",
             source="skew-harmonic series at a = 1",
-            lhs=_series("Euler-accelerated series", _gen_skew_linear_denom,
+            lhs=_series("accelerated series", _gen_skew_linear_denom,
                         accelerated=True),
             rhs=_closed("Li2(1/2)", lambda: 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2),
         ),
@@ -709,7 +708,7 @@ def register_all() -> list[IdentityCase]:
             id="E17",
             description="sum (-1)^(n-1) h_n/n^2 = pi G - (7/4) zeta(3)",
             source="Bradley, Representations of Catalan's constant, entry (59)",
-            lhs=_series("Euler-accelerated series", _gen_alt_odd_harmonic_sq,
+            lhs=_series("accelerated series", _gen_alt_odd_harmonic_sq,
                         accelerated=True),
             rhs=_closed("pi G - (7/4) zeta(3)", lambda: _PI * _G - 1.75 * _Z3),
             default_tol=TOL_MEDIUM,
@@ -782,7 +781,7 @@ def register_all() -> list[IdentityCase]:
             description="pi^(p+1) = (p+1) 2^(2p+1) sum A(n,p) beta((n+1)/2)",
             source="arctan-power series at a = 1",
             lhs=_closed("pi^(p+1)", lambda p: _PI ** (p + 1)),
-            rhs=Evaluator("scaled Euler-accelerated beta series",
+            rhs=Evaluator("scaled accelerated beta series",
                           _pointwise(_eval_eq23_series)),
             discrete=(_P_POWERS,),
             default_tol=TOL_SLOW_SERIES,

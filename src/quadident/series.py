@@ -5,12 +5,11 @@ tolerance. For a declared-alternating series the bound is the first omitted
 term, which bounds the truncation error when the terms alternate in sign and
 decrease in magnitude from there on; only the alternation is checked. For a
 positive series the bound is the caller's comparison-tail bound. Slowly
-convergent alternating series (terms like log(n)/n^2) go through an iterated
-Euler transform: partial sums are repeatedly averaged pairwise, and the run
-stops once two successive averaged estimates agree to half the tolerance and
-the last difference of the transformed sequence is below the other half.
-Either sum raises :class:`NonFiniteTermError` when it reads an infinite or
-NaN term.
+convergent alternating series (terms like log(n)/n^2) go through the
+Cohen-Rodriguez Villegas-Zagier algorithm: a fixed weighted sum of the first
+n + 4 terms, with n set by the first term and the proven rate (3+sqrt 8)^-n
+for moment sequences. Either sum raises :class:`NonFiniteTermError` when it
+reads an infinite or NaN term.
 
 Terms come in index ranges: a :class:`TermGenerator`'s ``terms(n0, n1)``
 returns the terms of indices ``n0 .. n1-1`` as an array.
@@ -28,13 +27,17 @@ each row sees the IEEE operations of a term-by-term :class:`NeumaierSum` in
 the same order. A row stops at the first index that meets the stop rule, so
 its value, ``terms_used``, ``remainder_bound`` and ``converged`` are bit for
 bit those of the one-row run; terms computed past a row's stop are never
-read. There is one driver: a single :class:`TermGenerator` is its one-row
-case. A rows call returns :class:`SummationRows`: the per-row results plus
-the batch totals ``terms_used`` (sum over rows) and ``converged`` (all rows).
+read. :func:`sum_alternating_accelerated` reads the first term of every row,
+then the other terms of all rows in one call, and sums each row with
+``math.fsum``, so its rows too are bit for bit their one-row runs. A single
+:class:`TermGenerator` is each driver's one-row case; a rows call returns
+:class:`SummationRows`: the per-row results plus the batch totals
+``terms_used`` (sum over rows) and ``converged`` (all rows).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -47,12 +50,11 @@ from .numerics import CONSTANTS, DEFAULT_TOL, Rows, Tolerance, neumaier_prefix
 POSITIVE = "positive"
 ALTERNATING = "alternating"
 
-METHOD_DIRECT = "direct"
-METHOD_EULER = "alternating_euler"
-
 _SIGN_GRACE = 4  # leading terms exempt from the alternation check
 _CHUNK = 32      # terms per row in the first chunk of a direct sum
 _CHUNK_MAX = 4096  # later chunks double up to this size
+_RATE = 3.0 + math.sqrt(8.0)  # CVZ error decay per term
+_EXTRA = 4  # an accelerated sum returns S_{n+4}, checked against S_n
 
 
 class SignPatternError(RuntimeError):
@@ -94,7 +96,6 @@ class SummationResult:
     value: float
     terms_used: int
     remainder_bound: float
-    method: str
     converged: bool = True
 
 
@@ -139,6 +140,28 @@ def _sign_error(g: TermGenerator, n: int, t: float, t_next: float) -> SignPatter
 
 def _nonfinite_error(g: TermGenerator, n: int, t: float) -> NonFiniteTermError:
     return NonFiniteTermError(f"term at index {n} of {g.name or 'series'} is not finite ({t!r})")
+
+
+def _check_read(g: TermGenerator, a: np.ndarray, same: np.ndarray, n0: int,
+                last: np.ndarray) -> None:
+    """Raise for the first row of ``a`` (terms from index ``n0``) that reads
+    a non-finite term, else for the first that reads a same-sign pair (where
+    ``same`` marks the pair of columns j and j + 1), among its columns
+    ``0 .. last``."""
+    nonfinite = ~np.isfinite(a)
+    if not (nonfinite.any() or same.any()):
+        return
+    read = np.arange(a.shape[1]) <= last[:, None]
+    bad = nonfinite & read
+    if bad.any():
+        i = bad.any(axis=1).argmax()
+        j = int(bad[i].argmax())
+        raise _nonfinite_error(g, n0 + j, float(a[i, j]))
+    bad = same & read[:, 1:]
+    if bad.any():
+        i = bad.any(axis=1).argmax()
+        j = int(bad[i].argmax())
+        raise _sign_error(g, n0 + j, float(a[i, j]), float(a[i, j + 1]))
 
 
 def _next_chunk(size: int, a: np.ndarray, tail: np.ndarray, target: np.ndarray) -> int:
@@ -207,19 +230,7 @@ def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
                 stop[:, -1] = True
             same = _same_sign(g, t, t_next, n)
         ends = np.where(stop.any(axis=1), stop.argmax(axis=1), m)
-        nonfinite = ~np.isfinite(a)  # a row reads terms n0 .. n0 + ends + 1
-        if nonfinite.any():
-            read = nonfinite.any(axis=1) & (nonfinite.argmax(axis=1) <= ends + 1)
-            if read.any():
-                i = read.argmax()
-                j = nonfinite[i].argmax()
-                raise _nonfinite_error(g, n0 + j, float(a[i, j]))
-        if same.any():
-            bad = np.flatnonzero(same.any(axis=1) & (same.argmax(axis=1) <= ends))
-            if bad.size:
-                i = bad[0]
-                j = same[i].argmax()
-                raise _sign_error(g, int(n[j]), float(t[i, j]), float(t_next[i, j]))
+        _check_read(g, a, same, n0, ends + 1)  # a row reads terms n0 .. n0 + ends + 1
         keep = ends == m
         if not keep.all():
             done = np.flatnonzero(~keep)
@@ -227,7 +238,7 @@ def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
             for i, v, used, b, ok in zip(active[done].tolist(), value[at].tolist(),
                                          (ends[done] + (n0 - first + 1)).tolist(),
                                          bound[at].tolist(), met[at].tolist()):
-                out[i] = SummationResult(v, used, b, METHOD_DIRECT, ok)
+                out[i] = SummationResult(v, used, b, ok)
             active = active[keep]
             if not active.size:
                 return out
@@ -255,96 +266,83 @@ def sum_direct(g: TermGenerator | Rows,
     return _direct(lambda rows: g, 1, tol)[0]
 
 
-def _euler_scan(partials: np.ndarray, tol: Tolerance, floor: float):
-    """Run averaging passes; return (value, bound, converged) for the first
-    pass meeting the stopping rule, else the best pass seen.
+@functools.cache
+def _cvz_weights(n: int) -> np.ndarray:
+    """Weights of the first ``n`` terms in the CVZ sum S_n = sum_k w_k t_k.
 
-    ``floor`` is the rounding noise of the raw terms and partial sums; it is
-    folded into the reported bound so that sub-rounding tolerances are
-    (honestly) never met even when averaged estimates collide bitwise.
+    With b_j = n/(n+j) C(n+j, 2j) 4^j, the integer coefficients of the
+    shifted Chebyshev polynomial T_n(1 - 2x) up to sign, and d = sum_j b_j =
+    T_n(3), the weight of term k is sum_{j>k} b_j / d: it falls from about 1
+    to 0. Each weight is a quotient of exact integers, correctly rounded.
     """
-    s = partials
-    est_prev = s[-1]
-    best_val, best_bound = est_prev, math.inf
-    passes = 0
-    while len(s) >= 2:
-        s = 0.5 * (s[:-1] + s[1:])
-        passes += 1
-        est = s[-1]
-        diff = abs(est - est_prev)
-        delta_tail = abs(s[-1] - s[-2]) if len(s) >= 2 else 0.0
-        bound = diff + delta_tail + floor
-        target = tol.abs_tol + tol.rel_tol * abs(est)
-        if passes >= 3 and diff <= 0.5 * target and delta_tail <= 0.5 * target and bound <= target:
-            return est, bound, True
-        if bound < best_bound:
-            best_val, best_bound = est, bound
-        est_prev = est
-    return best_val, best_bound, False
+    b = [1]
+    for j in range(n):
+        b.append(b[-1] * 2 * (n + j) * (n - j) // ((2 * j + 1) * (j + 1)))
+    d = sum(b)
+    w = np.array([sum(b[k + 1:]) / d for k in range(n)])
+    w.flags.writeable = False
+    return w
 
 
-def sum_alternating_accelerated(
-    g: TermGenerator, tol: Tolerance = DEFAULT_TOL
-) -> SummationResult:
-    """Euler-transformed sum of an alternating series.
+def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> list[SummationResult]:
+    """CVZ sums of the ``k`` rows of ``g``.
 
-    Raw terms are generated in doubling batches (64, 128, ...) until the
-    averaged estimates stabilize to the tolerance or ``tol.max_work`` raw
-    terms have been spent. Alternation is enforced beyond a short grace
-    window; a violation raises :class:`SignPatternError` naming the index, and
-    an infinite or NaN term raises :class:`NonFiniteTermError` once its batch
-    is generated.
-    Partial sums are the running Neumaier sums of the terms.
-
-    The result's ``remainder_bound`` (last change of the averaged estimate,
-    plus the last difference of the final pass, plus a rounding floor) is a
-    stopping heuristic, not a proven bound on the error.
+    Each row takes its n from its first term t_0: the least n with
+    8|t_0|/(3+sqrt 8)^n <= max(abs_tol + rel_tol |t_0|/2, 2^-53 |t_0|), at
+    least 1 and at most ``tol.max_work - _EXTRA``. For a moment sequence
+    |t_0|/2 <= |S| <= |t_0| and |S_{n+4} - S_n| < 4|t_0|/(3+sqrt 8)^n, so the
+    bound then stays below half the target plus the rounding floor; below
+    2^-53 |t_0| the floor dominates and more terms cannot help. A row reads
+    its terms up to n + _EXTRA, each checked as in the direct sum. Each row's
+    sums are ``math.fsum`` of its own products, so a row's result is bit for
+    bit that of its one-row run.
     """
     first = g.first_index
-    partials = np.empty(0)
-    s = c = np.zeros(1)
-    last = np.empty(0)  # the newest raw term, once there is one
-    amax = 0.0
-    batch = 64
-    # The averaging triangle is O(M^2); past a few thousand partial sums the
-    # rounding floor, not the transform, limits accuracy, so growth stops there.
-    batch_cap = min(tol.max_work, 16384)
+    t0 = _terms(g, first, first + 1, k)[:, 0]
+    a0 = np.abs(t0)
+    with np.errstate(all="ignore"):
+        target = np.maximum(tol.abs_tol + 0.5 * tol.rel_tol * a0, 2.0**-53 * a0)
+        need = np.ceil(np.log(8.0 * a0 / target) / math.log(_RATE))
+    need = np.where(np.isfinite(need), need, 1.0)  # t_0 zero or not finite
+    ns = np.clip(need, 1, max(1, tol.max_work - _EXTRA)).astype(int)
+    used = ns + _EXTRA
+    t = np.concatenate([t0[:, None], _terms(g, first + 1, first + int(used.max()), k)], axis=1)
+    with np.errstate(all="ignore"):
+        same = _same_sign(g, t[:, :-1], t[:, 1:], np.arange(first, first + t.shape[1] - 1))
+    _check_read(g, t, same, first, used - 1)
+    out = []
+    for row, n, a in zip(t, ns.tolist(), a0.tolist()):
+        products = (_cvz_weights(n + _EXTRA) * row[:n + _EXTRA]).tolist()
+        value = math.fsum(products)
+        partial = math.fsum((_cvz_weights(n) * row[:n]).tolist())
+        floor = 4.5e-16 * math.fsum(map(abs, products))
+        bound = abs(value - partial) + 2.0 * a / _RATE**n + floor
+        out.append(SummationResult(value, n + _EXTRA, bound,
+                                   bound <= tol.abs_tol + tol.rel_tol * abs(value)))
+    return out
 
-    prev_best = math.inf
-    while True:
-        count, limit = len(partials), min(batch, batch_cap)
-        if count < limit:
-            new = _terms(g, first + count, first + limit, 1)[0]
-            nonfinite = ~np.isfinite(new)
-            if nonfinite.any():
-                j = nonfinite.argmax()
-                raise _nonfinite_error(g, first + count + j, float(new[j]))
-            pairs = np.concatenate([last, new])
-            n = np.arange(first + count - len(last), first + limit - 1)
-            same = _same_sign(g, pairs[:-1], pairs[1:], n)
-            if same.any():
-                j = same.argmax()
-                raise _sign_error(g, int(n[j]), float(pairs[j]), float(pairs[j + 1]))
-            with np.errstate(all="ignore"):
-                sums, comp = neumaier_prefix(s, c, new[None, :])
-            partials = np.concatenate([partials, (sums + comp)[0]])
-            s, c, last = sums[:, -1], comp[:, -1], new[-1:]
-            amax = max(amax, float(np.fmax.reduce(np.abs(new))))
-        count = len(partials)
-        floor = 4.5e-16 * (amax + abs(partials[-1]))
-        if floor > tol.abs_tol + tol.rel_tol * abs(partials[-1]):
-            # tolerance below the double-precision noise of the terms:
-            # more raw terms cannot help, report the best estimate flagged
-            value, bound, _ = _euler_scan(partials, tol, floor)
-            return SummationResult(float(value), count, float(bound), METHOD_EULER, False)
-        value, bound, ok = _euler_scan(partials, tol, floor)
-        if ok:
-            return SummationResult(float(value), count, float(bound), METHOD_EULER, True)
-        if count >= batch_cap or bound > 0.25 * prev_best:
-            # stagnation: doubling the raw terms stopped paying off
-            return SummationResult(float(value), count, float(bound), METHOD_EULER, False)
-        prev_best = min(prev_best, bound)
-        batch *= 2
+
+def sum_alternating_accelerated(g: TermGenerator | Rows,
+                                tol: Tolerance = DEFAULT_TOL) -> SummationResult | SummationRows:
+    """Cohen-Rodriguez Villegas-Zagier sum of an alternating series (Exp.
+    Math. 9, 2000, Algorithm 1): a :class:`SummationResult`, or a
+    :class:`SummationRows` for :class:`~quadident.numerics.Rows`.
+
+    The value is the fixed weighted sum S_{n+4} of the first n + 4 terms,
+    with n chosen from the first term (see :func:`_accelerated`). The
+    ``remainder_bound`` is |S_{n+4} - S_n| + 2|t_0|/(3+sqrt 8)^n plus a
+    rounding floor. When the term magnitudes are a Hausdorff moment sequence
+    (a_k = int_0^1 x^k dmu for a positive measure mu; equivalently, completely
+    monotone), |S - S_n| <= 2|S|/(3+sqrt 8)^n and |S| <= |t_0|, so the bound is
+    proven. Moment sequences include 1/(k+1), 1/(2k+1), alpha^k for
+    0 <= alpha <= 1, |log 2 - H_k^-| = int_0^1 x^k/(1+x) dx, and products of
+    these. For other alternating terms the bound is an estimate. A same-sign
+    pair past the grace window raises :class:`SignPatternError`, and an
+    infinite or NaN term raises :class:`NonFiniteTermError`.
+    """
+    if isinstance(g, Rows):
+        return SummationRows(tuple(_accelerated(g.at(), len(g.values), tol)))
+    return _accelerated(g, 1, tol)[0]
 
 
 def sum_eq8(tol: Tolerance = DEFAULT_TOL) -> SummationResult:

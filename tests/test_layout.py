@@ -98,7 +98,8 @@ def test_benchmark_tracer_counts_every_point_of_a_batched_call():
         proc.stdout.splitlines()[-1])
     assert evals == outcome_evals > 0
     assert terms == outcome_terms > 0
-    # E5: one batch and the Euler sum at alpha = 1; E18: one; E21, E22: one per p
+    # E5: a direct batch and an accelerated one (alpha = 1); E18: one;
+    # E21, E22: one per p
     assert series_calls == 2 + 1 + 4 + 4
 
 

@@ -115,11 +115,12 @@ def _sum_bits(res):
 
 
 def test_series_rows_equal_one_point_runs(monkeypatch):
-    # every row of a batched direct sum must carry the bits of the one-point
-    # run of its scalar-parameter generator; points the case sums by the Euler
-    # transform stay one at a time, with scalar parameters
+    # every row of a batched direct or accelerated sum must carry the bits of
+    # the one-point run of its scalar-parameter generator; a side sends the
+    # points it accelerates (alpha > 0.98) to one accelerated rows call and
+    # the others to one direct rows call
     calls, originals = _record_calls(monkeypatch, ("sum_direct", "sum_alternating_accelerated"))
-    batched = set()
+    batched, accelerated = set(), set()
     for case in registry().values():
         for side, override in ((case.lhs, "lhs_value"), (case.rhs, "rhs_value")):
             if "series" not in side.describe or not case.continuous:
@@ -136,28 +137,31 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
                 fixed = dict(combo)
                 del calls[:]
                 outs = side.rows(fixed, axis.name, values, tol)
-                [(_, batch, res)] = [c for c in calls if c[0] == "sum_direct"]
-                singles = [c for c in calls if c[0] == "sum_alternating_accelerated"]
-                assert batch.values == tuple(v for v in values if v <= 0.98)
-                assert len(singles) == len(values) - len(batch.values)
-                rows = dict(zip(batch.values, res.rows))
+                assert len({name for name, _, _ in calls}) == len(calls)
+                rows = {}
+                for name, batch, res in calls:
+                    assert len(res.rows) == len(batch.values)
+                    rows.update((v, (name, row)) for v, row in zip(batch.values, res.rows))
+                assert sorted(rows) == sorted(values)
                 for value, out in zip(values, outs):
+                    name, row = rows[value]
+                    assert (name == "sum_alternating_accelerated") == (value > 0.98)
+                    if value > 0.98:
+                        accelerated.add(case.id)
                     del calls[:]
                     one = side.fn(fixed | {axis.name: value}, tol)
-                    [(name, point, point_res)] = calls
-                    if value in rows:
-                        # the one-point row's column is NaN: a generator that
-                        # read it instead of its scalar parameters would not
-                        # match the finite batched row
-                        assert name == "sum_direct" and point.values == (None,)
-                        alone = originals[name](point.at(), tol)
-                        assert _sum_bits(rows[value]) == _sum_bits(alone) == _sum_bits(
-                            point_res.rows[0]), (case.id, fixed, value)
-                    else:
-                        assert name == "sum_alternating_accelerated"
+                    # the one-point row's column is NaN: a generator that read
+                    # it instead of its scalar parameters would not match the
+                    # finite batched row
+                    [(one_name, point, point_res)] = calls
+                    assert one_name == name and point.values == (None,)
+                    alone = originals[name](point.at(), tol)
+                    assert _sum_bits(row) == _sum_bits(alone) == _sum_bits(
+                        point_res.rows[0]), (case.id, fixed, value)
                     assert (out.value, out.terms, out.converged) == (
                         one.value, one.terms, one.converged)
     assert batched == {"E5", "E7", "EC6", "E16", "E18", "E19", "E21", "E22"}
+    assert accelerated == {"E5", "E16", "E19"}
 
 
 def _is_closed_form(side):
