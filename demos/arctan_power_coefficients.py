@@ -37,7 +37,7 @@ for n in (1, 2, 3, 4):
 
 print()
 print("== pi^{p+1} from the coefficient series ==")
-# pi^(p+1) = (p+1) 2^(2p+1) sum_n A(n,p) beta((n+1)/2), Euler-accelerated
+# pi^(p+1) = (p+1) 2^(2p+1) sum_n A(n,p) beta((n+1)/2), CVZ-accelerated
 rhs = lookup("E23").rhs.fn
 for p in (1, 2, 3, 4):
     val = rhs({"p": p}, Tolerance(1e-8, 0.0)).value

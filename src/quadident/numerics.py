@@ -69,8 +69,9 @@ CONSTANTS = ConstantsTable()
 class Rows:
     """Integrands or series that differ only in one parameter, run in one pass
     by :func:`~quadident.quadrature.integrate_unit`,
-    :func:`~quadident.quadrature.integrate_semi_infinite` or
-    :func:`~quadident.series.sum_direct`.
+    :func:`~quadident.quadrature.integrate_semi_infinite`,
+    :func:`~quadident.series.sum_direct` or
+    :func:`~quadident.series.sum_alternating_accelerated`.
 
     ``build(column)`` receives the parameter values of some rows as a
     ``(rows, 1)`` float array and returns their ``IntegrandSpec`` or

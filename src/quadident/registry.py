@@ -53,9 +53,6 @@ _Z2 = CONSTANTS.zeta2
 _Z3 = CONSTANTS.zeta3
 _G = CONSTANTS.catalan
 
-# series are accelerated instead of summed directly above this parameter
-_ACCEL_THRESHOLD = 0.98
-
 TOL_STRICT = Tolerance(1e-10, 1e-10)
 TOL_MEDIUM = Tolerance(1e-9, 1e-9)
 TOL_COARSE = Tolerance(1e-8, 1e-8)
@@ -176,23 +173,20 @@ def _summed(res, scale: float) -> EvalOutcome:
 
 
 def _series(describe: str, build: Callable[..., TermGenerator],
-            accelerated: Callable[..., bool] | bool = False,
             scale: float = 1.0) -> Evaluator:
     """Series side; ``build`` takes the continuous parameter as a scalar or as
-    a column array (one row of terms per value). The points that
-    ``accelerated`` selects go to the accelerated sum, the others to the
-    direct sum: one rows call each. The summation functions are looked up in
+    a column array (one row of terms per value). Every point goes through one
+    rows call, chosen by the generator's sign pattern: an ALTERNATING series
+    through the CVZ sum, whose ``remainder_bound`` is proven for the moment
+    sequences of E5, EC6, E6, EC6b and E21/E22 at p = 1 and an estimate for
+    E7, E16, E17, E19 and E21/E22 at p >= 2; a POSITIVE one (E18) through the
+    direct sum with its tail bound. The summation functions are looked up in
     this module at call time, where the benchmark's tracer wraps them."""
     def rows(fixed: dict, name, values: list, tol: Tolerance) -> list[EvalOutcome]:
-        accel = [accelerated(**_point(fixed, name, v)) if callable(accelerated)
-                 else accelerated for v in values]
-        results = {}
-        for summer, flag in ((sum_direct, False), (sum_alternating_accelerated, True)):
-            chosen = tuple(v for v, a in zip(values, accel) if a == flag)
-            if chosen:
-                batch = Rows(lambda column: build(**_point(fixed, name, column)), chosen)
-                results[flag] = iter(summer(batch, tol).rows)
-        return [_summed(next(results[a]), scale) for a in accel]
+        batch = Rows(lambda column: build(**_point(fixed, name, column)), tuple(values))
+        summer = (sum_alternating_accelerated if batch.at().sign_pattern == ALTERNATING
+                  else sum_direct)
+        return [_summed(r, scale) for r in summer(batch, tol).rows]
 
     return Evaluator(describe, rows)
 
@@ -392,10 +386,6 @@ def _gen_atan_pow_beta(alpha, p: int) -> TermGenerator:
     return TermGenerator(terms, 0, ALTERNATING, name="arctan-power beta series")
 
 
-def _accel_near_one(**params) -> bool:
-    return params.get("alpha", 0.0) > _ACCEL_THRESHOLD
-
-
 # ---------------------------------------------------------------------------
 # Closed forms: each takes the continuous parameter as a scalar or as a column
 # and makes one polylog_real call per polylogarithm over all of its rows.
@@ -537,8 +527,7 @@ def register_all() -> list[IdentityCase]:
             ),
             source="skew-harmonic expansion via the incomplete beta series",
             lhs=_quad("tanh-sinh on (0,1)", _spec_atan_cauchy),
-            rhs=_series("alternating skew-harmonic series", _gen_skew_odd_denom,
-                        accelerated=_accel_near_one),
+            rhs=_series("alternating skew-harmonic series", _gen_skew_odd_denom),
             continuous=(_ALPHA_OPEN,),
             extra_points=(_pt(alpha=1.0),),
         ),
@@ -547,8 +536,7 @@ def register_all() -> list[IdentityCase]:
             description="pi^2/16 = sum_{n>=0} (log2 - H_n^-)/(2n+1)",
             source="skew-harmonic series at a = 1",
             lhs=_closed("pi^2/16", lambda: _PI * _PI / 16.0),
-            rhs=_series("accelerated series", _gen_skew_odd_denom,
-                        accelerated=True),
+            rhs=_series("accelerated series", _gen_skew_odd_denom),
         ),
         IdentityCase(
             id="E7",
@@ -612,16 +600,14 @@ def register_all() -> list[IdentityCase]:
             ),
             source="dilogarithm as a skew-harmonic power series",
             lhs=_closed("Li2(1/2) - Li2((1-a)/2)", _rhs_li2_half_diff),
-            rhs=_series("alternating skew-harmonic series", _gen_skew_linear_denom,
-                        accelerated=_accel_near_one),
+            rhs=_series("alternating skew-harmonic series", _gen_skew_linear_denom),
             continuous=(_ALPHA_OPEN,),
         ),
         IdentityCase(
             id="EC6b",
             description="sum (log2 - H_n^-)/(n+1) = pi^2/12 - log^2(2)/2",
             source="skew-harmonic series at a = 1",
-            lhs=_series("accelerated series", _gen_skew_linear_denom,
-                        accelerated=True),
+            lhs=_series("accelerated series", _gen_skew_linear_denom),
             rhs=_closed("Li2(1/2)", lambda: 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2),
         ),
         IdentityCase(
@@ -699,7 +685,7 @@ def register_all() -> list[IdentityCase]:
             source="squared arctangent over x, odd-harmonic series",
             lhs=_quad("tanh-sinh on (0,1)", _spec_atan_pow_over_x),
             rhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq,
-                        accelerated=_accel_near_one, scale=0.5),
+                        scale=0.5),
             continuous=(_ALPHA_OPEN,),
             extra_points=(_pt(alpha=1.0),),
             default_tol=TOL_MEDIUM,
@@ -708,8 +694,7 @@ def register_all() -> list[IdentityCase]:
             id="E17",
             description="sum (-1)^(n-1) h_n/n^2 = pi G - (7/4) zeta(3)",
             source="Bradley, Representations of Catalan's constant, entry (59)",
-            lhs=_series("accelerated series", _gen_alt_odd_harmonic_sq,
-                        accelerated=True),
+            lhs=_series("accelerated series", _gen_alt_odd_harmonic_sq),
             rhs=_closed("pi G - (7/4) zeta(3)", lambda: _PI * _G - 1.75 * _Z3),
             default_tol=TOL_MEDIUM,
         ),
@@ -745,8 +730,7 @@ def register_all() -> list[IdentityCase]:
                 " - 2(i pi/2 + log a) arctan(a)^2 - (7/4) zeta(3)"
             ),
             source="alternating odd-harmonic sum via circle trilogarithms",
-            lhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq,
-                        accelerated=_accel_near_one),
+            lhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq),
             rhs=Evaluator("complex closed form (real part)",
                           _pointwise(lambda params, tol: EvalOutcome(eq19_rhs(**params)))),
             continuous=(_ALPHA_OPEN,),

@@ -4,12 +4,16 @@ Direct summation stops at the first index whose remainder bound meets the
 tolerance. For a declared-alternating series the bound is the first omitted
 term, which bounds the truncation error when the terms alternate in sign and
 decrease in magnitude from there on; only the alternation is checked. For a
-positive series the bound is the caller's comparison-tail bound. Slowly
-convergent alternating series (terms like log(n)/n^2) go through the
-Cohen-Rodriguez Villegas-Zagier algorithm: a fixed weighted sum of the first
-n + 4 terms, with n set by the first term and the proven rate (3+sqrt 8)^-n
-for moment sequences. Either sum raises :class:`NonFiniteTermError` when it
-reads an infinite or NaN term.
+positive series the bound is the caller's comparison-tail bound. Alternating
+series go through the Cohen-Rodriguez Villegas-Zagier algorithm: a fixed
+weighted sum of the first n + 4 terms, with n set by the first term and the
+rate (3+sqrt 8)^-n, proven for moment sequences. Its bound is proven for the
+registered series of E5, EC6, E6, EC6b and E21-E23 at p = 1, and an estimate
+for E7, E8, E16, E17, E19 and E21-E23 at p >= 2. The registry sums every
+alternating series this way and only positive ones directly; the alternating
+branch of :func:`sum_direct` stays for the public API and the
+``series_acceleration`` demo. Either sum raises :class:`NonFiniteTermError`
+when it reads an infinite or NaN term.
 
 Terms come in index ranges: a :class:`TermGenerator`'s ``terms(n0, n1)``
 returns the terms of indices ``n0 .. n1-1`` as an array.
@@ -17,9 +21,8 @@ returns the terms of indices ``n0 .. n1-1`` as an array.
 Rows: a :class:`~quadident.numerics.Rows` of series that differ only in one
 parameter passes that parameter to its builder as a ``(rows, 1)`` column, and
 the generator it builds returns a ``(rows, n1 - n0)`` array of terms.
-:func:`sum_direct` sums every row chunk by chunk; a chunk is at most twice the
-last one, and no longer than the decay of the terms predicts the slowest row
-needs. Each row carries its own
+:func:`sum_direct` sums every row chunk by chunk; chunks start at ``_CHUNK``
+terms per row and double up to ``_CHUNK_MAX``. Each row carries its own
 running sum, Neumaier compensation and largest term; inside a chunk these are
 ``np.cumsum`` and ``np.fmax.accumulate`` along the term axis
 (:func:`~quadident.numerics.neumaier_prefix`), which run left to right, so
@@ -164,22 +167,6 @@ def _check_read(g: TermGenerator, a: np.ndarray, same: np.ndarray, n0: int,
         raise _sign_error(g, n0 + j, float(a[i, j]), float(a[i, j + 1]))
 
 
-def _next_chunk(size: int, a: np.ndarray, tail: np.ndarray, target: np.ndarray) -> int:
-    """Terms per row in the next chunk: twice ``size``, but no more than a
-    margin over the count at which the active rows' last ``tail`` bounds,
-    shrinking at the geometric rate of their last terms ``a``, reach their
-    ``target``. The chunk length changes no result; it limits the terms built
-    past the last stop, which on a cold cache cost an exact coefficient each
-    in E21-E23."""
-    half = a.shape[1] // 2
-    with np.errstate(all="ignore"):
-        rate = np.log(np.abs(a[:, -1]) / np.abs(a[:, half])) / (a.shape[1] - 1 - half)
-        need = np.log(target / tail) / rate
-    if not (np.isfinite(need).all() and (rate < 0.0).all()):
-        return min(2 * size, _CHUNK_MAX)
-    return int(min(2 * size, _CHUNK_MAX, max(8.0, 1.25 * need.max() + 4.0)))
-
-
 def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
     """Direct summation of ``k`` rows; ``gen_of(rows)`` returns the generator
     of the active rows (all for None).
@@ -245,7 +232,7 @@ def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
             g = gen_of(active)
         s, c, amax, pending = sums[keep, -1], comp[keep, -1], big[keep, -1], a[keep, -1]
         n0 += m
-        size = _next_chunk(size, a[keep], tail[keep, -1], target[keep, -1])
+        size = min(2 * size, _CHUNK_MAX)
 
 
 def sum_direct(g: TermGenerator | Rows,

@@ -98,9 +98,9 @@ def test_benchmark_tracer_counts_every_point_of_a_batched_call():
         proc.stdout.splitlines()[-1])
     assert evals == outcome_evals > 0
     assert terms == outcome_terms > 0
-    # E5: a direct batch and an accelerated one (alpha = 1); E18: one;
-    # E21, E22: one per p
-    assert series_calls == 2 + 1 + 4 + 4
+    # one batch per side and group: E5 (accelerated, alpha = 1 included),
+    # E18 (direct); E21, E22: one accelerated batch per p
+    assert series_calls == 1 + 1 + 4 + 4
 
 
 def test_cli_verifies_through_its_traced_name(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Registry evaluators: the per-(n, p) coefficient cache, and batched
 quadrature, series and closed-form rows against one-point runs."""
 
+import functools
 import importlib
 import itertools
 
@@ -8,14 +9,19 @@ import numpy as np
 
 from quadident.combinatorics import arctan_power_coeff
 from quadident.ledger import verify
-from quadident.numerics import Tolerance
+from quadident.numerics import Rows, Tolerance
 from quadident.registry import (
     GridAxis,
+    _gen_alt_odd_harmonic_sq,
     _gen_atan_pow_beta,
     _gen_atan_pow_over_n,
+    _gen_odd_harmonic_leibniz,
+    _gen_skew_linear_denom,
+    _gen_skew_odd_denom,
     _powers,
     registry,
 )
+from quadident.series import ALTERNATING, sum_alternating_accelerated, sum_direct
 from quadident.specfun import incomplete_beta
 
 _N_MAX = 430
@@ -116,9 +122,9 @@ def _sum_bits(res):
 
 def test_series_rows_equal_one_point_runs(monkeypatch):
     # every row of a batched direct or accelerated sum must carry the bits of
-    # the one-point run of its scalar-parameter generator; a side sends the
-    # points it accelerates (alpha > 0.98) to one accelerated rows call and
-    # the others to one direct rows call
+    # the one-point run of its scalar-parameter generator; a side sends all of
+    # its points to one rows call: the accelerated sum for an alternating
+    # series, the direct sum for a positive one
     calls, originals = _record_calls(monkeypatch, ("sum_direct", "sum_alternating_accelerated"))
     batched, accelerated = set(), set()
     for case in registry().values():
@@ -137,17 +143,13 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
                 fixed = dict(combo)
                 del calls[:]
                 outs = side.rows(fixed, axis.name, values, tol)
-                assert len({name for name, _, _ in calls}) == len(calls)
-                rows = {}
-                for name, batch, res in calls:
-                    assert len(res.rows) == len(batch.values)
-                    rows.update((v, (name, row)) for v, row in zip(batch.values, res.rows))
-                assert sorted(rows) == sorted(values)
-                for value, out in zip(values, outs):
-                    name, row = rows[value]
-                    assert (name == "sum_alternating_accelerated") == (value > 0.98)
-                    if value > 0.98:
-                        accelerated.add(case.id)
+                [(name, batch, res)] = calls
+                assert batch.values == tuple(values) and len(res.rows) == len(values)
+                alternating = batch.at().sign_pattern == ALTERNATING
+                assert name == ("sum_alternating_accelerated" if alternating else "sum_direct")
+                if alternating:
+                    accelerated.add(case.id)
+                for value, out, row in zip(values, outs, res.rows):
                     del calls[:]
                     one = side.fn(fixed | {axis.name: value}, tol)
                     # the one-point row's column is NaN: a generator that read
@@ -161,7 +163,7 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
                     assert (out.value, out.terms, out.converged) == (
                         one.value, one.terms, one.converged)
     assert batched == {"E5", "E7", "EC6", "E16", "E18", "E19", "E21", "E22"}
-    assert accelerated == {"E5", "E16", "E19"}
+    assert accelerated == {"E5", "E7", "EC6", "E16", "E19", "E21", "E22"}
 
 
 def _is_closed_form(side):
@@ -221,3 +223,32 @@ def test_e11_makes_one_polylog_call_per_group_and_order(monkeypatch):
     monkeypatch.setattr(module, "polylog_real", record)
     assert all(o.passed for o in verify("E11", 33))
     assert calls == [(p, (34, 1)) for p in (2, 3, 4, 5) for _ in range(2)]
+
+
+def test_accelerated_bound_covers_every_grid_row():
+    # every alternating series side goes through the CVZ sum; its bound is
+    # proven for E5, EC6 and E21/E22 at p = 1 and only an estimate for E7,
+    # E16, E19 and E21/E22 at p >= 2. At each case's evaluation tolerance it
+    # must still cover the error of every grid-33 row against a direct sum
+    # taken to the rounding floor
+    builders = {
+        "E5": _gen_skew_odd_denom,
+        "EC6": _gen_skew_linear_denom,
+        "E7": _gen_odd_harmonic_leibniz,
+        "E16": _gen_alt_odd_harmonic_sq,
+        "E19": _gen_alt_odd_harmonic_sq,
+        "E21": _gen_atan_pow_over_n,
+        "E22": _gen_atan_pow_beta,
+    }
+    reference = Tolerance(1e-18, 0.0)
+    for case_id, build in builders.items():
+        case = registry()[case_id]
+        tol = Tolerance(case.default_tol.abs_tol / 4.0, case.default_tol.rel_tol / 4.0)
+        alphas = tuple(case.continuous[0].points(33))
+        for p in (1, 2, 3, 4) if case.discrete else (None,):
+            batch = Rows(functools.partial(build, p=p) if p else build, alphas)
+            rows = sum_alternating_accelerated(batch, tol).rows
+            truth = sum_direct(batch, reference).rows
+            for alpha, row, ref in zip(alphas, rows, truth):
+                assert row.converged, (case_id, p, alpha)
+                assert abs(row.value - ref.value) <= row.remainder_bound, (case_id, p, alpha)

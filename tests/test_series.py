@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadident.combinatorics import odd_harmonic_float, skew_harmonic_float
+from quadident.combinatorics import arctan_power_coeff, odd_harmonic_float, skew_harmonic_float
 from quadident.numerics import CONSTANTS, NeumaierSum, Rows, Tolerance
 from quadident.series import (
     ALTERNATING,
@@ -188,25 +188,35 @@ def test_proven_term_classes_are_completely_monotone():
     # the accelerated sum's bound is proven when the term magnitudes a_k are a
     # Hausdorff moment sequence, that is completely monotone:
     # (-1)^j Delta^j a_k >= 0 for all j and k. Check every class its docstring
-    # calls proven, as used by the tests above and by E5, E6, EC6 and EC6b,
-    # on the first 40 terms and every difference order, at 80 digits
+    # calls proven, as used by the tests above and by E5, E6, EC6, EC6b and
+    # E21-E23 at p = 1, on the first 40 terms and every difference order, at
+    # 80 digits
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(80):
         log2 = mpmath.log(2)
         skew = [mpmath.mpf(0)]
         for k in range(1, 40):
             skew.append(skew[-1] + mpmath.mpf((-1) ** (k - 1)) / k)
-        gap = [abs(log2 - h) for h in skew]  # int_0^1 x^k/(1+x) dx
-        alpha = mpmath.mpf("0.99")
+        # int_0^1 x^k/(1+x) dx, which is also incomplete_beta(k + 1)
+        gap = [abs(log2 - h) for h in skew]
         classes = {
             "log 2": lambda k: 1 / mpmath.mpf(k + 1),
             "pi/4": lambda k: 1 / mpmath.mpf(2 * k + 1),
             "eta(2)": lambda k: 1 / mpmath.mpf(k + 1) ** 2,
             "E6": lambda k: gap[k] / (2 * k + 1),
             "EC6b": lambda k: gap[k] / (k + 1),
-            "E5 near 1": lambda k: gap[k] * alpha ** (2 * k + 1) / (2 * k + 1),
-            "EC6 near 1": lambda k: gap[k] * alpha ** (k + 1) / (k + 1),
         }
+        # |A(2k+1, 1)|, the arctangent's coefficients; beta((n+1)/2) at
+        # n = 2k + 1 is gap[k]
+        atan = [abs(mpmath.mpf(c.numerator) / c.denominator)
+                for c in (arctan_power_coeff(2 * k + 1, 1) for k in range(40))]
+        for alpha in (mpmath.mpf("0.5"), mpmath.mpf("0.99"), mpmath.mpf(1)):
+            classes |= {
+                ("E5", alpha): lambda k, a=alpha: gap[k] * a ** (2 * k + 1) / (2 * k + 1),
+                ("EC6", alpha): lambda k, a=alpha: gap[k] * a ** (k + 1) / (k + 1),
+                ("E21 p=1", alpha): lambda k, a=alpha: atan[k] * a ** (2 * k + 1) / (2 * k + 1),
+                ("E22 p=1", alpha): lambda k, a=alpha: atan[k] * gap[k] * a ** (2 * k + 1),
+            }
         for name, a in classes.items():
             row = [a(k) for k in range(40)]
             for order in range(40):
