@@ -6,6 +6,12 @@ append the case's registered endpoint evaluations. A failing or non-converged
 point never aborts a run; the report is the product, and the CLI exit code
 carries the aggregate status.
 
+Each side of a case goes through one batched ``rows`` call per group of
+points that share their discrete values; a group whose call raises is
+retried by halves, so each failure reads as its one-point call would. The
+results stay columns (value, work, convergence) until one array pass judges
+every point of the case, and each outcome is built once from those columns.
+
 Reports order outcomes by identity id, then by parameter tuple, so two runs
 with the same inputs are byte-identical apart from the timestamp.
 """
@@ -19,9 +25,11 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .numerics import Tolerance
-from .registry import EvalOutcome, IdentityCase, lookup, registry
+from .registry import IdentityCase, lookup, registry
 
 REASON_MISMATCH = "mismatch"
 REASON_NOT_CONVERGED = "not_converged"
@@ -71,13 +79,6 @@ def _grid_points(case: IdentityCase, grid_size: int) -> list[dict]:
     return points
 
 
-def _rel_error(a: float, b: float, diff: float) -> float:
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return diff / scale
-
-
 def verify(
     case_id: str,
     grid_size: int = 5,
@@ -99,9 +100,8 @@ def verify(
     eval_tol = Tolerance(eff.abs_tol / 4.0, eff.rel_tol / 4.0, eff.max_work)
 
     pts = list(points) if points is not None else _grid_points(case, grid_size)
-    jobs: list[tuple[dict, Optional[float], Optional[float]]] = [
-        (p, None, None) for p in pts
-    ]
+    lhs_over: dict[int, float] = {}  # point index -> registered value
+    rhs_over: dict[int, float] = {}
     for ep in case.extra_points:
         base = dict(ep.params)
         # endpoints registered for a continuous parameter still enumerate
@@ -109,105 +109,137 @@ def verify(
         missing = [d for d in case.discrete if d.name not in base]
         combos = itertools.product(*[[(d.name, v) for v in d.values] for d in missing])
         for combo in combos:
-            jobs.append((dict(combo) | base, ep.lhs_value, ep.rhs_value))
+            for over, value in ((lhs_over, ep.lhs_value), (rhs_over, ep.rhs_value)):
+                if value is not None:
+                    over[len(pts)] = value
+            pts.append(dict(combo) | base)
 
-    # each side in one pass over the jobs; a point whose left side raised
+    # each side in one pass over the groups; a point whose left side raised
     # never evaluates its right side
-    lhs = _evaluate(case, case.lhs, [(p, lo) for p, lo, _ in jobs], eval_tol)
-    rhs = _evaluate(case, case.rhs, [
-        None if isinstance(left, Exception) else (p, ro)
-        for (p, _, ro), left in zip(jobs, lhs)
-    ], eval_tol)
-    return [_verify_point(case, params, eff, left, right)
-            for (params, _, _), left, right in zip(jobs, lhs, rhs)]
+    groups = _groups(case, pts)
+    lhs = _evaluate(case.lhs, pts, groups, lhs_over, {}, eval_tol)
+    rhs = _evaluate(case.rhs, pts, groups, rhs_over, lhs.errors, eval_tol)
+    return _judge(case.id, pts, eff, lhs, rhs)
 
 
-def _evaluate(case, evaluator, jobs, tol):
-    """One side of each ``(params, override)`` job: the override, the
-    ``EvalOutcome``, or the exception the evaluation raised; None for a job
-    that is None.
-
-    Points that differ only in the case's continuous parameter go through
-    one ``evaluator.rows`` call; a point without it (every point of a case
-    without one) is a call of its own. If a call raises, its points are
-    evaluated one at a time, so each failure reads as it would alone
-    (failures are data, not aborts).
-    """
-    results: list = [None] * len(jobs)
+def _groups(case, pts) -> list[tuple[Optional[str], dict, list[int]]]:
+    """The points that differ only in the case's continuous parameter, as
+    ``(name, fixed, indices)``; ``name`` is None for points without it (every
+    point of a case without one), each of which is then a group of its own
+    parameters."""
     axis = case.continuous[0].name if case.continuous else None
     groups: dict = {}
-    for i, job in enumerate(jobs):
-        if job is None:
-            continue
-        params, override = job
-        if override is not None:
-            results[i] = override
-            continue
+    for i, params in enumerate(pts):
         name = axis if axis in params else None
         key = (name, tuple(sorted((k, v) for k, v in params.items() if k != name)))
         groups.setdefault(key, []).append(i)
-    for (name, fixed), idx in groups.items():
-        try:
-            outs = evaluator.rows(dict(fixed), name, [jobs[i][0].get(name) for i in idx], tol)
-        except Exception:
-            outs = [_evaluate_one(evaluator, jobs[i][0], tol) for i in idx]
-        for i, out in zip(idx, outs):
-            results[i] = out
-    return results
+    return [(name, dict(fixed), idx) for (name, fixed), idx in groups.items()]
 
 
-def _evaluate_one(evaluator, params, tol):
+class _Side:
+    """One side of every point of a case as columns: the value (complex, so
+    that a complex closed form keeps its imaginary part; NaN until set),
+    evaluations, terms, convergence, and the exception of each point that
+    raised, by index."""
+
+    def __init__(self, n: int):
+        self.value = np.full(n, np.nan, dtype=complex)
+        self.evals = np.zeros(n, dtype=int)
+        self.terms = np.zeros(n, dtype=int)
+        self.converged = np.ones(n, dtype=bool)
+        self.errors: dict[int, Exception] = {}
+
+    def put(self, idx, out) -> None:
+        """Store an evaluator's ``EvalRows`` at the points ``idx``."""
+        idx = np.asarray(idx)
+        self.value[idx] = out.value
+        self.evals[idx] = out.evals
+        self.terms[idx] = out.terms
+        self.converged[idx] = out.converged
+
+
+def _evaluate(evaluator, pts, groups, overrides, skip, tol) -> _Side:
+    """One side at every point: its registered override value, the
+    evaluator's result, or the exception the evaluation raised; points in
+    ``skip`` are left unset.
+
+    Each group goes through one ``evaluator.rows`` call. If a call raises,
+    it is retried by halves (see :func:`_bisect`), so each failure reads as
+    it would alone (failures are data, not aborts).
+    """
+    side = _Side(len(pts))
+    for i, value in overrides.items():
+        side.value[i] = value
+    for name, fixed, idx in groups:
+        idx = [i for i in idx if i not in overrides and i not in skip]
+        if idx:
+            _fill(side, evaluator, fixed, name, idx, [pts[i] for i in idx], tol)
+    return side
+
+
+def _fill(side, evaluator, fixed, name, idx, points, tol):
+    """The points of one group in one ``evaluator.rows`` call, stored at
+    ``idx``; if the call raises, the group goes to :func:`_bisect`."""
     try:
-        return evaluator.fn(params, tol)
-    except Exception as exc:  # failures are data, not aborts
-        return exc
+        out = evaluator.rows(fixed, name, [p.get(name) for p in points], tol)
+    except Exception:
+        _bisect(side, evaluator, fixed, name, idx, points, tol)
+    else:
+        side.put(idx, out)
 
 
-def _verify_point(case, params, eff, lhs, rhs):
-    """One outcome from each side's override value, ``EvalOutcome`` or
-    exception; the right side is ignored once the left one raised."""
-    evals = terms = 0
-    converged = True
-    reason = ""
-    lhs_value = rhs_value = math.nan
-    imag_excess = None
-    for side, result in (("lhs", lhs), ("rhs", rhs)):
-        if isinstance(result, Exception):
-            return VerificationOutcome(
-                case.id, params, lhs_value, rhs_value, math.nan, math.nan,
-                False, f"error: {result}", evals, terms,
-            )
-        if isinstance(result, EvalOutcome):
-            evals += result.evals
-            terms += result.terms
-            converged = converged and result.converged
-            value = result.value
-        else:
-            value = result
-        if isinstance(value, complex):
-            margin = eff.abs_tol + eff.rel_tol * max(
-                abs(value.real), abs(lhs_value) if side == "rhs" else 0.0
-            )
-            if abs(value.imag) > margin:
-                imag_excess = value.imag
-            value = value.real
-        if side == "lhs":
-            lhs_value = value
-        else:
-            rhs_value = value
+def _bisect(side, evaluator, fixed, name, idx, points, tol):
+    """Evaluate a group whose rows call raised. A single point goes through
+    ``evaluator.fn``, whose exception is recorded; a larger group splits in
+    two halves, each one rows call through :func:`_fill`, or one point
+    through this function. A half that succeeds keeps the bits of the whole
+    call, because each row of a rows call is its one-point run."""
+    if len(idx) == 1:
+        try:
+            side.put(idx, evaluator.fn(points[0], tol))
+        except Exception as exc:  # failures are data, not aborts
+            side.errors[idx[0]] = exc
+        return
+    half = len(idx) // 2
+    for part in (slice(None, half), slice(half, None)):
+        retry = _fill if len(idx[part]) > 1 else _bisect
+        retry(side, evaluator, fixed, name, idx[part], points[part], tol)
 
-    diff = abs(lhs_value - rhs_value)
-    ok = eff.passes(lhs_value, rhs_value)
-    if not converged:
-        ok, reason = False, REASON_NOT_CONVERGED
-    elif imag_excess is not None:
-        ok, reason = False, REASON_IMAG
-    elif not ok:
-        reason = REASON_MISMATCH
-    return VerificationOutcome(
-        case.id, params, lhs_value, rhs_value, diff,
-        _rel_error(lhs_value, rhs_value, diff), ok, reason, evals, terms,
-    )
+
+_REASONS = np.array(["", REASON_MISMATCH, REASON_IMAG, REASON_NOT_CONVERGED])
+
+
+def _judge(case_id, pts, eff, lhs: _Side, rhs: _Side) -> list[VerificationOutcome]:
+    """The outcomes of a case's points from both sides' columns, in one
+    array pass, as the scalar rule gives them for real parts a and b:
+    abs_error = |a - b|, rel_error = abs_error / max(|a|, |b|) (0 where that
+    is 0), and a pass needs a finite abs_error within ``eff.margin(a, b)``;
+    ``max`` is Python's, which keeps its first argument against a NaN. An
+    imaginary part fails beyond ``abs_tol + rel_tol * max(|its real part|,
+    |a|)`` (``|a|`` for the right side only). ``not_converged`` comes before
+    the imaginary check, which comes before ``mismatch``. A point whose side
+    raised fails with the exception's text and NaN errors, and keeps the
+    value and the work of a left side that finished."""
+    a, b = lhs.value.real, rhs.value.real
+    with np.errstate(all="ignore"):  # inf and nan propagate as in Python floats
+        abs_a, abs_b = np.abs(a), np.abs(b)
+        diff = np.abs(a - b)
+        scale = np.where(abs_b > abs_a, abs_b, abs_a)
+        ok = np.isfinite(diff) & (diff <= eff.abs_tol + eff.rel_tol * scale)
+        rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale != 0.0)
+        imag = (np.abs(lhs.value.imag) > eff.abs_tol + eff.rel_tol * abs_a) | (
+            np.abs(rhs.value.imag) > eff.abs_tol + eff.rel_tol * np.where(
+                abs_a > abs_b, abs_a, abs_b))
+    converged = lhs.converged & rhs.converged
+    code = np.where(~converged, 3, np.where(imag, 2, (~ok).astype(int)))
+    passed, reason = code == 0, _REASONS[code].tolist()
+    for i, exc in (lhs.errors | rhs.errors).items():
+        diff[i] = rel[i] = np.nan
+        passed[i] = False
+        reason[i] = f"error: {exc}"
+    return [VerificationOutcome(case_id, *row) for row in zip(
+        pts, a.tolist(), b.tolist(), diff.tolist(), rel.tolist(), passed.tolist(),
+        reason, (lhs.evals + rhs.evals).tolist(), (lhs.terms + rhs.terms).tolist())]
 
 
 def make_report(outcomes, tol_abs: Optional[float], tol_rel: Optional[float]) -> Report:

@@ -33,8 +33,10 @@ on the number of nodes, so it is the same for every row count. Each row
 leaves the active set at the level where it would have converged alone, so
 its value, error estimate, evaluation count and convergence flag are bit for
 bit those of the one-row run. A rows call returns :class:`QuadratureRows`:
-the per-row results plus the batch totals ``evaluations`` (sum over rows) and
-``converged`` (all rows).
+``(rows,)`` columns of value, error estimate, evaluations and convergence,
+filled by the driver as rows leave the active set, plus the batch totals
+``evaluations`` (sum over rows) and ``converged`` (all rows) as Python
+numbers. A :class:`QuadratureResult` is made only for a single spec.
 """
 
 from __future__ import annotations
@@ -78,19 +80,23 @@ class QuadratureResult:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRows:
-    """Per-row results of one :class:`Rows` pass, with batch totals."""
+    """Results of one :class:`Rows` pass as ``(rows,)`` columns, with batch
+    totals as Python numbers."""
 
-    rows: tuple[QuadratureResult, ...]
+    values: np.ndarray           # float
+    error_estimates: np.ndarray  # float
+    work: np.ndarray             # int: integrand evaluations of each row
+    row_converged: np.ndarray    # bool
 
     @property
     def evaluations(self) -> int:
-        return sum(r.evaluations for r in self.rows)
+        return int(self.work.sum())
 
     @property
     def converged(self) -> bool:
-        return all(r.converged for r in self.rows)
+        return bool(self.row_converged.all())
 
 
 @functools.cache
@@ -98,9 +104,10 @@ def _level_nodes(level: int):
     """Nodes introduced at a halving level: (t, x, delta, weight) arrays.
 
     Level 0 holds all integer t in [-T_MAX, T_MAX]; level k > 0 adds the odd
-    multiples of h = 2^-k. ``x`` and ``delta = 1 - x`` are computed through
-    separate exponential forms so each is accurate near its own endpoint.
-    Built once and cached; the arrays are read-only.
+    multiples of h = 2^-k. ``t`` ascends, so the nodes with ``t <= 0`` are a
+    prefix. ``x`` and ``delta = 1 - x`` are computed through separate
+    exponential forms so each is accurate near its own endpoint. Built once
+    and cached; the arrays are read-only.
     """
     h = 0.5 ** level
     if level == 0:
@@ -127,39 +134,44 @@ def _real_values(piece, fn, arg):
 
 
 def _eval_level(f, f_right, level: int, k: int):
-    """Weighted integrand values of ``k`` rows at the new nodes of a level,
-    as a ``(k, nodes)`` array, and the number of nodes."""
+    """Weighted integrand values ``w f`` of ``k`` rows at the new nodes of a
+    level as a ``(k, nodes)`` array, their row sums of ``|w f|``, and the
+    number of nodes. The values are searched for a non-finite one only when
+    some row sum is not finite."""
     t, x, delta, w = _level_nodes(level)
     shape = (k, len(t))
     if f_right is None:
         v = _real_values("f", f, x)
     else:
-        left = t <= 0.0
+        m = (len(t) + 1) // 2  # the prefix t <= 0: t is symmetric about 0
         v = np.empty(shape)
-        v[:, left] = _real_values("f", f, x[left])
-        v[:, ~left] = _real_values("f_right", f_right, delta[~left])
+        v[:, :m] = _real_values("f", f, x[:m])
+        v[:, m:] = _real_values("f_right", f_right, delta[m:])
     if v.shape != shape:
         v = np.broadcast_to(v, shape)
-    finite = np.isfinite(v)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0]) % len(t)
-        raise QuadratureError(
-            f"integrand returned a non-finite value at x={float(x[bad])!r} "
-            f"(distance {float(delta[bad])!r} from 1)"
-        )
-    return w * v, len(t)
+    wf = w * v
+    size = np.abs(wf).sum(axis=1)
+    if not np.isfinite(size).all():
+        finite = np.isfinite(v)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0]) % len(t)
+            raise QuadratureError(
+                f"integrand returned a non-finite value at x={float(x[bad])!r} "
+                f"(distance {float(delta[bad])!r} from 1)"
+            )
+    return wf, size, len(t)
 
 
-def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> list[QuadratureResult]:
+def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
     """Trapezoid-with-halving driver for ``k`` real-valued integrand rows.
 
     ``spec_of(rows)`` returns the spec of the active rows (all for None). Each
     level is one array pass over the active rows: their level sums and sums
     of ``|w f|`` are row sums of the ``(rows, nodes)`` array, and their
     totals, rounding floors and error estimates are ``(rows,)`` arrays. A row
-    leaves the active set at the level where it converges; every row still
-    active shares the level count, so the ``max_work`` stop applies to all of
-    them at once.
+    leaves the active set at the level where it converges, and its columns
+    are filled then; every row still active shares the level count, so the
+    ``max_work`` stop applies to all of them at once.
 
     The error estimate is ten times the level-to-level change, plus a
     rounding floor, plus the level-0 ``|w f|`` at the two outermost nodes
@@ -168,7 +180,8 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> list[QuadratureResult]:
     Jeyabalan & Li, "A comparison of three high-precision quadrature
     schemes", 2005).
     """
-    out: list = [None] * k
+    out = QuadratureRows(np.empty(k), np.empty(k), np.empty(k, dtype=int),
+                         np.zeros(k, dtype=bool))
     active = np.arange(k)
     spec = spec_of(None)
     evals = 0
@@ -176,11 +189,10 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> list[QuadratureResult]:
     for level in range(_MAX_LEVELS + 1):
         if level >= 1 and evals + len(_level_nodes(level)[0]) > tol.max_work:
             break
-        wf, n_new = _eval_level(spec.f, spec.f_right, level, len(active))
+        wf, a_new, n_new = _eval_level(spec.f, spec.f_right, level, len(active))
         evals += n_new
         h = 0.5 ** level
         s_new = wf.sum(axis=1)
-        a_new = np.abs(wf).sum(axis=1)
         if level == 0:
             total = h * s_new
             habs = h * a_new  # h * sum |w f|, tracked for the rounding floor
@@ -194,17 +206,20 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> list[QuadratureResult]:
             continue
         done = err <= tol.abs_tol + tol.rel_tol * np.abs(total)
         if done.any():
-            for i, value, e in zip(active[done].tolist(), total[done].tolist(),
-                                   err[done].tolist()):
-                out[i] = QuadratureResult(value, e, evals, True)
+            rows = active[done]
+            out.values[rows] = total[done]
+            out.error_estimates[rows] = err[done]
+            out.work[rows] = evals
+            out.row_converged[rows] = True
             keep = ~done
             active, total, habs, err, edge = (
                 active[keep], total[keep], habs[keep], err[keep], edge[keep])
             if not active.size:
                 return out
             spec = spec_of(active)
-    for i, value, e in zip(active.tolist(), total.tolist(), err.tolist()):
-        out[i] = QuadratureResult(value, e, evals, False)
+    out.values[active] = total
+    out.error_estimates[active] = err
+    out.work[active] = evals
     return out
 
 
@@ -215,8 +230,12 @@ def _rows_of(spec: IntegrandSpec | Rows):
     return (lambda rows: spec), 1
 
 
-def _result(spec, rows: list[QuadratureResult]):
-    return QuadratureRows(tuple(rows)) if isinstance(spec, Rows) else rows[0]
+def _result(spec, rows: QuadratureRows):
+    """The columns for :class:`Rows`, else the one row as a result."""
+    if isinstance(spec, Rows):
+        return rows
+    return QuadratureResult(rows.values[0].item(), rows.error_estimates[0].item(),
+                            rows.work[0].item(), rows.row_converged[0].item())
 
 
 def integrate_unit(spec: IntegrandSpec | Rows,
@@ -256,8 +275,6 @@ def integrate_semi_infinite(spec: IntegrandSpec | Rows,
 
     near = _tanh_sinh(spec_of, k, half)
     far = _tanh_sinh(far_of, k, half)
-    return _result(spec, [
-        QuadratureResult(a.value + b.value, a.error_estimate + b.error_estimate,
-                         a.evaluations + b.evaluations, a.converged and b.converged)
-        for a, b in zip(near, far)
-    ])
+    return _result(spec, QuadratureRows(
+        near.values + far.values, near.error_estimates + far.error_estimates,
+        near.work + far.work, near.row_converged & far.row_converged))

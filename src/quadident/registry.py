@@ -59,30 +59,36 @@ TOL_COARSE = Tolerance(1e-8, 1e-8)
 TOL_SLOW_SERIES = Tolerance(1e-7, 0.0)  # absolute-only, for the pi-power series
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
-    value: float | complex
-    evals: int = 0
-    terms: int = 0
-    converged: bool = True
+@dataclass(frozen=True, eq=False)
+class EvalRows:
+    """One side at the points of a ``rows`` call: ``value`` (float, or
+    complex for a complex closed form), integrand evaluations ``evals``,
+    series terms ``terms`` and ``converged``, each a ``(rows,)`` column or
+    one scalar for every row. :meth:`Evaluator.fn` gives Python scalars."""
+
+    value: np.ndarray | float | complex
+    evals: np.ndarray | int = 0
+    terms: np.ndarray | int = 0
+    converged: np.ndarray | bool = True
 
 
 @dataclass(frozen=True)
 class Evaluator:
     """One side of an identity. ``rows(fixed, name, values, tol)`` evaluates
     the points ``fixed | {name: v}`` for every v in ``values`` in one batched
-    call and returns their outcomes in order; the builders receive the values
-    as a ``(rows, 1)`` column. With ``name`` None, each value (None) stands
-    for the point ``fixed`` itself, whose parameters reach the builders as
-    scalars."""
+    call and returns their :class:`EvalRows`, one row per value in order; the
+    builders receive the values as a ``(rows, 1)`` column. With ``name``
+    None, each value (None) stands for the point ``fixed`` itself, whose
+    parameters reach the builders as scalars."""
 
     describe: str
-    rows: Callable[[dict, Optional[str], list, Tolerance], list[EvalOutcome]]
+    rows: Callable[[dict, Optional[str], list, Tolerance], EvalRows]
 
-    def fn(self, params: dict, tol: Tolerance) -> EvalOutcome:
-        """One point: the one-value call of ``rows``."""
-        [out] = self.rows(params, None, [None], tol)
-        return out
+    def fn(self, params: dict, tol: Tolerance) -> EvalRows:
+        """One point: the one-value call of ``rows``, as Python scalars."""
+        out = self.rows(params, None, [None], tol)
+        return EvalRows(*(np.ravel(c)[0].item()
+                          for c in (out.value, out.evals, out.terms, out.converged)))
 
 
 @dataclass(frozen=True)
@@ -148,9 +154,14 @@ def _point(fixed: dict, name: Optional[str], value) -> dict:
     return fixed if name is None else fixed | {name: value}
 
 
-def _pointwise(one: Callable[[dict, Tolerance], EvalOutcome]) -> Callable:
-    """``rows`` that evaluates its points one at a time with ``one(params, tol)``."""
-    return lambda fixed, name, values, tol: [one(_point(fixed, name, v), tol) for v in values]
+def _pointwise(one: Callable[[dict, Tolerance], tuple]) -> Callable:
+    """``rows`` that evaluates its points one at a time; ``one(params, tol)``
+    returns a point's ``(value, terms, converged)``."""
+    def rows(fixed: dict, name, values: list, tol: Tolerance) -> EvalRows:
+        value, terms, converged = zip(*(one(_point(fixed, name, v), tol) for v in values))
+        return EvalRows(np.array(value), terms=np.array(terms), converged=np.array(converged))
+
+    return rows
 
 
 def _quad(describe: str, build: Callable[..., IntegrandSpec],
@@ -159,17 +170,12 @@ def _quad(describe: str, build: Callable[..., IntegrandSpec],
     takes the continuous parameter as a scalar or as a column array (one
     integrand row per value). The integrator is looked up in this module at
     call time, where the benchmark's tracer wraps it."""
-    def rows(fixed: dict, name, values: list, tol: Tolerance) -> list[EvalOutcome]:
+    def rows(fixed: dict, name, values: list, tol: Tolerance) -> EvalRows:
         batch = Rows(lambda column: build(**_point(fixed, name, column)), tuple(values))
         res = (integrate_semi_infinite if half_line else integrate_unit)(batch, tol)
-        return [EvalOutcome(r.value, evals=r.evaluations, converged=r.converged)
-                for r in res.rows]
+        return EvalRows(res.values, evals=res.work, converged=res.row_converged)
 
     return Evaluator(describe, rows)
-
-
-def _summed(res, scale: float) -> EvalOutcome:
-    return EvalOutcome(scale * res.value, terms=res.terms_used, converged=res.converged)
 
 
 def _series(describe: str, build: Callable[..., TermGenerator],
@@ -182,11 +188,12 @@ def _series(describe: str, build: Callable[..., TermGenerator],
     E7, E16, E17, E19 and E21/E22 at p >= 2; a POSITIVE one (E18) through the
     direct sum with its tail bound. The summation functions are looked up in
     this module at call time, where the benchmark's tracer wraps them."""
-    def rows(fixed: dict, name, values: list, tol: Tolerance) -> list[EvalOutcome]:
+    def rows(fixed: dict, name, values: list, tol: Tolerance) -> EvalRows:
         batch = Rows(lambda column: build(**_point(fixed, name, column)), tuple(values))
         summer = (sum_alternating_accelerated if batch.at().sign_pattern == ALTERNATING
                   else sum_direct)
-        return [_summed(r, scale) for r in summer(batch, tol).rows]
+        res = summer(batch, tol)
+        return EvalRows(scale * res.values, terms=res.work, converged=res.row_converged)
 
     return Evaluator(describe, rows)
 
@@ -194,12 +201,12 @@ def _series(describe: str, build: Callable[..., TermGenerator],
 def _closed(describe: str, value: Callable[..., float]) -> Evaluator:
     """Real closed-form side; ``value`` takes the continuous parameter as a scalar
     or a column and returns one value per row, or one value for every row."""
-    def rows(fixed: dict, name, values: list, tol: Tolerance) -> list[EvalOutcome]:
+    def rows(fixed: dict, name, values: list, tol: Tolerance) -> EvalRows:
         column = None if name is None else np.array(values, dtype=float)[:, None]
-        result = np.ravel(value(**_point(fixed, name, column))).tolist()
+        result = np.ravel(value(**_point(fixed, name, column)))
         if len(result) == 1:  # one value for every row, as from a constant
-            result *= len(values)
-        return [EvalOutcome(v) for v in result]
+            result = np.repeat(result, len(values))
+        return EvalRows(result)
 
     return Evaluator(describe, rows)
 
@@ -439,14 +446,15 @@ def _lhs_dilog_pair(alpha: float) -> float:
     return polylog_real(2, w) - polylog_real(2, -w)
 
 
-def _eval_eq8(params: dict, tol: Tolerance) -> EvalOutcome:
+def _eval_eq8(params: dict, tol: Tolerance) -> tuple:
     # the comparison target is pi^3 = 192 x the series value, so the series
     # itself needs a 192-fold tighter absolute tolerance
     inner = Tolerance(max(tol.abs_tol / 192.0, 1e-16), tol.rel_tol, tol.max_work)
-    return _summed(sum_eq8(inner), 192.0)
+    res = sum_eq8(inner)
+    return 192.0 * res.value, res.terms_used, res.converged
 
 
-def _eval_eq23_series(params: dict, tol: Tolerance) -> EvalOutcome:
+def _eval_eq23_series(params: dict, tol: Tolerance) -> tuple:
     p = params["p"]
     gen = _gen_atan_pow_beta(1.0, p)
     # the comparison target is pi^(p+1); tighten the series tolerance by the
@@ -455,7 +463,8 @@ def _eval_eq23_series(params: dict, tol: Tolerance) -> EvalOutcome:
     inner = Tolerance(
         max(tol.abs_tol / prefactor, 1e-16), tol.rel_tol, tol.max_work
     )
-    return _summed(sum_alternating_accelerated(gen, inner), prefactor)
+    res = sum_alternating_accelerated(gen, inner)
+    return prefactor * res.value, res.terms_used, res.converged
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +741,7 @@ def register_all() -> list[IdentityCase]:
             source="alternating odd-harmonic sum via circle trilogarithms",
             lhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq),
             rhs=Evaluator("complex closed form (real part)",
-                          _pointwise(lambda params, tol: EvalOutcome(eq19_rhs(**params)))),
+                          _pointwise(lambda params, tol: (eq19_rhs(**params), 0, True))),
             continuous=(_ALPHA_OPEN,),
             extra_points=(_pt(alpha=1.0),),
             default_tol=TOL_MEDIUM,

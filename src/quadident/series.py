@@ -34,8 +34,10 @@ read. :func:`sum_alternating_accelerated` reads the first term of every row,
 then the other terms of all rows in one call, and sums each row with
 ``math.fsum``, so its rows too are bit for bit their one-row runs. A single
 :class:`TermGenerator` is each driver's one-row case; a rows call returns
-:class:`SummationRows`: the per-row results plus the batch totals
-``terms_used`` (sum over rows) and ``converged`` (all rows).
+:class:`SummationRows`: ``(rows,)`` columns of value, remainder bound, terms
+used and convergence, plus the batch totals ``terms_used`` (sum over rows)
+and ``converged`` (all rows) as Python numbers. A :class:`SummationResult`
+is made only for a single generator.
 """
 
 from __future__ import annotations
@@ -102,19 +104,29 @@ class SummationResult:
     converged: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SummationRows:
-    """Per-row results of one :class:`Rows` pass, with batch totals."""
+    """Results of one :class:`Rows` pass as ``(rows,)`` columns, with batch
+    totals as Python numbers."""
 
-    rows: tuple[SummationResult, ...]
+    values: np.ndarray            # float
+    remainder_bounds: np.ndarray  # float
+    work: np.ndarray              # int: terms used by each row
+    row_converged: np.ndarray     # bool
 
     @property
     def terms_used(self) -> int:
-        return sum(r.terms_used for r in self.rows)
+        return int(self.work.sum())
 
     @property
     def converged(self) -> bool:
-        return all(r.converged for r in self.rows)
+        return bool(self.row_converged.all())
+
+
+def _one_row(rows: SummationRows) -> SummationResult:
+    """The result of a one-row pass, for a single generator."""
+    return SummationResult(rows.values[0].item(), rows.work[0].item(),
+                           rows.remainder_bounds[0].item(), rows.row_converged[0].item())
 
 
 def _terms(g: TermGenerator, n0: int, n1: int, k: int) -> np.ndarray:
@@ -167,7 +179,7 @@ def _check_read(g: TermGenerator, a: np.ndarray, same: np.ndarray, n0: int,
         raise _sign_error(g, n0 + j, float(a[i, j]), float(a[i, j + 1]))
 
 
-def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
+def _direct(gen_of, k: int, tol: Tolerance) -> SummationRows:
     """Direct summation of ``k`` rows; ``gen_of(rows)`` returns the generator
     of the active rows (all for None).
 
@@ -176,13 +188,14 @@ def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
     ``tail + floor`` meets the target, once the rounding floor dominates both,
     or at ``tol.max_work`` terms. A chunk evaluates these steps for indices
     ``n0 .. n0+m-1`` of every active row at once; each row then takes its
-    first stop.
+    first stop, where its columns are filled.
     """
     g = gen_of(None)
     if g.sign_pattern != ALTERNATING and g.tail_bound is None:
         raise ValueError("sum_direct needs a tail_bound for non-alternating series")
     first = g.first_index
-    out: list = [None] * k
+    out = SummationRows(np.empty(k), np.empty(k), np.empty(k, dtype=int),
+                        np.empty(k, dtype=bool))
     active = np.arange(k)
     s, c, amax = np.zeros(k), np.zeros(k), np.zeros(k)
     pending = None  # term n0 of each active row, read as "next" in the last chunk
@@ -221,11 +234,11 @@ def _direct(gen_of, k: int, tol: Tolerance) -> list[SummationResult]:
         keep = ends == m
         if not keep.all():
             done = np.flatnonzero(~keep)
-            at = (done, ends[done])
-            for i, v, used, b, ok in zip(active[done].tolist(), value[at].tolist(),
-                                         (ends[done] + (n0 - first + 1)).tolist(),
-                                         bound[at].tolist(), met[at].tolist()):
-                out[i] = SummationResult(v, used, b, ok)
+            at, rows = (done, ends[done]), active[done]
+            out.values[rows] = value[at]
+            out.remainder_bounds[rows] = bound[at]
+            out.work[rows] = ends[done] + (n0 - first + 1)
+            out.row_converged[rows] = met[at]
             active = active[keep]
             if not active.size:
                 return out
@@ -249,8 +262,8 @@ def sum_direct(g: TermGenerator | Rows,
     that is infinite or NaN raises :class:`NonFiniteTermError`.
     """
     if isinstance(g, Rows):
-        return SummationRows(tuple(_direct(g.at, len(g.values), tol)))
-    return _direct(lambda rows: g, 1, tol)[0]
+        return _direct(g.at, len(g.values), tol)
+    return _one_row(_direct(lambda rows: g, 1, tol))
 
 
 @functools.cache
@@ -271,7 +284,17 @@ def _cvz_weights(n: int) -> np.ndarray:
     return w
 
 
-def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> list[SummationResult]:
+@functools.cache
+def _cvz_table(width: int) -> np.ndarray:
+    """Row n <= ``width`` holds the weights of S_n, then zeros."""
+    table = np.zeros((width + 1, width))
+    for n in range(1, width + 1):
+        table[n, :n] = _cvz_weights(n)
+    table.flags.writeable = False
+    return table
+
+
+def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
     """CVZ sums of the ``k`` rows of ``g``.
 
     Each row takes its n from its first term t_0: the least n with
@@ -297,16 +320,22 @@ def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> list[SummationResu
     with np.errstate(all="ignore"):
         same = _same_sign(g, t[:, :-1], t[:, 1:], np.arange(first, first + t.shape[1] - 1))
     _check_read(g, t, same, first, used - 1)
-    out = []
-    for row, n, a in zip(t, ns.tolist(), a0.tolist()):
-        products = (_cvz_weights(n + _EXTRA) * row[:n + _EXTRA]).tolist()
-        value = math.fsum(products)
-        partial = math.fsum((_cvz_weights(n) * row[:n]).tolist())
-        floor = 4.5e-16 * math.fsum(map(abs, products))
-        bound = abs(value - partial) + 2.0 * a / _RATE**n + floor
-        out.append(SummationResult(value, n + _EXTRA, bound,
-                                   bound <= tol.abs_tol + tol.rel_tol * abs(value)))
-    return out
+    # every row's products in one array: S_n and S_{n+4} weigh the first n
+    # and n + 4 terms, and a row's products past those are never read
+    w = _cvz_table(t.shape[1])
+    with np.errstate(all="ignore"):
+        full = w[used] * t
+        heads, sizes = (w[ns] * t).tolist(), np.abs(full).tolist()
+    values, bounds = [], []
+    for row, head, size, n, a in zip(full.tolist(), heads, sizes, ns.tolist(), a0.tolist()):
+        value = math.fsum(row[:n + _EXTRA])
+        partial = math.fsum(head[:n])
+        floor = 4.5e-16 * math.fsum(size[:n + _EXTRA])
+        values.append(value)
+        bounds.append(abs(value - partial) + 2.0 * a / _RATE**n + floor)
+    values, bounds = np.array(values), np.array(bounds)
+    return SummationRows(values, bounds, used,
+                         bounds <= tol.abs_tol + tol.rel_tol * np.abs(values))
 
 
 def sum_alternating_accelerated(g: TermGenerator | Rows,
@@ -328,8 +357,8 @@ def sum_alternating_accelerated(g: TermGenerator | Rows,
     infinite or NaN term raises :class:`NonFiniteTermError`.
     """
     if isinstance(g, Rows):
-        return SummationRows(tuple(_accelerated(g.at(), len(g.values), tol)))
-    return _accelerated(g, 1, tol)[0]
+        return _accelerated(g.at(), len(g.values), tol)
+    return _one_row(_accelerated(g, 1, tol))
 
 
 def sum_eq8(tol: Tolerance = DEFAULT_TOL) -> SummationResult:

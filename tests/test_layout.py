@@ -76,6 +76,7 @@ verify = tracer.install()
 outs = [o for case_id in ("E5", "E9", "E11", "E18", "E21", "E22")
         for o in verify(case_id, grid_size=3)]
 traced = tracer.take_pass()
+json.dumps(traced)  # a numpy scalar in the tracer's counters would not serialise
 counts = traced["counts"]
 print(json.dumps([counts.get("quadrature.evals", 0), sum(o.evals for o in outs),
                   counts.get("series.terms", 0), sum(o.terms for o in outs),
@@ -87,7 +88,9 @@ def test_benchmark_tracer_counts_every_point_of_a_batched_call():
     # a batched quadrature or series call carries the summed evaluations or
     # terms of its rows, so the traced counts still equal the report's work
     # per outcome: E9 is a half-line integral (two batched pieces), E18 a
-    # positive series with a tail bound, E21 and E22 batch once per p
+    # positive series with a tail bound, E21 and E22 batch once per p. The
+    # whole pass must serialise as JSON: the totals the tracer adds up must
+    # be Python numbers, as the benchmark writes them
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _COUNTED_PASS,
          str(ROOT / "perfbench"), str(ROOT / "src")],

@@ -22,6 +22,8 @@ from quadident.series import (
     TermGenerator,
 )
 from quadident.registry import (
+    EvalRows,
+    Evaluator,
     GridAxis,
     IdentityCase,
     _closed,
@@ -94,7 +96,7 @@ def test_verify_e4_grid_and_endpoints():
 
 def test_failing_row_fails_only_its_own_outcome(monkeypatch):
     # the integrand goes non-finite for alpha = 0.5 only: the batched call
-    # raises, and the group's points are evaluated one at a time
+    # raises, and the group is evaluated again by halves down to that point
     def build(alpha):
         return IntegrandSpec(lambda x: np.where(alpha == 0.5, np.nan, alpha * x))
 
@@ -127,7 +129,7 @@ def test_failing_row_fails_only_its_own_outcome(monkeypatch):
 
 def test_failing_series_row_fails_only_its_own_outcome(monkeypatch):
     # the terms of alpha = 0.5 stop alternating at index 5: the batched sum
-    # raises, and the group's points are summed one at a time
+    # raises, and the group is summed again by halves down to that point
     def build(alpha):
         def terms(n0, n1):
             n = np.arange(n0, n1)
@@ -189,8 +191,8 @@ def test_non_finite_series_row_fails_only_its_own_outcome(monkeypatch):
 def test_raising_closed_form_fails_only_its_own_outcome(monkeypatch):
     # closed forms go through the grouped call too, with the parameter as a
     # column: the left side raises when its column holds alpha = 0.5, so the
-    # group is evaluated again one point at a time, and the right side of
-    # that point is never evaluated
+    # group is evaluated again by halves ([0.25] alone, then [0.5, 0.75]),
+    # and the right side of that point is never evaluated
     def lhs(alpha):
         if 0.5 in np.ravel(alpha):
             raise ValueError("no closed form at alpha=0.5")
@@ -223,6 +225,153 @@ def test_raising_closed_form_fails_only_its_own_outcome(monkeypatch):
     assert (bad.evals, bad.terms) == (0, 0)
     for o in (outs[0], outs[2]):
         assert o.lhs_value == o.rhs_value == 0.5 * o.params["alpha"]
+
+
+def test_one_bad_point_is_found_by_halving(monkeypatch):
+    # a 33-point group with one raising point: the failed call is retried by
+    # halves, each half one rows call, and a single point goes through
+    # Evaluator.fn, so about 2 log2(33) calls find it instead of 33
+    axis = GridAxis("alpha", 0.0, 1.0)
+    alphas = axis.points(33)
+    bad = alphas[19]
+    sizes = []
+
+    def lhs(alpha):
+        sizes.append(np.size(alpha) if np.ndim(alpha) else None)  # None: fn's scalar
+        if bad in np.ravel(alpha):
+            raise ValueError(f"no closed form at alpha={bad!r}")
+        return 0.5 * alpha
+
+    case = IdentityCase(
+        id="X5", description="a/2 = a/2", source="synthetic",
+        lhs=_closed("a/2, raising at one point", lhs),
+        rhs=_closed("a/2", lambda alpha: alpha / 2.0),
+        continuous=(axis,),
+    )
+    monkeypatch.setitem(registry(), "X5", case)
+    outs = verify("X5", 33)
+    # 33 -> 16 + 17; 17 -> 8 + 9; 8 -> 4 + 4; 4 -> 2 + 2; 2 -> two single points
+    assert sizes == [33, 16, 17, 8, 4, 2, 2, None, None, 4, 9]
+    rows_calls = [n for n in sizes if n is not None]
+    assert len(rows_calls) == 9 <= 2 * math.ceil(math.log2(33))
+    with pytest.raises(ValueError) as alone:
+        case.lhs.fn({"alpha": bad}, Tolerance())
+    assert [o.params["alpha"] for o in outs] == alphas
+    for o in outs:
+        if o.params["alpha"] == bad:
+            assert not o.passed and o.reason == f"error: {alone.value}"
+            assert math.isnan(o.lhs_value) and math.isnan(o.rhs_value)
+        else:
+            assert o.passed and o.reason == ""
+            assert o.lhs_value == o.rhs_value == 0.5 * o.params["alpha"]
+
+
+# ---------------------------------------------------------------------------
+# The judge: every outcome of a case in one array pass, against the scalar rule
+# ---------------------------------------------------------------------------
+
+
+def _scalar_rule(eff, lhs, rhs):
+    """One outcome's fields from each side's ``(value, evals, terms,
+    converged)`` or exception, point by point: the reference for the
+    vectorised judge."""
+    evals = terms = 0
+    converged = True
+    lhs_value = rhs_value = math.nan
+    imag_excess = False
+    for side, result in (("lhs", lhs), ("rhs", rhs)):
+        if isinstance(result, Exception):
+            return (lhs_value, rhs_value, math.nan, math.nan, False,
+                    f"error: {result}", evals, terms)
+        value, e, t, c = result
+        evals, terms, converged = evals + e, terms + t, converged and c
+        if isinstance(value, complex):
+            margin = eff.abs_tol + eff.rel_tol * max(
+                abs(value.real), abs(lhs_value) if side == "rhs" else 0.0)
+            imag_excess = imag_excess or abs(value.imag) > margin
+            value = value.real
+        if side == "lhs":
+            lhs_value = value
+        else:
+            rhs_value = value
+    diff = abs(lhs_value - rhs_value)
+    scale = max(abs(lhs_value), abs(rhs_value))
+    rel = 0.0 if scale == 0.0 else diff / scale
+    ok = eff.passes(lhs_value, rhs_value)
+    reason = ("not_converged" if not converged else
+              "imaginary_part_exceeds_tolerance" if imag_excess else
+              "" if ok else "mismatch")
+    return (lhs_value, rhs_value, diff, rel, ok and converged and not imag_excess,
+            reason, evals, terms)
+
+
+def _table_side(table):
+    """An evaluator that looks each alpha up in ``table``: ``(value, evals,
+    terms, converged)``, or an exception, which its rows call raises."""
+    def rows(fixed, name, values, tol):
+        entries = [table[fixed["alpha"] if name is None else v] for v in values]
+        for entry in entries:
+            if isinstance(entry, Exception):
+                raise entry
+        value, evals, terms, converged = zip(*entries)
+        return EvalRows(np.array(value), np.array(evals), np.array(terms),
+                        np.array(converged))
+
+    return Evaluator("table", rows)
+
+
+_INF, _NAN = math.inf, math.nan
+_JUDGE_CASES = [  # (lhs, rhs) per point
+    ((0.0, 0, 0, True), (0.0, 0, 0, True)),                  # both 0: rel_error 0
+    ((1.0, 129, 0, True), (1.0 + 1e-12, 0, 17, True)),       # pass, with work
+    ((1.0, 5, 0, True), (1.1, 0, 0, True)),                  # mismatch
+    ((_INF, 0, 0, True), (1.0, 0, 0, True)),                 # infinite side
+    ((-_INF, 0, 0, True), (-_INF, 0, 0, True)),              # inf - inf is NaN
+    ((_NAN, 0, 0, True), (1.0, 0, 0, True)),                 # NaN side
+    ((0.0, 0, 0, True), (_NAN, 0, 0, True)),                 # max(0, nan) is 0
+    ((1.0, 7, 0, False), (2.0, 0, 3, True)),                 # not converged first
+    ((1.0, 0, 0, True), (1.0 + 1e-3j, 0, 0, False)),         # ... before imaginary
+    ((2.0, 0, 0, True), (2.0 + 1e-3j, 0, 0, True)),          # imaginary part
+    ((2.0, 0, 0, True), (2.0 + 1e-11j, 0, 0, True)),         # imaginary within margin
+    ((3.0 + 1e-3j, 0, 0, True), (3.0, 0, 0, True)),          # complex left side
+    ((3.0 + 1e-3j, 0, 0, True), (4.0, 0, 0, True)),          # ... and a mismatch
+    ((1.5, 33, 4, True), ValueError("rhs boom")),            # rhs error keeps lhs
+    (ValueError("lhs boom"), (1.0, 0, 0, True)),             # lhs error: all NaN
+]
+
+
+def test_vectorised_judge_matches_the_scalar_rule(monkeypatch):
+    alphas = [k / 100.0 for k in range(1, len(_JUDGE_CASES) + 1)]
+    case = IdentityCase(
+        id="X6", description="synthetic sides", source="synthetic",
+        lhs=_table_side({a: left for a, (left, _) in zip(alphas, _JUDGE_CASES)}),
+        rhs=_table_side({a: right for a, (_, right) in zip(alphas, _JUDGE_CASES)}),
+        continuous=(GridAxis("alpha", 0.0, 1.0),),
+    )
+    monkeypatch.setitem(registry(), "X6", case)
+    eff = Tolerance(1e-10, 1e-10)
+    outs = verify("X6", points=[{"alpha": a} for a in alphas], tol=eff)
+    for o, (left, right) in zip(outs, _JUDGE_CASES):
+        got = (o.lhs_value, o.rhs_value, o.abs_error, o.rel_error, o.passed, o.reason,
+               o.evals, o.terms)
+        want = _scalar_rule(eff, left, right)
+        assert [type(v) for v in got] == [float] * 4 + [bool, str, int, int], o
+        assert repr(got) == repr(want), o.params
+    by_reason = [o.reason for o in outs]
+    assert by_reason == ["", "", "mismatch", "mismatch", "mismatch", "mismatch",
+                         "mismatch", "not_converged", "not_converged",
+                         "imaginary_part_exceeds_tolerance", "",
+                         "imaginary_part_exceeds_tolerance",
+                         "imaginary_part_exceeds_tolerance",
+                         "error: rhs boom", "error: lhs boom"]
+    assert outs[0].rel_error == 0.0 and outs[0].passed
+    assert (outs[13].lhs_value, outs[13].evals, outs[13].terms) == (1.5, 33, 4)
+    assert math.isnan(outs[14].lhs_value) and (outs[14].evals, outs[14].terms) == (0, 0)
+    parsed = json.loads(render_report(Report("v", "t", None, None, tuple(outs)), "json"))
+    for got in parsed["outcomes"][3:6]:
+        assert got["pass"] is False and got["abs_error"] is None
+    assert parsed["outcomes"][3]["lhs"] is None and parsed["outcomes"][5]["lhs"] is None
+    assert parsed["outcomes"][6]["rhs"] is None and parsed["outcomes"][6]["rel_error"] == 0.0
 
 
 def test_verify_e19_checks_imaginary_part():

@@ -168,6 +168,13 @@ def _quad_bits(res):
     return (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.converged)
 
 
+def _row_bits(res):
+    """``_quad_bits`` of each row of a ``QuadratureRows``."""
+    return [(v.hex(), e.hex(), n, ok) for v, e, n, ok in zip(
+        res.values.tolist(), res.error_estimates.tolist(), res.work.tolist(),
+        res.row_converged.tolist())]
+
+
 @settings(deadline=None, max_examples=60)
 @given(family=st.sampled_from(sorted(_ROW_FAMILIES)), k=st.integers(1, 100),
        seed=st.integers(0, 2**32 - 1), levels=st.integers(0, 7),
@@ -185,10 +192,11 @@ def test_rows_equal_one_row_runs_at_any_row_count(family, k, seed, levels, digit
     pieces = 2 if integrate is integrate_semi_infinite else 1
     tol = Tolerance(10.0**-digits, 10.0**-digits, max_work=pieces * nodes)
     batch = integrate(Rows(build, tuple(values)), tol)
-    assert len(batch.rows) == len(values)
-    for a, row in zip(values, batch.rows):
-        assert _quad_bits(row) == _quad_bits(integrate(build(a), tol)), a
-    assert batch.evaluations == sum(r.evaluations for r in batch.rows)
+    alone = [integrate(build(a), tol) for a in values]
+    assert _row_bits(batch) == [_quad_bits(one) for one in alone]
+    assert type(batch.evaluations) is int and type(batch.converged) is bool
+    assert batch.evaluations == sum(one.evaluations for one in alone)
+    assert batch.converged == all(one.converged for one in alone)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +273,7 @@ def _fsum_reference(spec, tol):
     for level in range(_MAX_LEVELS + 1):
         if level >= 1 and evals + len(_level_nodes(level)[0]) > tol.max_work:
             break
-        wf, n_new = _eval_level(spec.f, spec.f_right, level, 1)
+        wf, _, n_new = _eval_level(spec.f, spec.f_right, level, 1)
         row = wf[0].tolist()
         evals += n_new
         h = 0.5 ** level

@@ -57,6 +57,18 @@ def _bits(res):
     return (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.converged)
 
 
+def _row_bits(res):
+    """``_bits`` of each row of a ``QuadratureRows``."""
+    return [(v.hex(), e.hex(), n, ok) for v, e, n, ok in zip(
+        res.values.tolist(), res.error_estimates.tolist(), res.work.tolist(),
+        res.row_converged.tolist())]
+
+
+def _side_rows(out, work):
+    """Each row of an ``EvalRows`` as Python ``(value, work, converged)``."""
+    return list(zip(out.value.tolist(), getattr(out, work).tolist(), out.converged.tolist()))
+
+
 def _record_calls(monkeypatch, names):
     """Replace the registry's ``names`` by recorders; each call appends
     ``(name, argument, result)`` to the returned list. The originals are
@@ -97,27 +109,33 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
                                          for d in case.discrete]):
             fixed = dict(combo)
             del calls[:]
-            outs = case.lhs.rows(fixed, axis.name, values, tol)
+            outs = _side_rows(case.lhs.rows(fixed, axis.name, values, tol), "evals")
             [(_, batch, res)] = calls
             assert batch.values == tuple(values)
-            assert len(res.rows) == len(outs) == len(values)
-            for value, row, out in zip(values, res.rows, outs):
+            assert len(_row_bits(res)) == len(outs) == len(values)
+            for value, row, out in zip(values, _row_bits(res), outs):
                 del calls[:]
                 one = case.lhs.fn(fixed | {axis.name: value}, tol)
                 [(name, point, point_res)] = calls
                 spec = point.at()
                 assert _is_scalar_spec(spec), (case.id, fixed, value)
                 alone = originals[name](spec, tol)
-                assert _bits(alone) == _bits(row) == _bits(point_res.rows[0]), (
+                assert [_bits(alone)] == [row] == _row_bits(point_res), (
                     case.id, fixed, value)
-                assert (out.value, out.evals, out.converged) == (
-                    one.value, one.evals, one.converged)
+                assert out == (one.value, one.evals, one.converged)
     assert batched == {"E2", "E4", "E4alt", "E5", "E7", "E9", "E10", "E11", "E12",
                        "E16", "E21", "E22"}
 
 
 def _sum_bits(res):
     return (res.value.hex(), res.terms_used, res.remainder_bound.hex(), res.converged)
+
+
+def _sum_row_bits(res):
+    """``_sum_bits`` of each row of a ``SummationRows``."""
+    return [(v.hex(), n, b.hex(), ok) for v, n, b, ok in zip(
+        res.values.tolist(), res.work.tolist(), res.remainder_bounds.tolist(),
+        res.row_converged.tolist())]
 
 
 def test_series_rows_equal_one_point_runs(monkeypatch):
@@ -142,14 +160,14 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
                                              for d in case.discrete]):
                 fixed = dict(combo)
                 del calls[:]
-                outs = side.rows(fixed, axis.name, values, tol)
+                outs = _side_rows(side.rows(fixed, axis.name, values, tol), "terms")
                 [(name, batch, res)] = calls
-                assert batch.values == tuple(values) and len(res.rows) == len(values)
+                assert batch.values == tuple(values) and len(_sum_row_bits(res)) == len(values)
                 alternating = batch.at().sign_pattern == ALTERNATING
                 assert name == ("sum_alternating_accelerated" if alternating else "sum_direct")
                 if alternating:
                     accelerated.add(case.id)
-                for value, out, row in zip(values, outs, res.rows):
+                for value, out, row in zip(values, outs, _sum_row_bits(res)):
                     del calls[:]
                     one = side.fn(fixed | {axis.name: value}, tol)
                     # the one-point row's column is NaN: a generator that read
@@ -158,10 +176,9 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
                     [(one_name, point, point_res)] = calls
                     assert one_name == name and point.values == (None,)
                     alone = originals[name](point.at(), tol)
-                    assert _sum_bits(row) == _sum_bits(alone) == _sum_bits(
-                        point_res.rows[0]), (case.id, fixed, value)
-                    assert (out.value, out.terms, out.converged) == (
-                        one.value, one.terms, one.converged)
+                    assert [row] == [_sum_bits(alone)] == _sum_row_bits(point_res), (
+                        case.id, fixed, value)
+                    assert out == (one.value, one.terms, one.converged)
     assert batched == {"E5", "E7", "EC6", "E16", "E18", "E19", "E21", "E22"}
     assert accelerated == {"E5", "E7", "EC6", "E16", "E19", "E21", "E22"}
 
@@ -190,21 +207,22 @@ def test_closed_form_rows_equal_one_point_runs():
                                              for d in case.discrete]):
                 fixed = dict(combo)
                 outs = side.rows(fixed, axis.name, values, tol)
-                assert len(outs) == len(values)
-                for value, out in zip(values, outs):
+                assert outs.value.dtype == float and len(outs.value) == len(values)
+                for value, out in zip(values, outs.value.tolist()):
                     one = side.fn(fixed | {axis.name: value}, tol)
-                    assert type(out.value) is type(one.value) is float
-                    assert out.value.hex() == one.value.hex(), (case.id, fixed, value)
+                    assert type(one.value) is float
+                    assert out.hex() == one.value.hex(), (case.id, fixed, value)
     assert batched == {"E2", "E4", "E4alt", "E9", "E10", "EC6", "E11", "E12", "E18", "E18d"}
 
 
 def test_every_grouped_call_runs_without_the_one_point_fallback(monkeypatch):
-    # a side whose rows call raises is evaluated again one point at a time:
-    # correct, but slow and silent. No registered side may take that path
-    def fallback(evaluator, params, tol):
-        raise AssertionError(f"{evaluator.describe!r} fell back to one point at {params}")
+    # a side whose rows call raises is evaluated again by halves down to
+    # single points: correct, but slow and silent. No registered side may
+    # take that path
+    def fallback(side, evaluator, fixed, name, idx, points, tol):
+        raise AssertionError(f"{evaluator.describe!r} fell back to halves at {points}")
 
-    monkeypatch.setattr(importlib.import_module("quadident.ledger"), "_evaluate_one", fallback)
+    monkeypatch.setattr(importlib.import_module("quadident.ledger"), "_bisect", fallback)
     for case_id in registry():
         assert verify(case_id, 33)
 
@@ -247,8 +265,9 @@ def test_accelerated_bound_covers_every_grid_row():
         alphas = tuple(case.continuous[0].points(33))
         for p in (1, 2, 3, 4) if case.discrete else (None,):
             batch = Rows(functools.partial(build, p=p) if p else build, alphas)
-            rows = sum_alternating_accelerated(batch, tol).rows
-            truth = sum_direct(batch, reference).rows
-            for alpha, row, ref in zip(alphas, rows, truth):
-                assert row.converged, (case_id, p, alpha)
-                assert abs(row.value - ref.value) <= row.remainder_bound, (case_id, p, alpha)
+            rows = sum_alternating_accelerated(batch, tol)
+            truth = sum_direct(batch, reference).values
+            assert rows.row_converged.all(), (case_id, p)
+            for alpha, value, bound, ref in zip(alphas, rows.values.tolist(),
+                                                rows.remainder_bounds.tolist(), truth.tolist()):
+                assert abs(value - ref) <= bound, (case_id, p, alpha)

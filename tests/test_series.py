@@ -105,6 +105,13 @@ def _bits(res):
     return (res.value.hex(), res.terms_used, res.remainder_bound.hex(), res.converged)
 
 
+def _row_bits(res):
+    """``_bits`` of each row of a ``SummationRows``."""
+    return [(v.hex(), n, b.hex(), ok) for v, n, b, ok in zip(
+        res.values.tolist(), res.work.tolist(), res.remainder_bounds.tolist(),
+        res.row_converged.tolist())]
+
+
 @pytest.mark.parametrize("poison", ["nan", "same_sign"])
 def test_terms_past_every_stop_are_never_read(poison):
     # a row that stops after u terms reads terms 0..u (term u is the first
@@ -114,8 +121,8 @@ def test_terms_past_every_stop_are_never_read(poison):
 
     values = tuple(k / 10.0 for k in range(1, 10))
     tol = Tolerance(2.5e-11, 2.5e-11)
-    clean = sum_direct(Rows(_gen_skew_odd_denom, values), tol).rows
-    last = {v: r.terms_used for v, r in zip(values, clean)}
+    clean = sum_direct(Rows(_gen_skew_odd_denom, values), tol)
+    last = dict(zip(values, clean.work.tolist()))
     assert max(last.values()) > 32  # some row reads past the first chunk
 
     def build(column):
@@ -129,8 +136,8 @@ def test_terms_past_every_stop_are_never_read(poison):
 
         return replace(g, terms=terms)
 
-    poisoned = sum_direct(Rows(build, values), tol).rows
-    assert [_bits(r) for r in poisoned] == [_bits(r) for r in clean]
+    poisoned = sum_direct(Rows(build, values), tol)
+    assert _row_bits(poisoned) == _row_bits(clean)
 
 
 def test_non_finite_term_fails_fast_in_one_chunk():
@@ -232,10 +239,10 @@ def test_accelerated_rows_equal_one_row_runs():
     values = (1e-3, 0.3, 0.99, 1.0)
     tol = Tolerance(1e-12, 0.0)
     for build in (_gen_skew_odd_denom, lambda alpha: _gen_atan_pow_beta(alpha, 3)):
-        rows = sum_alternating_accelerated(Rows(build, values), tol).rows
-        assert len({r.terms_used for r in rows}) > 1
-        for value, row in zip(values, rows):
-            assert _bits(row) == _bits(sum_alternating_accelerated(build(value), tol)), value
+        rows = sum_alternating_accelerated(Rows(build, values), tol)
+        assert len(set(rows.work.tolist())) > 1
+        assert _row_bits(rows) == [
+            _bits(sum_alternating_accelerated(build(value), tol)) for value in values]
 
 
 def test_accelerated_log2_under_100_terms():
