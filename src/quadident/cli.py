@@ -59,25 +59,33 @@ def _case_tolerance(case_id: str, tol: float | None, max_work: int | None):
     )
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_verify(args) -> int:
     if args.grid < 1:
-        print("error: --grid must be >= 1", file=sys.stderr)
-        return 2
+        return _usage_error("--grid must be >= 1")
     if args.ids is None:
         ids = sorted(registry())
     else:
         ids = [s.strip() for s in args.ids.split(",") if s.strip()]
+        if not ids:
+            return _usage_error("--ids names no identity")
         for case_id in ids:
             if case_id not in registry():
-                print(f"error: unknown identity id {case_id!r}", file=sys.stderr)
-                return 2
+                return _usage_error(f"unknown identity id {case_id!r}")
         ids = sorted(ids)
+    try:  # checked for every case before any of them runs
+        tols = [_case_tolerance(case_id, args.tol, args.max_work) for case_id in ids]
+    except ValueError as exc:
+        return _usage_error(f"--tol/--max-work: {exc}")
 
     # verify is looked up here at call time, where the benchmark's tracer
     # replaces it to time each case
-    outcomes = [o for case_id in ids
-                for o in verify(case_id, grid_size=args.grid,
-                                tol=_case_tolerance(case_id, args.tol, args.max_work))]
+    outcomes = [o for case_id, tol in zip(ids, tols)
+                for o in verify(case_id, grid_size=args.grid, tol=tol)]
     report = make_report(outcomes, args.tol, args.tol)
     text = render_report(report, args.format)
     if args.out:

@@ -26,6 +26,8 @@ class Tolerance:
     max_work: int = 2_000_000
 
     def __post_init__(self):
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise ValueError("tolerances must be finite")
         if self.abs_tol < 0.0 or self.rel_tol < 0.0:
             raise ValueError("tolerances must be nonnegative")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:

@@ -37,7 +37,7 @@ from .series import (
     TermGenerator,
     sum_alternating_accelerated,
     sum_direct,
-    sum_eq8,
+    sum_eq8,  # unused by the sides; the benchmark's tracer wraps it here by name
 )
 from .specfun import (
     dilog_identity_rhs,
@@ -154,16 +154,6 @@ def _point(fixed: dict, name: Optional[str], value) -> dict:
     return fixed if name is None else fixed | {name: value}
 
 
-def _pointwise(one: Callable[[dict, Tolerance], tuple]) -> Callable:
-    """``rows`` that evaluates its points one at a time; ``one(params, tol)``
-    returns a point's ``(value, terms, converged)``."""
-    def rows(fixed: dict, name, values: list, tol: Tolerance) -> EvalRows:
-        value, terms, converged = zip(*(one(_point(fixed, name, v), tol) for v in values))
-        return EvalRows(np.array(value), terms=np.array(terms), converged=np.array(converged))
-
-    return rows
-
-
 def _quad(describe: str, build: Callable[..., IntegrandSpec],
           half_line: bool = False) -> Evaluator:
     """Quadrature side on (0, 1), or on (0, inf) for ``half_line``; ``build``
@@ -179,28 +169,35 @@ def _quad(describe: str, build: Callable[..., IntegrandSpec],
 
 
 def _series(describe: str, build: Callable[..., TermGenerator],
-            scale: float = 1.0) -> Evaluator:
-    """Series side; ``build`` takes the continuous parameter as a scalar or as
-    a column array (one row of terms per value). Every point goes through one
-    rows call, chosen by the generator's sign pattern: an ALTERNATING series
-    through the CVZ sum, whose ``remainder_bound`` is proven for the moment
-    sequences of E5, EC6, E6, EC6b and E21/E22 at p = 1 and an estimate for
-    E7, E16, E17, E19 and E21/E22 at p >= 2; a POSITIVE one (E18) through the
-    direct sum with its tail bound. The summation functions are looked up in
+            scale: float | Callable[..., float] = 1.0) -> Evaluator:
+    """Series side: ``scale`` times the sum. ``build`` takes the continuous
+    parameter as a scalar or as a column array (one row of terms per value); a
+    callable ``scale`` takes the fixed parameters of the call (E23: p). Every
+    point goes through one rows call, chosen by the generator's sign pattern:
+    an ALTERNATING series through the CVZ sum, whose ``remainder_bound`` is
+    proven for the moment sequences of E5, EC6, E6, EC6b and E21-E23 at p = 1
+    and an estimate for E7, E8, E16, E17, E19 and E21-E23 at p >= 2; a
+    POSITIVE one (E18) through the direct sum with its tail bound. A scale
+    s > 1 sums to the absolute tolerance max(abs_tol / s, 1e-16), so that the
+    scaled value still meets abs_tol. The summation functions are looked up in
     this module at call time, where the benchmark's tracer wraps them."""
     def rows(fixed: dict, name, values: list, tol: Tolerance) -> EvalRows:
+        s = scale(**fixed) if callable(scale) else scale
+        if s > 1:
+            tol = Tolerance(max(tol.abs_tol / s, 1e-16), tol.rel_tol, tol.max_work)
         batch = Rows(lambda column: build(**_point(fixed, name, column)), tuple(values))
         summer = (sum_alternating_accelerated if batch.at().sign_pattern == ALTERNATING
                   else sum_direct)
         res = summer(batch, tol)
-        return EvalRows(scale * res.values, terms=res.work, converged=res.row_converged)
+        return EvalRows(s * res.values, terms=res.work, converged=res.row_converged)
 
     return Evaluator(describe, rows)
 
 
-def _closed(describe: str, value: Callable[..., float]) -> Evaluator:
-    """Real closed-form side; ``value`` takes the continuous parameter as a scalar
-    or a column and returns one value per row, or one value for every row."""
+def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
+    """Closed-form side; ``value`` takes the continuous parameter as a scalar
+    or a column and returns one value per row, or one value for every row. A
+    value may be complex (E19); the ledger checks its imaginary part."""
     def rows(fixed: dict, name, values: list, tol: Tolerance) -> EvalRows:
         column = None if name is None else np.array(values, dtype=float)[:, None]
         result = np.ravel(value(**_point(fixed, name, column)))
@@ -446,27 +443,6 @@ def _lhs_dilog_pair(alpha: float) -> float:
     return polylog_real(2, w) - polylog_real(2, -w)
 
 
-def _eval_eq8(params: dict, tol: Tolerance) -> tuple:
-    # the comparison target is pi^3 = 192 x the series value, so the series
-    # itself needs a 192-fold tighter absolute tolerance
-    inner = Tolerance(max(tol.abs_tol / 192.0, 1e-16), tol.rel_tol, tol.max_work)
-    res = sum_eq8(inner)
-    return 192.0 * res.value, res.terms_used, res.converged
-
-
-def _eval_eq23_series(params: dict, tol: Tolerance) -> tuple:
-    p = params["p"]
-    gen = _gen_atan_pow_beta(1.0, p)
-    # the comparison target is pi^(p+1); tighten the series tolerance by the
-    # prefactor so the scaled value still meets it
-    prefactor = (p + 1) * 2 ** (2 * p + 1)
-    inner = Tolerance(
-        max(tol.abs_tol / prefactor, 1e-16), tol.rel_tol, tol.max_work
-    )
-    res = sum_alternating_accelerated(gen, inner)
-    return prefactor * res.value, res.terms_used, res.converged
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -566,7 +542,8 @@ def register_all() -> list[IdentityCase]:
             description="pi^3 = 192 sum (h_n/n)(L_n - pi/4)",
             source="squared-arctangent series at a = 1",
             lhs=_closed("pi^3", lambda: _PI**3),
-            rhs=Evaluator("192 x accelerated series", _pointwise(_eval_eq8)),
+            rhs=_series("192 x accelerated series",
+                        lambda: _gen_odd_harmonic_leibniz(1.0), scale=192),
             default_tol=TOL_SLOW_SERIES,
         ),
         IdentityCase(
@@ -740,8 +717,7 @@ def register_all() -> list[IdentityCase]:
             ),
             source="alternating odd-harmonic sum via circle trilogarithms",
             lhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq),
-            rhs=Evaluator("complex closed form (real part)",
-                          _pointwise(lambda params, tol: (eq19_rhs(**params), 0, True))),
+            rhs=_closed("complex closed form (real part)", eq19_rhs),
             continuous=(_ALPHA_OPEN,),
             extra_points=(_pt(alpha=1.0),),
             default_tol=TOL_MEDIUM,
@@ -774,8 +750,9 @@ def register_all() -> list[IdentityCase]:
             description="pi^(p+1) = (p+1) 2^(2p+1) sum A(n,p) beta((n+1)/2)",
             source="arctan-power series at a = 1",
             lhs=_closed("pi^(p+1)", lambda p: _PI ** (p + 1)),
-            rhs=Evaluator("scaled accelerated beta series",
-                          _pointwise(_eval_eq23_series)),
+            rhs=_series("scaled accelerated beta series",
+                        lambda p: _gen_atan_pow_beta(1.0, p),
+                        scale=lambda p: (p + 1) * 2 ** (2 * p + 1)),
             discrete=(_P_POWERS,),
             default_tol=TOL_SLOW_SERIES,
         ),

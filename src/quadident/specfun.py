@@ -295,14 +295,19 @@ def dilog_identity_rhs(alpha):
     )
 
 
-def eq19_rhs(alpha: float) -> complex:
-    """Closed form of sum_{n>=1} (-1)^(n-1) h_n alpha^(2n) / n^2, 0 < alpha <= 1.
+def eq19_rhs(alpha):
+    """Closed form of sum_{n>=1} (-1)^(n-1) h_n alpha^(2n) / n^2, 0 < alpha <= 1,
+    elementwise over an array alpha (a float gives a complex).
 
     Built from trilogarithms at (1 - i alpha)/(1 + i alpha), a point of the
     unit circle with nonnegative real part for alpha <= 1, so the principal
     branch is never crossed (asserted at runtime). The imaginary part of the
     result cancels analytically; callers should check it stays near zero.
+    Each element makes its own scalar ``polylog_complex`` calls, from whose
+    argument the benchmark's tracer names the layer.
     """
+    if np.ndim(alpha):
+        return np.reshape([eq19_rhs(a) for a in np.ravel(alpha).tolist()], np.shape(alpha))
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"eq19_rhs requires 0 < alpha <= 1, got {alpha}")

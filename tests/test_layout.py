@@ -73,7 +73,7 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from tracer import Tracer
 tracer = Tracer()
 verify = tracer.install()
-outs = [o for case_id in ("E5", "E9", "E11", "E18", "E21", "E22")
+outs = [o for case_id in ("E5", "E8", "E9", "E11", "E18", "E21", "E22", "E23")
         for o in verify(case_id, grid_size=3)]
 traced = tracer.take_pass()
 json.dumps(traced)  # a numpy scalar in the tracer's counters would not serialise
@@ -88,7 +88,8 @@ def test_benchmark_tracer_counts_every_point_of_a_batched_call():
     # a batched quadrature or series call carries the summed evaluations or
     # terms of its rows, so the traced counts still equal the report's work
     # per outcome: E9 is a half-line integral (two batched pieces), E18 a
-    # positive series with a tail bound, E21 and E22 batch once per p. The
+    # positive series with a tail bound, E21 and E22 batch once per p, and
+    # the scaled sides of E8 and E23 sum through the same traced names. The
     # whole pass must serialise as JSON: the totals the tracer adds up must
     # be Python numbers, as the benchmark writes them
     proc = subprocess.run(
@@ -102,8 +103,9 @@ def test_benchmark_tracer_counts_every_point_of_a_batched_call():
     assert evals == outcome_evals > 0
     assert terms == outcome_terms > 0
     # one batch per side and group: E5 (accelerated, alpha = 1 included),
-    # E18 (direct); E21, E22: one accelerated batch per p
-    assert series_calls == 1 + 1 + 4 + 4
+    # E18 (direct); E21, E22: one accelerated batch per p; E8 (one point);
+    # E23: one point per p
+    assert series_calls == 1 + 1 + 4 + 4 + 1 + 4
 
 
 def test_cli_verifies_through_its_traced_name(monkeypatch, capsys):

@@ -566,6 +566,20 @@ def test_cli_unknown_id(capsys):
     assert "E99" in err
 
 
+@pytest.mark.parametrize("args", [["--tol", "nan"], ["--tol", "inf"], ["--max-work", "0"],
+                                  ["--ids", ""], ["--ids", ","]])
+def test_cli_rejects_bad_options_before_any_case_runs(monkeypatch, capsys, args):
+    # a non-finite tolerance, a zero work cap and an empty id list are usage
+    # errors: exit 2 with an error line, not an internal error or a report
+    ran = []
+    monkeypatch.setattr(cli, "verify", lambda case_id, **kwargs: ran.append(case_id))
+    argv = ["verify"] + (args if args[0] == "--ids" else ["--ids", "E1,E13"] + args)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert ran == []
+
+
 def test_cli_usage_error():
     assert cli.main(["bogus-subcommand"]) == 2
 

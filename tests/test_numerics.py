@@ -41,6 +41,13 @@ def test_tolerance_validation():
         Tolerance(-1e-10, 1e-10)
     with pytest.raises(ValueError):
         Tolerance(1e-10, 1e-10, max_work=0)
+    # an infinite tolerance passes every finite difference, and a NaN one
+    # fails every comparison after summing to max_work
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(bad, 1e-10)
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(1e-10, bad)
     Tolerance(1e-7, 0.0)  # absolute-only is allowed
 
 

@@ -21,7 +21,7 @@ from quadident.registry import (
     _powers,
     registry,
 )
-from quadident.series import ALTERNATING, sum_alternating_accelerated, sum_direct
+from quadident.series import ALTERNATING, sum_alternating_accelerated, sum_direct, sum_eq8
 from quadident.specfun import incomplete_beta
 
 _N_MAX = 430
@@ -183,13 +183,53 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
     assert accelerated == {"E5", "E7", "EC6", "E16", "E19", "E21", "E22"}
 
 
+def test_every_side_is_made_by_one_of_three_evaluators():
+    # every side is one batched quadrature, series or closed-form call over
+    # its points; a fourth way to evaluate a side must not come back
+    makers = {side.rows.__qualname__ for case in registry().values()
+              for side in (case.lhs, case.rhs)}
+    assert makers == {"_quad.<locals>.rows", "_series.<locals>.rows", "_closed.<locals>.rows"}
+
+
+def test_scaled_series_sides_equal_the_scaled_one_generator_sums():
+    # E8's right side is 192 x the series of series.sum_eq8, and E23's is
+    # (p+1) 2^(2p+1) x the beta series at alpha = 1. A side scaled by s > 1
+    # sums to the absolute tolerance max(abs_tol / s, 1e-16), so the scaled
+    # value still meets abs_tol; value, terms and flag keep every bit
+    def inner(tol, scale):
+        return Tolerance(max(tol.abs_tol / scale, 1e-16), tol.rel_tol, tol.max_work)
+
+    sides = [("E8", {}, 192, sum_eq8)] + [
+        ("E23", {"p": p}, (p + 1) * 2 ** (2 * p + 1),
+         functools.partial(sum_alternating_accelerated, _gen_atan_pow_beta(1.0, p)))
+        for p in (1, 2, 3, 4)]
+    for case_id, params, scale, summed in sides:
+        case = registry()[case_id]
+        default = case.default_tol
+        for tol in (Tolerance(), default,
+                    Tolerance(default.abs_tol / 4.0, default.rel_tol / 4.0, default.max_work),
+                    Tolerance(2.5e-11, 2.5e-11), Tolerance(1e-9, 0.0, 2 * 10**5),
+                    Tolerance(1e-14, 0.0)):
+            res = summed(inner(tol, scale))
+            one = case.rhs.fn(params, tol)
+            assert (one.value.hex(), one.terms, one.converged) == (
+                (scale * res.value).hex(), res.terms_used, res.converged), (case_id, params, tol)
+
+
 def _is_closed_form(side):
     return side.rows.__qualname__.startswith("_closed.")
 
 
+def _parts_hex(value, complex_ok):
+    """The hex of a closed-form value, as (real, imaginary) where complex."""
+    assert type(value) is (complex if complex_ok else float)
+    return (value.real.hex(), value.imag.hex()) if complex_ok else value.hex()
+
+
 def test_closed_form_rows_equal_one_point_runs():
     # a closed form over a column must give every row the bits of its
-    # one-point run, whose builder receives the parameters as scalars
+    # one-point run, whose builder receives the parameters as scalars; only
+    # E19's right side is complex, and both of its parts must match
     batched = set()
     tol = Tolerance()
     for case in registry().values():
@@ -207,12 +247,15 @@ def test_closed_form_rows_equal_one_point_runs():
                                              for d in case.discrete]):
                 fixed = dict(combo)
                 outs = side.rows(fixed, axis.name, values, tol)
-                assert outs.value.dtype == float and len(outs.value) == len(values)
+                complex_ok = case.id == "E19"
+                assert outs.value.dtype == (complex if complex_ok else float)
+                assert len(outs.value) == len(values)
                 for value, out in zip(values, outs.value.tolist()):
                     one = side.fn(fixed | {axis.name: value}, tol)
-                    assert type(one.value) is float
-                    assert out.hex() == one.value.hex(), (case.id, fixed, value)
-    assert batched == {"E2", "E4", "E4alt", "E9", "E10", "EC6", "E11", "E12", "E18", "E18d"}
+                    assert _parts_hex(out, complex_ok) == _parts_hex(one.value, complex_ok), (
+                        case.id, fixed, value)
+    assert batched == {"E2", "E4", "E4alt", "E9", "E10", "EC6", "E11", "E12", "E18", "E18d",
+                       "E19"}
 
 
 def test_every_grouped_call_runs_without_the_one_point_fallback(monkeypatch):
