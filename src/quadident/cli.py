@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .ledger import make_report, render_report, verify
+from .ledger import make_report, render_report, side_tolerance, verify
 from .numerics import Tolerance
 from .registry import lookup, registry
 
@@ -52,11 +52,13 @@ def _case_tolerance(case_id: str, tol: float | None, max_work: int | None):
     base = lookup(case_id).default_tol
     if tol is None and max_work is None:
         return None  # keep the case default
-    return Tolerance(
+    override = Tolerance(
         tol if tol is not None else base.abs_tol,
         tol if tol is not None else base.rel_tol,
         max_work if max_work is not None else base.max_work,
     )
+    side_tolerance(override)  # raises as verify would, e.g. for a subnormal --tol
+    return override
 
 
 def _usage_error(message: str) -> int:

@@ -6,11 +6,11 @@ append the case's registered endpoint evaluations. A failing or non-converged
 point never aborts a run; the report is the product, and the CLI exit code
 carries the aggregate status.
 
-Each side of a case goes through one batched ``rows`` call per group of
-points that share their discrete values; a group whose call raises is
-retried by halves, so each failure reads as its one-point call would. The
-results stay columns (value, work, convergence) until one array pass judges
-every point of the case, and each outcome is built once from those columns.
+Each side of a case goes through one batched ``rows`` call over all of its
+points, discrete parameters included; a call that raises is retried by
+halves, so each failure reads as its one-point call would. The results stay
+columns (value, work, convergence) until one array pass judges every point
+of the case, and each outcome is built once from those columns.
 
 Reports order outcomes by identity id, then by parameter tuple, so two runs
 with the same inputs are byte-identical apart from the timestamp.
@@ -67,16 +67,9 @@ class Report:
 
 
 def _grid_points(case: IdentityCase, grid_size: int) -> list[dict]:
-    axes: list[list[tuple[str, float]]] = []
-    for d in case.discrete:
-        axes.append([(d.name, v) for v in d.values])
-    for c in case.continuous:
-        axes.append([(c.name, v) for v in c.points(grid_size)])
-    if axes:
-        points = [dict(combo) for combo in itertools.product(*axes)]
-    else:
-        points = [{}]
-    return points
+    axes = [[(d.name, v) for v in d.values] for d in case.discrete]
+    axes += [[(c.name, v) for v in c.points(grid_size)] for c in case.continuous]
+    return [dict(combo) for combo in itertools.product(*axes)]
 
 
 def verify(
@@ -95,9 +88,7 @@ def verify(
         raise ValueError("grid_size must be >= 1")
     case = lookup(case_id)
     eff = tol if tol is not None else case.default_tol
-    # evaluate each side tighter than the comparison so evaluation error
-    # does not consume the comparison budget
-    eval_tol = Tolerance(eff.abs_tol / 4.0, eff.rel_tol / 4.0, eff.max_work)
+    eval_tol = side_tolerance(eff)
 
     pts = list(points) if points is not None else _grid_points(case, grid_size)
     lhs_over: dict[int, float] = {}  # point index -> registered value
@@ -106,34 +97,24 @@ def verify(
         base = dict(ep.params)
         # endpoints registered for a continuous parameter still enumerate
         # every value of the discrete parameters
-        missing = [d for d in case.discrete if d.name not in base]
-        combos = itertools.product(*[[(d.name, v) for v in d.values] for d in missing])
-        for combo in combos:
+        missing = [[(d.name, v) for v in d.values] for d in case.discrete if d.name not in base]
+        for combo in itertools.product(*missing):
             for over, value in ((lhs_over, ep.lhs_value), (rhs_over, ep.rhs_value)):
                 if value is not None:
                     over[len(pts)] = value
             pts.append(dict(combo) | base)
 
-    # each side in one pass over the groups; a point whose left side raised
-    # never evaluates its right side
-    groups = _groups(case, pts)
-    lhs = _evaluate(case.lhs, pts, groups, lhs_over, {}, eval_tol)
-    rhs = _evaluate(case.rhs, pts, groups, rhs_over, lhs.errors, eval_tol)
+    # each side in one rows call; a point whose left side raised never
+    # evaluates its right side
+    lhs = _evaluate(case.lhs, pts, lhs_over, {}, eval_tol)
+    rhs = _evaluate(case.rhs, pts, rhs_over, lhs.errors, eval_tol)
     return _judge(case.id, pts, eff, lhs, rhs)
 
 
-def _groups(case, pts) -> list[tuple[Optional[str], dict, list[int]]]:
-    """The points that differ only in the case's continuous parameter, as
-    ``(name, fixed, indices)``; ``name`` is None for points without it (every
-    point of a case without one), each of which is then a group of its own
-    parameters."""
-    axis = case.continuous[0].name if case.continuous else None
-    groups: dict = {}
-    for i, params in enumerate(pts):
-        name = axis if axis in params else None
-        key = (name, tuple(sorted((k, v) for k, v in params.items() if k != name)))
-        groups.setdefault(key, []).append(i)
-    return [(name, dict(fixed), idx) for (name, fixed), idx in groups.items()]
+def side_tolerance(tol: Tolerance) -> Tolerance:
+    """A quarter of the comparison tolerance, for each side, so that evaluation
+    error does not consume the comparison budget (ValueError if it is 0)."""
+    return Tolerance(tol.abs_tol / 4.0, tol.rel_tol / 4.0, tol.max_work)
 
 
 class _Side:
@@ -158,52 +139,39 @@ class _Side:
         self.converged[idx] = out.converged
 
 
-def _evaluate(evaluator, pts, groups, overrides, skip, tol) -> _Side:
-    """One side at every point: its registered override value, the
-    evaluator's result, or the exception the evaluation raised; points in
-    ``skip`` are left unset.
-
-    Each group goes through one ``evaluator.rows`` call. If a call raises,
-    it is retried by halves (see :func:`_bisect`), so each failure reads as
-    it would alone (failures are data, not aborts).
-    """
+def _evaluate(evaluator, pts, overrides, skip, tol) -> _Side:
+    """One side at every point: its registered override value, the result of
+    one ``evaluator.rows`` call over the other points (see :func:`_fill`), or
+    the exception the evaluation raised; points in ``skip`` are left unset."""
     side = _Side(len(pts))
     for i, value in overrides.items():
         side.value[i] = value
-    for name, fixed, idx in groups:
-        idx = [i for i in idx if i not in overrides and i not in skip]
-        if idx:
-            _fill(side, evaluator, fixed, name, idx, [pts[i] for i in idx], tol)
+    idx = [i for i in range(len(pts)) if i not in overrides and i not in skip]
+    if idx:
+        _fill(side, evaluator, idx, [pts[i] for i in idx], tol)
     return side
 
 
-def _fill(side, evaluator, fixed, name, idx, points, tol):
-    """The points of one group in one ``evaluator.rows`` call, stored at
-    ``idx``; if the call raises, the group goes to :func:`_bisect`."""
+def _fill(side, evaluator, idx, points, tol):
+    """The points in one ``evaluator.rows`` call, stored at ``idx``; if it
+    raises, one point records the exception, and more go to :func:`_bisect`."""
     try:
-        out = evaluator.rows(fixed, name, [p.get(name) for p in points], tol)
-    except Exception:
-        _bisect(side, evaluator, fixed, name, idx, points, tol)
+        out = evaluator.rows(points, tol)
+    except Exception as exc:
+        if len(idx) > 1:
+            _bisect(side, evaluator, idx, points, tol)
+        else:
+            side.errors[idx[0]] = exc
     else:
         side.put(idx, out)
 
 
-def _bisect(side, evaluator, fixed, name, idx, points, tol):
-    """Evaluate a group whose rows call raised. A single point goes through
-    ``evaluator.fn``, whose exception is recorded; a larger group splits in
-    two halves, each one rows call through :func:`_fill`, or one point
-    through this function. A half that succeeds keeps the bits of the whole
-    call, because each row of a rows call is its one-point run."""
-    if len(idx) == 1:
-        try:
-            side.put(idx, evaluator.fn(points[0], tol))
-        except Exception as exc:  # failures are data, not aborts
-            side.errors[idx[0]] = exc
-        return
+def _bisect(side, evaluator, idx, points, tol):
+    """Points whose rows call raised, in two halves through :func:`_fill`; a
+    half that succeeds has the bits of the whole call: a row is its one-point run."""
     half = len(idx) // 2
     for part in (slice(None, half), slice(half, None)):
-        retry = _fill if len(idx[part]) > 1 else _bisect
-        retry(side, evaluator, fixed, name, idx[part], points[part], tol)
+        _fill(side, evaluator, idx[part], points[part], tol)
 
 
 _REASONS = np.array(["", REASON_MISMATCH, REASON_IMAG, REASON_NOT_CONVERGED])

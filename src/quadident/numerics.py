@@ -6,9 +6,11 @@ Everything here is pure and immutable; values are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +34,8 @@ class Tolerance:
             raise ValueError("tolerances must be nonnegative")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise ValueError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_work < 1:
+        if (isinstance(self.max_work, bool) or not isinstance(self.max_work, numbers.Integral)
+                or self.max_work < 1):
             raise ValueError("max_work must be a positive integer")
 
     def margin(self, a: float, b: float) -> float:
@@ -69,27 +72,30 @@ CONSTANTS = ConstantsTable()
 
 @dataclass(frozen=True, eq=False)
 class Rows:
-    """Integrands or series that differ only in one parameter, run in one pass
-    by :func:`~quadident.quadrature.integrate_unit`,
-    :func:`~quadident.quadrature.integrate_semi_infinite`,
-    :func:`~quadident.series.sum_direct` or
-    :func:`~quadident.series.sum_alternating_accelerated`.
+    """Integrands, series or values over a table of points, one row per point,
+    run in one pass by the quadrature and series drivers.
 
-    ``build(column)`` receives the parameter values of some rows as a
-    ``(rows, 1)`` float array and returns their ``IntegrandSpec`` or
-    ``TermGenerator``, whose callables return one row per parameter. Each row
-    must be computed by the same elementwise operations as the spec or
-    generator of a scalar parameter. A ``build`` that ignores its column
-    gives every row the same spec or generator (the one-point call).
+    ``points`` holds one dict of parameters per row. ``build`` receives each
+    parameter of some rows as a ``(rows, 1)`` column keyword (numpy's dtype:
+    integers stay integers) and returns their spec, generator or values, each
+    row computed by the same elementwise operations as for scalar parameters;
+    without parameters, it gives every row the same one. A parameter that
+    some points lack raises ``KeyError``.
     """
 
-    build: Callable[[np.ndarray], Any]
-    values: tuple
+    build: Callable[..., Any]
+    points: Sequence[dict]
+
+    @functools.cached_property
+    def columns(self) -> dict[str, np.ndarray]:
+        names = dict.fromkeys(name for point in self.points for name in point)
+        return {name: np.array([point[name] for point in self.points])[:, None]
+                for name in names}
 
     def at(self, rows=None):
         """The spec or generator of the rows at the given indices (all for None)."""
-        column = np.asarray(self.values, dtype=float)
-        return self.build(column[:, None] if rows is None else column[rows, None])
+        return self.build(**{name: column if rows is None else column[rows]
+                             for name, column in self.columns.items()})
 
 
 def fsum_rows(*pieces):

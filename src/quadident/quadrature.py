@@ -23,9 +23,9 @@ useful relative precision once ``delta`` is tiny). The interval is chosen by
 the integrator called: :func:`integrate_unit` or
 :func:`integrate_semi_infinite`.
 
-Rows: a :class:`~quadident.numerics.Rows` of integrands that differ only in
-one parameter passes that parameter to its builder as a ``(rows, 1)`` column,
-so one level of every active row is evaluated as one ``(rows, nodes)`` array.
+Rows: a :class:`~quadident.numerics.Rows` of integrands over a table of
+points passes each parameter to its builder as a ``(rows, 1)`` column, so one
+level of every active row is evaluated as one ``(rows, nodes)`` array.
 There is one driver: a single :class:`IntegrandSpec` is its one-row case. Each
 level is one array pass: the level sum of a row is numpy's pairwise sum of
 that row (``wf.sum(axis=1)`` on a C-ordered array), whose order depends only
@@ -225,9 +225,7 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
 
 def _rows_of(spec: IntegrandSpec | Rows):
     """``(spec_of, k)`` for the driver; a single spec is one row."""
-    if isinstance(spec, Rows):
-        return spec.at, len(spec.values)
-    return (lambda rows: spec), 1
+    return (spec.at, len(spec.points)) if isinstance(spec, Rows) else ((lambda rows: spec), 1)
 
 
 def _result(spec, rows: QuadratureRows):

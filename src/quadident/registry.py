@@ -74,19 +74,17 @@ class EvalRows:
 
 @dataclass(frozen=True)
 class Evaluator:
-    """One side of an identity. ``rows(fixed, name, values, tol)`` evaluates
-    the points ``fixed | {name: v}`` for every v in ``values`` in one batched
-    call and returns their :class:`EvalRows`, one row per value in order; the
-    builders receive the values as a ``(rows, 1)`` column. With ``name``
-    None, each value (None) stands for the point ``fixed`` itself, whose
-    parameters reach the builders as scalars."""
+    """One side of an identity. ``rows(points, tol)`` evaluates a list of
+    parameter dicts in one batched call and returns their :class:`EvalRows`,
+    one row per point in order; the builders receive every parameter, p
+    included, as a column of a :class:`~quadident.numerics.Rows` table."""
 
     describe: str
-    rows: Callable[[dict, Optional[str], list, Tolerance], EvalRows]
+    rows: Callable[[list, Tolerance], EvalRows]
 
     def fn(self, params: dict, tol: Tolerance) -> EvalRows:
-        """One point: the one-value call of ``rows``, as Python scalars."""
-        out = self.rows(params, None, [None], tol)
+        """One point: the one-row call of ``rows``, as Python scalars."""
+        out = self.rows([params], tol)
         return EvalRows(*(np.ravel(c)[0].item()
                           for c in (out.value, out.evals, out.terms, out.converged)))
 
@@ -149,20 +147,13 @@ class IdentityCase:
 # ---------------------------------------------------------------------------
 
 
-def _point(fixed: dict, name: Optional[str], value) -> dict:
-    """The parameters of a point of a ``rows`` call (``value`` may be a column)."""
-    return fixed if name is None else fixed | {name: value}
-
-
 def _quad(describe: str, build: Callable[..., IntegrandSpec],
           half_line: bool = False) -> Evaluator:
     """Quadrature side on (0, 1), or on (0, inf) for ``half_line``; ``build``
-    takes the continuous parameter as a scalar or as a column array (one
-    integrand row per value). The integrator is looked up in this module at
-    call time, where the benchmark's tracer wraps it."""
-    def rows(fixed: dict, name, values: list, tol: Tolerance) -> EvalRows:
-        batch = Rows(lambda column: build(**_point(fixed, name, column)), tuple(values))
-        res = (integrate_semi_infinite if half_line else integrate_unit)(batch, tol)
+    takes the parameters as scalars or as columns. The integrator is looked
+    up in this module at call time, where the benchmark's tracer wraps it."""
+    def rows(points: list, tol: Tolerance) -> EvalRows:
+        res = (integrate_semi_infinite if half_line else integrate_unit)(Rows(build, points), tol)
         return EvalRows(res.values, evals=res.work, converged=res.row_converged)
 
     return Evaluator(describe, rows)
@@ -170,39 +161,42 @@ def _quad(describe: str, build: Callable[..., IntegrandSpec],
 
 def _series(describe: str, build: Callable[..., TermGenerator],
             scale: float | Callable[..., float] = 1.0) -> Evaluator:
-    """Series side: ``scale`` times the sum. ``build`` takes the continuous
-    parameter as a scalar or as a column array (one row of terms per value); a
-    callable ``scale`` takes the fixed parameters of the call (E23: p). Every
-    point goes through one rows call, chosen by the generator's sign pattern:
-    an ALTERNATING series through the CVZ sum, whose ``remainder_bound`` is
-    proven for the moment sequences of E5, EC6, E6, EC6b and E21-E23 at p = 1
-    and an estimate for E7, E8, E16, E17, E19 and E21-E23 at p >= 2; a
-    POSITIVE one (E18) through the direct sum with its tail bound. A scale
-    s > 1 sums to the absolute tolerance max(abs_tol / s, 1e-16), so that the
-    scaled value still meets abs_tol. The summation functions are looked up in
-    this module at call time, where the benchmark's tracer wraps them."""
-    def rows(fixed: dict, name, values: list, tol: Tolerance) -> EvalRows:
-        s = scale(**fixed) if callable(scale) else scale
-        if s > 1:
-            tol = Tolerance(max(tol.abs_tol / s, 1e-16), tol.rel_tol, tol.max_work)
-        batch = Rows(lambda column: build(**_point(fixed, name, column)), tuple(values))
-        summer = (sum_alternating_accelerated if batch.at().sign_pattern == ALTERNATING
-                  else sum_direct)
-        res = summer(batch, tol)
-        return EvalRows(s * res.values, terms=res.work, converged=res.row_converged)
+    """Series side: ``scale`` times the sum; ``build`` and a callable ``scale``
+    (E23: p) take the parameters as scalars or as columns. The points of each
+    distinct scale (only E23's differ) go through one rows call: an ALTERNATING
+    series through the CVZ sum, whose bound is proven for the moment sequences
+    of E5, EC6, E6, EC6b and E21-E23 at p = 1 and an estimate for E7, E8, E16,
+    E17, E19 and E21-E23 at p >= 2; a POSITIVE one (E18) through the direct sum
+    with its tail bound. A scale s > 1 sums to the absolute tolerance
+    max(abs_tol / s, 1e-16), so that the scaled value still meets abs_tol. The
+    summers are looked up here at call time, where the benchmark wraps them."""
+    def rows(points: list, tol: Tolerance) -> EvalRows:
+        n = len(points)
+        scales = np.ravel(Rows(scale, points).at()).tolist() if callable(scale) else [scale] * n
+        parts: dict = {}  # scale -> indices of its points
+        for i, s in enumerate(scales):
+            parts.setdefault(s, []).append(i)
+        value, terms, converged = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=bool)
+        for s, idx in parts.items():
+            batch = Rows(build, [points[i] for i in idx])
+            summer = (sum_alternating_accelerated if batch.at().sign_pattern == ALTERNATING
+                      else sum_direct)
+            res = summer(batch, Tolerance(max(tol.abs_tol / s, 1e-16), tol.rel_tol, tol.max_work)
+                         if s > 1 else tol)
+            value[idx], terms[idx], converged[idx] = s * res.values, res.work, res.row_converged
+        return EvalRows(value, terms=terms, converged=converged)
 
     return Evaluator(describe, rows)
 
 
 def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
-    """Closed-form side; ``value`` takes the continuous parameter as a scalar
-    or a column and returns one value per row, or one value for every row. A
+    """Closed-form side; ``value`` takes the parameters as scalars or as
+    columns and returns one value per row, or one value for every row. A
     value may be complex (E19); the ledger checks its imaginary part."""
-    def rows(fixed: dict, name, values: list, tol: Tolerance) -> EvalRows:
-        column = None if name is None else np.array(values, dtype=float)[:, None]
-        result = np.ravel(value(**_point(fixed, name, column)))
+    def rows(points: list, tol: Tolerance) -> EvalRows:
+        result = np.ravel(Rows(value, points).at())
         if len(result) == 1:  # one value for every row, as from a constant
-            result = np.repeat(result, len(values))
+            result = np.repeat(result, len(points))
         return EvalRows(result)
 
     return Evaluator(describe, rows)
@@ -210,9 +204,22 @@ def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
 
 # ---------------------------------------------------------------------------
 # Integrand builders (numpy-vectorized; f_right is the stable form near 1).
-# A parameter given as a (rows, 1) column yields one row of values per
-# parameter through the same elementwise operations as a scalar.
+# Parameters given as (rows, 1) columns yield one row of values per point
+# through the same elementwise operations as scalars.
 # ---------------------------------------------------------------------------
+
+
+def _pow(base, p):
+    """``base ** p``. numpy squares for a scalar p = 2, but calls pow for a
+    column, which can round differently; so a column p squares where p == 2,
+    and a base shared by its rows is raised once per distinct p."""
+    if not isinstance(p, np.ndarray):
+        return base ** p
+    if base.ndim < p.ndim:
+        ps = p.ravel().tolist()
+        index = {q: i for i, q in enumerate(dict.fromkeys(ps))}
+        return _pow(base[None, :], np.array(list(index))[:, None])[[index[q] for q in ps]]
+    return np.where(p == 2, base * base, base ** p)
 
 
 def _spec_basel() -> IntegrandSpec:
@@ -241,11 +248,11 @@ def _spec_log_kernel(alpha: float) -> IntegrandSpec:
 
 def _spec_logpow_odd(p: int, beta: float) -> IntegrandSpec:
     def f(x):
-        return np.log(x) ** p * (np.log1p(-beta * x) - np.log1p(beta * x)) / x
+        return _pow(np.log(x), p) * (np.log1p(-beta * x) - np.log1p(beta * x)) / x
 
     def f_right(d):
         return (
-            np.log1p(-d) ** p
+            _pow(np.log1p(-d), p)
             * (np.log(1.0 - beta + beta * d) - np.log1p(beta * (1.0 - d)))
             / (1.0 - d)
         )
@@ -255,10 +262,10 @@ def _spec_logpow_odd(p: int, beta: float) -> IntegrandSpec:
 
 def _spec_logpow_single(p: int, beta: float) -> IntegrandSpec:
     def f(x):
-        return np.log(x) ** p * np.log1p(-beta * x) / x
+        return _pow(np.log(x), p) * np.log1p(-beta * x) / x
 
     def f_right(d):
-        return np.log1p(-d) ** p * np.log(1.0 - beta + beta * d) / (1.0 - d)
+        return _pow(np.log1p(-d), p) * np.log(1.0 - beta + beta * d) / (1.0 - d)
 
     return IntegrandSpec(f, f_right)
 
@@ -273,28 +280,29 @@ def _spec_log_recip() -> IntegrandSpec:
 
 
 def _spec_atan_pow_over_x(alpha: float, p: int = 2) -> IntegrandSpec:
-    return IntegrandSpec(lambda x: np.arctan(alpha * x) ** p / x)
+    return IntegrandSpec(lambda x: _pow(np.arctan(alpha * x), p) / x)
 
 
 def _spec_atan_pow_cauchy(alpha: float, p: int) -> IntegrandSpec:
-    return IntegrandSpec(lambda x: np.arctan(alpha * x) ** p / (1.0 + x * x))
+    return IntegrandSpec(lambda x: _pow(np.arctan(alpha * x), p) / (1.0 + x * x))
 
 
 # ---------------------------------------------------------------------------
-# Series term builders: each takes the continuous parameter as a scalar or as a
-# (rows, 1) column and returns a generator whose terms(n0, n1) is one row of
-# terms per parameter. A row of a column goes through the same operations in
-# the same order as a scalar parameter, so each term is the one-point double.
+# Series term builders: each takes its parameters as scalars or as (rows, 1)
+# columns and returns a generator whose terms(n0, n1) is one row of terms per
+# point. A row of a column goes through the same operations in the same order
+# as scalar parameters, so each term is the one-point double.
 # ---------------------------------------------------------------------------
 
 
-def _powers(base, exponents: range) -> np.ndarray:
-    """``base ** e`` for each row of a scalar or column ``base`` and each
-    exponent, shape ``(rows, len(exponents))``. Computed by Python's pow: at
-    the grid alphas np.power rounds some of these powers differently."""
+def _powers(base, exponents: range | list[range]) -> np.ndarray:
+    """``base ** e`` for each row of a scalar or column ``base`` and each e of
+    one range, or of each row's own range of that length: ``(rows, len)``.
+    Python's pow: at the grid alphas np.power rounds some powers differently."""
     bases = np.ravel(base).tolist()
-    flat = chain.from_iterable(map(pow, repeat(b), exponents) for b in bases)
-    return np.fromiter(flat, float, len(bases) * len(exponents)).reshape(len(bases), -1)
+    ranges = exponents if isinstance(exponents, list) else [exponents] * len(bases)
+    flat = chain.from_iterable(map(pow, repeat(b), e) for b, e in zip(bases, ranges))
+    return np.fromiter(flat, float, len(bases) * len(ranges[0])).reshape(len(bases), -1)
 
 
 def _gen_skew_odd_denom(alpha=1.0) -> TermGenerator:
@@ -371,28 +379,35 @@ def _atan_beta_coeff(n: int, p: int) -> float:
     return _atan_coeff_float(n, p) * incomplete_beta((n + 1) / 2.0)
 
 
-def _gen_atan_pow_over_n(alpha, p: int) -> TermGenerator:
+def _atan_pow_terms(coeff, alpha, p, m0: int, m1: int):
+    """``coeff(n, p) * alpha ** n`` and the ranges of n = p + 2m, m0 <= m < m1,
+    for each row of ``alpha`` and ``p``; ``coeff`` gets Python ints, once per p."""
+    alphas, ps = np.ravel(alpha).tolist(), np.ravel(p).tolist()
+    rows = max(len(alphas), len(ps))  # a scalar serves every row
+    alphas, ps = alphas * (rows // len(alphas)), ps * (rows // len(ps))
+    ns = [range(q + 2 * m0, q + 2 * m1, 2) for q in ps]
+    lead = {q: [coeff(n, q) for n in r] for q, r in dict(zip(ps, ns)).items()}
+    return np.array([lead[q] for q in ps]) * _powers(alphas, ns), ns
+
+
+def _gen_atan_pow_over_n(alpha, p) -> TermGenerator:
     # nonzero coefficients only: term m is A(n,p) a^n / n at n = p + 2m
     def terms(m0: int, m1: int) -> np.ndarray:
-        ns = range(p + 2 * m0, p + 2 * m1, 2)
-        lead = np.array([_atan_coeff_float(n, p) for n in ns])
-        return lead * _powers(alpha, ns) / np.array(ns, dtype=float)
+        t, ns = _atan_pow_terms(_atan_coeff_float, alpha, p, m0, m1)
+        return t / np.array(ns, dtype=float)
 
     return TermGenerator(terms, 0, ALTERNATING, name="arctan-power coefficient series")
 
 
-def _gen_atan_pow_beta(alpha, p: int) -> TermGenerator:
+def _gen_atan_pow_beta(alpha, p) -> TermGenerator:
     # term m is A(n,p) beta((n+1)/2) a^n at n = p + 2m
-    def terms(m0: int, m1: int) -> np.ndarray:
-        ns = range(p + 2 * m0, p + 2 * m1, 2)
-        return np.array([_atan_beta_coeff(n, p) for n in ns]) * _powers(alpha, ns)
-
-    return TermGenerator(terms, 0, ALTERNATING, name="arctan-power beta series")
+    return TermGenerator(lambda m0, m1: _atan_pow_terms(_atan_beta_coeff, alpha, p, m0, m1)[0],
+                         0, ALTERNATING, name="arctan-power beta series")
 
 
 # ---------------------------------------------------------------------------
-# Closed forms: each takes the continuous parameter as a scalar or as a column
-# and makes one polylog_real call per polylogarithm over all of its rows.
+# Closed forms: each takes its parameters as scalars or as columns and makes
+# one polylog_real call per polylogarithm (and per order) over all its rows.
 # ---------------------------------------------------------------------------
 
 
@@ -426,16 +441,27 @@ def _rhs_li2_half_diff(alpha: float) -> float:
     return polylog_real(2, 0.5) - polylog_real(2, (1.0 - alpha) / 2.0)
 
 
-def _rhs_lemma_odd(p: int, beta: float) -> float:
-    sign = -1.0 if p % 2 == 0 else 1.0  # (-1)^(p+1)
-    return sign * math.factorial(p) * (
-        polylog_real(p + 2, beta) - polylog_real(p + 2, -beta)
-    )
+def _lemma_factor(p):
+    """(-1)^(p+1) p! for each row of the integer scalar or column p."""
+    factorials = [math.factorial(q) for q in np.ravel(p).tolist()]
+    return np.where(p % 2 == 0, -1.0, 1.0) * np.reshape(factorials, np.shape(p))
 
 
-def _rhs_lemma_single(p: int, beta: float) -> float:
-    sign = -1.0 if p % 2 == 0 else 1.0
-    return sign * math.factorial(p) * polylog_real(p + 2, beta)
+def _polylog_orders(p, x):
+    """Li_{p+2}(x) for each row of p and x, one polylog_real call per order."""
+    p, x = np.asarray(p), np.asarray(x)
+    out = np.empty(x.shape)
+    for q in dict.fromkeys(p.ravel().tolist()):
+        out[p == q] = polylog_real(q + 2, x[p == q])
+    return out
+
+
+def _rhs_lemma_odd(p, beta):
+    return _lemma_factor(p) * (_polylog_orders(p, beta) - _polylog_orders(p, -beta))
+
+
+def _rhs_lemma_single(p, beta):
+    return _lemma_factor(p) * _polylog_orders(p, beta)
 
 
 def _lhs_dilog_pair(alpha: float) -> float:
@@ -752,7 +778,7 @@ def register_all() -> list[IdentityCase]:
             lhs=_closed("pi^(p+1)", lambda p: _PI ** (p + 1)),
             rhs=_series("scaled accelerated beta series",
                         lambda p: _gen_atan_pow_beta(1.0, p),
-                        scale=lambda p: (p + 1) * 2 ** (2 * p + 1)),
+                        scale=lambda p: (p + 1) * 2.0 ** (2 * p + 1)),
             discrete=(_P_POWERS,),
             default_tol=TOL_SLOW_SERIES,
         ),

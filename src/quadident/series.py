@@ -18,9 +18,9 @@ when it reads an infinite or NaN term.
 Terms come in index ranges: a :class:`TermGenerator`'s ``terms(n0, n1)``
 returns the terms of indices ``n0 .. n1-1`` as an array.
 
-Rows: a :class:`~quadident.numerics.Rows` of series that differ only in one
-parameter passes that parameter to its builder as a ``(rows, 1)`` column, and
-the generator it builds returns a ``(rows, n1 - n0)`` array of terms.
+Rows: a :class:`~quadident.numerics.Rows` of series over a table of points
+passes each parameter to its builder as a ``(rows, 1)`` column, and the
+generator it builds returns a ``(rows, n1 - n0)`` array of terms.
 :func:`sum_direct` sums every row chunk by chunk; chunks start at ``_CHUNK``
 terms per row and double up to ``_CHUNK_MAX``. Each row carries its own
 running sum, Neumaier compensation and largest term; inside a chunk these are
@@ -262,7 +262,7 @@ def sum_direct(g: TermGenerator | Rows,
     that is infinite or NaN raises :class:`NonFiniteTermError`.
     """
     if isinstance(g, Rows):
-        return _direct(g.at, len(g.values), tol)
+        return _direct(g.at, len(g.points), tol)
     return _one_row(_direct(lambda rows: g, 1, tol))
 
 
@@ -325,12 +325,12 @@ def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
     w = _cvz_table(t.shape[1])
     with np.errstate(all="ignore"):
         full = w[used] * t
-        heads, sizes = (w[ns] * t).tolist(), np.abs(full).tolist()
+        heads = (w[ns] * t).tolist()
     values, bounds = [], []
-    for row, head, size, n, a in zip(full.tolist(), heads, sizes, ns.tolist(), a0.tolist()):
+    for row, head, n, a in zip(full.tolist(), heads, ns.tolist(), a0.tolist()):
         value = math.fsum(row[:n + _EXTRA])
         partial = math.fsum(head[:n])
-        floor = 4.5e-16 * math.fsum(size[:n + _EXTRA])
+        floor = 4.5e-16 * math.fsum(map(abs, row[:n + _EXTRA]))
         values.append(value)
         bounds.append(abs(value - partial) + 2.0 * a / _RATE**n + floor)
     values, bounds = np.array(values), np.array(bounds)
@@ -357,7 +357,7 @@ def sum_alternating_accelerated(g: TermGenerator | Rows,
     infinite or NaN term raises :class:`NonFiniteTermError`.
     """
     if isinstance(g, Rows):
-        return _accelerated(g.at(), len(g.values), tol)
+        return _accelerated(g.at(), len(g.points), tol)
     return _one_row(_accelerated(g, 1, tol))
 
 

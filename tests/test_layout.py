@@ -88,8 +88,8 @@ def test_benchmark_tracer_counts_every_point_of_a_batched_call():
     # a batched quadrature or series call carries the summed evaluations or
     # terms of its rows, so the traced counts still equal the report's work
     # per outcome: E9 is a half-line integral (two batched pieces), E18 a
-    # positive series with a tail bound, E21 and E22 batch once per p, and
-    # the scaled sides of E8 and E23 sum through the same traced names. The
+    # positive series with a tail bound, E21 and E22 batch every p at once,
+    # and the scaled sides of E8 and E23 sum through the same traced names. The
     # whole pass must serialise as JSON: the totals the tracer adds up must
     # be Python numbers, as the benchmark writes them
     proc = subprocess.run(
@@ -102,10 +102,10 @@ def test_benchmark_tracer_counts_every_point_of_a_batched_call():
         proc.stdout.splitlines()[-1])
     assert evals == outcome_evals > 0
     assert terms == outcome_terms > 0
-    # one batch per side and group: E5 (accelerated, alpha = 1 included),
-    # E18 (direct); E21, E22: one accelerated batch per p; E8 (one point);
-    # E23: one point per p
-    assert series_calls == 1 + 1 + 4 + 4 + 1 + 4
+    # one batch per side: E5 (accelerated, alpha = 1 included), E18
+    # (direct), E21, E22 (accelerated, every p), E8 (one point); E23: one
+    # point per p, because its scale differs by p
+    assert series_calls == 1 + 1 + 1 + 1 + 1 + 4
 
 
 def test_cli_verifies_through_its_traced_name(monkeypatch, capsys):

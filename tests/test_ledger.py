@@ -96,7 +96,7 @@ def test_verify_e4_grid_and_endpoints():
 
 def test_failing_row_fails_only_its_own_outcome(monkeypatch):
     # the integrand goes non-finite for alpha = 0.5 only: the batched call
-    # raises, and the group is evaluated again by halves down to that point
+    # raises, and its points are evaluated again by halves down to that point
     def build(alpha):
         return IntegrandSpec(lambda x: np.where(alpha == 0.5, np.nan, alpha * x))
 
@@ -111,7 +111,7 @@ def test_failing_row_fails_only_its_own_outcome(monkeypatch):
     assert [o.params["alpha"] for o in outs] == [0.25, 0.5, 0.75]
     eval_tol = Tolerance(2.5e-11, 2.5e-11)
     with pytest.raises(QuadratureError):
-        case.lhs.rows({}, "alpha", [0.25, 0.5, 0.75], eval_tol)
+        case.lhs.rows([{"alpha": a} for a in (0.25, 0.5, 0.75)], eval_tol)
     with pytest.raises(QuadratureError) as alone:
         case.lhs.fn({"alpha": 0.5}, eval_tol)
     bad = outs[1]
@@ -129,7 +129,7 @@ def test_failing_row_fails_only_its_own_outcome(monkeypatch):
 
 def test_failing_series_row_fails_only_its_own_outcome(monkeypatch):
     # the terms of alpha = 0.5 stop alternating at index 5: the batched sum
-    # raises, and the group is summed again by halves down to that point
+    # raises, and its points are summed again by halves down to that point
     def build(alpha):
         def terms(n0, n1):
             n = np.arange(n0, n1)
@@ -149,7 +149,7 @@ def test_failing_series_row_fails_only_its_own_outcome(monkeypatch):
     assert [o.params["alpha"] for o in outs] == [0.25, 0.5, 0.75]
     eval_tol = Tolerance(2.5e-11, 2.5e-11)
     with pytest.raises(SignPatternError, match="indices 5 and 6 of synthetic series"):
-        case.lhs.rows({}, "alpha", [0.25, 0.5, 0.75], eval_tol)
+        case.lhs.rows([{"alpha": a} for a in (0.25, 0.5, 0.75)], eval_tol)
     with pytest.raises(SignPatternError) as alone:
         case.lhs.fn({"alpha": 0.5}, eval_tol)
     bad = outs[1]
@@ -189,9 +189,9 @@ def test_non_finite_series_row_fails_only_its_own_outcome(monkeypatch):
 
 
 def test_raising_closed_form_fails_only_its_own_outcome(monkeypatch):
-    # closed forms go through the grouped call too, with the parameter as a
+    # closed forms go through the batched call too, with the parameter as a
     # column: the left side raises when its column holds alpha = 0.5, so the
-    # group is evaluated again by halves ([0.25] alone, then [0.5, 0.75]),
+    # points are evaluated again by halves ([0.25] alone, then [0.5, 0.75]),
     # and the right side of that point is never evaluated
     def lhs(alpha):
         if 0.5 in np.ravel(alpha):
@@ -215,7 +215,7 @@ def test_raising_closed_form_fails_only_its_own_outcome(monkeypatch):
     assert [o.params["alpha"] for o in outs] == [0.25, 0.5, 0.75]
     assert seen == [0.25, 0.75]
     with pytest.raises(ValueError):
-        case.lhs.rows({}, "alpha", [0.25, 0.5, 0.75], Tolerance())
+        case.lhs.rows([{"alpha": a} for a in (0.25, 0.5, 0.75)], Tolerance())
     with pytest.raises(ValueError) as alone:
         case.lhs.fn({"alpha": 0.5}, Tolerance())
     assert [o.passed for o in outs] == [True, False, True]
@@ -228,16 +228,16 @@ def test_raising_closed_form_fails_only_its_own_outcome(monkeypatch):
 
 
 def test_one_bad_point_is_found_by_halving(monkeypatch):
-    # a 33-point group with one raising point: the failed call is retried by
-    # halves, each half one rows call, and a single point goes through
-    # Evaluator.fn, so about 2 log2(33) calls find it instead of 33
+    # 33 points with one raising point: the failed call is retried by halves,
+    # each half one rows call down to single points, so about 2 log2(33)
+    # calls find it instead of 33
     axis = GridAxis("alpha", 0.0, 1.0)
     alphas = axis.points(33)
     bad = alphas[19]
     sizes = []
 
     def lhs(alpha):
-        sizes.append(np.size(alpha) if np.ndim(alpha) else None)  # None: fn's scalar
+        sizes.append(np.size(alpha))
         if bad in np.ravel(alpha):
             raise ValueError(f"no closed form at alpha={bad!r}")
         return 0.5 * alpha
@@ -251,9 +251,8 @@ def test_one_bad_point_is_found_by_halving(monkeypatch):
     monkeypatch.setitem(registry(), "X5", case)
     outs = verify("X5", 33)
     # 33 -> 16 + 17; 17 -> 8 + 9; 8 -> 4 + 4; 4 -> 2 + 2; 2 -> two single points
-    assert sizes == [33, 16, 17, 8, 4, 2, 2, None, None, 4, 9]
-    rows_calls = [n for n in sizes if n is not None]
-    assert len(rows_calls) == 9 <= 2 * math.ceil(math.log2(33))
+    assert sizes == [33, 16, 17, 8, 4, 2, 2, 1, 1, 4, 9]
+    assert len(sizes) == 11 <= 2 * math.ceil(math.log2(33))
     with pytest.raises(ValueError) as alone:
         case.lhs.fn({"alpha": bad}, Tolerance())
     assert [o.params["alpha"] for o in outs] == alphas
@@ -308,8 +307,8 @@ def _scalar_rule(eff, lhs, rhs):
 def _table_side(table):
     """An evaluator that looks each alpha up in ``table``: ``(value, evals,
     terms, converged)``, or an exception, which its rows call raises."""
-    def rows(fixed, name, values, tol):
-        entries = [table[fixed["alpha"] if name is None else v] for v in values]
+    def rows(points, tol):
+        entries = [table[point["alpha"]] for point in points]
         for entry in entries:
             if isinstance(entry, Exception):
                 raise entry
@@ -567,10 +566,11 @@ def test_cli_unknown_id(capsys):
 
 
 @pytest.mark.parametrize("args", [["--tol", "nan"], ["--tol", "inf"], ["--max-work", "0"],
-                                  ["--ids", ""], ["--ids", ","]])
+                                  ["--ids", ""], ["--ids", ","], ["--tol", "1e-323"]])
 def test_cli_rejects_bad_options_before_any_case_runs(monkeypatch, capsys, args):
-    # a non-finite tolerance, a zero work cap and an empty id list are usage
-    # errors: exit 2 with an error line, not an internal error or a report
+    # a non-finite tolerance, one that quarters to zero for the sides, a zero
+    # work cap and an empty id list are usage errors: exit 2 with an error
+    # line, not an internal error or a report
     ran = []
     monkeypatch.setattr(cli, "verify", lambda case_id, **kwargs: ran.append(case_id))
     argv = ["verify"] + (args if args[0] == "--ids" else ["--ids", "E1,E13"] + args)

@@ -48,6 +48,11 @@ def test_tolerance_validation():
             Tolerance(bad, 1e-10)
         with pytest.raises(ValueError, match="finite"):
             Tolerance(1e-10, bad)
+    # a NaN cap never stops a sum, and a float or bool one is not a count
+    for bad in (math.nan, math.inf, -math.inf, 2.5, 5.0, True, False, -3):
+        with pytest.raises(ValueError, match="max_work must be a positive integer"):
+            Tolerance(1e-10, 1e-10, bad)
+    Tolerance(1e-10, 1e-10, np.int64(7))
     Tolerance(1e-7, 0.0)  # absolute-only is allowed
 
 

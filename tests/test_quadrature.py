@@ -191,7 +191,7 @@ def test_rows_equal_one_row_runs_at_any_row_count(family, k, seed, levels, digit
     nodes = sum(len(_level_nodes(level)[0]) for level in range(levels + 1))
     pieces = 2 if integrate is integrate_semi_infinite else 1
     tol = Tolerance(10.0**-digits, 10.0**-digits, max_work=pieces * nodes)
-    batch = integrate(Rows(build, tuple(values)), tol)
+    batch = integrate(Rows(build, [{"a": a} for a in values]), tol)
     alone = [integrate(build(a), tol) for a in values]
     assert _row_bits(batch) == [_quad_bits(one) for one in alone]
     assert type(batch.evaluations) is int and type(batch.converged) is bool

@@ -3,12 +3,15 @@ quadrature, series and closed-form rows against one-point runs."""
 
 import functools
 import importlib
+import inspect
 import itertools
+import warnings
 
 import numpy as np
+import pytest
 
 from quadident.combinatorics import arctan_power_coeff
-from quadident.ledger import verify
+from quadident.ledger import _grid_points, verify
 from quadident.numerics import Rows, Tolerance
 from quadident.registry import (
     GridAxis,
@@ -88,11 +91,22 @@ def _is_scalar_spec(spec):
     return np.ndim(spec.f(np.array([0.5]))) == 1
 
 
+def _side_points(case, override):
+    """The grid-33 points of a case with a continuous parameter, for every
+    discrete value, and its registered endpoints whose ``override`` value is
+    None: all the points one side evaluates in its one rows call."""
+    axis = case.continuous[0]
+    values = axis.points(33) + [dict(ep.params)[axis.name] for ep in case.extra_points
+                                if getattr(ep, override) is None]
+    combos = itertools.product(*[[(d.name, v) for v in d.values] for d in case.discrete])
+    return [dict(combo) | {axis.name: v} for combo in combos for v in values]
+
+
 def test_quadrature_rows_equal_one_point_runs(monkeypatch):
     # a (rows x nodes) level must give every row the bits of the one-point run
-    # of its scalar-parameter spec; a different SIMD path for 2-D ufunc calls
-    # could break this. A call is batched or one-point by what made it: the
-    # evaluator's rows over the grid, or its fn at one point
+    # of the spec its builder makes from scalar parameters; a different SIMD
+    # path for 2-D ufunc calls, or numpy's pow of a p column, could break this.
+    # Every point of a side, each p included, goes through one rows call
     calls, originals = _record_calls(monkeypatch, ("integrate_unit", "integrate_semi_infinite"))
     batched = set()
     for case in registry().values():
@@ -101,28 +115,18 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
         batched.add(case.id)
         tol = Tolerance(case.default_tol.abs_tol / 4.0, case.default_tol.rel_tol / 4.0,
                         case.default_tol.max_work)
-        axis = case.continuous[0]
-        values = axis.points(33) + [
-            dict(ep.params)[axis.name] for ep in case.extra_points if ep.lhs_value is None
-        ]
-        for combo in itertools.product(*[[(d.name, v) for v in d.values]
-                                         for d in case.discrete]):
-            fixed = dict(combo)
-            del calls[:]
-            outs = _side_rows(case.lhs.rows(fixed, axis.name, values, tol), "evals")
-            [(_, batch, res)] = calls
-            assert batch.values == tuple(values)
-            assert len(_row_bits(res)) == len(outs) == len(values)
-            for value, row, out in zip(values, _row_bits(res), outs):
-                del calls[:]
-                one = case.lhs.fn(fixed | {axis.name: value}, tol)
-                [(name, point, point_res)] = calls
-                spec = point.at()
-                assert _is_scalar_spec(spec), (case.id, fixed, value)
-                alone = originals[name](spec, tol)
-                assert [_bits(alone)] == [row] == _row_bits(point_res), (
-                    case.id, fixed, value)
-                assert out == (one.value, one.evals, one.converged)
+        points = _side_points(case, "lhs_value")
+        del calls[:]
+        outs = _side_rows(case.lhs.rows(points, tol), "evals")
+        [(name, batch, res)] = calls
+        assert list(batch.points) == points
+        assert len(_row_bits(res)) == len(outs) == len(points)
+        for point, row, out in zip(points, _row_bits(res), outs):
+            spec = batch.build(**point)
+            assert _is_scalar_spec(spec), (case.id, point)
+            assert [_bits(originals[name](spec, tol))] == [row], (case.id, point)
+            one = case.lhs.fn(point, tol)
+            assert out == (one.value, one.evals, one.converged), (case.id, point)
     assert batched == {"E2", "E4", "E4alt", "E5", "E7", "E9", "E10", "E11", "E12",
                        "E16", "E21", "E22"}
 
@@ -140,9 +144,10 @@ def _sum_row_bits(res):
 
 def test_series_rows_equal_one_point_runs(monkeypatch):
     # every row of a batched direct or accelerated sum must carry the bits of
-    # the one-point run of its scalar-parameter generator; a side sends all of
-    # its points to one rows call: the accelerated sum for an alternating
-    # series, the direct sum for a positive one
+    # the one-point run of the generator its builder makes from scalar
+    # parameters; a side sends all of its points, each p included, to one rows
+    # call: the accelerated sum for an alternating series, the direct sum for
+    # a positive one
     calls, originals = _record_calls(monkeypatch, ("sum_direct", "sum_alternating_accelerated"))
     batched, accelerated = set(), set()
     for case in registry().values():
@@ -152,33 +157,20 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
             batched.add(case.id)
             tol = Tolerance(case.default_tol.abs_tol / 4.0,
                             case.default_tol.rel_tol / 4.0, case.default_tol.max_work)
-            axis = case.continuous[0]
-            values = axis.points(33) + [dict(ep.params)[axis.name]
-                                        for ep in case.extra_points
-                                        if getattr(ep, override) is None]
-            for combo in itertools.product(*[[(d.name, v) for v in d.values]
-                                             for d in case.discrete]):
-                fixed = dict(combo)
-                del calls[:]
-                outs = _side_rows(side.rows(fixed, axis.name, values, tol), "terms")
-                [(name, batch, res)] = calls
-                assert batch.values == tuple(values) and len(_sum_row_bits(res)) == len(values)
-                alternating = batch.at().sign_pattern == ALTERNATING
-                assert name == ("sum_alternating_accelerated" if alternating else "sum_direct")
-                if alternating:
-                    accelerated.add(case.id)
-                for value, out, row in zip(values, outs, _sum_row_bits(res)):
-                    del calls[:]
-                    one = side.fn(fixed | {axis.name: value}, tol)
-                    # the one-point row's column is NaN: a generator that read
-                    # it instead of its scalar parameters would not match the
-                    # finite batched row
-                    [(one_name, point, point_res)] = calls
-                    assert one_name == name and point.values == (None,)
-                    alone = originals[name](point.at(), tol)
-                    assert [row] == [_sum_bits(alone)] == _sum_row_bits(point_res), (
-                        case.id, fixed, value)
-                    assert out == (one.value, one.terms, one.converged)
+            points = _side_points(case, override)
+            del calls[:]
+            outs = _side_rows(side.rows(points, tol), "terms")
+            [(name, batch, res)] = calls
+            assert list(batch.points) == points and len(_sum_row_bits(res)) == len(points)
+            alternating = batch.at().sign_pattern == ALTERNATING
+            assert name == ("sum_alternating_accelerated" if alternating else "sum_direct")
+            if alternating:
+                accelerated.add(case.id)
+            for point, out, row in zip(points, outs, _sum_row_bits(res)):
+                alone = originals[name](batch.build(**point), tol)
+                assert [row] == [_sum_bits(alone)], (case.id, point)
+                one = side.fn(point, tol)
+                assert out == (one.value, one.terms, one.converged), (case.id, point)
     assert batched == {"E5", "E7", "EC6", "E16", "E18", "E19", "E21", "E22"}
     assert accelerated == {"E5", "E7", "EC6", "E16", "E19", "E21", "E22"}
 
@@ -227,33 +219,29 @@ def _parts_hex(value, complex_ok):
 
 
 def test_closed_form_rows_equal_one_point_runs():
-    # a closed form over a column must give every row the bits of its
-    # one-point run, whose builder receives the parameters as scalars; only
-    # E19's right side is complex, and both of its parts must match
+    # a closed form over columns must give every row the bits of the value
+    # its builder gives for scalar parameters, and of its one-point call;
+    # only E19's right side is complex, and both of its parts must match
     batched = set()
     tol = Tolerance()
     for case in registry().values():
         if not case.continuous:
             continue
-        axis = case.continuous[0]
         for side, override in ((case.lhs, "lhs_value"), (case.rhs, "rhs_value")):
             if not _is_closed_form(side):
                 continue
             batched.add(case.id)
-            values = axis.points(33) + [dict(ep.params)[axis.name]
-                                        for ep in case.extra_points
-                                        if getattr(ep, override) is None]
-            for combo in itertools.product(*[[(d.name, v) for v in d.values]
-                                             for d in case.discrete]):
-                fixed = dict(combo)
-                outs = side.rows(fixed, axis.name, values, tol)
-                complex_ok = case.id == "E19"
-                assert outs.value.dtype == (complex if complex_ok else float)
-                assert len(outs.value) == len(values)
-                for value, out in zip(values, outs.value.tolist()):
-                    one = side.fn(fixed | {axis.name: value}, tol)
-                    assert _parts_hex(out, complex_ok) == _parts_hex(one.value, complex_ok), (
-                        case.id, fixed, value)
+            value = inspect.getclosurevars(side.rows).nonlocals["value"]
+            points = _side_points(case, override)
+            outs = side.rows(points, tol)
+            complex_ok = case.id == "E19"
+            assert outs.value.dtype == (complex if complex_ok else float)
+            assert len(outs.value) == len(points)
+            for point, out in zip(points, outs.value.tolist()):
+                scalar = np.asarray(value(**point)).item()
+                one = side.fn(point, tol)
+                assert (_parts_hex(out, complex_ok) == _parts_hex(scalar, complex_ok)
+                        == _parts_hex(one.value, complex_ok)), (case.id, point)
     assert batched == {"E2", "E4", "E4alt", "E9", "E10", "EC6", "E11", "E12", "E18", "E18d",
                        "E19"}
 
@@ -261,29 +249,64 @@ def test_closed_form_rows_equal_one_point_runs():
 def test_every_grouped_call_runs_without_the_one_point_fallback(monkeypatch):
     # a side whose rows call raises is evaluated again by halves down to
     # single points: correct, but slow and silent. No registered side may
-    # take that path
-    def fallback(side, evaluator, fixed, name, idx, points, tol):
+    # take that path, and every outcome passes
+    def fallback(side, evaluator, idx, points, tol):
         raise AssertionError(f"{evaluator.describe!r} fell back to halves at {points}")
 
     monkeypatch.setattr(importlib.import_module("quadident.ledger"), "_bisect", fallback)
     for case_id in registry():
-        assert verify(case_id, 33)
+        outs = verify(case_id, 33)
+        assert outs and all(o.passed for o in outs), case_id
 
 
-def test_e11_makes_one_polylog_call_per_group_and_order(monkeypatch):
-    # E11 has four groups (p = 0..3), each of 33 grid points and beta = 1,
-    # and its closed form evaluates Li_{p+2}(b) and Li_{p+2}(-b) over the column
+def test_every_side_makes_one_driver_call(monkeypatch):
+    # a quadrature or series side sends all of its points, every p and
+    # endpoint included, to one integrator or summer call; only E23's right
+    # side makes one call per p, because its scale (p+1) 2^(2p+1) sets the
+    # tolerance of its sum
+    calls, _ = _record_calls(monkeypatch, ("integrate_unit", "integrate_semi_infinite",
+                                           "sum_direct", "sum_alternating_accelerated"))
+    for case in registry().values():
+        del calls[:]
+        verify(case.id, 9)
+        sides = sum(not _is_closed_form(side) for side in (case.lhs, case.rhs))
+        assert len(calls) == sides + (3 if case.id == "E23" else 0), case.id
+
+
+def test_e11_makes_one_polylog_call_per_order_and_sign(monkeypatch):
+    # E11's closed form takes all 136 points (p = 0..3, each at 33 grid
+    # points and beta = 1) in one call, and evaluates Li_{p+2}(b) and then
+    # Li_{p+2}(-b) with one polylog_real pass per order over that order's rows
     module = importlib.import_module("quadident.registry")
     calls = []
     polylog_real = module.polylog_real
 
     def record(p, x):
-        calls.append((p, np.shape(x)))
+        calls.append((p, np.shape(x), np.sign(x).min(), np.sign(x).max()))
         return polylog_real(p, x)
 
     monkeypatch.setattr(module, "polylog_real", record)
     assert all(o.passed for o in verify("E11", 33))
-    assert calls == [(p, (34, 1)) for p in (2, 3, 4, 5) for _ in range(2)]
+    assert calls == [(p, (34,), sign, sign) for sign in (1.0, -1.0) for p in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("case_id", ["E11", "E12", "E21", "E22", "E23"])
+def test_odd_discrete_parameters_fail_alone(case_id):
+    # p = 1.5 or p = -1 has no value in these identities: the point fails
+    # with an error, never passes as if p were cut to an integer, and leaves
+    # every other point of the same call with its bits. NaN powers warn
+    grid = _grid_points(registry()[case_id], 9)
+    clean = repr(verify(case_id, points=grid))
+    half = len(grid) // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for p in (1.5, -1):
+            odd = {"p": p} | {axis.name: 0.5 for axis in registry()[case_id].continuous}
+            [alone, *_] = verify(case_id, points=[odd])
+            assert not alone.passed and alone.reason.startswith("error: "), (p, alone)
+            mixed = verify(case_id, points=grid[:half] + [odd] + grid[half:])
+            assert mixed[half].params == odd and mixed[half].reason == alone.reason
+            assert repr(mixed[:half] + mixed[half + 1:]) == clean, p
 
 
 def test_accelerated_bound_covers_every_grid_row():
@@ -305,12 +328,13 @@ def test_accelerated_bound_covers_every_grid_row():
     for case_id, build in builders.items():
         case = registry()[case_id]
         tol = Tolerance(case.default_tol.abs_tol / 4.0, case.default_tol.rel_tol / 4.0)
-        alphas = tuple(case.continuous[0].points(33))
-        for p in (1, 2, 3, 4) if case.discrete else (None,):
-            batch = Rows(functools.partial(build, p=p) if p else build, alphas)
-            rows = sum_alternating_accelerated(batch, tol)
-            truth = sum_direct(batch, reference).values
-            assert rows.row_converged.all(), (case_id, p)
-            for alpha, value, bound, ref in zip(alphas, rows.values.tolist(),
-                                                rows.remainder_bounds.tolist(), truth.tolist()):
-                assert abs(value - ref) <= bound, (case_id, p, alpha)
+        points = [fixed | {"alpha": a} for fixed in ([{"p": p} for p in (1, 2, 3, 4)]
+                                                     if case.discrete else [{}])
+                  for a in case.continuous[0].points(33)]
+        batch = Rows(build, points)
+        rows = sum_alternating_accelerated(batch, tol)
+        truth = sum_direct(batch, reference).values
+        assert rows.row_converged.all(), case_id
+        for point, value, bound, ref in zip(points, rows.values.tolist(),
+                                            rows.remainder_bounds.tolist(), truth.tolist()):
+            assert abs(value - ref) <= bound, (case_id, point)

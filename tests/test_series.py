@@ -121,13 +121,14 @@ def test_terms_past_every_stop_are_never_read(poison):
 
     values = tuple(k / 10.0 for k in range(1, 10))
     tol = Tolerance(2.5e-11, 2.5e-11)
-    clean = sum_direct(Rows(_gen_skew_odd_denom, values), tol)
+    points = [{"alpha": v} for v in values]
+    clean = sum_direct(Rows(_gen_skew_odd_denom, points), tol)
     last = dict(zip(values, clean.work.tolist()))
     assert max(last.values()) > 32  # some row reads past the first chunk
 
-    def build(column):
-        g = _gen_skew_odd_denom(column)
-        limit = np.array([last[v] for v in column.ravel().tolist()])[:, None]
+    def build(alpha):
+        g = _gen_skew_odd_denom(alpha)
+        limit = np.array([last[v] for v in alpha.ravel().tolist()])[:, None]
 
         def terms(n0, n1):
             t = g.terms(n0, n1)
@@ -136,7 +137,7 @@ def test_terms_past_every_stop_are_never_read(poison):
 
         return replace(g, terms=terms)
 
-    poisoned = sum_direct(Rows(build, values), tol)
+    poisoned = sum_direct(Rows(build, points), tol)
     assert _row_bits(poisoned) == _row_bits(clean)
 
 
@@ -145,16 +146,16 @@ def test_non_finite_term_fails_fast_in_one_chunk():
     # without the check the sum would run to tol.max_work (2,000,000 terms)
     calls = []
 
-    def build(column):
+    def build(alpha):
         def terms(n0, n1):
             calls.append((n0, n1))
             n = np.arange(n0, n1)
-            return np.where((column == 0.5) & (n == 3), np.nan, column**n)
+            return np.where((alpha == 0.5) & (n == 3), np.nan, alpha**n)
 
         return TermGenerator(terms, 0, POSITIVE, tail_bound=lambda m, t: 2.0 * t,
                              name="geometric series")
 
-    for g in (build(np.array([[0.5]])), Rows(build, (0.25, 0.5, 0.75))):
+    for g in (build(np.array([[0.5]])), Rows(build, [{"alpha": a} for a in (0.25, 0.5, 0.75)])):
         calls.clear()
         with pytest.raises(NonFiniteTermError,
                            match=r"index 3 of geometric series is not finite \(nan\)"):
@@ -239,7 +240,7 @@ def test_accelerated_rows_equal_one_row_runs():
     values = (1e-3, 0.3, 0.99, 1.0)
     tol = Tolerance(1e-12, 0.0)
     for build in (_gen_skew_odd_denom, lambda alpha: _gen_atan_pow_beta(alpha, 3)):
-        rows = sum_alternating_accelerated(Rows(build, values), tol)
+        rows = sum_alternating_accelerated(Rows(build, [{"alpha": v} for v in values]), tol)
         assert len(set(rows.work.tolist())) > 1
         assert _row_bits(rows) == [
             _bits(sum_alternating_accelerated(build(value), tol)) for value in values]
