@@ -8,9 +8,11 @@ carries the aggregate status.
 
 Each side of a case goes through one batched ``rows`` call over all of its
 points, discrete parameters included; a call that raises is retried by
-halves, so each failure reads as its one-point call would. The results stay
-columns (value, work, convergence) until one array pass judges every point
-of the case, and each outcome is built once from those columns.
+halves, so each failure reads as its one-point call would. A point whose
+discrete parameter is not an integer fails without being evaluated. The
+results stay columns (value, work, convergence) until one array pass judges
+every point of the case; the outcomes, immutable named tuples, are then made
+from those columns in one ``map``.
 
 Reports order outcomes by identity id, then by parameter tuple, so two runs
 with the same inputs are byte-identical apart from the timestamp.
@@ -21,9 +23,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +39,9 @@ REASON_NOT_CONVERGED = "not_converged"
 REASON_IMAG = "imaginary_part_exceeds_tolerance"
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
+    """The verdict on one point: an immutable record, fields in report order."""
+
     id: str
     params: dict
     lhs_value: float
@@ -104,9 +108,15 @@ def verify(
                     over[len(pts)] = value
             pts.append(dict(combo) | base)
 
+    # a point whose discrete parameter is not an integer (bools are not) fails unevaluated
+    odd = {i: ValueError(f"{d.name} must be an integer, got {pt[d.name]!r}")
+           for d in case.discrete for i, pt in enumerate(pts)
+           if type(pt.get(d.name, 0)) is not int  # the common case, checked first
+           and (isinstance(pt[d.name], bool) or not isinstance(pt[d.name], numbers.Integral))}
     # each side in one rows call; a point whose left side raised never
     # evaluates its right side
-    lhs = _evaluate(case.lhs, pts, lhs_over, {}, eval_tol)
+    lhs = _evaluate(case.lhs, pts, lhs_over, odd, eval_tol)
+    lhs.errors |= odd
     rhs = _evaluate(case.rhs, pts, rhs_over, lhs.errors, eval_tol)
     return _judge(case.id, pts, eff, lhs, rhs)
 
@@ -205,9 +215,10 @@ def _judge(case_id, pts, eff, lhs: _Side, rhs: _Side) -> list[VerificationOutcom
         diff[i] = rel[i] = np.nan
         passed[i] = False
         reason[i] = f"error: {exc}"
-    return [VerificationOutcome(case_id, *row) for row in zip(
-        pts, a.tolist(), b.tolist(), diff.tolist(), rel.tolist(), passed.tolist(),
-        reason, (lhs.evals + rhs.evals).tolist(), (lhs.terms + rhs.terms).tolist())]
+    return list(map(VerificationOutcome._make, zip(
+        itertools.repeat(case_id), pts, a.tolist(), b.tolist(), diff.tolist(), rel.tolist(),
+        passed.tolist(), reason, (lhs.evals + rhs.evals).tolist(),
+        (lhs.terms + rhs.terms).tolist())))
 
 
 def make_report(outcomes, tol_abs: Optional[float], tol_rel: Optional[float]) -> Report:

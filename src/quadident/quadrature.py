@@ -5,11 +5,15 @@ singularities of logarithmic or inverse-square-root type into a double
 exponentially decaying weight, so a plain trapezoid rule in ``t`` converges
 rapidly. Levels halve the step and reuse previous nodes; the error estimate is
 the last level-to-level change with a safety factor of 10, a rounding floor,
-and the truncation term ``|w f|`` at the outermost nodes ``t = +-4``.
+and the truncation term ``|w f|`` at the outermost nodes ``t = +-4``. No row
+may stop before level 2, so levels 0-2 (those that ``max_work`` allows) are
+evaluated as one run: one ``f`` call and one ``f_right`` call over their
+nodes, each level's sums taken from its own slice.
 
 Semi-infinite integrals are split at 1 and the far part is mapped back to the
 unit interval with ``x -> 1/x``, mirroring the classical manipulation of the
-integrals this package verifies.
+integrals this package verifies. The near and far pieces of ``k`` rows are the
+``2k`` rows of one driver pass.
 
 Integrand callables must be numpy vectorized and real-valued: they receive a
 float ndarray of abscissae and must return a real ndarray of values (or a real
@@ -51,6 +55,7 @@ from .numerics import DEFAULT_TOL, Rows, Tolerance
 
 _T_MAX = 4.0        # |t| range of the trapezoid in the transformed variable
 _MAX_LEVELS = 12    # step-halving levels before giving up
+_MIN_LEVEL = 2      # the first level at which a row may stop
 
 
 class QuadratureError(RuntimeError):
@@ -126,40 +131,48 @@ def _level_nodes(level: int):
     return t, x, delta, w
 
 
-def _real_values(piece, fn, arg):
+def _real_values(piece, fn, arg, k: int):
+    """``fn(arg)`` for ``k`` rows as a real ``(k, len(arg))`` array, broadcast
+    if the integrand returned fewer dimensions."""
     v = np.asarray(fn(arg))
     if np.iscomplexobj(v):
         raise QuadratureError(f"integrand piece {piece} returned complex values")
-    return v
+    shape = (k, len(arg))  # np.full copies, faster than np.broadcast_to at these sizes
+    return v if v.shape == shape else np.full(shape, v)
 
 
-def _eval_level(f, f_right, level: int, k: int):
+def _eval_levels(f, f_right, levels: range, k: int):
     """Weighted integrand values ``w f`` of ``k`` rows at the new nodes of a
-    level as a ``(k, nodes)`` array, their row sums of ``|w f|``, and the
-    number of nodes. The values are searched for a non-finite one only when
-    some row sum is not finite."""
-    t, x, delta, w = _level_nodes(level)
-    shape = (k, len(t))
-    if f_right is None:
-        v = _real_values("f", f, x)
-    else:
-        m = (len(t) + 1) // 2  # the prefix t <= 0: t is symmetric about 0
-        v = np.empty(shape)
-        v[:, :m] = _real_values("f", f, x[:m])
-        v[:, m:] = _real_values("f_right", f_right, delta[m:])
-    if v.shape != shape:
-        v = np.broadcast_to(v, shape)
-    wf = w * v
-    size = np.abs(wf).sum(axis=1)
-    if not np.isfinite(size).all():
-        finite = np.isfinite(v)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0]) % len(t)
-            raise QuadratureError(
-                f"integrand returned a non-finite value at x={float(x[bad])!r} "
-                f"(distance {float(delta[bad])!r} from 1)"
-            )
-    return wf, size, len(t)
+    run of levels, from one ``f`` call (and one ``f_right`` call) over the
+    run's nodes: per level, a ``(k, nodes)`` array, its row sums of ``|w f|``
+    and the number of nodes. A level's values are searched for a non-finite
+    one only when some row sum is not finite, level by level in order."""
+    nodes = [_level_nodes(level) for level in levels]
+    # with f_right, f takes the prefix t <= 0 of each level: t is symmetric about 0
+    split = [len(t) if f_right is None else (len(t) + 1) // 2 for t, *_ in nodes]
+    left = _real_values("f", f, np.concatenate(
+        [x[:m] for (_, x, _, _), m in zip(nodes, split)]), k)
+    if f_right is not None:
+        right = _real_values("f_right", f_right, np.concatenate(
+            [delta[m:] for (_, _, delta, _), m in zip(nodes, split)]), k)
+    out, a, b = [], 0, 0
+    for (t, x, delta, w), m in zip(nodes, split):
+        n = len(t)
+        v = left[:, a:a + n] if f_right is None else np.concatenate(
+            [left[:, a:a + m], right[:, b:b + n - m]], axis=1)
+        a, b = a + m, b + n - m
+        wf = w * v
+        size = np.abs(wf).sum(axis=1)
+        if not np.isfinite(size).all():
+            finite = np.isfinite(v)
+            if not finite.all():
+                bad = int(np.flatnonzero(~finite)[0]) % n
+                raise QuadratureError(
+                    f"integrand returned a non-finite value at x={float(x[bad])!r} "
+                    f"(distance {float(delta[bad])!r} from 1)"
+                )
+        out.append((wf, size, n))
+    return out
 
 
 def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
@@ -186,10 +199,17 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
     spec = spec_of(None)
     evals = 0
     err = np.full(k, np.inf)
+    # levels 0 to _MIN_LEVEL, as far as max_work allows, are one run
+    run, work = 1, len(_level_nodes(0)[0])
+    while run <= _MIN_LEVEL and (work := work + len(_level_nodes(run)[0])) <= tol.max_work:
+        run += 1
+    pending = _eval_levels(spec.f, spec.f_right, range(run), k)
     for level in range(_MAX_LEVELS + 1):
-        if level >= 1 and evals + len(_level_nodes(level)[0]) > tol.max_work:
-            break
-        wf, a_new, n_new = _eval_level(spec.f, spec.f_right, level, len(active))
+        if not pending:
+            if evals + len(_level_nodes(level)[0]) > tol.max_work:
+                break
+            pending = _eval_levels(spec.f, spec.f_right, range(level, level + 1), len(active))
+        wf, a_new, n_new = pending.pop(0)
         evals += n_new
         h = 0.5 ** level
         s_new = wf.sum(axis=1)
@@ -202,7 +222,7 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
         total = 0.5 * prev + h * s_new
         habs = 0.5 * habs + h * a_new
         err = 10.0 * np.abs(total - prev) + 8e-16 * habs + edge
-        if level < 2:
+        if level < _MIN_LEVEL:
             continue
         done = err <= tol.abs_tol + tol.rel_tol * np.abs(total)
         if done.any():
@@ -260,19 +280,26 @@ def integrate_semi_infinite(spec: IntegrandSpec | Rows,
 
     Splits at 1 and substitutes ``x -> 1/u`` on the far piece, so each row is
     ``int_0^1 f(x) dx + int_0^1 f(1/u)/u^2 du`` with the two error estimates
-    added; each piece runs at half the tolerance.
+    added; each piece runs at half the tolerance. The pieces of ``k`` rows are
+    the ``2k`` rows of one driver pass: near pieces first, then far pieces.
     """
     spec_of, k = _rows_of(spec)
     if spec_of(None).f_right is not None:
         raise ValueError("f_right applies to unit-interval integrands only")
     half = Tolerance(tol.abs_tol / 2.0, tol.rel_tol / 2.0, max(1, tol.max_work // 2))
 
-    def far_of(rows):
-        f = spec_of(rows).f
-        return IntegrandSpec(lambda u: f(1.0 / u) / u**2)
+    def pieces_of(rows):
+        rows = np.arange(2 * k) if rows is None else rows
+        near, far = rows[rows < k], rows[rows >= k] - k
+        pieces = [(spec_of(near).f, near.size)] if near.size else []
+        if far.size:
+            f = spec_of(far).f
+            pieces.append((lambda u: f(1.0 / u) / u**2, far.size))
+        return IntegrandSpec(lambda x: np.concatenate(
+            [_real_values("f", g, x, n) for g, n in pieces]))
 
-    near = _tanh_sinh(spec_of, k, half)
-    far = _tanh_sinh(far_of, k, half)
+    # row i is the sum of rows i and k + i
+    both = _tanh_sinh(pieces_of, 2 * k, half)
     return _result(spec, QuadratureRows(
-        near.values + far.values, near.error_estimates + far.error_estimates,
-        near.work + far.work, near.row_converged & far.row_converged))
+        *(col.reshape(2, k).sum(axis=0) for col in (both.values, both.error_estimates, both.work)),
+        both.row_converged.reshape(2, k).all(axis=0)))

@@ -523,6 +523,47 @@ def test_reason_control_characters_round_trip():
     assert parsed["outcomes"][0]["reason"] == reason
 
 
+def test_outcome_record_contract():
+    # an outcome is an immutable named tuple whose fields are in report
+    # order; both renderings of hand-built records are the former
+    # dataclass's, byte for byte
+    from quadident.ledger import VerificationOutcome
+
+    assert all(type(o) is VerificationOutcome for o in verify("E4", 3))
+    assert VerificationOutcome._fields == (
+        "id", "params", "lhs_value", "rhs_value", "abs_error", "rel_error", "passed",
+        "reason", "evals", "terms")
+    outs = (VerificationOutcome("E21", {"p": 2, "alpha": 0.25}, 0.5, 0.5000000001,
+                                1.000000082740371e-10, 2.000000165480742e-10, False,
+                                "mismatch", 129, 17),
+            VerificationOutcome("E4", {"alpha": 0.5}, math.nan, math.inf, math.nan, math.nan,
+                                False, "error: boom", 0, 0))
+    with pytest.raises(AttributeError):
+        outs[0].passed = True
+    assert repr(outs[0]) == (
+        "VerificationOutcome(id='E21', params={'p': 2, 'alpha': 0.25}, lhs_value=0.5, "
+        "rhs_value=0.5000000001, abs_error=1.000000082740371e-10, "
+        "rel_error=2.000000165480742e-10, passed=False, reason='mismatch', evals=129, "
+        "terms=17)")
+    report = Report("9.9", "T", None, 1e-9, outs)
+    assert render_report(report, "json") == (
+        '{"version":"9.9","timestamp":"T","tolerance":{"abs":null,"rel":1e-09},"outcomes":['
+        '{"id":"E21","params":{"alpha":0.25,"p":2},"lhs":0.5,"rhs":0.5000000001,'
+        '"abs_error":1.000000082740371e-10,"rel_error":2.000000165480742e-10,"pass":false,'
+        '"reason":"mismatch","work":{"evals":129,"terms":17}},'
+        '{"id":"E4","params":{"alpha":0.5},"lhs":null,"rhs":null,"abs_error":null,'
+        '"rel_error":null,"pass":false,"reason":"error: boom","work":{"evals":0,"terms":0}}],'
+        '"summary":{"passed":0,"failed":2,"not_converged":0}}')
+    assert render_report(report, "table") == "\n".join([
+        "id      params                                           lhs                     rhs"
+        "    abs_err  status",
+        "E21     alpha=0.25,p=2                                   0.5            0.5000000001"
+        "   1.00e-10  mismatch",
+        "E4      alpha=0.5                                        nan                     inf"
+        "        nan  error: boom",
+        "summary: passed=0 failed=2 not_converged=0"])
+
+
 def test_report_determinism_modulo_timestamp():
     a = verify_all(2)
     b = verify_all(2)

@@ -12,7 +12,7 @@ from quadident.quadrature import (
     _MAX_LEVELS,
     IntegrandSpec,
     QuadratureError,
-    _eval_level,
+    _eval_levels,
     _level_nodes,
     integrate_semi_infinite,
     integrate_unit,
@@ -200,6 +200,132 @@ def test_rows_equal_one_row_runs_at_any_row_count(family, k, seed, levels, digit
 
 
 # ---------------------------------------------------------------------------
+# The first levels are one integrand call: pinned under work caps
+# ---------------------------------------------------------------------------
+
+_PINNED_SPECS = {
+    "f_right": (integrate_unit, IntegrandSpec(
+        lambda x: np.log(x) * (np.log1p(-x) - np.log1p(x)) / x,
+        f_right=lambda d: np.log1p(-d) * (np.log(d) - np.log(2.0 - d)) / (1.0 - d))),
+    "rows": (integrate_unit, Rows(lambda a: IntegrandSpec(lambda x: 1.0 / (1.0 + a * x * x)),
+                                  [{"a": 0.3}, {"a": 2.0}, {"a": 7.0}])),
+    "half_line": (integrate_semi_infinite,
+                  IntegrandSpec(lambda x: np.arctan(x) * np.arctan(1.0 / x) / x)),
+}
+# (value, error estimate, evaluations, converged) of each row by max_work
+# (None: the default), recorded before levels 0-2 became one integrand call
+# and the half-line pieces one driver pass
+_PINNED = {
+    "f_right": {
+        1: [("0x1.08946b8ab5124p+1", "inf", 9, False)],
+        9: [("0x1.08946b8ab5124p+1", "inf", 9, False)],
+        16: [("0x1.08946b8ab5124p+1", "inf", 9, False)],
+        17: [("0x1.0d42d9f42ccd0p+1", "0x1.768280f56a5dep-2", 17, False)],
+        20: [("0x1.0d42d9f42ccd0p+1", "0x1.768280f56a5dep-2", 17, False)],
+        32: [("0x1.0d42d9f42ccd0p+1", "0x1.768280f56a5dep-2", 17, False)],
+        33: [("0x1.0d42c04520e2ap+1", "0x1.00d67727fca1dp-15", 33, False)],
+        50: [("0x1.0d42c04520e2ap+1", "0x1.00d67727fca1dp-15", 33, False)],
+        65: [("0x1.0d42c0452055dp+1", "0x1.60172874d0b40p-37", 65, True)],
+        66: [("0x1.0d42c0452055dp+1", "0x1.60172874d0b40p-37", 65, True)],
+        None: [("0x1.0d42c0452055dp+1", "0x1.60172874d0b40p-37", 65, True)],
+    },
+    "rows": {
+        1: [
+            ("0x1.dede7c77ad13dp-1", "inf", 9, False),
+            ("0x1.5b44843d624cdp-1", "inf", 9, False),
+            ("0x1.a942afb7fa65cp-2", "inf", 9, False),
+        ],
+        9: [
+            ("0x1.dede7c77ad13dp-1", "inf", 9, False),
+            ("0x1.5b44843d624cdp-1", "inf", 9, False),
+            ("0x1.a942afb7fa65cp-2", "inf", 9, False),
+        ],
+        16: [
+            ("0x1.dede7c77ad13dp-1", "inf", 9, False),
+            ("0x1.5b44843d624cdp-1", "inf", 9, False),
+            ("0x1.a942afb7fa65cp-2", "inf", 9, False),
+        ],
+        17: [
+            ("0x1.d46c9f3548126p-1", "0x1.a1ca925fc83b2p-3", 17, False),
+            ("0x1.59aa9b89ff9aep-1", "0x1.0031701daf3aep-5", 17, False),
+            ("0x1.d45a78ad218c3p-2", "0x1.aeedd9938780dp-2", 17, False),
+        ],
+        20: [
+            ("0x1.d46c9f3548126p-1", "0x1.a1ca925fc83b2p-3", 17, False),
+            ("0x1.59aa9b89ff9aep-1", "0x1.0031701daf3aep-5", 17, False),
+            ("0x1.d45a78ad218c3p-2", "0x1.aeedd9938780dp-2", 17, False),
+        ],
+        32: [
+            ("0x1.d46c9f3548126p-1", "0x1.a1ca925fc83b2p-3", 17, False),
+            ("0x1.59aa9b89ff9aep-1", "0x1.0031701daf3aep-5", 17, False),
+            ("0x1.d45a78ad218c3p-2", "0x1.aeedd9938780dp-2", 17, False),
+        ],
+        33: [
+            ("0x1.d46961668cae4p-1", "0x1.03509a8f4d4bdp-12", 33, False),
+            ("0x1.59dc903d1fd94p-1", "0x1.f38eff42700dep-9", 33, False),
+            ("0x1.d417773a26a42p-2", "0x1.4f073ee68884bp-9", 33, False),
+        ],
+        50: [
+            ("0x1.d46961668cae4p-1", "0x1.03509a8f4d4bdp-12", 33, False),
+            ("0x1.59dc903d1fd94p-1", "0x1.f38eff42700dep-9", 33, False),
+            ("0x1.d417773a26a42p-2", "0x1.4f073ee68884bp-9", 33, False),
+        ],
+        65: [
+            ("0x1.d46961670839fp-1", "0x1.34dd525e85f02p-31", 65, False),
+            ("0x1.59dc8f2dc2564p-1", "0x1.5334e3c9bc31fp-22", 65, False),
+            ("0x1.d417993a5bcaap-2", "0x1.540213816967bp-18", 65, False),
+        ],
+        66: [
+            ("0x1.d46961670839fp-1", "0x1.34dd525e85f02p-31", 65, False),
+            ("0x1.59dc8f2dc2564p-1", "0x1.5334e3c9bc31fp-22", 65, False),
+            ("0x1.d417993a5bcaap-2", "0x1.540213816967bp-18", 65, False),
+        ],
+        None: [
+            ("0x1.d4696167083a0p-1", "0x1.097a17c08f044p-49", 129, True),
+            ("0x1.59dc8f2dc2563p-1", "0x1.dbc31f7bd7f52p-50", 129, True),
+            ("0x1.d417993a5b6cep-2", "0x1.d4f4b3d6ac224p-41", 129, True),
+        ],
+    },
+    "half_line": {
+        1: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
+        9: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
+        16: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
+        17: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
+        20: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
+        32: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
+        33: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
+        50: [("0x1.0d3b099f32718p+1", "0x1.bf9c7430c9139p-4", 34, False)],
+        65: [("0x1.0d3b099f32718p+1", "0x1.bf9c7430c9139p-4", 34, False)],
+        66: [("0x1.0d42c045f1f6ap+1", "0x1.348a0deccdf28p-9", 66, False)],
+        None: [("0x1.0d42c0452055ep+1", "0x1.b943a685a03a5p-48", 258, True)],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_first_levels_keep_their_bits_under_work_caps(name):
+    # a cap may cut the run of levels 0-2 after level 0 (below 17 nodes) or
+    # level 1 (below 33); the half-line pieces each get half the cap
+    integrate, spec = _PINNED_SPECS[name]
+    for max_work, expected in _PINNED[name].items():
+        tol = Tolerance() if max_work is None else Tolerance(max_work=max_work)
+        res = integrate(spec, tol)
+        assert (_row_bits(res) if name == "rows" else [_quad_bits(res)]) == expected, max_work
+
+
+def test_non_finite_value_is_named_level_by_level():
+    # row 0 is NaN at a level-2 node, row 1 at a level-0 node: the three
+    # levels are one integrand call, but the level-0 node is the one named
+    x2, x0 = _level_nodes(2)[1][9], _level_nodes(0)[1][5]
+    rows = Rows(lambda r: IntegrandSpec(lambda x: np.where(x == np.where(r == 0, x2, x0),
+                                                           np.nan, x)), [{"r": 0}, {"r": 1}])
+    with pytest.raises(QuadratureError) as info:
+        integrate_unit(rows)
+    assert str(info.value) == (f"integrand returned a non-finite value at x={float(x0)!r} "
+                               f"(distance {float(_level_nodes(0)[2][5])!r} from 1)")
+
+
+# ---------------------------------------------------------------------------
 # Error-estimate honesty on a suite of known integrals
 # ---------------------------------------------------------------------------
 
@@ -273,7 +399,7 @@ def _fsum_reference(spec, tol):
     for level in range(_MAX_LEVELS + 1):
         if level >= 1 and evals + len(_level_nodes(level)[0]) > tol.max_work:
             break
-        wf, _, n_new = _eval_level(spec.f, spec.f_right, level, 1)
+        [(wf, _, n_new)] = _eval_levels(spec.f, spec.f_right, range(level, level + 1), 1)
         row = wf[0].tolist()
         evals += n_new
         h = 0.5 ** level

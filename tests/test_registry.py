@@ -5,7 +5,6 @@ import functools
 import importlib
 import inspect
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ import pytest
 from quadident.combinatorics import arctan_power_coeff
 from quadident.ledger import _grid_points, verify
 from quadident.numerics import Rows, Tolerance
+from quadident.quadrature import IntegrandSpec, integrate_semi_infinite, integrate_unit
 from quadident.registry import (
     GridAxis,
     _gen_alt_odd_harmonic_sq,
@@ -129,6 +129,40 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
             assert out == (one.value, one.evals, one.converged), (case.id, point)
     assert batched == {"E2", "E4", "E4alt", "E5", "E7", "E9", "E10", "E11", "E12",
                        "E16", "E21", "E22"}
+
+
+@pytest.mark.parametrize("case_id", ["E4", "E9", "E13inf"])
+def test_half_line_pass_equals_its_two_pieces(monkeypatch, case_id):
+    # the near and far pieces of k rows are the 2k rows of one driver pass;
+    # each row is the sum of the one-row runs of its near integrand and of
+    # f(1/u)/u**2, both at half the tolerance, whatever level each stops at
+    module = importlib.import_module("quadident.quadrature")
+    driver, passes = module._tanh_sinh, []
+
+    def count(spec_of, k, tol):
+        passes.append(k)
+        return driver(spec_of, k, tol)
+
+    monkeypatch.setattr(module, "_tanh_sinh", count)
+    case = registry()[case_id]
+    build = inspect.getclosurevars(case.lhs.rows).nonlocals["build"]
+    tol = Tolerance(case.default_tol.abs_tol / 4.0, case.default_tol.rel_tol / 4.0,
+                    case.default_tol.max_work)
+    half = Tolerance(tol.abs_tol / 2.0, tol.rel_tol / 2.0, tol.max_work // 2)
+    points = _grid_points(case, 9)
+    rows = integrate_semi_infinite(Rows(build, points), tol)
+    assert passes == [2 * len(points)]
+    levels_differ = False
+    for point, row in zip(points, _row_bits(rows)):
+        f = build(**point).f
+        near = integrate_unit(IntegrandSpec(f), half)
+        far = integrate_unit(IntegrandSpec(lambda u: f(1.0 / u) / u**2), half)
+        levels_differ |= near.evaluations != far.evaluations
+        assert row == ((near.value + far.value).hex(),
+                       (near.error_estimate + far.error_estimate).hex(),
+                       near.evaluations + far.evaluations,
+                       near.converged and far.converged), (case_id, point)
+    assert levels_differ or case_id == "E13inf"
 
 
 def _sum_bits(res):
@@ -294,19 +328,21 @@ def test_e11_makes_one_polylog_call_per_order_and_sign(monkeypatch):
 def test_odd_discrete_parameters_fail_alone(case_id):
     # p = 1.5 or p = -1 has no value in these identities: the point fails
     # with an error, never passes as if p were cut to an integer, and leaves
-    # every other point of the same call with its bits. NaN powers warn
+    # every other point of the same call with its bits. A p that is not an
+    # integer (1.5, 2.0, a bool, a string) fails unevaluated, naming p
     grid = _grid_points(registry()[case_id], 9)
     clean = repr(verify(case_id, points=grid))
     half = len(grid) // 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for p in (1.5, -1):
-            odd = {"p": p} | {axis.name: 0.5 for axis in registry()[case_id].continuous}
-            [alone, *_] = verify(case_id, points=[odd])
-            assert not alone.passed and alone.reason.startswith("error: "), (p, alone)
-            mixed = verify(case_id, points=grid[:half] + [odd] + grid[half:])
-            assert mixed[half].params == odd and mixed[half].reason == alone.reason
-            assert repr(mixed[:half] + mixed[half + 1:]) == clean, p
+    for p in (1.5, -1, 2.0, True, "2"):
+        odd = {"p": p} | {axis.name: 0.5 for axis in registry()[case_id].continuous}
+        [alone, *_] = verify(case_id, points=[odd])
+        assert not alone.passed and alone.reason.startswith("error: "), (p, alone)
+        if p != -1:
+            assert alone.reason == f"error: p must be an integer, got {p!r}"
+            assert alone.evals == alone.terms == 0
+        mixed = verify(case_id, points=grid[:half] + [odd] + grid[half:])
+        assert mixed[half].params == odd and mixed[half].reason == alone.reason
+        assert repr(mixed[:half] + mixed[half + 1:]) == clean, p
 
 
 def test_accelerated_bound_covers_every_grid_row():

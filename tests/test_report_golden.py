@@ -1,0 +1,31 @@
+"""The JSON reports of ``verify_all`` at grids 5 and 9, timestamp masked, by
+SHA-256 digest: a change that moves no number must keep every byte.
+
+The digests depend on the floating-point results of the interpreter and of
+numpy, so they are checked only under the versions that recorded them. A
+change that moves values on purpose records new digests and says so.
+"""
+
+import dataclasses
+import hashlib
+import platform
+
+import numpy as np
+import pytest
+
+from quadident.ledger import render_json, verify_all
+
+_RECORDED_WITH = ("3.11", "2.4.6")  # Python major.minor, numpy
+_DIGESTS = {
+    5: "53b85adbec302b88731dff75e6581a2e7f0b72a765a99887ef46ddf43a71246d",
+    9: "873a016e31c9f8411df600b79567cbc21396a1aa5446907e3a727e2105e48b9e",
+}
+
+
+@pytest.mark.skipif(
+    (".".join(platform.python_version_tuple()[:2]), np.__version__) != _RECORDED_WITH,
+    reason=f"digests recorded with Python {_RECORDED_WITH[0]}.x and numpy {_RECORDED_WITH[1]}")
+@pytest.mark.parametrize("grid", sorted(_DIGESTS))
+def test_report_bytes_match_the_recorded_digest(grid):
+    report = dataclasses.replace(verify_all(grid), timestamp="")
+    assert hashlib.sha256(render_json(report).encode()).hexdigest() == _DIGESTS[grid]
