@@ -150,11 +150,11 @@ def _eval_levels(f, f_right, levels: range, k: int):
     nodes = [_level_nodes(level) for level in levels]
     # with f_right, f takes the prefix t <= 0 of each level: t is symmetric about 0
     split = [len(t) if f_right is None else (len(t) + 1) // 2 for t, *_ in nodes]
-    left = _real_values("f", f, np.concatenate(
-        [x[:m] for (_, x, _, _), m in zip(nodes, split)]), k)
+    xs = [x[:m] for (_, x, _, _), m in zip(nodes, split)]
+    left = _real_values("f", f, np.concatenate(xs) if len(xs) > 1 else xs[0], k)
     if f_right is not None:
-        right = _real_values("f_right", f_right, np.concatenate(
-            [delta[m:] for (_, _, delta, _), m in zip(nodes, split)]), k)
+        ds = [delta[m:] for (_, _, delta, _), m in zip(nodes, split)]
+        right = _real_values("f_right", f_right, np.concatenate(ds) if len(ds) > 1 else ds[0], k)
     out, a, b = [], 0, 0
     for (t, x, delta, w), m in zip(nodes, split):
         n = len(t)
