@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numerics import NeumaierSum
 
@@ -192,22 +192,27 @@ def arctan_power_coeff(n: int, p: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalPowerSeries:
+class _RationalPowerSeriesFields(NamedTuple):
+    coefficients: tuple[Fraction, ...]
+
+
+class RationalPowerSeries(_RationalPowerSeriesFields):
     """Formal power series truncated at a degree, with Fraction coefficients.
 
     Coefficients beyond ``order`` are unknown, not zero; a product therefore
     truncates to the smaller order of its factors.
     """
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __new__(cls, coefficients):
+        if not coefficients:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
+        return super().__new__(cls, tuple(Fraction(c) for c in coefficients))
+
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: through the checks of __new__
+        return cls(*iterable)
 
     @property
     def order(self) -> int:

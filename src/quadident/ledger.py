@@ -9,10 +9,11 @@ carries the aggregate status.
 Each side of a case goes through one batched ``rows`` call over all of its
 points, discrete parameters included; a call that raises is retried by
 halves, so each failure reads as its one-point call would. A point whose
-discrete parameter is not an integer fails without being evaluated. The
-results stay columns (value, work, convergence) until one array pass judges
-every point of the case; the outcomes, immutable named tuples, are then made
-from those columns in one ``map``.
+discrete parameter is not an integer, or is below the least value of its
+axis, fails without being evaluated. The results stay columns (value, work,
+convergence) until one array pass judges every point of the case; the
+outcomes, immutable named tuples like every record of the package, are then
+made from those columns in one ``map``.
 
 Reports order outcomes by identity id, then by parameter tuple, so two runs
 with the same inputs are byte-identical apart from the timestamp.
@@ -24,7 +25,6 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NamedTuple, Optional
 
@@ -54,8 +54,7 @@ class VerificationOutcome(NamedTuple):
     terms: int   # series terms (both sides)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     version: str
     timestamp: str
     tol_abs: Optional[float]  # global override, None when per-case defaults
@@ -108,11 +107,17 @@ def verify(
                     over[len(pts)] = value
             pts.append(dict(combo) | base)
 
-    # a point whose discrete parameter is not an integer (bools are not) fails unevaluated
-    odd = {i: ValueError(f"{d.name} must be an integer, got {pt[d.name]!r}")
-           for d in case.discrete for i, pt in enumerate(pts)
-           if type(pt.get(d.name, 0)) is not int  # the common case, checked first
-           and (isinstance(pt[d.name], bool) or not isinstance(pt[d.name], numbers.Integral))}
+    # a point whose discrete parameter is not an integer (bools are not), or is
+    # below the axis's least value, fails unevaluated
+    odd = {}
+    for d in case.discrete:
+        low = min(d.values)
+        for i, pt in enumerate(pts):
+            v = pt.get(d.name, low)
+            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+                odd[i] = ValueError(f"{d.name} must be an integer, got {v!r}")
+            elif v < low:
+                odd[i] = ValueError(f"{d.name} must be >= {low}, got {v!r}")
     # each side in one rows call; a point whose left side raised never
     # evaluates its right side
     lhs = _evaluate(case.lhs, pts, lhs_over, odd, eval_tol)

@@ -2,6 +2,9 @@
 constants, and the parameter rows that the quadrature and series drivers batch.
 
 Everything here is pure and immutable; values are safe to share across threads.
+The records of the package are ``typing.NamedTuple`` types: a record that
+checks its fields is a subclass whose ``__new__`` (and so ``_make`` and
+``_replace``) runs the checks.
 """
 
 from __future__ import annotations
@@ -9,25 +12,28 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _ToleranceFields(NamedTuple):
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-10
+    max_work: int = 2_000_000
+
+
+class Tolerance(_ToleranceFields):
     """Accuracy target for quadrature, summation and identity comparison.
 
     A comparison passes when ``|a - b| <= abs_tol + rel_tol * max(|a|, |b|)``.
     ``max_work`` caps function evaluations (quadrature) or series terms.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_work: int = 2_000_000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
             raise ValueError("tolerances must be finite")
         if self.abs_tol < 0.0 or self.rel_tol < 0.0:
@@ -37,6 +43,11 @@ class Tolerance:
         if (isinstance(self.max_work, bool) or not isinstance(self.max_work, numbers.Integral)
                 or self.max_work < 1):
             raise ValueError("max_work must be a positive integer")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: through the checks of __new__
+        return cls(*iterable)
 
     def margin(self, a: float, b: float) -> float:
         return self.abs_tol + self.rel_tol * max(abs(a), abs(b))
@@ -49,8 +60,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
+class ConstantsTable(NamedTuple):
     """Reference constants, 25+ significant decimal digits each.
 
     Provenance: standard decimal expansions, re-derived from scratch by the
@@ -70,8 +80,12 @@ class ConstantsTable:
 CONSTANTS = ConstantsTable()
 
 
-@dataclass(frozen=True, eq=False)
-class Rows:
+class _RowsFields(NamedTuple):
+    build: Callable[..., Any]
+    points: Sequence[dict]
+
+
+class Rows(_RowsFields):
     """Integrands, series or values over a table of points, one row per point,
     run in one pass by the quadrature and series drivers.
 
@@ -80,11 +94,9 @@ class Rows:
     integers stay integers) and returns their spec, generator or values, each
     row computed by the same elementwise operations as for scalar parameters;
     without parameters, it gives every row the same one. A parameter that
-    some points lack raises ``KeyError``.
+    some points lack raises ``KeyError``. The columns are built once, on first
+    use, and kept in the instance's ``__dict__``.
     """
-
-    build: Callable[..., Any]
-    points: Sequence[dict]
 
     @functools.cached_property
     def columns(self) -> dict[str, np.ndarray]:

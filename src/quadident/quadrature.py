@@ -46,8 +46,7 @@ numbers. A :class:`QuadratureResult` is made only for a single spec.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,8 +62,7 @@ class QuadratureError(RuntimeError):
     at an interior point."""
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(NamedTuple):
     """An integrand ``f`` and, for a right endpoint singularity on (0, 1), its
     stable form ``f_right(delta)`` at ``x = 1 - delta``.
 
@@ -77,16 +75,14 @@ class IntegrandSpec:
     f_right: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRows:
+class QuadratureRows(NamedTuple):
     """Results of one :class:`Rows` pass as ``(rows,)`` columns, with batch
     totals as Python numbers."""
 
@@ -131,13 +127,18 @@ def _level_nodes(level: int):
     return t, x, delta, w
 
 
-def _real_values(piece, fn, arg, k: int):
-    """``fn(arg)`` for ``k`` rows as a real ``(k, len(arg))`` array, broadcast
-    if the integrand returned fewer dimensions."""
+def _real_values(piece, fn, arg) -> np.ndarray:
+    """``fn(arg)`` as a real array: ``(rows, len(arg))``, or fewer dimensions
+    that broadcast to it."""
     v = np.asarray(fn(arg))
     if np.iscomplexobj(v):
         raise QuadratureError(f"integrand piece {piece} returned complex values")
-    shape = (k, len(arg))  # np.full copies, faster than np.broadcast_to at these sizes
+    return v
+
+
+def _widened(v: np.ndarray, shape: tuple) -> np.ndarray:
+    """Integrand values ``v`` as an array of ``shape``, copied only when they
+    need broadcasting (np.full is faster than np.broadcast_to at these sizes)."""
     return v if v.shape == shape else np.full(shape, v)
 
 
@@ -145,21 +146,34 @@ def _eval_levels(f, f_right, levels: range, k: int):
     """Weighted integrand values ``w f`` of ``k`` rows at the new nodes of a
     run of levels, from one ``f`` call (and one ``f_right`` call) over the
     run's nodes: per level, a ``(k, nodes)`` array, its row sums of ``|w f|``
-    and the number of nodes. A level's values are searched for a non-finite
-    one only when some row sum is not finite, level by level in order."""
+    and the number of nodes. With ``f_right``, each level's array is one
+    ``np.empty`` block filled from the two pieces' values. A level's values
+    are searched for a non-finite one only when some row sum is not finite,
+    level by level in order."""
     nodes = [_level_nodes(level) for level in levels]
     # with f_right, f takes the prefix t <= 0 of each level: t is symmetric about 0
     split = [len(t) if f_right is None else (len(t) + 1) // 2 for t, *_ in nodes]
     xs = [x[:m] for (_, x, _, _), m in zip(nodes, split)]
-    left = _real_values("f", f, np.concatenate(xs) if len(xs) > 1 else xs[0], k)
-    if f_right is not None:
+    arg = np.concatenate(xs) if len(xs) > 1 else xs[0]
+    left = _real_values("f", f, arg)
+    if f_right is None:
+        left = _widened(left, (k, len(arg)))
+    else:
         ds = [delta[m:] for (_, _, delta, _), m in zip(nodes, split)]
-        right = _real_values("f_right", f_right, np.concatenate(ds) if len(ds) > 1 else ds[0], k)
+        darg = np.concatenate(ds) if len(ds) > 1 else ds[0]
+        right = _real_values("f_right", f_right, darg)
+        # each piece needs its nodes on the last axis (a scalar serves every node)
+        left = _widened(left, left.shape[:-1] + (len(arg),))
+        right = _widened(right, right.shape[:-1] + (len(darg),))
     out, a, b = [], 0, 0
     for (t, x, delta, w), m in zip(nodes, split):
         n = len(t)
-        v = left[:, a:a + n] if f_right is None else np.concatenate(
-            [left[:, a:a + m], right[:, b:b + n - m]], axis=1)
+        if f_right is None:
+            v = left[:, a:a + n]
+        else:
+            v = np.empty((k, n))
+            v[:, :m] = left[..., a:a + m]
+            v[:, m:] = right[..., b:b + n - m]
         a, b = a + m, b + n - m
         wf = w * v
         size = np.abs(wf).sum(axis=1)
@@ -296,7 +310,7 @@ def integrate_semi_infinite(spec: IntegrandSpec | Rows,
             f = spec_of(far).f
             pieces.append((lambda u: f(1.0 / u) / u**2, far.size))
         return IntegrandSpec(lambda x: np.concatenate(
-            [_real_values("f", g, x, n) for g, n in pieces]))
+            [_widened(_real_values("f", g, x), (n, len(x))) for g, n in pieces]))
 
     # row i is the sum of rows i and k + i
     both = _tanh_sinh(pieces_of, 2 * k, half)

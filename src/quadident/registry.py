@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,8 +58,7 @@ TOL_COARSE = Tolerance(1e-8, 1e-8)
 TOL_SLOW_SERIES = Tolerance(1e-7, 0.0)  # absolute-only, for the pi-power series
 
 
-@dataclass(frozen=True, eq=False)
-class EvalRows:
+class EvalRows(NamedTuple):
     """One side at the points of a ``rows`` call: ``value`` (float, or
     complex for a complex closed form), integrand evaluations ``evals``,
     series terms ``terms`` and ``converged``, each a ``(rows,)`` column or
@@ -72,8 +70,7 @@ class EvalRows:
     converged: np.ndarray | bool = True
 
 
-@dataclass(frozen=True)
-class Evaluator:
+class Evaluator(NamedTuple):
     """One side of an identity. ``rows(points, tol)`` evaluates a list of
     parameter dicts in one batched call and returns their :class:`EvalRows`,
     one row per point in order; the builders receive every parameter, p
@@ -89,8 +86,7 @@ class Evaluator:
                           for c in (out.value, out.evals, out.terms, out.converged)))
 
 
-@dataclass(frozen=True)
-class GridAxis:
+class GridAxis(NamedTuple):
     """Continuous parameter on an open interval; the grid stays strictly inside."""
 
     name: str
@@ -102,14 +98,12 @@ class GridAxis:
         return [self.lo + i * step for i in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class DiscreteAxis:
+class DiscreteAxis(NamedTuple):
     name: str
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExtraPoint:
+class ExtraPoint(NamedTuple):
     """A registered endpoint/limit evaluation.
 
     ``lhs_value``/``rhs_value`` override the corresponding evaluator where the
@@ -122,8 +116,7 @@ class ExtraPoint:
     rhs_value: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     id: str
     description: str
     source: str

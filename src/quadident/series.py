@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -71,8 +70,15 @@ class NonFiniteTermError(RuntimeError):
     """Raised when a term read before a row's stop is infinite or NaN."""
 
 
-@dataclass(frozen=True)
-class TermGenerator:
+class _TermGeneratorFields(NamedTuple):
+    terms: Callable[[int, int], np.ndarray]
+    first_index: int = 0
+    sign_pattern: str = POSITIVE
+    tail_bound: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    name: str = ""
+
+
+class TermGenerator(_TermGeneratorFields):
     """A series given by its terms.
 
     ``terms(n0, n1)`` returns the terms of indices ``n0 .. n1-1`` as an array
@@ -85,27 +91,27 @@ class TermGenerator:
     ``t`` the array of their terms).
     """
 
-    terms: Callable[[int, int], np.ndarray]
-    first_index: int = 0
-    sign_pattern: str = POSITIVE
-    tail_bound: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    name: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sign_pattern not in (POSITIVE, ALTERNATING):
             raise ValueError(f"unknown sign pattern {self.sign_pattern!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: through the checks of __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SummationResult:
+class SummationResult(NamedTuple):
     value: float
     terms_used: int
     remainder_bound: float
     converged: bool = True
 
 
-@dataclass(frozen=True, eq=False)
-class SummationRows:
+class SummationRows(NamedTuple):
     """Results of one :class:`Rows` pass as ``(rows,)`` columns, with batch
     totals as Python numbers."""
 

@@ -54,11 +54,13 @@ _SERIES_RADIUS = 0.85       # defining series up to here: the more accurate path
 _LOG_SERIES_TERMS = 56      # tail < 2^-60 for |mu| <= 1.03 pi and every p >= 2
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def zeta(p: int) -> float:
     """Riemann zeta at an integer argument p >= 2.
 
     Table values for p = 2, 3; otherwise a short direct sum with an
     Euler-Maclaurin tail (error far below double rounding for p >= 4).
+    Each value is computed once per process and argument type.
     """
     if p < 2:
         raise ValueError("zeta requires p >= 2")

@@ -3,6 +3,7 @@ benchmark's tracer wraps from outside."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -137,3 +138,13 @@ def test_package_name_registry_shadows_the_submodule():
     assert callable(by_attribute) and by_attribute is module.registry
     assert module.__name__ == "quadident.registry"
     assert by_attribute is not module
+
+
+def test_package_imports_no_dataclasses():
+    # every record is a typing.NamedTuple: building the dataclasses took
+    # about a third of the package's own import time in a fresh interpreter
+    code = "import sys, quadident; quadident.registry(); print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -329,17 +329,22 @@ def test_odd_discrete_parameters_fail_alone(case_id):
     # p = 1.5 or p = -1 has no value in these identities: the point fails
     # with an error, never passes as if p were cut to an integer, and leaves
     # every other point of the same call with its bits. A p that is not an
-    # integer (1.5, 2.0, a bool, a string) fails unevaluated, naming p
+    # integer (1.5, 2.0, a bool, a string) or lies below the axis (-1; 0
+    # where p starts at 1) fails unevaluated, naming p
     grid = _grid_points(registry()[case_id], 9)
     clean = repr(verify(case_id, points=grid))
     half = len(grid) // 2
-    for p in (1.5, -1, 2.0, True, "2"):
+    low = min(registry()[case_id].discrete[0].values)
+    for p in (1.5, -1, 0, 2.0, True, "2"):
+        if type(p) is int and p >= low:
+            continue  # p = 0 is a value of E11 and E12
         odd = {"p": p} | {axis.name: 0.5 for axis in registry()[case_id].continuous}
         [alone, *_] = verify(case_id, points=[odd])
-        assert not alone.passed and alone.reason.startswith("error: "), (p, alone)
-        if p != -1:
+        assert not alone.passed and alone.evals == alone.terms == 0, (p, alone)
+        if type(p) is int:
+            assert alone.reason == f"error: p must be >= {low}, got {p}"
+        else:
             assert alone.reason == f"error: p must be an integer, got {p!r}"
-            assert alone.evals == alone.terms == 0
         mixed = verify(case_id, points=grid[:half] + [odd] + grid[half:])
         assert mixed[half].params == odd and mixed[half].reason == alone.reason
         assert repr(mixed[:half] + mixed[half + 1:]) == clean, p

@@ -1,7 +1,6 @@
 """Series engine: remainder bounds, CVZ acceleration, and failure modes."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,7 +134,7 @@ def test_terms_past_every_stop_are_never_read(poison):
             past = np.arange(n0, n1) > limit
             return np.where(past, np.nan if poison == "nan" else np.abs(t), t)
 
-        return replace(g, terms=terms)
+        return g._replace(terms=terms)
 
     poisoned = sum_direct(Rows(build, points), tol)
     assert _row_bits(poisoned) == _row_bits(clean)
