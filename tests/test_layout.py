@@ -141,8 +141,8 @@ def test_package_name_registry_shadows_the_submodule():
 
 
 def test_package_imports_no_dataclasses():
-    # every record is a typing.NamedTuple: building the dataclasses took
-    # about a third of the package's own import time in a fresh interpreter
+    # every record is a typing.NamedTuple: importing dataclasses and building
+    # 17 of them cost 9-15 ms of the package's import in a fresh interpreter
     code = "import sys, quadident; quadident.registry(); print('dataclasses' in sys.modules)"
     proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
                           timeout=60, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
