@@ -8,8 +8,9 @@ arctan-power coefficients are both triangular tables, grown one column per p
 from the column below by a recurrence, one exact step per entry, through one
 shared column grower.
 
-Exact values use :class:`fractions.Fraction`. Caches grow on demand under one
-lock and only ever append, so sharing across threads is safe.
+Exact values use :class:`fractions.Fraction`; the harmonic-type sums also have
+float mirrors. Caches grow on demand under one lock and only ever append, so
+sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numerics import NeumaierSum
+import numpy as np
+
+from .numerics import neumaier_prefix
 
 # All caches below grow under this lock and are only read once published.
 _CACHE_LOCK = threading.Lock()
@@ -62,16 +65,18 @@ def leibniz_partial(n: int) -> Fraction:
 class _FloatPrefix:
     """Float mirror of a prefix-sum sequence, accumulated with compensation.
 
-    Large-index series terms need these values for n up to ~1e5, where exact
-    rationals are intractable (their bit size grows linearly with n). The
-    compensated stream stays within an ulp or two of the rounded exact value.
+    Registered cases read at most index 481; only the public direct sum of a
+    slowly decaying series reads further, where exact rationals are
+    intractable. ``step`` maps indices to terms; ``_BLOCK`` values at a time
+    are ``sums + comps`` of ``neumaier_prefix``, seeded with the last sum and
+    compensation, within an ulp or two of the rounded exact values.
     """
 
-    __slots__ = ("_vals", "_acc", "_step")
+    __slots__ = ("_vals", "_s", "_c", "_step")
 
     def __init__(self, step):
         self._vals = [0.0]
-        self._acc = NeumaierSum()
+        self._s = self._c = np.zeros(1)
         self._step = step
 
     def value(self, n: int) -> float:
@@ -80,14 +85,17 @@ class _FloatPrefix:
         if len(self._vals) <= n:
             with _CACHE_LOCK:
                 while len(self._vals) <= n:
-                    self._acc.add(self._step(len(self._vals)))
-                    self._vals.append(self._acc.value)
+                    k = np.arange(len(self._vals), len(self._vals) + _BLOCK)
+                    sums, comps = neumaier_prefix(self._s, self._c, self._step(k)[None])
+                    self._s, self._c = sums[:, -1], comps[:, -1]
+                    self._vals.extend((sums + comps)[0].tolist())
         return self._vals[n]
 
 
-_SKEW_F = _FloatPrefix(lambda k: (1.0 if k % 2 else -1.0) / k)
+_BLOCK = 1024
+_SKEW_F = _FloatPrefix(lambda k: np.where(k % 2 == 1, 1.0, -1.0) / k)
 _ODD_F = _FloatPrefix(lambda k: 1.0 / (2 * k - 1))
-_LEIBNIZ_F = _FloatPrefix(lambda k: (1.0 if k % 2 else -1.0) / (2 * k - 1))
+_LEIBNIZ_F = _FloatPrefix(lambda k: np.where(k % 2 == 1, 1.0, -1.0) / (2 * k - 1))
 
 
 def skew_harmonic_float(n: int) -> float:
@@ -224,6 +232,8 @@ class RationalPowerSeries(_RationalPowerSeriesFields):
         return self.coefficients[k]
 
     def __mul__(self, other: "RationalPowerSeries") -> "RationalPowerSeries":
+        if not isinstance(other, RationalPowerSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         a, b = self.coefficients, other.coefficients
         coeffs = [
@@ -232,6 +242,11 @@ class RationalPowerSeries(_RationalPowerSeriesFields):
             for k in range(order + 1)
         ]
         return RationalPowerSeries(tuple(coeffs))
+
+    def __rmul__(self, other):  # no tuple repetition or concatenation
+        return NotImplemented
+
+    __add__ = __radd__ = __rmul__
 
 
 def series_pow(base: RationalPowerSeries, p: int) -> RationalPowerSeries:
@@ -249,9 +264,6 @@ def arctan_series(order: int) -> RationalPowerSeries:
     if order < 1:
         raise ValueError("arctan_series requires order >= 1")
     coeffs = [Fraction(0)] * (order + 1)
-    for m in range(1, order // 2 + 2):
-        k = 2 * m - 1
-        if k > order:
-            break
-        coeffs[k] = Fraction((-1) ** (m - 1), k)
+    for k in range(1, order + 1, 2):
+        coeffs[k] = Fraction((-1) ** (k // 2), k)
     return RationalPowerSeries(tuple(coeffs))

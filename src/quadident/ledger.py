@@ -8,12 +8,12 @@ carries the aggregate status.
 
 Each side of a case goes through one batched ``rows`` call over all of its
 points, discrete parameters included; a call that raises is retried by
-halves, so each failure reads as its one-point call would. A point whose
-discrete parameter is not an integer, or is below the least value of its
-axis, fails without being evaluated. The results stay columns (value, work,
-convergence) until one array pass judges every point of the case; the
-outcomes, immutable named tuples like every record of the package, are then
-made from those columns in one ``map``.
+halves, so each failure reads as its one-point call would. A point that
+lacks a parameter of its case, or whose discrete parameter is not an integer
+or is below the least value of its axis, fails without being evaluated. The
+results stay columns (value, work, convergence) until one array pass judges
+every point of the case; the outcomes, immutable named tuples like every
+record of the package, are then made from those columns in one ``map``.
 
 Reports order outcomes by identity id, then by parameter tuple, so two runs
 with the same inputs are byte-identical apart from the timestamp.
@@ -85,7 +85,8 @@ def verify(
 
     ``tol`` overrides the case's default tolerance; ``points`` replaces the
     uniform grid with explicit parameter dicts (registered endpoints are still
-    appended).
+    appended). A continuous value in ``points`` that is not a Python or numpy
+    integer or float (bools are not) raises ``ValueError`` before any side runs.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
@@ -107,17 +108,27 @@ def verify(
                     over[len(pts)] = value
             pts.append(dict(combo) | base)
 
-    # a point whose discrete parameter is not an integer (bools are not), or is
-    # below the axis's least value, fails unevaluated
+    # a point lacking a parameter of its case, or whose discrete parameter is
+    # not an integer (bools are not) or below its axis's least value, fails
+    # unevaluated; a caller's continuous value that is no number raises
     odd = {}
     for d in case.discrete:
         low = min(d.values)
         for i, pt in enumerate(pts):
-            v = pt.get(d.name, low)
-            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+            v = pt.get(d.name)
+            if d.name not in pt:
+                odd[i] = ValueError(f"missing parameter {d.name}")
+            elif type(v) is not int and (type(v) is bool or not isinstance(v, numbers.Integral)):
                 odd[i] = ValueError(f"{d.name} must be an integer, got {v!r}")
             elif v < low:
                 odd[i] = ValueError(f"{d.name} must be >= {low}, got {v!r}")
+    for c in case.continuous if points is not None else ():
+        for i, pt in enumerate(pts):
+            v = pt.get(c.name)
+            if c.name not in pt:
+                odd[i] = ValueError(f"missing parameter {c.name}")
+            elif isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{c.name} must be a real number, got {v!r}")
     # each side in one rows call; a point whose left side raised never
     # evaluates its right side
     lhs = _evaluate(case.lhs, pts, lhs_over, odd, eval_tol)

@@ -119,40 +119,16 @@ def fsum_rows(*pieces):
     return sums[0] if table[0].ndim == 0 else np.reshape(sums, table[0].shape)
 
 
-class NeumaierSum:
-    """Streaming compensated accumulator (Neumaier's variant of Kahan summation).
-
-    Keeps the running error term alongside the sum so that long series can be
-    accumulated one term at a time with O(eps) total drift.
-    """
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self):
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._s
-        t = s + x
-        if abs(s) >= abs(x):
-            self._c += (s - t) + x
-        else:
-            self._c += (x - t) + s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
-
-
 def neumaier_prefix(s: np.ndarray, c: np.ndarray, terms: np.ndarray):
     """Running Neumaier sums of the rows of ``terms`` (shape ``(rows, m)``),
     seeded with each row's sum ``s`` and compensation ``c`` (shape ``(rows,)``).
 
     Returns the running sums and running compensations, each ``(rows, m)``:
-    entry ``[i, j]`` holds the ``_s`` and ``_c`` of a :class:`NeumaierSum`
-    started at ``(s[i], c[i])`` after adding ``terms[i, :j+1]``, bit for bit.
+    entry ``[i, j]`` holds, bit for bit, the sum and compensation of
+    Neumaier's streaming accumulator (ZAMM 54, 1974) started at
+    ``(s[i], c[i])`` after adding ``terms[i, :j+1]`` one at a time: adding x
+    to the sum s gives t = s + x, and the compensation gains (s - t) + x if
+    |s| >= |x|, else (x - t) + s; the compensated value is sum + compensation.
     ``np.cumsum`` (``np.add.accumulate``) adds left to right, so both are the
     accumulator's chain of additions; the correction of each step is computed
     elementwise from the running sums before and after it.

@@ -26,7 +26,7 @@ terms per row and double up to ``_CHUNK_MAX``. Each row carries its own
 running sum, Neumaier compensation and largest term; inside a chunk these are
 ``np.cumsum`` and ``np.fmax.accumulate`` along the term axis
 (:func:`~quadident.numerics.neumaier_prefix`), which run left to right, so
-each row sees the IEEE operations of a term-by-term :class:`NeumaierSum` in
+each row sees the IEEE operations of Neumaier's term-by-term accumulator in
 the same order. A row stops at the first index that meets the stop rule, so
 its value, ``terms_used``, ``remainder_bound`` and ``converged`` are bit for
 bit those of the one-row run; terms computed past a row's stop are never

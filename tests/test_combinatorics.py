@@ -28,6 +28,7 @@ from quadident.combinatorics import (
 )
 
 from _arctan_oracles import arctan_power_coeff_lah, arctan_power_coeff_stirling
+from _neumaier import NeumaierSum
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +77,40 @@ def test_float_streams_match_exact():
                             rel_tol=1e-15)
         assert math.isclose(leibniz_partial_float(n), float(leibniz_partial(n)),
                             rel_tol=0, abs_tol=1e-15)
+
+
+# each float prefix's module cache, and its terms as the term-by-term
+# accumulator adds them
+_FLOAT_PREFIXES = [
+    (skew_harmonic_float, "_SKEW_F", lambda k: (1.0 if k % 2 else -1.0) / k),
+    (odd_harmonic_float, "_ODD_F", lambda k: 1.0 / (2 * k - 1)),
+    (leibniz_partial_float, "_LEIBNIZ_F", lambda k: (1.0 if k % 2 else -1.0) / (2 * k - 1)),
+]
+_PREFIX_IDS = [accessor.__name__ for accessor, _, _ in _FLOAT_PREFIXES]
+
+
+def _fresh_prefix(monkeypatch, cache, step=None):
+    """An empty prefix in place of the module's cache, growing by ``step``
+    (by default the cache's own)."""
+    prefix = combinatorics._FloatPrefix(step or getattr(combinatorics, cache)._step)
+    monkeypatch.setattr(combinatorics, cache, prefix)
+
+
+@pytest.mark.parametrize("accessor, cache, term", _FLOAT_PREFIXES, ids=_PREFIX_IDS)
+def test_float_prefixes_are_the_streaming_sums(monkeypatch, accessor, cache, term):
+    # every value up to 10^5 is bit for bit the term-by-term accumulator's,
+    # whether the prefix grows to the last index in one call or one index at
+    # a time, across each block boundary
+    n = 10**5
+    acc, expected = NeumaierSum(), [0.0]
+    for k in range(1, n + 1):
+        acc.add(term(k))
+        expected.append(acc.value)
+    _fresh_prefix(monkeypatch, cache)
+    accessor(n)
+    assert [accessor(k) for k in range(n + 1)] == expected
+    _fresh_prefix(monkeypatch, cache)
+    assert [accessor(k) for k in range(n + 1)] == expected
 
 
 def test_negative_index_rejected():
@@ -244,6 +279,29 @@ def test_columns_grow_safely_across_threads(monkeypatch, cache, step, table):
         monkeypatch.setattr(combinatorics, cache, {})
         for out in _fill_in_threads(table, orders):
             assert out == expected
+
+
+@pytest.mark.parametrize("accessor, cache", [prefix[:2] for prefix in _FLOAT_PREFIXES],
+                         ids=_PREFIX_IDS)
+def test_float_prefixes_grow_safely_across_threads(monkeypatch, accessor, cache):
+    # threads that grow one prefix to different indices at once each read
+    # the single-thread values, bit for bit; each block's terms offer the
+    # interpreter lock to another thread, so a block left unguarded races
+    exact_step = getattr(combinatorics, cache)._step
+
+    def yielding_step(k):
+        time.sleep(0)
+        return exact_step(k)
+
+    top = 5 * combinatorics._BLOCK
+    _fresh_prefix(monkeypatch, cache)
+    expected = {(n,): accessor(n) for n in range(top)}
+    orders = [[(n,) for n in range(top)], [(n,) for n in range(top - 1, -1, -1)],
+              [(n,) for n in range(0, top, 997)], [(n,) for n in range(top - 1, 0, -1500)]]
+    for _ in range(10):
+        _fresh_prefix(monkeypatch, cache, yielding_step)
+        for order, out in zip(orders, _fill_in_threads(accessor, orders)):
+            assert out == {pair: expected[pair] for pair in order}
 
 
 def test_arctan_power_squared_is_odd_harmonic():

@@ -32,6 +32,42 @@ def test_no_module_imports_another_modules_private_names():
     assert offences == []
 
 
+def _defined_names(statement) -> list[str]:
+    """The names a module-level statement defines, dunders left out."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _read_names(statement) -> set[str]:
+    """The names a statement reads, as a name or as an attribute."""
+    return {node.id for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)} | {
+        node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)}
+
+
+def test_every_module_level_name_is_used_or_public():
+    # a function, class or constant of the package that no other statement
+    # of the package reads and __all__ does not list is dead code or a
+    # test-only oracle, which belongs under tests/
+    import quadident
+
+    statements = [(path.name, statement) for path in sorted(PACKAGE.glob("*.py"))
+                  for statement in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [_read_names(statement) for _, statement in statements]
+    unused = [f"{module}:{statement.lineno} {name}"
+              for i, (module, statement) in enumerate(statements)
+              for name in _defined_names(statement)
+              if name not in quadident.__all__
+              and not any(name in names for j, names in enumerate(reads) if j != i)]
+    assert unused == []
+
+
 _TRACED_PASS = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]

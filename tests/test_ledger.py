@@ -2,11 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quadident import cli
+from quadident import cli, ledger
 from quadident.ledger import (
     Report,
     render_report,
@@ -382,6 +383,47 @@ def test_verify_e19_checks_imaginary_part():
 def test_verify_explicit_points():
     outs = verify("E18", 1, points=[{"alpha": 0.35}, {"alpha": 0.65}])
     assert [o.params["alpha"] for o in outs] == [0.35, 0.65]
+    assert all(o.passed for o in outs)
+
+
+def test_point_missing_a_parameter_fails_unevaluated(monkeypatch):
+    # a point that lacks a discrete or a continuous parameter of its case
+    # fails naming it, with no work on either side; the other points and the
+    # registered endpoints keep their outcomes
+    calls = []
+    evaluate = ledger._evaluate
+
+    def record(evaluator, pts, overrides, skip, tol):
+        calls.append(sorted(i for i in range(len(pts)) if i not in skip))
+        return evaluate(evaluator, pts, overrides, skip, tol)
+
+    monkeypatch.setattr(ledger, "_evaluate", record)
+    outs = verify("E11", points=[{"beta": 0.5}, {"p": 2}, {"beta": 0.5, "p": 2}])
+    assert [o.reason for o in outs[:2]] == ["error: missing parameter p",
+                                            "error: missing parameter beta"]
+    assert all(o.evals == o.terms == 0 and math.isnan(o.lhs_value) for o in outs[:2])
+    assert all(o.passed for o in outs[2:]) and len(outs) == 3 + 4
+    assert calls == [[2, 3, 4, 5, 6]] * 2
+    [alone] = verify("E2", points=[{}])[:1]
+    assert alone.reason == "error: missing parameter alpha" and alone.evals == 0
+
+
+@pytest.mark.parametrize("value", ["x", None, 0.5j, True, [0.5], Fraction(1, 2)])
+def test_non_real_continuous_value_raises_before_any_side_runs(monkeypatch, value):
+    # the sides could not evaluate it, nor a report sort and render its
+    # outcome
+    def unreachable(*args):
+        raise AssertionError("a side ran")
+
+    monkeypatch.setattr(ledger, "_evaluate", unreachable)
+    with pytest.raises(ValueError) as info:
+        verify("E2", points=[{"alpha": 0.5}, {"alpha": value}])
+    assert str(info.value) == f"alpha must be a real number, got {value!r}"
+
+
+def test_real_continuous_values_of_numpy_and_python_types_pass():
+    outs = verify("E2", points=[{"alpha": np.float64(0.25)}, {"alpha": np.float32(0.5)},
+                                {"alpha": 1}, {"alpha": np.int64(1)}])
     assert all(o.passed for o in outs)
 
 

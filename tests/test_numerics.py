@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadident.numerics import CONSTANTS, NeumaierSum, Tolerance, neumaier_prefix
+from quadident.numerics import CONSTANTS, Tolerance, neumaier_prefix
+
+from _neumaier import NeumaierSum
 
 
 # ---------------------------------------------------------------------------

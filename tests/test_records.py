@@ -133,6 +133,17 @@ def test_checked_records_normalise_through_replace():
     assert all(type(c) is Fraction for c in series.coefficients)
 
 
+def test_rational_power_series_takes_no_tuple_arithmetic():
+    # as a tuple the series would repeat or concatenate; its one operator is
+    # the truncated Cauchy product of two series
+    s = RationalPowerSeries((1, 2))
+    for operate in (lambda: 2 * s, lambda: s * 2, lambda: s * Fraction(1, 2),
+                    lambda: s + s, lambda: s + (3,), lambda: 1 + s):
+        with pytest.raises(TypeError):
+            operate()
+    assert s * s == RationalPowerSeries((1, 4))
+
+
 def test_zeta_keeps_its_bits_and_computes_each_value_once():
     # the SHA-256 of the packed doubles zeta(2), ..., zeta(60) as computed
     # before the values were cached

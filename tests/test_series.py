@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadident.combinatorics import arctan_power_coeff, odd_harmonic_float, skew_harmonic_float
-from quadident.numerics import CONSTANTS, NeumaierSum, Rows, Tolerance
+from quadident.numerics import CONSTANTS, Rows, Tolerance
 from quadident.series import (
     ALTERNATING,
     POSITIVE,
@@ -19,6 +19,8 @@ from quadident.series import (
     sum_direct,
     sum_eq8,
 )
+
+from _neumaier import NeumaierSum
 
 PI = CONSTANTS.pi
 LOG2 = CONSTANTS.log2
