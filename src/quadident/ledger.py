@@ -2,16 +2,17 @@
 
 Grids place ``grid_size`` evenly spaced points strictly inside each continuous
 parameter's open interval, enumerate every value of discrete parameters, and
-append the case's registered endpoint evaluations. A failing or non-converged
+append the ends that each continuous axis lists. A failing or non-converged
 point never aborts a run; the report is the product, and the CLI exit code
 carries the aggregate status.
 
 Each side of a case goes through one batched ``rows`` call over all of its
 points, discrete parameters included; a call that raises is retried by
 halves, so each failure reads as its one-point call would. A point that
-lacks a parameter of its case, or whose discrete parameter is not an integer
-or is below the least value of its axis, fails without being evaluated. The
-results stay columns (value, work, convergence) until one array pass judges
+lacks a parameter of its case, has one its case does not know, or whose
+discrete parameter is not an integer or is below the least value of its axis,
+fails without being evaluated. Each side's results stay one full-length
+``EvalRows`` of columns (value, work, convergence) until one array pass judges
 every point of the case; the outcomes, immutable named tuples like every
 record of the package, are then made from those columns in one ``map``.
 
@@ -32,11 +33,13 @@ import numpy as np
 
 from . import __version__
 from .numerics import Tolerance
-from .registry import IdentityCase, lookup, registry
+from .registry import EvalRows, IdentityCase, lookup, registry
 
 REASON_MISMATCH = "mismatch"
 REASON_NOT_CONVERGED = "not_converged"
 REASON_IMAG = "imaginary_part_exceeds_tolerance"
+
+_REAL = (int, float, np.integer, np.floating)  # the parameter values that are numbers
 
 
 class VerificationOutcome(NamedTuple):
@@ -69,9 +72,14 @@ class Report(NamedTuple):
         return {"passed": passed, "failed": failed, "not_converged": nc}
 
 
-def _grid_points(case: IdentityCase, grid_size: int) -> list[dict]:
+def _grid_points(case: IdentityCase, grid_size: int, ends: bool = False) -> list[dict]:
+    """Each discrete value with each grid point, or with ``ends`` each end, of
+    the continuous axes; a case without a continuous axis has no ends."""
+    if ends and not case.continuous:
+        return []
     axes = [[(d.name, v) for v in d.values] for d in case.discrete]
-    axes += [[(c.name, v) for v in c.points(grid_size)] for c in case.continuous]
+    axes += [[(c.name, v) for v in (c.ends if ends else c.points(grid_size))]
+             for c in case.continuous]
     return [dict(combo) for combo in itertools.product(*axes)]
 
 
@@ -84,7 +92,7 @@ def verify(
     """Verify one identity over its parameter grid.
 
     ``tol`` overrides the case's default tolerance; ``points`` replaces the
-    uniform grid with explicit parameter dicts (registered endpoints are still
+    uniform grid with explicit parameter dicts (the axes' ends are still
     appended). A continuous value in ``points`` that is not a Python or numpy
     integer or float (bools are not) raises ``ValueError`` before any side runs.
     """
@@ -95,22 +103,12 @@ def verify(
     eval_tol = side_tolerance(eff)
 
     pts = list(points) if points is not None else _grid_points(case, grid_size)
-    lhs_over: dict[int, float] = {}  # point index -> registered value
-    rhs_over: dict[int, float] = {}
-    for ep in case.extra_points:
-        base = dict(ep.params)
-        # endpoints registered for a continuous parameter still enumerate
-        # every value of the discrete parameters
-        missing = [[(d.name, v) for v in d.values] for d in case.discrete if d.name not in base]
-        for combo in itertools.product(*missing):
-            for over, value in ((lhs_over, ep.lhs_value), (rhs_over, ep.rhs_value)):
-                if value is not None:
-                    over[len(pts)] = value
-            pts.append(dict(combo) | base)
+    pts += _grid_points(case, grid_size, ends=True)
 
-    # a point lacking a parameter of its case, or whose discrete parameter is
-    # not an integer (bools are not) or below its axis's least value, fails
-    # unevaluated; a caller's continuous value that is no number raises
+    # a point lacking a parameter of its case, having one its case lacks, or
+    # whose discrete parameter is not an integer (bools are not) or below its
+    # axis's least value, fails unevaluated; a caller's continuous value that
+    # is no number raises
     odd = {}
     for d in case.discrete:
         low = min(d.values)
@@ -122,19 +120,23 @@ def verify(
                 odd[i] = ValueError(f"{d.name} must be an integer, got {v!r}")
             elif v < low:
                 odd[i] = ValueError(f"{d.name} must be >= {low}, got {v!r}")
-    for c in case.continuous if points is not None else ():
-        for i, pt in enumerate(pts):
+    names = {axis.name for axis in case.discrete + case.continuous}
+    for i, pt in enumerate(pts if points is not None else ()):
+        for c in case.continuous:
             v = pt.get(c.name)
             if c.name not in pt:
                 odd[i] = ValueError(f"missing parameter {c.name}")
-            elif isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            elif isinstance(v, bool) or not isinstance(v, _REAL):
                 raise ValueError(f"{c.name} must be a real number, got {v!r}")
+        unknown = [name for name in pt if name not in names]
+        if unknown:
+            odd[i] = ValueError(f"unknown parameter {unknown[0]}")
     # each side in one rows call; a point whose left side raised never
     # evaluates its right side
-    lhs = _evaluate(case.lhs, pts, lhs_over, odd, eval_tol)
-    lhs.errors |= odd
-    rhs = _evaluate(case.rhs, pts, rhs_over, lhs.errors, eval_tol)
-    return _judge(case.id, pts, eff, lhs, rhs)
+    lhs, errors = _evaluate(case.lhs, pts, odd, eval_tol)
+    errors |= odd
+    rhs, rhs_errors = _evaluate(case.rhs, pts, errors, eval_tol)
+    return _judge(case.id, pts, eff, lhs, rhs, errors | rhs_errors)
 
 
 def side_tolerance(tol: Tolerance) -> Tolerance:
@@ -143,67 +145,50 @@ def side_tolerance(tol: Tolerance) -> Tolerance:
     return Tolerance(tol.abs_tol / 4.0, tol.rel_tol / 4.0, tol.max_work)
 
 
-class _Side:
-    """One side of every point of a case as columns: the value (complex, so
-    that a complex closed form keeps its imaginary part; NaN until set),
-    evaluations, terms, convergence, and the exception of each point that
-    raised, by index."""
-
-    def __init__(self, n: int):
-        self.value = np.full(n, np.nan, dtype=complex)
-        self.evals = np.zeros(n, dtype=int)
-        self.terms = np.zeros(n, dtype=int)
-        self.converged = np.ones(n, dtype=bool)
-        self.errors: dict[int, Exception] = {}
-
-    def put(self, idx, out) -> None:
-        """Store an evaluator's ``EvalRows`` at the points ``idx``."""
-        idx = np.asarray(idx)
-        self.value[idx] = out.value
-        self.evals[idx] = out.evals
-        self.terms[idx] = out.terms
-        self.converged[idx] = out.converged
-
-
-def _evaluate(evaluator, pts, overrides, skip, tol) -> _Side:
-    """One side at every point: its registered override value, the result of
-    one ``evaluator.rows`` call over the other points (see :func:`_fill`), or
-    the exception the evaluation raised; points in ``skip`` are left unset."""
-    side = _Side(len(pts))
-    for i, value in overrides.items():
-        side.value[i] = value
-    idx = [i for i in range(len(pts)) if i not in overrides and i not in skip]
+def _evaluate(evaluator, pts, skip, tol) -> tuple[EvalRows, dict[int, Exception]]:
+    """One side at the points not in ``skip``, by one ``evaluator.rows`` call
+    (see :func:`_fill`), as a full-length ``EvalRows`` (complex values, for a
+    complex closed form; NaN and no work where unset), and the exception of
+    each point that raised, by index."""
+    n = len(pts)
+    side = EvalRows(np.full(n, np.nan, dtype=complex), np.zeros(n, dtype=int),
+                    np.zeros(n, dtype=int), np.ones(n, dtype=bool))
+    errors: dict[int, Exception] = {}
+    idx = [i for i in range(n) if i not in skip]
     if idx:
-        _fill(side, evaluator, idx, [pts[i] for i in idx], tol)
-    return side
+        _fill(side, errors, evaluator, idx, [pts[i] for i in idx], tol)
+    return side, errors
 
 
-def _fill(side, evaluator, idx, points, tol):
-    """The points in one ``evaluator.rows`` call, stored at ``idx``; if it
-    raises, one point records the exception, and more go to :func:`_bisect`."""
+def _fill(side, errors, evaluator, idx, points, tol):
+    """The points in one ``evaluator.rows`` call, each column stored at
+    ``idx``; if it raises, one point records the exception in ``errors``, and
+    more go to :func:`_bisect`."""
     try:
         out = evaluator.rows(points, tol)
     except Exception as exc:
         if len(idx) > 1:
-            _bisect(side, evaluator, idx, points, tol)
+            _bisect(side, errors, evaluator, idx, points, tol)
         else:
-            side.errors[idx[0]] = exc
+            errors[idx[0]] = exc
     else:
-        side.put(idx, out)
+        idx = np.asarray(idx)
+        for column, values in zip(side, out):
+            column[idx] = values
 
 
-def _bisect(side, evaluator, idx, points, tol):
+def _bisect(side, errors, evaluator, idx, points, tol):
     """Points whose rows call raised, in two halves through :func:`_fill`; a
     half that succeeds has the bits of the whole call: a row is its one-point run."""
     half = len(idx) // 2
     for part in (slice(None, half), slice(half, None)):
-        _fill(side, evaluator, idx[part], points[part], tol)
+        _fill(side, errors, evaluator, idx[part], points[part], tol)
 
 
 _REASONS = np.array(["", REASON_MISMATCH, REASON_IMAG, REASON_NOT_CONVERGED])
 
 
-def _judge(case_id, pts, eff, lhs: _Side, rhs: _Side) -> list[VerificationOutcome]:
+def _judge(case_id, pts, eff, lhs: EvalRows, rhs: EvalRows, errors) -> list[VerificationOutcome]:
     """The outcomes of a case's points from both sides' columns, in one
     array pass, as the scalar rule gives them for real parts a and b:
     abs_error = |a - b|, rel_error = abs_error / max(|a|, |b|) (0 where that
@@ -211,9 +196,9 @@ def _judge(case_id, pts, eff, lhs: _Side, rhs: _Side) -> list[VerificationOutcom
     ``max`` is Python's, which keeps its first argument against a NaN. An
     imaginary part fails beyond ``abs_tol + rel_tol * max(|its real part|,
     |a|)`` (``|a|`` for the right side only). ``not_converged`` comes before
-    the imaginary check, which comes before ``mismatch``. A point whose side
-    raised fails with the exception's text and NaN errors, and keeps the
-    value and the work of a left side that finished."""
+    the imaginary check, which comes before ``mismatch``. A point in
+    ``errors`` (index -> exception) fails with the exception's text and NaN
+    errors, and keeps the value and the work of a left side that finished."""
     a, b = lhs.value.real, rhs.value.real
     with np.errstate(all="ignore"):  # inf and nan propagate as in Python floats
         abs_a, abs_b = np.abs(a), np.abs(b)
@@ -227,7 +212,7 @@ def _judge(case_id, pts, eff, lhs: _Side, rhs: _Side) -> list[VerificationOutcom
     converged = lhs.converged & rhs.converged
     code = np.where(~converged, 3, np.where(imag, 2, (~ok).astype(int)))
     passed, reason = code == 0, _REASONS[code].tolist()
-    for i, exc in (lhs.errors | rhs.errors).items():
+    for i, exc in errors.items():
         diff[i] = rel[i] = np.nan
         passed[i] = False
         reason[i] = f"error: {exc}"
@@ -247,7 +232,9 @@ def make_report(outcomes, tol_abs: Optional[float], tol_rel: Optional[float]) ->
         timestamp=datetime.now(timezone.utc).isoformat(),
         tol_abs=tol_abs,
         tol_rel=tol_rel,
-        outcomes=tuple(sorted(outcomes, key=lambda o: (o.id, sorted(o.params.items())))),
+        outcomes=tuple(sorted(outcomes, key=lambda o: (o.id, [
+            (k, (0, v) if isinstance(v, _REAL) else (1, repr(v)))
+            for k, v in sorted(o.params.items())]))),
     )
 
 
@@ -269,10 +256,18 @@ def _finite(x):
     return x if x is None or math.isfinite(x) else None
 
 
+def _param(v):
+    """A parameter value as written to JSON: a number as one (non-finite
+    floats null), anything else as its ``repr``."""
+    if not isinstance(v, _REAL):
+        return repr(v)
+    return _finite(v.item() if isinstance(v, np.generic) else v)
+
+
 def _outcome_fields(o: VerificationOutcome) -> dict:
     return {
         "id": o.id,
-        "params": {k: _finite(v) for k, v in sorted(o.params.items())},
+        "params": {k: _param(v) for k, v in sorted(o.params.items())},
         "lhs": _finite(o.lhs_value),
         "rhs": _finite(o.rhs_value),
         "abs_error": _finite(o.abs_error),
@@ -303,7 +298,8 @@ def render_table(report: Report) -> str:
         f"{'id':<8}{'params':<28}{'lhs':>24}{'rhs':>24}{'abs_err':>11}  status"
     ]
     for o in report.outcomes:
-        params = ",".join(f"{k}={v:g}" for k, v in sorted(o.params.items())) or "-"
+        params = ",".join(f"{k}={v:g}" if isinstance(v, _REAL) else f"{k}={v!r}"
+                          for k, v in sorted(o.params.items())) or "-"
         status = "pass" if o.passed else (o.reason or "fail")
         lines.append(
             f"{o.id:<8}{params:<28}{o.lhs_value:>24.16g}{o.rhs_value:>24.16g}"

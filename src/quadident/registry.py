@@ -3,10 +3,10 @@
 Each case couples two independently computed sides: a tanh-sinh quadrature, a
 series summation (direct or CVZ-accelerated), or a closed form built from
 polylogarithms and the constants table. Removable-singularity handling and
-endpoint registration are owned here: integrands singular at 1 state their
-stable form ``f_right`` in the distance to 1, and grid endpoints appear only as
-registered extra points (with value overrides where the closed form
-degenerates to 0 * inf at the limit).
+endpoints are owned here: integrands singular at 1 state their stable form
+``f_right`` in the distance to 1, a continuous axis lists the ends of its
+interval that are evaluated besides its interior grid, and a closed form
+takes the limit of a 0 * inf term at such an end itself.
 
 Identity ids (E1, E2, E4, ..., E23) are stable strings used by the CLI and
 the report schema; ``source`` labels where each identity is classically
@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from itertools import chain, repeat
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,11 +87,13 @@ class Evaluator(NamedTuple):
 
 
 class GridAxis(NamedTuple):
-    """Continuous parameter on an open interval; the grid stays strictly inside."""
+    """Continuous parameter on an open interval; the grid stays strictly
+    inside, and ``ends`` (each ``lo`` or ``hi``) are evaluated besides it."""
 
     name: str
     lo: float
     hi: float
+    ends: tuple[float, ...] = ()
 
     def points(self, n: int) -> list[float]:
         step = (self.hi - self.lo) / (n + 1)
@@ -103,19 +105,6 @@ class DiscreteAxis(NamedTuple):
     values: tuple[int, ...]
 
 
-class ExtraPoint(NamedTuple):
-    """A registered endpoint/limit evaluation.
-
-    ``lhs_value``/``rhs_value`` override the corresponding evaluator where the
-    general formula degenerates at the limit (for example 0 * inf products);
-    a None override means the evaluator handles the point directly.
-    """
-
-    params: tuple[tuple[str, float], ...]
-    lhs_value: Optional[float] = None
-    rhs_value: Optional[float] = None
-
-
 class IdentityCase(NamedTuple):
     id: str
     description: str
@@ -124,14 +113,12 @@ class IdentityCase(NamedTuple):
     rhs: Evaluator
     continuous: tuple[GridAxis, ...] = ()
     discrete: tuple[DiscreteAxis, ...] = ()
-    extra_points: tuple[ExtraPoint, ...] = ()
     default_tol: Tolerance = TOL_STRICT
 
     def param_summary(self) -> str:
         parts = [f"{d.name} in {{{', '.join(map(str, d.values))}}}" for d in self.discrete]
         parts += [f"{c.name} in ({c.lo:g}, {c.hi:g})" for c in self.continuous]
-        for pt in self.extra_points:
-            parts.append("+ " + ", ".join(f"{k}={v:g}" for k, v in pt.params))
+        parts += [f"+ {c.name}={v:g}" for c in self.continuous for v in c.ends]
         return "; ".join(parts) if parts else "none"
 
 
@@ -408,9 +395,18 @@ def _rhs_arcsin(alpha: float) -> float:
     return 0.5 * (polylog_real(2, alpha) - polylog_real(2, -alpha))
 
 
+def _log_term(alpha, factor):
+    """log(alpha) * factor(alpha), for a factor that vanishes like alpha at 0
+    and grows like log(1 - alpha) at 1: at alpha = 0 and 1, where the product
+    reads 0 * inf, its limit 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        product = np.log(alpha) * factor(alpha)
+    return np.where((alpha == 0.0) | (alpha == 1.0), 0.0, product)
+
+
 def _rhs_atan_inf(alpha: float) -> float:
     return fsum_rows(
-        np.log(alpha) * (np.log1p(-alpha) - np.log1p(alpha)),
+        _log_term(alpha, lambda a: np.log1p(-a) - np.log1p(a)),
         polylog_real(2, alpha),
         -polylog_real(2, -alpha),
     )
@@ -427,7 +423,7 @@ def _rhs_atan_inf_alt(alpha: float) -> float:
 
 
 def _rhs_log_inf(alpha: float) -> float:
-    return np.log(alpha) * np.log1p(-alpha) + polylog_real(2, alpha)
+    return _log_term(alpha, lambda a: np.log1p(-a)) + polylog_real(2, alpha)
 
 
 def _rhs_li2_half_diff(alpha: float) -> float:
@@ -467,14 +463,12 @@ def _lhs_dilog_pair(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 _ALPHA_OPEN = GridAxis("alpha", 0.0, 1.0)
-_ALPHA_SYM = GridAxis("alpha", -1.0, 1.0)
-_BETA_OPEN = GridAxis("beta", 0.0, 1.0)
+_ALPHA_TO_ONE = GridAxis("alpha", 0.0, 1.0, ends=(1.0,))
+_ALPHA_CLOSED = GridAxis("alpha", 0.0, 1.0, ends=(0.0, 1.0))
+_ALPHA_SYM_TO_ONE = GridAxis("alpha", -1.0, 1.0, ends=(1.0,))
+_BETA_TO_ONE = GridAxis("beta", 0.0, 1.0, ends=(1.0,))
 _P_LEMMA = DiscreteAxis("p", (0, 1, 2, 3))
 _P_POWERS = DiscreteAxis("p", (1, 2, 3, 4))
-
-
-def _pt(lhs=None, rhs=None, **params) -> ExtraPoint:
-    return ExtraPoint(tuple(sorted(params.items())), lhs_value=lhs, rhs_value=rhs)
 
 
 def register_all() -> list[IdentityCase]:
@@ -493,8 +487,7 @@ def register_all() -> list[IdentityCase]:
             source="arcsine route to the Basel problem",
             lhs=_quad("tanh-sinh, inverse-sqrt right endpoint", _spec_arcsin),
             rhs=_closed("dilogarithm difference", _rhs_arcsin),
-            continuous=(_ALPHA_SYM,),
-            extra_points=(_pt(alpha=1.0),),
+            continuous=(_ALPHA_SYM_TO_ONE,),
         ),
         IdentityCase(
             id="E4",
@@ -506,11 +499,7 @@ def register_all() -> list[IdentityCase]:
             lhs=_quad("split semi-infinite tanh-sinh", _spec_atan_cauchy,
                       half_line=True),
             rhs=_closed("log/dilog closed form", _rhs_atan_inf),
-            continuous=(_ALPHA_OPEN,),
-            extra_points=(
-                _pt(alpha=0.0, rhs=0.0),
-                _pt(alpha=1.0, rhs=1.5 * _Z2),
-            ),
+            continuous=(_ALPHA_CLOSED,),
         ),
         IdentityCase(
             id="E4alt",
@@ -520,8 +509,7 @@ def register_all() -> list[IdentityCase]:
                       half_line=True),
             rhs=_closed("pi^2/3 - log^2(1+a)/2 - Li2(1/(1+a)) - Li2(1-a)",
                         _rhs_atan_inf_alt),
-            continuous=(_ALPHA_OPEN,),
-            extra_points=(_pt(alpha=0.0), _pt(alpha=1.0)),
+            continuous=(_ALPHA_CLOSED,),
         ),
         IdentityCase(
             id="E5",
@@ -532,8 +520,7 @@ def register_all() -> list[IdentityCase]:
             source="skew-harmonic expansion via the incomplete beta series",
             lhs=_quad("tanh-sinh on (0,1)", _spec_atan_cauchy),
             rhs=_series("alternating skew-harmonic series", _gen_skew_odd_denom),
-            continuous=(_ALPHA_OPEN,),
-            extra_points=(_pt(alpha=1.0),),
+            continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E6",
@@ -576,8 +563,7 @@ def register_all() -> list[IdentityCase]:
             lhs=_quad("split semi-infinite tanh-sinh", _spec_log_kernel,
                       half_line=True),
             rhs=_closed("log a log(1-a) + Li2(a)", _rhs_log_inf),
-            continuous=(_ALPHA_OPEN,),
-            extra_points=(_pt(alpha=1.0, rhs=_Z2),),
+            continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E10",
@@ -587,8 +573,7 @@ def register_all() -> list[IdentityCase]:
             source="G&R 4.291.12 at a=1; Prudnikov 2.6.10.8",
             lhs=_quad("tanh-sinh on (0,1)", _spec_log_kernel),
             rhs=_closed("Li2(1/2) - Li2((1-a)/2)", _rhs_li2_half_diff),
-            continuous=(_ALPHA_OPEN,),
-            extra_points=(_pt(alpha=1.0),),
+            continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E10b",
@@ -625,8 +610,7 @@ def register_all() -> list[IdentityCase]:
             lhs=_quad("tanh-sinh, log singularities", _spec_logpow_odd),
             rhs=_closed("polylog difference", _rhs_lemma_odd),
             discrete=(_P_LEMMA,),
-            continuous=(_BETA_OPEN,),
-            extra_points=(_pt(beta=1.0),),
+            continuous=(_BETA_TO_ONE,),
             default_tol=TOL_MEDIUM,
         ),
         IdentityCase(
@@ -638,8 +622,7 @@ def register_all() -> list[IdentityCase]:
             lhs=_quad("tanh-sinh, log singularities", _spec_logpow_single),
             rhs=_closed("(-1)^(p+1) p! Li_{p+2}(b)", _rhs_lemma_single),
             discrete=(_P_LEMMA,),
-            continuous=(_BETA_OPEN,),
-            extra_points=(_pt(beta=1.0),),
+            continuous=(_BETA_TO_ONE,),
             default_tol=TOL_MEDIUM,
         ),
         IdentityCase(
@@ -691,8 +674,7 @@ def register_all() -> list[IdentityCase]:
             lhs=_quad("tanh-sinh on (0,1)", _spec_atan_pow_over_x),
             rhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq,
                         scale=0.5),
-            continuous=(_ALPHA_OPEN,),
-            extra_points=(_pt(alpha=1.0),),
+            continuous=(_ALPHA_TO_ONE,),
             default_tol=TOL_MEDIUM,
         ),
         IdentityCase(
@@ -737,8 +719,7 @@ def register_all() -> list[IdentityCase]:
             source="alternating odd-harmonic sum via circle trilogarithms",
             lhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq),
             rhs=_closed("complex closed form (real part)", eq19_rhs),
-            continuous=(_ALPHA_OPEN,),
-            extra_points=(_pt(alpha=1.0),),
+            continuous=(_ALPHA_TO_ONE,),
             default_tol=TOL_MEDIUM,
         ),
         IdentityCase(

@@ -62,6 +62,8 @@ def zeta(p: int) -> float:
     Euler-Maclaurin tail (error far below double rounding for p >= 4).
     Each value is computed once per process and argument type.
     """
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+        raise ValueError(f"zeta requires an integer p, got {p!r}")
     if p < 2:
         raise ValueError("zeta requires p >= 2")
     if p == 2:
@@ -221,7 +223,7 @@ _BETA_A_MIN = 160.0  # pair until z + 2K >= this; Euler-Maclaurin residual < 1e-
 
 
 def incomplete_beta(z: float) -> float:
-    """The alternating series sum_{k>=0} (-1)^k / (z + k) for z > 0.
+    """The alternating series sum_{k>=0} (-1)^k / (z + k) for finite z > 0.
 
     Consecutive terms are paired into the absolutely convergent
     sum_{k>=0} 1/((z+2k)(z+2k+1)); the pairing alone converges like 1/K, so
@@ -230,8 +232,8 @@ def incomplete_beta(z: float) -> float:
     below 1e-15. Absolute accuracy is ~1e-14.
     """
     z = float(z)
-    if not z > 0.0:
-        raise ValueError(f"incomplete_beta requires z > 0, got {z}")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"incomplete_beta requires a finite z > 0, got {z}")
     n_pairs = max(1, int(math.ceil((_BETA_A_MIN - z) / 2.0)))
     head = math.fsum(
         1.0 / ((z + 2 * k) * (z + 2 * k + 1)) for k in range(n_pairs)

@@ -10,6 +10,7 @@ import pytest
 from quadident import cli, ledger
 from quadident.ledger import (
     Report,
+    make_report,
     render_report,
     verify,
     verify_all,
@@ -86,7 +87,7 @@ def test_verify_e15_single_point():
 
 def test_verify_e4_grid_and_endpoints():
     outs = verify("E4", 9)
-    assert len(outs) == 11  # 0.1..0.9 plus the two registered endpoints
+    assert len(outs) == 11  # 0.1..0.9 plus the axis's two ends
     alphas = [o.params["alpha"] for o in outs]
     assert alphas[:9] == pytest.approx([0.1 * k for k in range(1, 10)])
     assert set(alphas[9:]) == {0.0, 1.0}
@@ -386,18 +387,24 @@ def test_verify_explicit_points():
     assert all(o.passed for o in outs)
 
 
-def test_point_missing_a_parameter_fails_unevaluated(monkeypatch):
-    # a point that lacks a discrete or a continuous parameter of its case
-    # fails naming it, with no work on either side; the other points and the
-    # registered endpoints keep their outcomes
+def _record_evaluated_points(monkeypatch):
+    """The indices each ``ledger._evaluate`` call evaluates, one list per call."""
     calls = []
     evaluate = ledger._evaluate
 
-    def record(evaluator, pts, overrides, skip, tol):
+    def record(evaluator, pts, skip, tol):
         calls.append(sorted(i for i in range(len(pts)) if i not in skip))
-        return evaluate(evaluator, pts, overrides, skip, tol)
+        return evaluate(evaluator, pts, skip, tol)
 
     monkeypatch.setattr(ledger, "_evaluate", record)
+    return calls
+
+
+def test_point_missing_a_parameter_fails_unevaluated(monkeypatch):
+    # a point that lacks a discrete or a continuous parameter of its case
+    # fails naming it, with no work on either side; the other points and the
+    # points at the axis's ends keep their outcomes
+    calls = _record_evaluated_points(monkeypatch)
     outs = verify("E11", points=[{"beta": 0.5}, {"p": 2}, {"beta": 0.5, "p": 2}])
     assert [o.reason for o in outs[:2]] == ["error: missing parameter p",
                                             "error: missing parameter beta"]
@@ -406,6 +413,20 @@ def test_point_missing_a_parameter_fails_unevaluated(monkeypatch):
     assert calls == [[2, 3, 4, 5, 6]] * 2
     [alone] = verify("E2", points=[{}])[:1]
     assert alone.reason == "error: missing parameter alpha" and alone.evals == 0
+
+
+def test_point_with_an_unknown_parameter_fails_unevaluated(monkeypatch):
+    # a caller's point that names a parameter its case lacks fails naming it,
+    # with no work on either side, instead of reaching a builder; the other
+    # points and those at the axis's ends keep their outcomes
+    calls = _record_evaluated_points(monkeypatch)
+    outs = verify("E2", points=[{"alpha": 0.5, "beta": 3}, {"alpha": 0.5}])
+    assert outs[0].reason == "error: unknown parameter beta"
+    assert outs[0].evals == outs[0].terms == 0 and math.isnan(outs[0].lhs_value)
+    assert [o.params for o in outs[1:]] == [{"alpha": 0.5}, {"alpha": 1.0}]
+    assert all(o.passed for o in outs[1:]) and calls == [[1, 2]] * 2
+    [basel] = verify("E1", points=[{"alpha": 0.5}])
+    assert basel.reason == "error: unknown parameter alpha" and basel.evals == 0
 
 
 @pytest.mark.parametrize("value", ["x", None, 0.5j, True, [0.5], Fraction(1, 2)])
@@ -472,20 +493,48 @@ def test_half_line_integrals_double_the_unit_ones():
         assert abs(full_val - 2.0 * unit_val) <= 1e-10
 
 
+# the limits of the closed forms whose log term reads 0 * inf at an end
+_LIMITS = [
+    ("E4", 0.0, 0.0),
+    ("E4", 1.0, 1.5 * Z2),
+    ("E9", 1.0, Z2),
+]
+
+
 def test_registered_limits_are_continuous():
-    # each override value is approached by the general formula near the
-    # endpoint; log-type endpoints move like eps*log(eps) at distance 1e-4,
-    # so the comparison tolerance is 5e-3
+    # each limit is approached by the general formula near the end;
+    # log-type ends move like eps*log(eps) at distance 1e-4, so the
+    # comparison tolerance is 5e-3
     eps = 1e-4
     tol = Tolerance()
-    checks = [
-        ("E4", {"alpha": eps}, 0.0),
-        ("E4", {"alpha": 1.0 - eps}, 1.5 * Z2),
-        ("E9", {"alpha": 1.0 - eps}, Z2),
-    ]
-    for case_id, params, registered in checks:
-        near = lookup(case_id).rhs.fn(params, tol).value
-        assert abs(near - registered) <= 5e-3
+    for case_id, end, limit in _LIMITS:
+        near = lookup(case_id).rhs.fn({"alpha": abs(end - eps)}, tol).value
+        assert abs(near - limit) <= 5e-3
+
+
+def test_closed_forms_take_their_limits_at_the_ends():
+    # at the ends the closed form itself gives the limit, to the bit, alone
+    # and among grid points, and the end's outcome passes
+    tol = Tolerance()
+    for case_id, end, limit in _LIMITS:
+        case = lookup(case_id)
+        assert case.rhs.fn({"alpha": end}, tol).value.hex() == limit.hex()
+        rows = case.rhs.rows([{"alpha": 0.5}, {"alpha": end}], tol).value
+        assert rows[1].hex() == limit.hex()
+        [out] = [o for o in verify(case_id, 1) if o.params["alpha"] == end]
+        assert out.passed and out.rhs_value.hex() == limit.hex()
+
+
+def test_registered_ends_lie_on_their_axis():
+    # an end is the lower or the upper limit of its axis's interval, never
+    # a point inside it, and each is listed once
+    ends = 0
+    for case in registry().values():
+        for axis in case.continuous:
+            assert set(axis.ends) <= {axis.lo, axis.hi}, case.id
+            assert len(set(axis.ends)) == len(axis.ends), case.id
+            ends += len(axis.ends)
+    assert ends == 12
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +549,22 @@ def test_verify_all_small_grid_everything_passes():
     assert summary["passed"] == len(report.outcomes)
     ids = [o.id for o in report.outcomes]
     assert ids == sorted(ids)
+
+
+def test_report_writes_a_parameter_that_is_no_number_as_its_repr():
+    # a caller's p = "2" fails its point; the report still sorts it after
+    # the real values and writes it as its repr in JSON and in the table,
+    # while the numbers, numpy's included, are written as numbers
+    outs = verify("E21", points=[{"alpha": 0.5, "p": "2"}, {"alpha": 0.5, "p": 1},
+                                 {"alpha": np.float32(0.25), "p": 1}])
+    report = make_report(outs, None, None)
+    assert [o.params["p"] for o in report.outcomes if o.params["alpha"] == 0.5] == [1, "2"]
+    parsed = json.loads(render_report(report, "json"))
+    params = [o["params"] for o in parsed["outcomes"]]
+    assert {"alpha": 0.5, "p": "'2'"} in params and {"alpha": 0.25, "p": 1} in params
+    assert all(type(q["alpha"]) is float for q in params)
+    [line] = [row for row in render_report(report).splitlines() if "p='2'" in row]
+    assert line.startswith("E21     alpha=0.5,p='2' ") and "error: p must be an integer" in line
 
 
 def test_report_json_round_trip():

@@ -1,6 +1,7 @@
 """The record types of the package: immutable named tuples whose fields,
 defaults, ``repr`` and checks are those the frozen dataclasses they replace
-had, and the values of ``specfun.zeta``, computed once each."""
+had (``GridAxis`` adds ``ends``), and the values of ``specfun.zeta``,
+computed once each."""
 
 import hashlib
 import math
@@ -18,7 +19,6 @@ from quadident.registry import (
     DiscreteAxis,
     EvalRows,
     Evaluator,
-    ExtraPoint,
     GridAxis,
     IdentityCase,
 )
@@ -28,7 +28,7 @@ from quadident.specfun import zeta
 _TOL = "Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_work=2000000)"
 _EV = Evaluator("pi^2/6", abs)
 _EV_REPR = "Evaluator(describe='pi^2/6', rows=<built-in function abs>)"
-_AXIS = GridAxis("alpha", 0.0, 1.0)
+_AXIS = GridAxis("alpha", 0.0, 1.0, (1.0,))
 _P = DiscreteAxis("p", (1, 2))
 
 # (hand-built record, its fields in order, its defaults, the former
@@ -69,19 +69,15 @@ _RECORDS = [
      {"evals": 0, "terms": 0, "converged": True},
      "EvalRows(value=array([1., 2.]), evals=3, terms=0, converged=True)"),
     (_EV, ("describe", "rows"), {}, _EV_REPR),
-    (_AXIS, ("name", "lo", "hi"), {}, "GridAxis(name='alpha', lo=0.0, hi=1.0)"),
+    (_AXIS, ("name", "lo", "hi", "ends"), {"ends": ()},
+     "GridAxis(name='alpha', lo=0.0, hi=1.0, ends=(1.0,))"),
     (_P, ("name", "values"), {}, "DiscreteAxis(name='p', values=(1, 2))"),
-    (ExtraPoint((("alpha", 1.0),), rhs_value=2.5), ("params", "lhs_value", "rhs_value"),
-     {"lhs_value": None, "rhs_value": None},
-     "ExtraPoint(params=(('alpha', 1.0),), lhs_value=None, rhs_value=2.5)"),
-    (IdentityCase("EX", "d", "s", _EV, _EV, (_AXIS,), (_P,), (ExtraPoint((("alpha", 1.0),)),)),
-     ("id", "description", "source", "lhs", "rhs", "continuous", "discrete", "extra_points",
-      "default_tol"),
-     {"continuous": (), "discrete": (), "extra_points": (), "default_tol": Tolerance()},
+    (IdentityCase("EX", "d", "s", _EV, _EV, (_AXIS,), (_P,)),
+     ("id", "description", "source", "lhs", "rhs", "continuous", "discrete", "default_tol"),
+     {"continuous": (), "discrete": (), "default_tol": Tolerance()},
      f"IdentityCase(id='EX', description='d', source='s', lhs={_EV_REPR}, rhs={_EV_REPR}, "
-     "continuous=(GridAxis(name='alpha', lo=0.0, hi=1.0),), "
+     "continuous=(GridAxis(name='alpha', lo=0.0, hi=1.0, ends=(1.0,)),), "
      "discrete=(DiscreteAxis(name='p', values=(1, 2)),), "
-     "extra_points=(ExtraPoint(params=(('alpha', 1.0),), lhs_value=None, rhs_value=None),), "
      f"default_tol={_TOL})"),
     (Report("9.9", "T", None, 1e-9, ()),
      ("version", "timestamp", "tol_abs", "tol_rel", "outcomes"), {},

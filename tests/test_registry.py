@@ -91,13 +91,12 @@ def _is_scalar_spec(spec):
     return np.ndim(spec.f(np.array([0.5]))) == 1
 
 
-def _side_points(case, override):
-    """The grid-33 points of a case with a continuous parameter, for every
-    discrete value, and its registered endpoints whose ``override`` value is
-    None: all the points one side evaluates in its one rows call."""
+def _side_points(case):
+    """The grid-33 points of a case with a continuous parameter and the
+    points at its axis's ends, for every discrete value: all the points one
+    side evaluates in its one rows call."""
     axis = case.continuous[0]
-    values = axis.points(33) + [dict(ep.params)[axis.name] for ep in case.extra_points
-                                if getattr(ep, override) is None]
+    values = axis.points(33) + list(axis.ends)
     combos = itertools.product(*[[(d.name, v) for v in d.values] for d in case.discrete])
     return [dict(combo) | {axis.name: v} for combo in combos for v in values]
 
@@ -115,7 +114,7 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
         batched.add(case.id)
         tol = Tolerance(case.default_tol.abs_tol / 4.0, case.default_tol.rel_tol / 4.0,
                         case.default_tol.max_work)
-        points = _side_points(case, "lhs_value")
+        points = _side_points(case)
         del calls[:]
         outs = _side_rows(case.lhs.rows(points, tol), "evals")
         [(name, batch, res)] = calls
@@ -185,13 +184,13 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
     calls, originals = _record_calls(monkeypatch, ("sum_direct", "sum_alternating_accelerated"))
     batched, accelerated = set(), set()
     for case in registry().values():
-        for side, override in ((case.lhs, "lhs_value"), (case.rhs, "rhs_value")):
+        for side in (case.lhs, case.rhs):
             if "series" not in side.describe or not case.continuous:
                 continue
             batched.add(case.id)
             tol = Tolerance(case.default_tol.abs_tol / 4.0,
                             case.default_tol.rel_tol / 4.0, case.default_tol.max_work)
-            points = _side_points(case, override)
+            points = _side_points(case)
             del calls[:]
             outs = _side_rows(side.rows(points, tol), "terms")
             [(name, batch, res)] = calls
@@ -261,12 +260,12 @@ def test_closed_form_rows_equal_one_point_runs():
     for case in registry().values():
         if not case.continuous:
             continue
-        for side, override in ((case.lhs, "lhs_value"), (case.rhs, "rhs_value")):
+        for side in (case.lhs, case.rhs):
             if not _is_closed_form(side):
                 continue
             batched.add(case.id)
             value = inspect.getclosurevars(side.rows).nonlocals["value"]
-            points = _side_points(case, override)
+            points = _side_points(case)
             outs = side.rows(points, tol)
             complex_ok = case.id == "E19"
             assert outs.value.dtype == (complex if complex_ok else float)
@@ -284,7 +283,7 @@ def test_every_grouped_call_runs_without_the_one_point_fallback(monkeypatch):
     # a side whose rows call raises is evaluated again by halves down to
     # single points: correct, but slow and silent. No registered side may
     # take that path, and every outcome passes
-    def fallback(side, evaluator, idx, points, tol):
+    def fallback(side, errors, evaluator, idx, points, tol):
         raise AssertionError(f"{evaluator.describe!r} fell back to halves at {points}")
 
     monkeypatch.setattr(importlib.import_module("quadident.ledger"), "_bisect", fallback)

@@ -1,5 +1,6 @@
-"""The JSON reports of ``verify_all`` at grids 5 and 9, timestamp masked, by
-SHA-256 digest: a change that moves no number must keep every byte.
+"""The JSON reports of ``verify_all`` at grids 5, 9 and 33, timestamp masked,
+and the output of ``quadident list``, by SHA-256 digest: a change that moves
+no number must keep every byte.
 
 The digests depend on the floating-point results of the interpreter and of
 numpy, so they are checked only under the versions that recorded them. A
@@ -12,19 +13,30 @@ import platform
 import numpy as np
 import pytest
 
+from quadident import cli
 from quadident.ledger import render_json, verify_all
 
 _RECORDED_WITH = ("3.11", "2.4.6")  # Python major.minor, numpy
 _DIGESTS = {
     5: "53b85adbec302b88731dff75e6581a2e7f0b72a765a99887ef46ddf43a71246d",
     9: "873a016e31c9f8411df600b79567cbc21396a1aa5446907e3a727e2105e48b9e",
+    33: "26291ab4b2b51bda1a3d876ab2415b577a1164b1a7b50f7a08af491e84a7961e",
 }
+_LIST_DIGEST = "d67b8df83bcb114ac13b77b6971aeca4abcfd9f0e4235ccf9b71d3293ef01d09"
 
-
-@pytest.mark.skipif(
+_recorded_versions_only = pytest.mark.skipif(
     (".".join(platform.python_version_tuple()[:2]), np.__version__) != _RECORDED_WITH,
     reason=f"digests recorded with Python {_RECORDED_WITH[0]}.x and numpy {_RECORDED_WITH[1]}")
+
+
+@_recorded_versions_only
 @pytest.mark.parametrize("grid", sorted(_DIGESTS))
 def test_report_bytes_match_the_recorded_digest(grid):
     report = verify_all(grid)._replace(timestamp="")
     assert hashlib.sha256(render_json(report).encode()).hexdigest() == _DIGESTS[grid]
+
+
+@_recorded_versions_only
+def test_list_output_matches_the_recorded_digest(capsys):
+    assert cli.main(["list"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _LIST_DIGEST

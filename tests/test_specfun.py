@@ -265,6 +265,14 @@ def test_zeta_and_eta():
         zeta(1)
 
 
+@pytest.mark.parametrize("p", [2.5, 2.0, True, "3"])
+def test_zeta_rejects_an_order_that_is_no_integer(p):
+    # as polylog orders are checked: a float, even 2.0, or a bool is refused
+    with pytest.raises(ValueError, match="zeta requires an integer p"):
+        zeta(p)
+    assert zeta(np.int64(4)) == zeta(4)
+
+
 # ---------------------------------------------------------------------------
 # Incomplete beta series
 # ---------------------------------------------------------------------------
@@ -319,6 +327,9 @@ def test_beta_domain():
         incomplete_beta(0.0)
     with pytest.raises(ValueError):
         incomplete_beta(-2.0)
+    for z in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="incomplete_beta requires a finite z > 0"):
+            incomplete_beta(z)
 
 
 # ---------------------------------------------------------------------------
