@@ -48,19 +48,6 @@ def _cmd_list() -> int:
     return 0
 
 
-def _case_tolerance(case_id: str, tol: float | None, max_work: int | None):
-    base = lookup(case_id).default_tol
-    if tol is None and max_work is None:
-        return None  # keep the case default
-    override = Tolerance(
-        tol if tol is not None else base.abs_tol,
-        tol if tol is not None else base.rel_tol,
-        max_work if max_work is not None else base.max_work,
-    )
-    side_tolerance(override)  # raises as verify would, e.g. for a subnormal --tol
-    return override
-
-
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -79,15 +66,16 @@ def _cmd_verify(args) -> int:
             if case_id not in registry():
                 return _usage_error(f"unknown identity id {case_id!r}")
         ids = sorted(ids)
-    try:  # checked for every case before any of them runs
-        tols = [_case_tolerance(case_id, args.tol, args.max_work) for case_id in ids]
+    given = {"abs_tol": args.tol, "rel_tol": args.tol, "max_work": args.max_work}
+    try:  # checked before any case runs, as verify would, e.g. for a subnormal --tol
+        tol = Tolerance(**{name: v for name, v in given.items() if v is not None})
+        side_tolerance(tol)
     except ValueError as exc:
         return _usage_error(f"--tol/--max-work: {exc}")
 
     # verify is looked up here at call time, where the benchmark's tracer
     # replaces it to time each case
-    outcomes = [o for case_id, tol in zip(ids, tols)
-                for o in verify(case_id, grid_size=args.grid, tol=tol)]
+    outcomes = [o for case_id in ids for o in verify(case_id, grid_size=args.grid, tol=tol)]
     report = make_report(outcomes, args.tol, args.tol)
     text = render_report(report, args.format)
     if args.out:

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .numerics import Tolerance
+from .numerics import DEFAULT_TOL, Tolerance
 from .registry import EvalRows, IdentityCase, lookup, registry
 
 REASON_MISMATCH = "mismatch"
@@ -60,7 +60,7 @@ class VerificationOutcome(NamedTuple):
 class Report(NamedTuple):
     version: str
     timestamp: str
-    tol_abs: Optional[float]  # global override, None when per-case defaults
+    tol_abs: Optional[float]  # the override, None for DEFAULT_TOL
     tol_rel: Optional[float]
     outcomes: tuple[VerificationOutcome, ...]
 
@@ -91,15 +91,16 @@ def verify(
 ) -> list[VerificationOutcome]:
     """Verify one identity over its parameter grid.
 
-    ``tol`` overrides the case's default tolerance; ``points`` replaces the
-    uniform grid with explicit parameter dicts (the axes' ends are still
-    appended). A continuous value in ``points`` that is not a Python or numpy
-    integer or float (bools are not) raises ``ValueError`` before any side runs.
+    ``tol`` overrides ``DEFAULT_TOL``, the one gate of every case; ``points``
+    replaces the uniform grid with explicit parameter dicts (the axes' ends
+    are still appended). A parameter name in ``points`` that is not a string,
+    or a continuous value that is not a Python or numpy integer or float
+    (bools are not), raises ``ValueError`` before any side runs.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     case = lookup(case_id)
-    eff = tol if tol is not None else case.default_tol
+    eff = tol if tol is not None else DEFAULT_TOL
     eval_tol = side_tolerance(eff)
 
     pts = list(points) if points is not None else _grid_points(case, grid_size)
@@ -107,8 +108,8 @@ def verify(
 
     # a point lacking a parameter of its case, having one its case lacks, or
     # whose discrete parameter is not an integer (bools are not) or below its
-    # axis's least value, fails unevaluated; a caller's continuous value that
-    # is no number raises
+    # axis's least value, fails unevaluated; a caller's parameter name that is
+    # no string, or continuous value that is no number, raises
     odd = {}
     for d in case.discrete:
         low = min(d.values)
@@ -122,6 +123,9 @@ def verify(
                 odd[i] = ValueError(f"{d.name} must be >= {low}, got {v!r}")
     names = {axis.name for axis in case.discrete + case.continuous}
     for i, pt in enumerate(pts if points is not None else ()):
+        for name in pt:
+            if not isinstance(name, str):
+                raise ValueError(f"parameter names must be strings, got {name!r}")
         for c in case.continuous:
             v = pt.get(c.name)
             if c.name not in pt:
@@ -225,8 +229,8 @@ def _judge(case_id, pts, eff, lhs: EvalRows, rhs: EvalRows, errors) -> list[Veri
 def make_report(outcomes, tol_abs: Optional[float], tol_rel: Optional[float]) -> Report:
     """A report of the outcomes, ordered by identity id and then by parameter
     items, stamped with the package version and the current time.
-    ``tol_abs``/``tol_rel`` record a global tolerance override (None when
-    each case keeps its default)."""
+    ``tol_abs``/``tol_rel`` record a tolerance override (None when every
+    case ran at ``DEFAULT_TOL``)."""
     return Report(
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),

@@ -28,7 +28,7 @@ from .combinatorics import (
     odd_harmonic_float,
     skew_harmonic_float,
 )
-from .numerics import CONSTANTS, Rows, Tolerance, fsum_rows
+from .numerics import CONSTANTS, DEFAULT_TOL, Rows, Tolerance, fsum_rows
 from .quadrature import IntegrandSpec, integrate_semi_infinite, integrate_unit
 from .series import (
     ALTERNATING,
@@ -52,17 +52,12 @@ _Z2 = CONSTANTS.zeta2
 _Z3 = CONSTANTS.zeta3
 _G = CONSTANTS.catalan
 
-TOL_STRICT = Tolerance(1e-10, 1e-10)
-TOL_MEDIUM = Tolerance(1e-9, 1e-9)
-TOL_COARSE = Tolerance(1e-8, 1e-8)
-TOL_SLOW_SERIES = Tolerance(1e-7, 0.0)  # absolute-only, for the pi-power series
-
 
 class EvalRows(NamedTuple):
     """One side at the points of a ``rows`` call: ``value`` (float, or
     complex for a complex closed form), integrand evaluations ``evals``,
     series terms ``terms`` and ``converged``, each a ``(rows,)`` column or
-    one scalar for every row. :meth:`Evaluator.fn` gives Python scalars."""
+    one scalar for every row."""
 
     value: np.ndarray | float | complex
     evals: np.ndarray | int = 0
@@ -78,12 +73,6 @@ class Evaluator(NamedTuple):
 
     describe: str
     rows: Callable[[list, Tolerance], EvalRows]
-
-    def fn(self, params: dict, tol: Tolerance) -> EvalRows:
-        """One point: the one-row call of ``rows``, as Python scalars."""
-        out = self.rows([params], tol)
-        return EvalRows(*(np.ravel(c)[0].item()
-                          for c in (out.value, out.evals, out.terms, out.converged)))
 
 
 class GridAxis(NamedTuple):
@@ -113,7 +102,11 @@ class IdentityCase(NamedTuple):
     rhs: Evaluator
     continuous: tuple[GridAxis, ...] = ()
     discrete: tuple[DiscreteAxis, ...] = ()
-    default_tol: Tolerance = TOL_STRICT
+
+    @property
+    def default_tol(self) -> Tolerance:
+        """``DEFAULT_TOL``, the one gate of every case; read by the benchmark."""
+        return DEFAULT_TOL
 
     def param_summary(self) -> str:
         parts = [f"{d.name} in {{{', '.join(map(str, d.values))}}}" for d in self.discrete]
@@ -541,7 +534,6 @@ def register_all() -> list[IdentityCase]:
             rhs=_series("alternating odd-harmonic Leibniz series",
                         _gen_odd_harmonic_leibniz),
             continuous=(_ALPHA_OPEN,),
-            default_tol=TOL_MEDIUM,
         ),
         IdentityCase(
             id="E8",
@@ -550,7 +542,6 @@ def register_all() -> list[IdentityCase]:
             lhs=_closed("pi^3", lambda: _PI**3),
             rhs=_series("192 x accelerated series",
                         lambda: _gen_odd_harmonic_leibniz(1.0), scale=192),
-            default_tol=TOL_SLOW_SERIES,
         ),
         IdentityCase(
             id="E9",
@@ -611,7 +602,6 @@ def register_all() -> list[IdentityCase]:
             rhs=_closed("polylog difference", _rhs_lemma_odd),
             discrete=(_P_LEMMA,),
             continuous=(_BETA_TO_ONE,),
-            default_tol=TOL_MEDIUM,
         ),
         IdentityCase(
             id="E12",
@@ -623,7 +613,6 @@ def register_all() -> list[IdentityCase]:
             rhs=_closed("(-1)^(p+1) p! Li_{p+2}(b)", _rhs_lemma_single),
             discrete=(_P_LEMMA,),
             continuous=(_BETA_TO_ONE,),
-            default_tol=TOL_MEDIUM,
         ),
         IdentityCase(
             id="E13",
@@ -675,7 +664,6 @@ def register_all() -> list[IdentityCase]:
             rhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq,
                         scale=0.5),
             continuous=(_ALPHA_TO_ONE,),
-            default_tol=TOL_MEDIUM,
         ),
         IdentityCase(
             id="E17",
@@ -683,7 +671,6 @@ def register_all() -> list[IdentityCase]:
             source="Bradley, Representations of Catalan's constant, entry (59)",
             lhs=_series("accelerated series", _gen_alt_odd_harmonic_sq),
             rhs=_closed("pi G - (7/4) zeta(3)", lambda: _PI * _G - 1.75 * _Z3),
-            default_tol=TOL_MEDIUM,
         ),
         IdentityCase(
             id="E18",
@@ -720,7 +707,6 @@ def register_all() -> list[IdentityCase]:
             lhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq),
             rhs=_closed("complex closed form (real part)", eq19_rhs),
             continuous=(_ALPHA_TO_ONE,),
-            default_tol=TOL_MEDIUM,
         ),
         IdentityCase(
             id="E21",
@@ -730,7 +716,6 @@ def register_all() -> list[IdentityCase]:
             rhs=_series("arctan-power coefficient series", _gen_atan_pow_over_n),
             discrete=(_P_POWERS,),
             continuous=(_ALPHA_OPEN,),
-            default_tol=TOL_COARSE,
         ),
         IdentityCase(
             id="E22",
@@ -743,7 +728,6 @@ def register_all() -> list[IdentityCase]:
             rhs=_series("arctan-power beta series", _gen_atan_pow_beta, scale=0.5),
             discrete=(_P_POWERS,),
             continuous=(_ALPHA_OPEN,),
-            default_tol=TOL_COARSE,
         ),
         IdentityCase(
             id="E23",
@@ -754,7 +738,6 @@ def register_all() -> list[IdentityCase]:
                         lambda p: _gen_atan_pow_beta(1.0, p),
                         scale=lambda p: (p + 1) * 2.0 ** (2 * p + 1)),
             discrete=(_P_POWERS,),
-            default_tol=TOL_SLOW_SERIES,
         ),
     ]
     return cases

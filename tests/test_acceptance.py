@@ -8,6 +8,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from quadident.quadrature import integrate_unit
 from quadident.registry import lookup
 from quadident.series import sum_eq8
 from quadident.specfun import incomplete_beta, polylog_real
+from _one_point import one_point
 from test_series import euler_diagonal_estimates
 
 PI = CONSTANTS.pi
@@ -47,10 +49,10 @@ def _max_err(outcomes) -> float:
 
 def test_criterion_01_basel_closed_forms():
     t0 = time.perf_counter()
-    e1 = lookup("E1").lhs.fn({}, Tolerance()).value
+    e1 = one_point(lookup("E1").lhs, {}, Tolerance()).value
     # the half-line arctangent integral at its upper endpoint equals
     # (3/2) Li2(1), so dividing by 3/2 must reproduce pi^2/6
-    e4_top = lookup("E4").lhs.fn({"alpha": 1.0}, Tolerance()).value
+    e4_top = one_point(lookup("E4").lhs, {"alpha": 1.0}, Tolerance()).value
     elapsed = time.perf_counter() - t0
     err1 = abs(e1 - 1.6449340668482264)
     err4 = abs(e4_top / 1.5 - Z2)
@@ -60,7 +62,7 @@ def test_criterion_01_basel_closed_forms():
 
 def test_criterion_02_three_constants_integral():
     t0 = time.perf_counter()
-    value = lookup("E15").lhs.fn({}, Tolerance()).value
+    value = one_point(lookup("E15").lhs, {}, Tolerance()).value
     elapsed = time.perf_counter() - t0
     err = abs(value - (0.5 * PI * G - 0.875 * Z3))
     ok = err <= 1e-10 and elapsed < 1.0
@@ -69,10 +71,10 @@ def test_criterion_02_three_constants_integral():
 
 def test_criterion_03_zeta3_representations():
     tol = Tolerance()
-    e13 = lookup("E13").lhs.fn({}, tol).value
-    e14 = lookup("E14").lhs.fn({}, tol).value
-    e13i = lookup("E13inf").lhs.fn({}, tol).value
-    e14i = lookup("E14inf").lhs.fn({}, tol).value
+    e13 = one_point(lookup("E13").lhs, {}, tol).value
+    e14 = one_point(lookup("E14").lhs, {}, tol).value
+    e13i = one_point(lookup("E13inf").lhs, {}, tol).value
+    e14i = one_point(lookup("E14inf").lhs, {}, tol).value
     errs = (
         abs(e13 - 0.875 * Z3),
         abs(e14 - Z3),
@@ -89,7 +91,7 @@ def test_criterion_04_half_line_arctan_both_forms():
     ok = all(o.passed for o in outs4 + outs4a)
     # the two closed forms must also agree with each other
     tol = Tolerance()
-    rhs4, rhs4a = lookup("E4").rhs.fn, lookup("E4alt").rhs.fn
+    rhs4, rhs4a = (partial(one_point, lookup(i).rhs) for i in ("E4", "E4alt"))
     cross = max(
         abs(rhs4({"alpha": 0.1 * k}, tol).value - rhs4a({"alpha": 0.1 * k}, tol).value)
         for k in range(1, 10)
@@ -106,7 +108,7 @@ def test_criterion_05_skew_harmonic_series():
     alphas = sorted(o.params["alpha"] for o in outs)
     assert alphas == [0.25, 0.5, 0.75, 1.0]
     ok = all(o.passed for o in outs) and _max_err(outs) <= 1e-10
-    e6 = lookup("E6").rhs.fn({}, Tolerance(2.5e-11, 2.5e-11))
+    e6 = one_point(lookup("E6").rhs, {}, Tolerance(2.5e-11, 2.5e-11))
     err6 = abs(e6.value - PI**2 / 16.0)
     ok = ok and err6 <= 1e-10 and e6.terms <= 10**5
     _report(5, ok, f"series-vs-integral worst {_max_err(outs):.2e}; "
@@ -183,7 +185,7 @@ def test_criterion_09_odd_harmonic_series_family():
 
     for alpha in (0.2, 0.5, 0.8, 1.0):
         rhs = eq19_rhs(alpha)
-        lhs = lookup("E19").lhs.fn({"alpha": alpha}, Tolerance(2.5e-10, 2.5e-10)).value
+        lhs = one_point(lookup("E19").lhs, {"alpha": alpha}, Tolerance(2.5e-10, 2.5e-10)).value
         worst_re = max(worst_re, abs(lhs - rhs.real))
         worst_im = max(worst_im, abs(rhs.imag))
     ok = ok and worst_re <= 1e-9 and worst_im <= 1e-9
@@ -209,12 +211,12 @@ def test_criterion_10_arctan_power_family():
     worst23 = 0.0
     eval_tol = Tolerance(2.5e-8, 0.0)
     for p in (1, 2, 3, 4):
-        val = lookup("E23").rhs.fn({"p": p}, eval_tol).value
+        val = one_point(lookup("E23").rhs, {"p": p}, eval_tol).value
         worst23 = max(worst23, abs(val - PI ** (p + 1)))
     ok = ok and worst23 <= 1e-6
 
-    e23_p1 = lookup("E23").rhs.fn({"p": 1}, Tolerance(2.5e-11, 2.5e-11)).value
-    e6 = lookup("E6").rhs.fn({}, Tolerance(2.5e-11, 2.5e-11)).value
+    e23_p1 = one_point(lookup("E23").rhs, {"p": 1}, Tolerance(2.5e-11, 2.5e-11)).value
+    e6 = one_point(lookup("E6").rhs, {}, Tolerance(2.5e-11, 2.5e-11)).value
     consistency = abs(e23_p1 / 16.0 - e6)
     ok = ok and consistency <= 1e-12
     _report(10, ok, f"coefficients exact to n=30: {exact}; quadrature worst "

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from quadident.registry import (
     register_all,
     registry,
 )
+from _one_point import one_point
 
 PI = CONSTANTS.pi
 G = CONSTANTS.catalan
@@ -57,7 +59,7 @@ def test_registry_size_and_unique_ids():
 def test_lookup_e15():
     case = lookup("E15")
     assert "zeta(3)" in case.description
-    out = case.rhs.fn({}, Tolerance())
+    out = one_point(case.rhs, {}, Tolerance())
     assert abs(out.value - (0.5 * PI * G - 0.875 * Z3)) <= 1e-15
 
 
@@ -115,7 +117,7 @@ def test_failing_row_fails_only_its_own_outcome(monkeypatch):
     with pytest.raises(QuadratureError):
         case.lhs.rows([{"alpha": a} for a in (0.25, 0.5, 0.75)], eval_tol)
     with pytest.raises(QuadratureError) as alone:
-        case.lhs.fn({"alpha": 0.5}, eval_tol)
+        one_point(case.lhs, {"alpha": 0.5}, eval_tol)
     bad = outs[1]
     assert not bad.passed
     assert bad.reason == f"error: {alone.value}"
@@ -123,7 +125,7 @@ def test_failing_row_fails_only_its_own_outcome(monkeypatch):
     assert math.isnan(bad.lhs_value) and math.isnan(bad.rhs_value)
     assert (bad.evals, bad.terms) == (0, 0)
     for o in (outs[0], outs[2]):
-        one = case.lhs.fn(o.params, eval_tol)
+        one = one_point(case.lhs, o.params, eval_tol)
         assert o.passed and o.reason == ""
         assert (o.lhs_value, o.evals) == (one.value, one.evals)
         assert o.rhs_value == 0.5 * o.params["alpha"]
@@ -153,7 +155,7 @@ def test_failing_series_row_fails_only_its_own_outcome(monkeypatch):
     with pytest.raises(SignPatternError, match="indices 5 and 6 of synthetic series"):
         case.lhs.rows([{"alpha": a} for a in (0.25, 0.5, 0.75)], eval_tol)
     with pytest.raises(SignPatternError) as alone:
-        case.lhs.fn({"alpha": 0.5}, eval_tol)
+        one_point(case.lhs, {"alpha": 0.5}, eval_tol)
     bad = outs[1]
     assert not bad.passed
     assert bad.reason == f"error: {alone.value}"
@@ -161,7 +163,7 @@ def test_failing_series_row_fails_only_its_own_outcome(monkeypatch):
     assert math.isnan(bad.lhs_value) and math.isnan(bad.rhs_value)
     assert (bad.evals, bad.terms) == (0, 0)
     for o in (outs[0], outs[2]):
-        one = case.lhs.fn(o.params, eval_tol)
+        one = one_point(case.lhs, o.params, eval_tol)
         assert o.passed and o.reason == ""
         assert (o.lhs_value, o.terms) == (one.value, one.terms)
 
@@ -184,7 +186,7 @@ def test_non_finite_series_row_fails_only_its_own_outcome(monkeypatch):
     monkeypatch.setitem(registry(), "X3", case)
     outs = verify("X3", 3)
     with pytest.raises(NonFiniteTermError) as alone:
-        case.lhs.fn({"alpha": 0.5}, Tolerance(2.5e-11, 2.5e-11))
+        one_point(case.lhs, {"alpha": 0.5}, Tolerance(2.5e-11, 2.5e-11))
     assert [o.passed for o in outs] == [True, False, True]
     assert outs[1].reason == f"error: {alone.value}"
     assert outs[1].reason == "error: term at index 6 of synthetic series is not finite (nan)"
@@ -219,7 +221,7 @@ def test_raising_closed_form_fails_only_its_own_outcome(monkeypatch):
     with pytest.raises(ValueError):
         case.lhs.rows([{"alpha": a} for a in (0.25, 0.5, 0.75)], Tolerance())
     with pytest.raises(ValueError) as alone:
-        case.lhs.fn({"alpha": 0.5}, Tolerance())
+        one_point(case.lhs, {"alpha": 0.5}, Tolerance())
     assert [o.passed for o in outs] == [True, False, True]
     bad = outs[1]
     assert bad.reason == f"error: {alone.value}" == "error: no closed form at alpha=0.5"
@@ -256,7 +258,7 @@ def test_one_bad_point_is_found_by_halving(monkeypatch):
     assert sizes == [33, 16, 17, 8, 4, 2, 2, 1, 1, 4, 9]
     assert len(sizes) == 11 <= 2 * math.ceil(math.log2(33))
     with pytest.raises(ValueError) as alone:
-        case.lhs.fn({"alpha": bad}, Tolerance())
+        one_point(case.lhs, {"alpha": bad}, Tolerance())
     assert [o.params["alpha"] for o in outs] == alphas
     for o in outs:
         if o.params["alpha"] == bad:
@@ -442,6 +444,22 @@ def test_non_real_continuous_value_raises_before_any_side_runs(monkeypatch, valu
     assert str(info.value) == f"alpha must be a real number, got {value!r}"
 
 
+@pytest.mark.parametrize("case_id, point", [("E2", {"alpha": 0.5, 1: 2}),
+                                             ("E1", {(1, 2): 3})])
+def test_parameter_name_that_is_no_string_raises_before_any_side_runs(
+        monkeypatch, case_id, point):
+    # a report could neither sort such a point's outcome among string names
+    # nor write it as a JSON key
+    def unreachable(*args):
+        raise AssertionError("a side ran")
+
+    monkeypatch.setattr(ledger, "_evaluate", unreachable)
+    with pytest.raises(ValueError) as info:
+        verify(case_id, points=[point])
+    [name] = [name for name in point if not isinstance(name, str)]
+    assert str(info.value) == f"parameter names must be strings, got {name!r}"
+
+
 def test_real_continuous_values_of_numpy_and_python_types_pass():
     outs = verify("E2", points=[{"alpha": np.float64(0.25)}, {"alpha": np.float32(0.5)},
                                 {"alpha": 1}, {"alpha": np.int64(1)}])
@@ -465,8 +483,8 @@ def test_unreachable_tolerance_reported_not_converged():
 # ---------------------------------------------------------------------------
 
 def test_e4_and_e4alt_closed_forms_agree():
-    rhs4 = lookup("E4").rhs.fn
-    rhs4alt = lookup("E4alt").rhs.fn
+    rhs4 = partial(one_point, lookup("E4").rhs)
+    rhs4alt = partial(one_point, lookup("E4alt").rhs)
     tol = Tolerance()
     for k in range(1, 10):
         alpha = 0.1 * k
@@ -478,8 +496,8 @@ def test_e4_and_e4alt_closed_forms_agree():
 def test_e23_at_p1_reproduces_e6_series():
     tol = Tolerance(1e-10, 1e-10)
     eval_tol = Tolerance(2.5e-11, 2.5e-11)
-    e6_series = lookup("E6").rhs.fn({}, eval_tol).value
-    e23_scaled = lookup("E23").rhs.fn({"p": 1}, eval_tol).value
+    e6_series = one_point(lookup("E6").rhs, {}, eval_tol).value
+    e23_scaled = one_point(lookup("E23").rhs, {"p": 1}, eval_tol).value
     # pi^2 = 16 sum: the E23 prefactor at p=1 is exactly 16
     assert abs(e23_scaled / 16.0 - e6_series) <= 1e-12
     assert tol.passes(e23_scaled, PI**2)
@@ -488,8 +506,8 @@ def test_e23_at_p1_reproduces_e6_series():
 def test_half_line_integrals_double_the_unit_ones():
     tol = Tolerance()
     for unit_id, full_id in (("E13", "E13inf"), ("E14", "E14inf")):
-        unit_val = lookup(unit_id).lhs.fn({}, tol).value
-        full_val = lookup(full_id).lhs.fn({}, tol).value
+        unit_val = one_point(lookup(unit_id).lhs, {}, tol).value
+        full_val = one_point(lookup(full_id).lhs, {}, tol).value
         assert abs(full_val - 2.0 * unit_val) <= 1e-10
 
 
@@ -508,7 +526,7 @@ def test_registered_limits_are_continuous():
     eps = 1e-4
     tol = Tolerance()
     for case_id, end, limit in _LIMITS:
-        near = lookup(case_id).rhs.fn({"alpha": abs(end - eps)}, tol).value
+        near = one_point(lookup(case_id).rhs, {"alpha": abs(end - eps)}, tol).value
         assert abs(near - limit) <= 5e-3
 
 
@@ -518,7 +536,7 @@ def test_closed_forms_take_their_limits_at_the_ends():
     tol = Tolerance()
     for case_id, end, limit in _LIMITS:
         case = lookup(case_id)
-        assert case.rhs.fn({"alpha": end}, tol).value.hex() == limit.hex()
+        assert one_point(case.rhs, {"alpha": end}, tol).value.hex() == limit.hex()
         rows = case.rhs.rows([{"alpha": 0.5}, {"alpha": end}], tol).value
         assert rows[1].hex() == limit.hex()
         [out] = [o for o in verify(case_id, 1) if o.params["alpha"] == end]
@@ -704,6 +722,24 @@ def test_cli_exit_code_on_failure(capsys):
     code = cli.main(["verify", "--ids", "E6", "--tol", "1e-30", "--max-work", "2000"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_cli_max_work_alone_keeps_the_one_gate(tmp_path, capsys):
+    # --max-work without --tol runs every listed case at DEFAULT_TOL's
+    # 1e-10/1e-10 with that cap, as verify does with Tolerance(max_work=N),
+    # and the report records no tolerance override. The cap leaves some
+    # points of E12 and E21 unconverged, so it reaches every case
+    ids, cap, path = ["E8", "E12", "E21"], 100, tmp_path / "report.json"
+    argv = ["verify", "--ids", ",".join(ids), "--grid", "3", "--max-work", str(cap),
+            "--format", "json", "--out", str(path)]
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+    outs = [o for case_id in ids for o in verify(case_id, 3, Tolerance(max_work=cap))]
+    assert {o.reason for o in outs} == {"", "not_converged"}
+    parsed = json.loads(path.read_text())
+    expected = json.loads(render_report(make_report(outs, None, None), "json"))
+    assert parsed["tolerance"] == {"abs": None, "rel": None}
+    assert parsed["outcomes"] == expected["outcomes"]
 
 
 def test_cli_unknown_id(capsys):

@@ -1,7 +1,7 @@
 """The record types of the package: immutable named tuples whose fields,
 defaults, ``repr`` and checks are those the frozen dataclasses they replace
-had (``GridAxis`` adds ``ends``), and the values of ``specfun.zeta``,
-computed once each."""
+had (``GridAxis`` adds ``ends``; ``IdentityCase`` drops ``default_tol``),
+and the values of ``specfun.zeta``, computed once each."""
 
 import hashlib
 import math
@@ -25,7 +25,6 @@ from quadident.registry import (
 from quadident.series import SummationResult, SummationRows, TermGenerator
 from quadident.specfun import zeta
 
-_TOL = "Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_work=2000000)"
 _EV = Evaluator("pi^2/6", abs)
 _EV_REPR = "Evaluator(describe='pi^2/6', rows=<built-in function abs>)"
 _AXIS = GridAxis("alpha", 0.0, 1.0, (1.0,))
@@ -73,12 +72,11 @@ _RECORDS = [
      "GridAxis(name='alpha', lo=0.0, hi=1.0, ends=(1.0,))"),
     (_P, ("name", "values"), {}, "DiscreteAxis(name='p', values=(1, 2))"),
     (IdentityCase("EX", "d", "s", _EV, _EV, (_AXIS,), (_P,)),
-     ("id", "description", "source", "lhs", "rhs", "continuous", "discrete", "default_tol"),
-     {"continuous": (), "discrete": (), "default_tol": Tolerance()},
+     ("id", "description", "source", "lhs", "rhs", "continuous", "discrete"),
+     {"continuous": (), "discrete": ()},
      f"IdentityCase(id='EX', description='d', source='s', lhs={_EV_REPR}, rhs={_EV_REPR}, "
      "continuous=(GridAxis(name='alpha', lo=0.0, hi=1.0, ends=(1.0,)),), "
-     "discrete=(DiscreteAxis(name='p', values=(1, 2)),), "
-     f"default_tol={_TOL})"),
+     "discrete=(DiscreteAxis(name='p', values=(1, 2)),))"),
     (Report("9.9", "T", None, 1e-9, ()),
      ("version", "timestamp", "tol_abs", "tol_rel", "outcomes"), {},
      "Report(version='9.9', timestamp='T', tol_abs=None, tol_rel=1e-09, outcomes=())"),

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from quadident.combinatorics import arctan_power_coeff
-from quadident.ledger import _grid_points, verify
-from quadident.numerics import Rows, Tolerance
+from quadident.ledger import _grid_points, side_tolerance, verify
+from quadident.numerics import DEFAULT_TOL, Rows, Tolerance
 from quadident.quadrature import IntegrandSpec, integrate_semi_infinite, integrate_unit
 from quadident.registry import (
     GridAxis,
@@ -26,6 +26,7 @@ from quadident.registry import (
 )
 from quadident.series import ALTERNATING, sum_alternating_accelerated, sum_direct, sum_eq8
 from quadident.specfun import incomplete_beta
+from _one_point import one_point
 
 _N_MAX = 430
 _ALPHAS = (0.1, 0.5, 0.97, 1.0)
@@ -112,8 +113,7 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
         if "tanh-sinh" not in case.lhs.describe or not case.continuous:
             continue
         batched.add(case.id)
-        tol = Tolerance(case.default_tol.abs_tol / 4.0, case.default_tol.rel_tol / 4.0,
-                        case.default_tol.max_work)
+        tol = side_tolerance(DEFAULT_TOL)
         points = _side_points(case)
         del calls[:]
         outs = _side_rows(case.lhs.rows(points, tol), "evals")
@@ -124,7 +124,7 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
             spec = batch.build(**point)
             assert _is_scalar_spec(spec), (case.id, point)
             assert [_bits(originals[name](spec, tol))] == [row], (case.id, point)
-            one = case.lhs.fn(point, tol)
+            one = one_point(case.lhs, point, tol)
             assert out == (one.value, one.evals, one.converged), (case.id, point)
     assert batched == {"E2", "E4", "E4alt", "E5", "E7", "E9", "E10", "E11", "E12",
                        "E16", "E21", "E22"}
@@ -145,8 +145,7 @@ def test_half_line_pass_equals_its_two_pieces(monkeypatch, case_id):
     monkeypatch.setattr(module, "_tanh_sinh", count)
     case = registry()[case_id]
     build = inspect.getclosurevars(case.lhs.rows).nonlocals["build"]
-    tol = Tolerance(case.default_tol.abs_tol / 4.0, case.default_tol.rel_tol / 4.0,
-                    case.default_tol.max_work)
+    tol = side_tolerance(DEFAULT_TOL)
     half = Tolerance(tol.abs_tol / 2.0, tol.rel_tol / 2.0, tol.max_work // 2)
     points = _grid_points(case, 9)
     rows = integrate_semi_infinite(Rows(build, points), tol)
@@ -188,8 +187,7 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
             if "series" not in side.describe or not case.continuous:
                 continue
             batched.add(case.id)
-            tol = Tolerance(case.default_tol.abs_tol / 4.0,
-                            case.default_tol.rel_tol / 4.0, case.default_tol.max_work)
+            tol = side_tolerance(DEFAULT_TOL)
             points = _side_points(case)
             del calls[:]
             outs = _side_rows(side.rows(points, tol), "terms")
@@ -202,7 +200,7 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
             for point, out, row in zip(points, outs, _sum_row_bits(res)):
                 alone = originals[name](batch.build(**point), tol)
                 assert [row] == [_sum_bits(alone)], (case.id, point)
-                one = side.fn(point, tol)
+                one = one_point(side, point, tol)
                 assert out == (one.value, one.terms, one.converged), (case.id, point)
     assert batched == {"E5", "E7", "EC6", "E16", "E18", "E19", "E21", "E22"}
     assert accelerated == {"E5", "E7", "EC6", "E16", "E19", "E21", "E22"}
@@ -230,13 +228,10 @@ def test_scaled_series_sides_equal_the_scaled_one_generator_sums():
         for p in (1, 2, 3, 4)]
     for case_id, params, scale, summed in sides:
         case = registry()[case_id]
-        default = case.default_tol
-        for tol in (Tolerance(), default,
-                    Tolerance(default.abs_tol / 4.0, default.rel_tol / 4.0, default.max_work),
-                    Tolerance(2.5e-11, 2.5e-11), Tolerance(1e-9, 0.0, 2 * 10**5),
+        for tol in (DEFAULT_TOL, side_tolerance(DEFAULT_TOL), Tolerance(1e-9, 0.0, 2 * 10**5),
                     Tolerance(1e-14, 0.0)):
             res = summed(inner(tol, scale))
-            one = case.rhs.fn(params, tol)
+            one = one_point(case.rhs, params, tol)
             assert (one.value.hex(), one.terms, one.converged) == (
                 (scale * res.value).hex(), res.terms_used, res.converged), (case_id, params, tol)
 
@@ -272,7 +267,7 @@ def test_closed_form_rows_equal_one_point_runs():
             assert len(outs.value) == len(points)
             for point, out in zip(points, outs.value.tolist()):
                 scalar = np.asarray(value(**point)).item()
-                one = side.fn(point, tol)
+                one = one_point(side, point, tol)
                 assert (_parts_hex(out, complex_ok) == _parts_hex(scalar, complex_ok)
                         == _parts_hex(one.value, complex_ok)), (case.id, point)
     assert batched == {"E2", "E4", "E4alt", "E9", "E10", "EC6", "E11", "E12", "E18", "E18d",
@@ -290,6 +285,19 @@ def test_every_grouped_call_runs_without_the_one_point_fallback(monkeypatch):
     for case_id in registry():
         outs = verify(case_id, 33)
         assert outs and all(o.passed for o in outs), case_id
+
+
+def test_every_case_verifies_at_the_one_gate_with_a_wide_margin():
+    # every case is judged at DEFAULT_TOL. The ten cases that had gates 10
+    # to 1000 times looser keep their largest margin, |a - b| over
+    # DEFAULT_TOL.margin(a, b), below 1e-4 (E21's is 5.5e-5) at grid 33;
+    # E19 at grid 9
+    assert {case.default_tol for case in registry().values()} == {DEFAULT_TOL}
+    for case_id in ("E7", "E8", "E11", "E12", "E16", "E17", "E19", "E21", "E22", "E23"):
+        outs = verify(case_id, 9 if case_id == "E19" else 33)
+        assert all(o.passed for o in outs), case_id
+        worst = max(o.abs_error / DEFAULT_TOL.margin(o.lhs_value, o.rhs_value) for o in outs)
+        assert worst <= 1e-4, (case_id, worst)
 
 
 def test_every_side_makes_one_driver_call(monkeypatch):
@@ -352,8 +360,8 @@ def test_odd_discrete_parameters_fail_alone(case_id):
 def test_accelerated_bound_covers_every_grid_row():
     # every alternating series side goes through the CVZ sum; its bound is
     # proven for E5, EC6 and E21/E22 at p = 1 and only an estimate for E7,
-    # E16, E19 and E21/E22 at p >= 2. At each case's evaluation tolerance it
-    # must still cover the error of every grid-33 row against a direct sum
+    # E16, E19 and E21/E22 at p >= 2. At the evaluation tolerance it must
+    # still cover the error of every grid-33 row against a direct sum
     # taken to the rounding floor
     builders = {
         "E5": _gen_skew_odd_denom,
@@ -367,7 +375,7 @@ def test_accelerated_bound_covers_every_grid_row():
     reference = Tolerance(1e-18, 0.0)
     for case_id, build in builders.items():
         case = registry()[case_id]
-        tol = Tolerance(case.default_tol.abs_tol / 4.0, case.default_tol.rel_tol / 4.0)
+        tol = side_tolerance(DEFAULT_TOL)
         points = [fixed | {"alpha": a} for fixed in ([{"p": p} for p in (1, 2, 3, 4)]
                                                      if case.discrete else [{}])
                   for a in case.continuous[0].points(33)]

@@ -18,9 +18,9 @@ from quadident.ledger import render_json, verify_all
 
 _RECORDED_WITH = ("3.11", "2.4.6")  # Python major.minor, numpy
 _DIGESTS = {
-    5: "53b85adbec302b88731dff75e6581a2e7f0b72a765a99887ef46ddf43a71246d",
-    9: "873a016e31c9f8411df600b79567cbc21396a1aa5446907e3a727e2105e48b9e",
-    33: "26291ab4b2b51bda1a3d876ab2415b577a1164b1a7b50f7a08af491e84a7961e",
+    5: "13327dcc9d013c8f0bcbe7667f73d4ee22b16ef9e99fdba9dda2cb452f92fb07",
+    9: "a2c356a5f05286bc3893aa7118f3e95c9830a616ce766b7a89e1aa4c15bbc764",
+    33: "5594cd9da815ed291771fe033372e860a6a93cff23d5a3d325ca83e2eaafd06e",
 }
 _LIST_DIGEST = "d67b8df83bcb114ac13b77b6971aeca4abcfd9f0e4235ccf9b71d3293ef01d09"
 
