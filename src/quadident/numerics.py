@@ -27,7 +27,8 @@ class Tolerance(_ToleranceFields):
     """Accuracy target for quadrature, summation and identity comparison.
 
     A comparison passes when ``|a - b| <= abs_tol + rel_tol * max(|a|, |b|)``.
-    ``max_work`` caps function evaluations (quadrature) or series terms.
+    ``max_work`` caps function evaluations (quadrature) or series terms, down
+    to floors: tanh-sinh's level 0 (9; 18 on the half-line) and 5 CVZ terms.
     """
 
     __slots__ = ()
@@ -90,19 +91,21 @@ class Rows(_RowsFields):
     run in one pass by the quadrature and series drivers.
 
     ``points`` holds one dict of parameters per row. ``build`` receives each
-    parameter of some rows as a ``(rows, 1)`` column keyword (numpy's dtype:
-    integers stay integers) and returns their spec, generator or values, each
-    row computed by the same elementwise operations as for scalar parameters;
-    without parameters, it gives every row the same one. A parameter that
-    some points lack raises ``KeyError``. The columns are built once, on first
-    use, and kept in the instance's ``__dict__``.
+    parameter of some rows as a ``(rows, 1)`` column keyword (integers stay
+    integers, floats of any width become float64) and returns their spec,
+    generator or values, each row computed by the same elementwise operations
+    as for scalar parameters; without parameters, it gives every row the same
+    one. A parameter that some points lack raises ``KeyError``. The columns
+    are built once, on first use, and kept in the instance's ``__dict__``.
     """
 
     @functools.cached_property
     def columns(self) -> dict[str, np.ndarray]:
         names = dict.fromkeys(name for point in self.points for name in point)
-        return {name: np.array([point[name] for point in self.points])[:, None]
-                for name in names}
+        columns = {name: np.array([point[name] for point in self.points])[:, None]
+                   for name in names}
+        return {name: c.astype(float, copy=False) if c.dtype.kind == "f" else c
+                for name, c in columns.items()}
 
     def at(self, rows=None):
         """The spec or generator of the rows at the given indices (all for None)."""

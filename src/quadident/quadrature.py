@@ -281,8 +281,9 @@ def integrate_unit(spec: IntegrandSpec | Rows,
     outermost nodes for the truncation of the trapezoid at ``|t| = 4``. For
     ``x**-0.9``, still large at the left end, the estimate is 1.62e-2 against
     a true error of 1.89e-3 (``converged`` is False). ``converged`` is set when
-    the estimate met ``tol`` within ``tol.max_work`` evaluations. Non-finite
-    integrand values raise :class:`QuadratureError`.
+    the estimate met ``tol`` within ``tol.max_work`` evaluations; level 0 (9
+    evaluations, one per piece on the half-line) runs whatever the cap.
+    Non-finite integrand values raise :class:`QuadratureError`.
     """
     spec_of, k = _rows_of(spec)
     return _result(spec, _tanh_sinh(spec_of, k, tol))

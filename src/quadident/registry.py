@@ -132,32 +132,20 @@ def _quad(describe: str, build: Callable[..., IntegrandSpec],
     return Evaluator(describe, rows)
 
 
-def _series(describe: str, build: Callable[..., TermGenerator],
-            scale: float | Callable[..., float] = 1.0) -> Evaluator:
-    """Series side: ``scale`` times the sum; ``build`` and a callable ``scale``
-    (E23: p) take the parameters as scalars or as columns. The points of each
-    distinct scale (only E23's differ) go through one rows call: an ALTERNATING
-    series through the CVZ sum, whose bound is proven for the moment sequences
-    of E5, EC6, E6, EC6b and E21-E23 at p = 1 and an estimate for E7, E8, E16,
-    E17, E19 and E21-E23 at p >= 2; a POSITIVE one (E18) through the direct sum
-    with its tail bound. A scale s > 1 sums to the absolute tolerance
-    max(abs_tol / s, 1e-16), so that the scaled value still meets abs_tol. The
+def _series(describe: str, build: Callable[..., TermGenerator]) -> Evaluator:
+    """Series side: the sum of the series ``build`` makes from the parameters,
+    as scalars or as columns; a constant factor of the side (E8, E16, E22,
+    E23) lives in its terms (see :func:`_scaled`). All points go through one
+    rows call: an ALTERNATING series through the CVZ sum, whose bound is
+    proven for the moment sequences of E5, EC6, E6, EC6b and E21-E23 at p = 1
+    and an estimate for E7, E8, E16, E17, E19 and E21-E23 at p >= 2; a
+    POSITIVE one (E18) through the direct sum with its tail bound. The
     summers are looked up here at call time, where the benchmark wraps them."""
     def rows(points: list, tol: Tolerance) -> EvalRows:
-        n = len(points)
-        scales = np.ravel(Rows(scale, points).at()).tolist() if callable(scale) else [scale] * n
-        parts: dict = {}  # scale -> indices of its points
-        for i, s in enumerate(scales):
-            parts.setdefault(s, []).append(i)
-        value, terms, converged = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=bool)
-        for s, idx in parts.items():
-            batch = Rows(build, [points[i] for i in idx])
-            summer = (sum_alternating_accelerated if batch.at().sign_pattern == ALTERNATING
-                      else sum_direct)
-            res = summer(batch, Tolerance(max(tol.abs_tol / s, 1e-16), tol.rel_tol, tol.max_work)
-                         if s > 1 else tol)
-            value[idx], terms[idx], converged[idx] = s * res.values, res.work, res.row_converged
-        return EvalRows(value, terms=terms, converged=converged)
+        batch = Rows(build, points)
+        res = (sum_alternating_accelerated if batch.at().sign_pattern == ALTERNATING
+               else sum_direct)(batch, tol)
+        return EvalRows(res.values, terms=res.work, converged=res.row_converged)
 
     return Evaluator(describe, rows)
 
@@ -276,6 +264,11 @@ def _powers(base, exponents: range | list[range]) -> np.ndarray:
     ranges = exponents if isinstance(exponents, list) else [exponents] * len(bases)
     flat = chain.from_iterable(map(pow, repeat(b), e) for b, e in zip(bases, ranges))
     return np.fromiter(flat, float, len(bases) * len(ranges[0])).reshape(len(bases), -1)
+
+
+def _scaled(g: TermGenerator, s) -> TermGenerator:
+    """``g`` with every term times ``s``, a scalar or a ``(rows, 1)`` column."""
+    return g._replace(terms=lambda n0, n1: s * g.terms(n0, n1))
 
 
 def _gen_skew_odd_denom(alpha=1.0) -> TermGenerator:
@@ -541,7 +534,7 @@ def register_all() -> list[IdentityCase]:
             source="squared-arctangent series at a = 1",
             lhs=_closed("pi^3", lambda: _PI**3),
             rhs=_series("192 x accelerated series",
-                        lambda: _gen_odd_harmonic_leibniz(1.0), scale=192),
+                        lambda: _scaled(_gen_odd_harmonic_leibniz(1.0), 192.0)),
         ),
         IdentityCase(
             id="E9",
@@ -661,8 +654,8 @@ def register_all() -> list[IdentityCase]:
             ),
             source="squared arctangent over x, odd-harmonic series",
             lhs=_quad("tanh-sinh on (0,1)", _spec_atan_pow_over_x),
-            rhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq,
-                        scale=0.5),
+            rhs=_series("alternating odd-harmonic series",
+                        lambda alpha: _scaled(_gen_alt_odd_harmonic_sq(alpha), 0.5)),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
@@ -725,7 +718,8 @@ def register_all() -> list[IdentityCase]:
             ),
             source="arctan powers against the Cauchy kernel",
             lhs=_quad("tanh-sinh on (0,1)", _spec_atan_pow_cauchy),
-            rhs=_series("arctan-power beta series", _gen_atan_pow_beta, scale=0.5),
+            rhs=_series("arctan-power beta series",
+                        lambda alpha, p: _scaled(_gen_atan_pow_beta(alpha, p), 0.5)),
             discrete=(_P_POWERS,),
             continuous=(_ALPHA_OPEN,),
         ),
@@ -735,8 +729,8 @@ def register_all() -> list[IdentityCase]:
             source="arctan-power series at a = 1",
             lhs=_closed("pi^(p+1)", lambda p: _PI ** (p + 1)),
             rhs=_series("scaled accelerated beta series",
-                        lambda p: _gen_atan_pow_beta(1.0, p),
-                        scale=lambda p: (p + 1) * 2.0 ** (2 * p + 1)),
+                        lambda p: _scaled(_gen_atan_pow_beta(1.0, p),
+                                          (p + 1) * 2.0 ** (2 * p + 1))),
             discrete=(_P_POWERS,),
         ),
     ]

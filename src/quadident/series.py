@@ -351,9 +351,10 @@ def sum_alternating_accelerated(g: TermGenerator | Rows,
     :class:`SummationRows` for :class:`~quadident.numerics.Rows`.
 
     The value is the fixed weighted sum S_{n+4} of the first n + 4 terms,
-    with n chosen from the first term (see :func:`_accelerated`). The
-    ``remainder_bound`` is |S_{n+4} - S_n| + 2|t_0|/(3+sqrt 8)^n plus a
-    rounding floor. When the term magnitudes are a Hausdorff moment sequence
+    with n >= 1 chosen from the first term (see :func:`_accelerated`), so a
+    ``max_work`` below 5 still reads 5 terms. The ``remainder_bound`` is
+    |S_{n+4} - S_n| + 2|t_0|/(3+sqrt 8)^n plus a rounding floor. When the
+    term magnitudes are a Hausdorff moment sequence
     (a_k = int_0^1 x^k dmu for a positive measure mu; equivalently, completely
     monotone), |S - S_n| <= 2|S|/(3+sqrt 8)^n and |S| <= |t_0|, so the bound is
     proven. Moment sequences include 1/(k+1), 1/(2k+1), alpha^k for

@@ -121,7 +121,7 @@ def polylog_complex(p: int, z: complex) -> complex:
     p = _check_order(p)
     z = complex(z)
     a = abs(z)
-    if a > 1.0 + _CIRCLE_EPS:
+    if not a <= 1.0 + _CIRCLE_EPS:  # NaN too
         raise ValueError(f"polylog_complex requires |z| <= 1, got |z| = {a}")
     if z.imag == 0.0:
         x = min(1.0, max(-1.0, z.real))

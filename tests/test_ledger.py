@@ -466,6 +466,22 @@ def test_real_continuous_values_of_numpy_and_python_types_pass():
     assert all(o.passed for o in outs)
 
 
+def test_narrow_numpy_floats_verify_as_their_python_floats():
+    # a float32 parameter is widened to float64 before any side runs; kept
+    # narrow, a side squared alpha in single precision and E7, E18 and E18d
+    # read mismatches of 1e-9 to 1e-7
+    for case in registry().values():
+        if not case.continuous:
+            continue
+        axis = case.continuous[0].name
+        fixed = [{d.name: v} for d in case.discrete for v in d.values] or [{}]
+        narrow = verify(case.id, points=[f | {axis: np.float32(0.3)} for f in fixed])
+        wide = verify(case.id, points=[f | {axis: float(np.float32(0.3))} for f in fixed])
+        assert all(o.passed for o in narrow), case.id
+        assert [(o.lhs_value, o.rhs_value) for o in narrow] == [
+            (o.lhs_value, o.rhs_value) for o in wide], case.id
+
+
 def test_verify_rejects_bad_grid():
     with pytest.raises(ValueError):
         verify("E1", 0)

@@ -469,6 +469,19 @@ def test_non_convergence_flag():
     assert res.evaluations <= 20
 
 
+def test_max_work_has_a_floor_of_one_level_zero():
+    # level 0 is always evaluated: 9 evaluations on (0, 1) and 18 on the
+    # half-line (one level 0 per piece), however small max_work is; above
+    # that, the integrator never runs past the cap
+    for max_work in (1, 8, 9, 16):
+        tol = Tolerance(1e-15, 1e-15, max_work)
+        unit = quad(lambda x: np.log(x) ** 2, tol=tol)
+        half = integrate_semi_infinite(IntegrandSpec(lambda x: (1.0 + x * x) ** -1.3), tol)
+        assert (unit.evaluations, half.evaluations) == (9, 18), max_work
+        assert not (unit.converged or half.converged)
+    assert quad(lambda x: np.log(x) ** 2, tol=Tolerance(1e-15, 1e-15, 17)).evaluations == 17
+
+
 def test_unreachable_tolerance_flagged():
     res = quad(lambda x: np.exp(x), tol=Tolerance(1e-30, 1e-30))
     assert not res.converged

@@ -19,8 +19,6 @@ from quadident.registry import (
     _gen_atan_pow_beta,
     _gen_atan_pow_over_n,
     _gen_odd_harmonic_leibniz,
-    _gen_skew_linear_denom,
-    _gen_skew_odd_denom,
     _powers,
     registry,
 )
@@ -75,14 +73,14 @@ def _side_rows(out, work):
 
 def _record_calls(monkeypatch, names):
     """Replace the registry's ``names`` by recorders; each call appends
-    ``(name, argument, result)`` to the returned list. The originals are
+    ``(name, argument, tol, result)`` to the returned list. The originals are
     returned too, to run the scalar-parameter spec or generator of a point."""
     module = importlib.import_module("quadident.registry")
     calls, originals = [], {name: getattr(module, name) for name in names}
     for name, fn in originals.items():
         def record(arg, tol, _name=name, _fn=fn):
-            calls.append((_name, arg, _fn(arg, tol)))
-            return calls[-1][2]
+            calls.append((_name, arg, tol, _fn(arg, tol)))
+            return calls[-1][3]
         monkeypatch.setattr(module, name, record)
     return calls, originals
 
@@ -117,7 +115,7 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
         points = _side_points(case)
         del calls[:]
         outs = _side_rows(case.lhs.rows(points, tol), "evals")
-        [(name, batch, res)] = calls
+        [(name, batch, _, res)] = calls
         assert list(batch.points) == points
         assert len(_row_bits(res)) == len(outs) == len(points)
         for point, row, out in zip(points, _row_bits(res), outs):
@@ -191,7 +189,7 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
             points = _side_points(case)
             del calls[:]
             outs = _side_rows(side.rows(points, tol), "terms")
-            [(name, batch, res)] = calls
+            [(name, batch, _, res)] = calls
             assert list(batch.points) == points and len(_sum_row_bits(res)) == len(points)
             alternating = batch.at().sign_pattern == ALTERNATING
             assert name == ("sum_alternating_accelerated" if alternating else "sum_direct")
@@ -214,26 +212,48 @@ def test_every_side_is_made_by_one_of_three_evaluators():
     assert makers == {"_quad.<locals>.rows", "_series.<locals>.rows", "_closed.<locals>.rows"}
 
 
-def test_scaled_series_sides_equal_the_scaled_one_generator_sums():
-    # E8's right side is 192 x the series of series.sum_eq8, and E23's is
-    # (p+1) 2^(2p+1) x the beta series at alpha = 1. A side scaled by s > 1
-    # sums to the absolute tolerance max(abs_tol / s, 1e-16), so the scaled
-    # value still meets abs_tol; value, terms and flag keep every bit
-    def inner(tol, scale):
-        return Tolerance(max(tol.abs_tol / scale, 1e-16), tol.rel_tol, tol.max_work)
+def _times(s, g):
+    """``g`` with each term times ``s``, built apart from the registry's."""
+    return g._replace(terms=lambda n0, n1: s * np.asarray(g.terms(n0, n1)))
 
-    sides = [("E8", {}, 192, sum_eq8)] + [
-        ("E23", {"p": p}, (p + 1) * 2 ** (2 * p + 1),
+
+def test_scaled_series_sides_equal_the_scaled_one_generator_sums():
+    # E8's right side is the CVZ sum of 192 x the terms of series.sum_eq8, and
+    # E23's of (p+1) 2^(2p+1) x the beta series at alpha = 1, at the side's
+    # tolerance unchanged: value, terms and flag keep every bit. The CVZ n
+    # depends on |t_0| / abs_tol, so wherever abs_tol / s >= 1e-16 a side
+    # reads the terms of its unscaled sum at abs_tol / s
+    sides = [("E8", {}, 192.0, _gen_odd_harmonic_leibniz(1.0), sum_eq8)] + [
+        ("E23", {"p": p}, (p + 1) * 2.0 ** (2 * p + 1), _gen_atan_pow_beta(1.0, p),
          functools.partial(sum_alternating_accelerated, _gen_atan_pow_beta(1.0, p)))
         for p in (1, 2, 3, 4)]
-    for case_id, params, scale, summed in sides:
+    unscaled_rows = 0
+    for case_id, params, s, g, summed in sides:
         case = registry()[case_id]
         for tol in (DEFAULT_TOL, side_tolerance(DEFAULT_TOL), Tolerance(1e-9, 0.0, 2 * 10**5),
                     Tolerance(1e-14, 0.0)):
-            res = summed(inner(tol, scale))
+            res = sum_alternating_accelerated(_times(s, g), tol)
             one = one_point(case.rhs, params, tol)
             assert (one.value.hex(), one.terms, one.converged) == (
-                (scale * res.value).hex(), res.terms_used, res.converged), (case_id, params, tol)
+                res.value.hex(), res.terms_used, res.converged), (case_id, params, tol)
+            if tol.abs_tol / s >= 1e-16:
+                unscaled_rows += 1
+                inner = summed(Tolerance(tol.abs_tol / s, tol.rel_tol, tol.max_work))
+                assert one.terms == inner.terms_used, (case_id, params, tol)
+    assert unscaled_rows == 17  # all but Tolerance(1e-14, 0) at s = 192, 512 and 2560
+
+
+def test_halved_series_sides_are_half_their_sums_at_twice_the_abs_tol():
+    # E16's and E22's factor 1/2 is a power of two: each side is, bit for
+    # bit, half the sum of its unhalved terms at twice the absolute tolerance
+    tol = side_tolerance(DEFAULT_TOL)
+    doubled = Tolerance(2.0 * tol.abs_tol, tol.rel_tol, tol.max_work)
+    for case_id, build in (("E16", _gen_alt_odd_harmonic_sq), ("E22", _gen_atan_pow_beta)):
+        points = _grid_points(registry()[case_id], 9)
+        side = registry()[case_id].rhs.rows(points, tol)
+        res = sum_alternating_accelerated(Rows(build, points), doubled)
+        assert (side.value.tolist(), side.terms.tolist(), side.converged.tolist()) == (
+            (0.5 * res.values).tolist(), res.work.tolist(), res.row_converged.tolist()), case_id
 
 
 def _is_closed_form(side):
@@ -302,16 +322,17 @@ def test_every_case_verifies_at_the_one_gate_with_a_wide_margin():
 
 def test_every_side_makes_one_driver_call(monkeypatch):
     # a quadrature or series side sends all of its points, every p and
-    # endpoint included, to one integrator or summer call; only E23's right
-    # side makes one call per p, because its scale (p+1) 2^(2p+1) sets the
-    # tolerance of its sum
+    # endpoint included, to one integrator or summer call, at the side
+    # tolerance unchanged: a scaled series side (E8, E16, E22, E23) carries
+    # its factor in its terms, so no side rescales its tolerance
     calls, _ = _record_calls(monkeypatch, ("integrate_unit", "integrate_semi_infinite",
                                            "sum_direct", "sum_alternating_accelerated"))
     for case in registry().values():
         del calls[:]
         verify(case.id, 9)
         sides = sum(not _is_closed_form(side) for side in (case.lhs, case.rhs))
-        assert len(calls) == sides + (3 if case.id == "E23" else 0), case.id
+        assert len(calls) == sides, case.id
+        assert [tol for _, _, tol, _ in calls] == [side_tolerance(DEFAULT_TOL)] * sides, case.id
 
 
 def test_e11_makes_one_polylog_call_per_order_and_sign(monkeypatch):
@@ -362,19 +383,14 @@ def test_accelerated_bound_covers_every_grid_row():
     # proven for E5, EC6 and E21/E22 at p = 1 and only an estimate for E7,
     # E16, E19 and E21/E22 at p >= 2. At the evaluation tolerance it must
     # still cover the error of every grid-33 row against a direct sum
-    # taken to the rounding floor
-    builders = {
-        "E5": _gen_skew_odd_denom,
-        "EC6": _gen_skew_linear_denom,
-        "E7": _gen_odd_harmonic_leibniz,
-        "E16": _gen_alt_odd_harmonic_sq,
-        "E19": _gen_alt_odd_harmonic_sq,
-        "E21": _gen_atan_pow_over_n,
-        "E22": _gen_atan_pow_beta,
-    }
+    # taken to the rounding floor. Each side's own builder is summed, the
+    # factor 1/2 of E16 and E22 included
+    sides = {"E5": "rhs", "EC6": "rhs", "E7": "rhs", "E16": "rhs", "E19": "lhs", "E21": "rhs",
+             "E22": "rhs"}
     reference = Tolerance(1e-18, 0.0)
-    for case_id, build in builders.items():
+    for case_id, side in sides.items():
         case = registry()[case_id]
+        build = inspect.getclosurevars(getattr(case, side).rows).nonlocals["build"]
         tol = side_tolerance(DEFAULT_TOL)
         points = [fixed | {"alpha": a} for fixed in ([{"p": p} for p in (1, 2, 3, 4)]
                                                      if case.discrete else [{}])

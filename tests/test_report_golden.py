@@ -18,9 +18,9 @@ from quadident.ledger import render_json, verify_all
 
 _RECORDED_WITH = ("3.11", "2.4.6")  # Python major.minor, numpy
 _DIGESTS = {
-    5: "13327dcc9d013c8f0bcbe7667f73d4ee22b16ef9e99fdba9dda2cb452f92fb07",
-    9: "a2c356a5f05286bc3893aa7118f3e95c9830a616ce766b7a89e1aa4c15bbc764",
-    33: "5594cd9da815ed291771fe033372e860a6a93cff23d5a3d325ca83e2eaafd06e",
+    5: "dad062a8243c7d42142f8b393aed03de4b6ef02cc06023cc89624f5d36150a7a",
+    9: "fe5254ca690fda19df05225da3b9e03946e218a086e74bbd2c833e985a6cfd83",
+    33: "2daff1167c13c590a5cb4014a1508f85ff8299c6505a2dc04bc3e38923ee2050",
 }
 _LIST_DIGEST = "d67b8df83bcb114ac13b77b6971aeca4abcfd9f0e4235ccf9b71d3293ef01d09"
 

@@ -357,6 +357,17 @@ def test_scaling_is_exact():
     assert res_s.terms_used == res.terms_used
 
 
+def test_max_work_caps_a_direct_sum_exactly_and_a_cvz_sum_from_five_terms():
+    # the CVZ sum takes n >= 1 and reads n + 4 terms, so a cap below 5 still
+    # reads 5; the direct sum stops at any cap
+    g = _alt_harmonic_gen()
+    for max_work in (1, 2, 3, 4, 5, 6, 10):
+        tol = Tolerance(1e-15, 1e-15, max_work)
+        assert sum_alternating_accelerated(g, tol).terms_used == max(max_work, 5), max_work
+        res = sum_direct(g, tol)
+        assert res.terms_used == max_work and not res.converged, max_work
+
+
 def test_sign_violation_raises_with_index():
     g = _gen(lambda n: 1.0 / (n + 1.0) ** 2, name="bogus")
     with pytest.raises(SignPatternError, match=r"indices \d+"):

@@ -95,6 +95,14 @@ def test_polylog_domain_errors():
         polylog_complex(2, 1.1 + 0.1j)
 
 
+def test_polylog_complex_rejects_nan():
+    # a NaN real part must not be clamped into [-1, 1] (it read as Li2(-1))
+    nan = math.nan
+    for z in (nan, complex(nan, 0.5), complex(0.5, nan)):
+        with pytest.raises(ValueError, match="polylog_complex requires"):
+            polylog_complex(2, z)
+
+
 # arguments from each real path: the defining series (|x| <= 0.85), the
 # log-series (x > 0.85), the duplication formula (x < -0.85), and 0 and +-1
 _REAL_ARGS = st.one_of(
