@@ -70,26 +70,44 @@ class _FloatPrefix:
     intractable. ``step`` maps indices to terms; ``_BLOCK`` values at a time
     are ``sums + comps`` of ``neumaier_prefix``, seeded with the last sum and
     compensation, within an ulp or two of the rounded exact values.
+
+    The values are one stored array, replaced by a longer one as it grows. A
+    read takes one index, giving a float, or an integer array of indices,
+    giving an array of the same doubles; a negative index raises
+    ``ValueError`` in either form (numpy indexing would wrap it).
     """
 
     __slots__ = ("_vals", "_s", "_c", "_step")
 
     def __init__(self, step):
-        self._vals = [0.0]
+        self._vals = np.zeros(1)
         self._s = self._c = np.zeros(1)
         self._step = step
 
-    def value(self, n: int) -> float:
-        if n < 0:
+    def value(self, n):
+        scalar = isinstance(n, int)
+        low, high = (n, n) if scalar else (n.min(initial=0), n.max(initial=0))
+        if low < 0:
             raise ValueError("index must be nonnegative")
-        if len(self._vals) <= n:
-            with _CACHE_LOCK:
-                while len(self._vals) <= n:
-                    k = np.arange(len(self._vals), len(self._vals) + _BLOCK)
-                    sums, comps = neumaier_prefix(self._s, self._c, self._step(k)[None])
-                    self._s, self._c = sums[:, -1], comps[:, -1]
-                    self._vals.extend((sums + comps)[0].tolist())
-        return self._vals[n]
+        vals = self._vals
+        if len(vals) <= high:
+            vals = self._grow(high)
+        return vals[n].item() if scalar else vals[n]
+
+    def _grow(self, n: int) -> np.ndarray:
+        """The stored values, grown by whole blocks to hold index ``n``."""
+        with _CACHE_LOCK:
+            blocks = [self._vals]
+            size = len(self._vals)
+            while size <= n:
+                k = np.arange(size, size + _BLOCK)
+                sums, comps = neumaier_prefix(self._s, self._c, self._step(k)[None])
+                self._s, self._c = sums[:, -1], comps[:, -1]
+                blocks.append((sums + comps)[0])
+                size += _BLOCK
+            if len(blocks) > 1:
+                self._vals = np.concatenate(blocks)
+            return self._vals
 
 
 _BLOCK = 1024
@@ -98,15 +116,18 @@ _ODD_F = _FloatPrefix(lambda k: 1.0 / (2 * k - 1))
 _LEIBNIZ_F = _FloatPrefix(lambda k: np.where(k % 2 == 1, 1.0, -1.0) / (2 * k - 1))
 
 
-def skew_harmonic_float(n: int) -> float:
+def skew_harmonic_float(n):
+    """``skew_harmonic(n)`` as a float, or at each index of an integer array."""
     return _SKEW_F.value(n)
 
 
-def odd_harmonic_float(n: int) -> float:
+def odd_harmonic_float(n):
+    """``odd_harmonic(n)`` as a float, or at each index of an integer array."""
     return _ODD_F.value(n)
 
 
-def leibniz_partial_float(n: int) -> float:
+def leibniz_partial_float(n):
+    """``leibniz_partial(n)`` as a float, or at each index of an integer array."""
     return _LEIBNIZ_F.value(n)
 
 

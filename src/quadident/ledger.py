@@ -150,43 +150,54 @@ def side_tolerance(tol: Tolerance) -> Tolerance:
 
 
 def _evaluate(evaluator, pts, skip, tol) -> tuple[EvalRows, dict[int, Exception]]:
-    """One side at the points not in ``skip``, by one ``evaluator.rows`` call
-    (see :func:`_fill`), as a full-length ``EvalRows`` (complex values, for a
-    complex closed form; NaN and no work where unset), and the exception of
-    each point that raised, by index."""
+    """One side at the points not in ``skip``, as a full-length ``EvalRows``,
+    and the exception of each point that raised, by index.
+
+    The points go to one ``evaluator.rows`` call (see :func:`_fill`). When
+    that call covers every point, its columns are the side's as they come,
+    scalar work and convergence broadcast to every row; only when a point was
+    skipped or the call raised are the parts' columns scattered into new
+    ones, NaN and no work where unset. Values are float64, or complex128 for
+    a complex closed form."""
     n = len(pts)
-    side = EvalRows(np.full(n, np.nan, dtype=complex), np.zeros(n, dtype=int),
-                    np.zeros(n, dtype=int), np.ones(n, dtype=bool))
+    parts: list = []
     errors: dict[int, Exception] = {}
     idx = [i for i in range(n) if i not in skip]
     if idx:
-        _fill(side, errors, evaluator, idx, [pts[i] for i in idx], tol)
+        _fill(parts, errors, evaluator, idx, [pts[i] for i in idx], tol)
+    if len(idx) == n and len(parts) == 1:
+        return EvalRows(*(c if isinstance(c, np.ndarray) else np.full(n, c)
+                          for c in parts[0][1])), errors
+    dtype = np.result_type(float, *(out.value for _, out in parts))
+    side = EvalRows(np.full(n, np.nan, dtype), np.zeros(n, dtype=int), np.zeros(n, dtype=int),
+                    np.ones(n, dtype=bool))
+    for at, out in parts:
+        for column, values in zip(side, out):
+            column[at] = values
     return side, errors
 
 
-def _fill(side, errors, evaluator, idx, points, tol):
-    """The points in one ``evaluator.rows`` call, each column stored at
-    ``idx``; if it raises, one point records the exception in ``errors``, and
-    more go to :func:`_bisect`."""
+def _fill(parts, errors, evaluator, idx, points, tol):
+    """The points in one ``evaluator.rows`` call, appended to ``parts`` with
+    their indices ``idx``; if it raises, one point records the exception in
+    ``errors``, and more go to :func:`_bisect`."""
     try:
         out = evaluator.rows(points, tol)
     except Exception as exc:
         if len(idx) > 1:
-            _bisect(side, errors, evaluator, idx, points, tol)
+            _bisect(parts, errors, evaluator, idx, points, tol)
         else:
             errors[idx[0]] = exc
     else:
-        idx = np.asarray(idx)
-        for column, values in zip(side, out):
-            column[idx] = values
+        parts.append((idx, out))
 
 
-def _bisect(side, errors, evaluator, idx, points, tol):
+def _bisect(parts, errors, evaluator, idx, points, tol):
     """Points whose rows call raised, in two halves through :func:`_fill`; a
     half that succeeds has the bits of the whole call: a row is its one-point run."""
     half = len(idx) // 2
     for part in (slice(None, half), slice(half, None)):
-        _fill(side, errors, evaluator, idx[part], points[part], tol)
+        _fill(parts, errors, evaluator, idx[part], points[part], tol)
 
 
 _REASONS = np.array(["", REASON_MISMATCH, REASON_IMAG, REASON_NOT_CONVERGED])
@@ -197,21 +208,25 @@ def _judge(case_id, pts, eff, lhs: EvalRows, rhs: EvalRows, errors) -> list[Veri
     array pass, as the scalar rule gives them for real parts a and b:
     abs_error = |a - b|, rel_error = abs_error / max(|a|, |b|) (0 where that
     is 0), and a pass needs a finite abs_error within ``eff.margin(a, b)``;
-    ``max`` is Python's, which keeps its first argument against a NaN. An
-    imaginary part fails beyond ``abs_tol + rel_tol * max(|its real part|,
-    |a|)`` (``|a|`` for the right side only). ``not_converged`` comes before
-    the imaginary check, which comes before ``mismatch``. A point in
-    ``errors`` (index -> exception) fails with the exception's text and NaN
-    errors, and keeps the value and the work of a left side that finished."""
+    ``max`` is Python's, which keeps its first argument against a NaN. The
+    imaginary part of a complex column fails beyond ``abs_tol + rel_tol *
+    max(|its real part|, |a|)`` (``|a|`` for the right side only); a real
+    column has none to check. ``not_converged`` comes before the imaginary
+    check, which comes before ``mismatch``. A point in ``errors`` (index ->
+    exception) fails with the exception's text and NaN errors, and keeps the
+    value and the work of a left side that finished."""
     a, b = lhs.value.real, rhs.value.real
+    imag = False
     with np.errstate(all="ignore"):  # inf and nan propagate as in Python floats
         abs_a, abs_b = np.abs(a), np.abs(b)
         diff = np.abs(a - b)
         scale = np.where(abs_b > abs_a, abs_b, abs_a)
         ok = np.isfinite(diff) & (diff <= eff.abs_tol + eff.rel_tol * scale)
         rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale != 0.0)
-        imag = (np.abs(lhs.value.imag) > eff.abs_tol + eff.rel_tol * abs_a) | (
-            np.abs(rhs.value.imag) > eff.abs_tol + eff.rel_tol * np.where(
+        if lhs.value.dtype.kind == "c":
+            imag = np.abs(lhs.value.imag) > eff.abs_tol + eff.rel_tol * abs_a
+        if rhs.value.dtype.kind == "c":
+            imag = imag | (np.abs(rhs.value.imag) > eff.abs_tol + eff.rel_tol * np.where(
                 abs_a > abs_b, abs_a, abs_b))
     converged = lhs.converged & rhs.converged
     code = np.where(~converged, 3, np.where(imag, 2, (~ok).astype(int)))

@@ -8,7 +8,8 @@ the last level-to-level change with a safety factor of 10, a rounding floor,
 and the truncation term ``|w f|`` at the outermost nodes ``t = +-4``. No row
 may stop before level 2, so levels 0-2 (those that ``max_work`` allows) are
 evaluated as one run: one ``f`` call and one ``f_right`` call over their
-nodes, each level's sums taken from its own slice.
+nodes, each level's sums taken from its own slice. A run's nodes, joined
+for those calls, are built once and cached, like each level's.
 
 Semi-infinite integrals are split at 1 and the far part is mapped back to the
 unit interval with ``x -> 1/x``, mirroring the classical manipulation of the
@@ -142,6 +143,23 @@ def _widened(v: np.ndarray, shape: tuple) -> np.ndarray:
     return v if v.shape == shape else np.full(shape, v)
 
 
+@functools.cache
+def _run_nodes(start: int, stop: int, right: bool):
+    """The nodes of levels ``start .. stop-1`` as one run: the abscissae that
+    ``f`` takes, the distances to 1 that ``f_right`` takes (None without
+    ``right``), and ``(w, n, m)`` per level, with ``f`` taking the first m of
+    its n nodes. Built once per run and cached; the arrays are read-only."""
+    nodes = [_level_nodes(level) for level in range(start, stop)]
+    # with f_right, f takes the prefix t <= 0 of each level: t is symmetric about 0
+    split = [(len(t) + 1) // 2 if right else len(t) for t, *_ in nodes]
+    arg = np.concatenate([x[:m] for (_, x, _, _), m in zip(nodes, split)])
+    darg = np.concatenate([d[m:] for (_, _, d, _), m in zip(nodes, split)]) if right else None
+    for a in (arg, darg):
+        if a is not None:
+            a.setflags(write=False)
+    return arg, darg, tuple((w, len(t), m) for (t, _, _, w), m in zip(nodes, split))
+
+
 def _eval_levels(f, f_right, levels: range, k: int):
     """Weighted integrand values ``w f`` of ``k`` rows at the new nodes of a
     run of levels, from one ``f`` call (and one ``f_right`` call) over the
@@ -150,24 +168,17 @@ def _eval_levels(f, f_right, levels: range, k: int):
     ``np.empty`` block filled from the two pieces' values. A level's values
     are searched for a non-finite one only when some row sum is not finite,
     level by level in order."""
-    nodes = [_level_nodes(level) for level in levels]
-    # with f_right, f takes the prefix t <= 0 of each level: t is symmetric about 0
-    split = [len(t) if f_right is None else (len(t) + 1) // 2 for t, *_ in nodes]
-    xs = [x[:m] for (_, x, _, _), m in zip(nodes, split)]
-    arg = np.concatenate(xs) if len(xs) > 1 else xs[0]
+    arg, darg, nodes = _run_nodes(levels.start, levels.stop, f_right is not None)
     left = _real_values("f", f, arg)
     if f_right is None:
         left = _widened(left, (k, len(arg)))
     else:
-        ds = [delta[m:] for (_, _, delta, _), m in zip(nodes, split)]
-        darg = np.concatenate(ds) if len(ds) > 1 else ds[0]
         right = _real_values("f_right", f_right, darg)
         # each piece needs its nodes on the last axis (a scalar serves every node)
         left = _widened(left, left.shape[:-1] + (len(arg),))
         right = _widened(right, right.shape[:-1] + (len(darg),))
     out, a, b = [], 0, 0
-    for (t, x, delta, w), m in zip(nodes, split):
-        n = len(t)
+    for level, (w, n, m) in zip(levels, nodes):
         if f_right is None:
             v = left[:, a:a + n]
         else:
@@ -180,6 +191,7 @@ def _eval_levels(f, f_right, levels: range, k: int):
         if not np.isfinite(size).all():
             finite = np.isfinite(v)
             if not finite.all():
+                _, x, delta, _ = _level_nodes(level)
                 bad = int(np.flatnonzero(~finite)[0]) % n
                 raise QuadratureError(
                     f"integrand returned a non-finite value at x={float(x[bad])!r} "

@@ -256,14 +256,16 @@ def _spec_atan_pow_cauchy(alpha: float, p: int) -> IntegrandSpec:
 # ---------------------------------------------------------------------------
 
 
-def _powers(base, exponents: range | list[range]) -> np.ndarray:
-    """``base ** e`` for each row of a scalar or column ``base`` and each e of
-    one range, or of each row's own range of that length: ``(rows, len)``.
-    Python's pow: at the grid alphas np.power rounds some powers differently."""
-    bases = np.ravel(base).tolist()
-    ranges = exponents if isinstance(exponents, list) else [exponents] * len(bases)
-    flat = chain.from_iterable(map(pow, repeat(b), e) for b, e in zip(bases, ranges))
-    return np.fromiter(flat, float, len(bases) * len(ranges[0])).reshape(len(bases), -1)
+def _powers(base, exponents) -> np.ndarray:
+    """``base ** e`` for each row of a scalar or column ``base``: ``(rows, m)``
+    for integer ``exponents`` (a range or an array) of shape ``(m,)``, shared
+    by every row, or ``(rows, m)``, one row each. Python's pow: at the grid
+    alphas np.power rounds some powers differently."""
+    bases, exps = np.ravel(base).tolist(), np.atleast_2d(exponents).tolist()
+    rows = max(len(bases), len(exps))  # a single base or exponent row serves every row
+    flat = chain.from_iterable(map(pow, repeat(b), e) for b, e in zip(
+        bases * (rows // len(bases)), exps * (rows // len(exps))))
+    return np.fromiter(flat, float, rows * len(exps[0])).reshape(rows, -1)
 
 
 def _scaled(g: TermGenerator, s) -> TermGenerator:
@@ -276,8 +278,8 @@ def _gen_skew_odd_denom(alpha=1.0) -> TermGenerator:
     r = alpha * alpha
 
     def terms(n0: int, n1: int) -> np.ndarray:
-        lead = np.array([_LOG2 - skew_harmonic_float(n) for n in range(n0, n1)])
-        return lead * alpha * _powers(r, range(n0, n1)) / (2.0 * np.arange(n0, n1) + 1.0)
+        n = np.arange(n0, n1)
+        return (_LOG2 - skew_harmonic_float(n)) * alpha * _powers(r, n) / (2.0 * n + 1.0)
 
     return TermGenerator(terms, 0, ALTERNATING, name="skew-harmonic odd series")
 
@@ -285,8 +287,8 @@ def _gen_skew_odd_denom(alpha=1.0) -> TermGenerator:
 def _gen_skew_linear_denom(alpha=1.0) -> TermGenerator:
     # sum_{n>=0} (log2 - H_n^-) a^(n+1) / (n+1)
     def terms(n0: int, n1: int) -> np.ndarray:
-        lead = np.array([_LOG2 - skew_harmonic_float(n) for n in range(n0, n1)])
-        return lead * _powers(alpha, range(n0 + 1, n1 + 1)) / np.arange(n0 + 1.0, n1 + 1.0)
+        n = np.arange(n0, n1)
+        return (_LOG2 - skew_harmonic_float(n)) * _powers(alpha, n + 1) / (n + 1.0)
 
     return TermGenerator(terms, 0, ALTERNATING, name="skew-harmonic series")
 
@@ -297,19 +299,19 @@ def _gen_odd_harmonic_leibniz(alpha) -> TermGenerator:
     quarter_pi = _PI / 4.0
 
     def terms(n0: int, n1: int) -> np.ndarray:
-        lead = np.array([odd_harmonic_float(n) / n * (leibniz_partial_float(n) - quarter_pi)
-                         for n in range(n0, n1)])
-        return lead * _powers(r, range(n0, n1))
+        n = np.arange(n0, n1)
+        lead = odd_harmonic_float(n) / n * (leibniz_partial_float(n) - quarter_pi)
+        return lead * _powers(r, n)
 
     return TermGenerator(terms, 1, ALTERNATING, name="odd-harmonic Leibniz series")
 
 
 def _odd_harmonic_over_square(alpha, n0: int, n1: int, signed: bool) -> np.ndarray:
     # (-1)^(n-1) h_n a^(2n) / n^2 when signed, else h_n a^(2n) / n^2
-    lead = np.array([(1.0 if n % 2 or not signed else -1.0) * odd_harmonic_float(n)
-                     for n in range(n0, n1)])
-    n = np.arange(n0, n1, dtype=float)
-    return lead * _powers(alpha * alpha, range(n0, n1)) / (n * n)
+    n = np.arange(n0, n1)
+    h = odd_harmonic_float(n)
+    lead = np.where(n % 2 == 1, h, -h) if signed else h
+    return lead * _powers(alpha * alpha, n) / (n * n.astype(float))
 
 
 def _gen_alt_odd_harmonic_sq(alpha=1.0) -> TermGenerator:
@@ -346,21 +348,23 @@ def _atan_beta_coeff(n: int, p: int) -> float:
 
 
 def _atan_pow_terms(coeff, alpha, p, m0: int, m1: int):
-    """``coeff(n, p) * alpha ** n`` and the ranges of n = p + 2m, m0 <= m < m1,
-    for each row of ``alpha`` and ``p``; ``coeff`` gets Python ints, once per p."""
-    alphas, ps = np.ravel(alpha).tolist(), np.ravel(p).tolist()
-    rows = max(len(alphas), len(ps))  # a scalar serves every row
-    alphas, ps = alphas * (rows // len(alphas)), ps * (rows // len(ps))
-    ns = [range(q + 2 * m0, q + 2 * m1, 2) for q in ps]
-    lead = {q: [coeff(n, q) for n in r] for q, r in dict(zip(ps, ns)).items()}
-    return np.array([lead[q] for q in ps]) * _powers(alphas, ns), ns
+    """``coeff(n, p) * alpha ** n`` and the exponents n = p + 2m, m0 <= m < m1,
+    for each row of ``alpha`` and ``p``: ``(rows, m1 - m0)`` and an integer
+    ``(rows of p, m1 - m0)`` array. Each distinct p fills one row of
+    coefficients, ``coeff`` getting Python ints, which its rows pick by index."""
+    ps = np.ravel(p)
+    qs = ps.tolist()
+    row_of = {q: i for i, q in enumerate(dict.fromkeys(qs))}
+    table = np.array([[coeff(n, q) for n in range(q + 2 * m0, q + 2 * m1, 2)] for q in row_of])
+    ns = ps[:, None] + 2 * np.arange(m0, m1)
+    return table[[row_of[q] for q in qs]] * _powers(alpha, ns), ns
 
 
 def _gen_atan_pow_over_n(alpha, p) -> TermGenerator:
     # nonzero coefficients only: term m is A(n,p) a^n / n at n = p + 2m
     def terms(m0: int, m1: int) -> np.ndarray:
         t, ns = _atan_pow_terms(_atan_coeff_float, alpha, p, m0, m1)
-        return t / np.array(ns, dtype=float)
+        return t / ns
 
     return TermGenerator(terms, 0, ALTERNATING, name="arctan-power coefficient series")
 

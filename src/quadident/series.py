@@ -31,8 +31,12 @@ the same order. A row stops at the first index that meets the stop rule, so
 its value, ``terms_used``, ``remainder_bound`` and ``converged`` are bit for
 bit those of the one-row run; terms computed past a row's stop are never
 read. :func:`sum_alternating_accelerated` reads the first term of every row,
-then the other terms of all rows in one call, and sums each row with
-``math.fsum``, so its rows too are bit for bit their one-row runs. A single
+then the other terms of all rows in one call. Each row's value is
+``math.fsum`` of its weighted terms; its check sum S_n and the sums of
+|w_k t_k| behind its rounding floor are left-to-right row sums
+(``np.add.accumulate``), whose order does not depend on the batch's width,
+as numpy's pairwise ``np.sum`` does. So its rows too are bit for bit their
+one-row runs. A single
 :class:`TermGenerator` is each driver's one-row case; a rows call returns
 :class:`SummationRows`: ``(rows,)`` columns of value, remainder bound, terms
 used and convergence, plus the batch totals ``terms_used`` (sum over rows)
@@ -300,6 +304,14 @@ def _cvz_table(width: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _rate_powers(width: int) -> np.ndarray:
+    """(3+sqrt 8)^n for n = 0 .. ``width``, each Python's pow."""
+    powers = np.array([_RATE**n for n in range(width + 1)])
+    powers.flags.writeable = False
+    return powers
+
+
 def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
     """CVZ sums of the ``k`` rows of ``g``.
 
@@ -309,9 +321,15 @@ def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
     |t_0|/2 <= |S| <= |t_0| and |S_{n+4} - S_n| < 4|t_0|/(3+sqrt 8)^n, so the
     bound then stays below half the target plus the rounding floor; below
     2^-53 |t_0| the floor dominates and more terms cannot help. A row reads
-    its terms up to n + _EXTRA, each checked as in the direct sum. Each row's
-    sums are ``math.fsum`` of its own products, so a row's result is bit for
-    bit that of its one-row run.
+    its terms up to n + _EXTRA, each checked as in the direct sum.
+
+    The value S_{n+4} of each row is ``math.fsum`` of its products, the one
+    sum whose bits the report carries. S_n and the rounding floor's sums of
+    |w_k t_k| are left-to-right row sums (``np.add.accumulate``), exact zeros
+    standing for the terms past a row's own; the floor adds n 2^-53 times
+    S_n's sum of |w_k t_k|, which bounds the rounding of that running sum.
+    Neither sum depends on the batch's width, as a pairwise ``np.sum``'s
+    would, so a row's result is bit for bit that of its one-row run.
     """
     first = g.first_index
     t0 = _terms(g, first, first + 1, k)[:, 0]
@@ -319,29 +337,27 @@ def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
     with np.errstate(all="ignore"):
         target = np.maximum(tol.abs_tol + 0.5 * tol.rel_tol * a0, 2.0**-53 * a0)
         need = np.ceil(np.log(8.0 * a0 / target) / math.log(_RATE))
-    need = np.where(np.isfinite(need), need, 1.0)  # t_0 zero or not finite
-    ns = np.clip(need, 1, max(1, tol.max_work - _EXTRA)).astype(int)
-    used = ns + _EXTRA
-    t = np.concatenate([t0[:, None], _terms(g, first + 1, first + int(used.max()), k)], axis=1)
-    with np.errstate(all="ignore"):
+        need = np.where(np.isfinite(need), need, 1.0)  # t_0 zero or not finite
+        ns = np.clip(need, 1, max(1, tol.max_work - _EXTRA)).astype(int)
+        used = ns + _EXTRA
+        t = np.concatenate([t0[:, None], _terms(g, first + 1, first + int(used.max()), k)],
+                           axis=1)
         same = _same_sign(g, t[:, :-1], t[:, 1:], np.arange(first, first + t.shape[1] - 1))
-    _check_read(g, t, same, first, used - 1)
-    # every row's products in one array: S_n and S_{n+4} weigh the first n
-    # and n + 4 terms, and a row's products past those are never read
-    w = _cvz_table(t.shape[1])
-    with np.errstate(all="ignore"):
-        full = w[used] * t
-        heads = (w[ns] * t).tolist()
-    values, bounds = [], []
-    for row, head, n, a in zip(full.tolist(), heads, ns.tolist(), a0.tolist()):
-        value = math.fsum(row[:n + _EXTRA])
-        partial = math.fsum(head[:n])
-        floor = 4.5e-16 * math.fsum(map(abs, row[:n + _EXTRA]))
-        values.append(value)
-        bounds.append(abs(value - partial) + 2.0 * a / _RATE**n + floor)
-    values, bounds = np.array(values), np.array(bounds)
-    return SummationRows(values, bounds, used,
-                         bounds <= tol.abs_tol + tol.rel_tol * np.abs(values))
+        _check_read(g, t, same, first, used - 1)
+        # S_n and S_{n+4} weigh a row's first n and n + 4 terms, and zero the
+        # rest, which are never read: zeros stand in for them
+        w = _cvz_table(t.shape[1])
+        w_full, w_head = w[used], w[ns]
+        t = np.where(w_full != 0.0, t, 0.0)
+        full, heads = w_full * t, w_head * t
+        values = np.array(list(map(math.fsum, full.tolist())))
+        partial, size, head_size = np.add.accumulate(
+            [heads, np.abs(full), np.abs(heads)], axis=2)[..., -1]
+        # (n-1)u/(1-(n-1)u) < n 2^-53 bounds the rounding of S_n's running sum
+        floor = 4.5e-16 * size + 2.0**-53 * ns * head_size
+        bounds = np.abs(values - partial) + 2.0 * a0 / _rate_powers(t.shape[1])[ns] + floor
+        return SummationRows(values, bounds, used,
+                             bounds <= tol.abs_tol + tol.rel_tol * np.abs(values))
 
 
 def sum_alternating_accelerated(g: TermGenerator | Rows,

@@ -7,6 +7,7 @@ import threading
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,13 +112,34 @@ def test_float_prefixes_are_the_streaming_sums(monkeypatch, accessor, cache, ter
     assert [accessor(k) for k in range(n + 1)] == expected
     _fresh_prefix(monkeypatch, cache)
     assert [accessor(k) for k in range(n + 1)] == expected
+    # an integer array reads the same doubles: from a fresh prefix, from one
+    # grown to the last index, and across a block boundary from one that
+    # holds only the indices below it
+    indices = np.arange(n + 1)
+    _fresh_prefix(monkeypatch, cache)
+    assert accessor(indices).tolist() == expected
+    assert accessor(indices).tolist() == expected
+    _fresh_prefix(monkeypatch, cache)
+    accessor(1)
+    held = len(getattr(combinatorics, cache)._vals)  # index 0 and the first block
+    assert held == 1 + combinatorics._BLOCK
+    assert accessor(indices[held - 3:held + 3]).tolist() == expected[held - 3:held + 3]
+    assert accessor(indices[::-1][:5]).tolist() == expected[::-1][:5]
 
 
 def test_negative_index_rejected():
     for fn in (skew_harmonic, odd_harmonic, leibniz_partial,
                skew_harmonic_float, odd_harmonic_float, leibniz_partial_float):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             fn(-1)
+    # an array with a negative index raises too, where numpy indexing would
+    # read from the end of the stored values
+    for fn in (skew_harmonic_float, odd_harmonic_float, leibniz_partial_float):
+        fn(10)
+        for indices in ([-1], [3, -1, 5], [-2000]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(np.array(indices))
+        assert fn(np.array([], dtype=int)).tolist() == []
 
 
 # ---------------------------------------------------------------------------

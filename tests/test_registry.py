@@ -92,11 +92,13 @@ def _is_scalar_spec(spec):
 
 def _side_points(case):
     """The grid-33 points of a case with a continuous parameter and the
-    points at its axis's ends, for every discrete value: all the points one
-    side evaluates in its one rows call."""
+    points at its axis's ends, for every discrete value (or the discrete
+    values alone): all the points one side evaluates in its one rows call."""
+    combos = itertools.product(*[[(d.name, v) for v in d.values] for d in case.discrete])
+    if not case.continuous:
+        return [dict(combo) for combo in combos]
     axis = case.continuous[0]
     values = axis.points(33) + list(axis.ends)
-    combos = itertools.product(*[[(d.name, v) for v in d.values] for d in case.discrete])
     return [dict(combo) | {axis.name: v} for combo in combos for v in values]
 
 
@@ -177,12 +179,12 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
     # the one-point run of the generator its builder makes from scalar
     # parameters; a side sends all of its points, each p included, to one rows
     # call: the accelerated sum for an alternating series, the direct sum for
-    # a positive one
+    # a positive one. E23 has only its discrete p, and a scale column over p
     calls, originals = _record_calls(monkeypatch, ("sum_direct", "sum_alternating_accelerated"))
     batched, accelerated = set(), set()
     for case in registry().values():
         for side in (case.lhs, case.rhs):
-            if "series" not in side.describe or not case.continuous:
+            if "series" not in side.describe or not (case.continuous or case.discrete):
                 continue
             batched.add(case.id)
             tol = side_tolerance(DEFAULT_TOL)
@@ -200,8 +202,34 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
                 assert [row] == [_sum_bits(alone)], (case.id, point)
                 one = one_point(side, point, tol)
                 assert out == (one.value, one.terms, one.converged), (case.id, point)
-    assert batched == {"E5", "E7", "EC6", "E16", "E18", "E19", "E21", "E22"}
-    assert accelerated == {"E5", "E7", "EC6", "E16", "E19", "E21", "E22"}
+    assert batched == {"E5", "E7", "EC6", "E16", "E18", "E19", "E21", "E22", "E23"}
+    assert accelerated == {"E5", "E7", "EC6", "E16", "E19", "E21", "E22", "E23"}
+
+
+def test_series_builders_read_each_prefix_once_per_terms_call(monkeypatch):
+    # a float prefix is read as one integer array per terms call, never index
+    # by index: a warm grid-33 pass of E18 (its 33 rows, chunk by chunk)
+    # makes as many prefix reads as its generator makes terms calls
+    module = importlib.import_module("quadident.registry")
+    series = importlib.import_module("quadident.series")
+    verify("E18", grid_size=33)
+    reads, terms_calls = [], []
+    prefix, read_terms = module.odd_harmonic_float, series._terms
+
+    def record_read(n):
+        reads.append(np.ndim(n))
+        return prefix(n)
+
+    def record_terms(*args):
+        terms_calls.append(args)
+        return read_terms(*args)
+
+    monkeypatch.setattr(module, "odd_harmonic_float", record_read)
+    monkeypatch.setattr(series, "_terms", record_terms)
+    outs = verify("E18", grid_size=33)
+    assert all(o.passed for o in outs)
+    assert len(reads) == len(terms_calls) > 1
+    assert reads == [1] * len(reads)  # no scalar read
 
 
 def test_every_side_is_made_by_one_of_three_evaluators():
