@@ -65,11 +65,12 @@ def leibniz_partial(n: int) -> Fraction:
 class _FloatPrefix:
     """Float mirror of a prefix-sum sequence, accumulated with compensation.
 
-    Registered cases read at most index 481; only the public direct sum of a
-    slowly decaying series reads further, where exact rationals are
-    intractable. ``step`` maps indices to terms; ``_BLOCK`` values at a time
-    are ``sums + comps`` of ``neumaier_prefix``, seeded with the last sum and
-    compensation, within an ulp or two of the rounded exact values.
+    Registered cases read at most index 4095 (E18 takes h_m from its
+    expansion above); only the public direct sum of a slowly decaying series
+    reads further, where exact rationals are intractable. ``step`` maps
+    indices to terms; ``_BLOCK`` values at a time are ``sums + comps`` of
+    ``neumaier_prefix``, seeded with the last sum and compensation, within an
+    ulp or two of the rounded exact values.
 
     The values are one stored array, replaced by a longer one as it grows. A
     read takes one index, giving a float, or an integer array of indices,

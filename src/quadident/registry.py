@@ -1,12 +1,12 @@
 """The identity registry: every verified equation as an LHS/RHS evaluator pair.
 
 Each case couples two independently computed sides: a tanh-sinh quadrature, a
-series summation (direct or CVZ-accelerated), or a closed form built from
-polylogarithms and the constants table. Removable-singularity handling and
-endpoints are owned here: integrands singular at 1 state their stable form
-``f_right`` in the distance to 1, a continuous axis lists the ends of its
-interval that are evaluated besides its interior grid, and a closed form
-takes the limit of a 0 * inf term at such an end itself.
+CVZ-accelerated series sum, or a closed form built from polylogarithms and
+the constants table. Removable-singularity handling and endpoints are owned
+here: integrands singular at 1 state their stable form ``f_right`` in the
+distance to 1, a continuous axis lists the ends of its interval that are
+evaluated besides its interior grid, and a closed form takes the limit of a
+0 * inf term at such an end itself.
 
 Identity ids (E1, E2, E4, ..., E23) are stable strings used by the CLI and
 the report schema; ``source`` labels where each identity is classically
@@ -32,10 +32,9 @@ from .numerics import CONSTANTS, DEFAULT_TOL, Rows, Tolerance, fsum_rows
 from .quadrature import IntegrandSpec, integrate_semi_infinite, integrate_unit
 from .series import (
     ALTERNATING,
-    POSITIVE,
     TermGenerator,
     sum_alternating_accelerated,
-    sum_direct,
+    sum_direct,  # unused by the sides; the benchmark's tracer wraps it here by name
     sum_eq8,  # unused by the sides; the benchmark's tracer wraps it here by name
 )
 from .specfun import (
@@ -136,15 +135,13 @@ def _series(describe: str, build: Callable[..., TermGenerator]) -> Evaluator:
     """Series side: the sum of the series ``build`` makes from the parameters,
     as scalars or as columns; a constant factor of the side (E8, E16, E22,
     E23) lives in its terms (see :func:`_scaled`). All points go through one
-    rows call: an ALTERNATING series through the CVZ sum, whose bound is
-    proven for the moment sequences of E5, EC6, E6, EC6b and E21-E23 at p = 1
-    and an estimate for E7, E8, E16, E17, E19 and E21-E23 at p >= 2; a
-    POSITIVE one (E18) through the direct sum with its tail bound. The
-    summers are looked up here at call time, where the benchmark wraps them."""
+    rows call of the CVZ sum, whose bound is proven for the moment sequences
+    of E5, EC6, E6, EC6b and E21-E23 at p = 1 and an estimate for E7, E8,
+    E16-E19 and E21-E23 at p >= 2; E18's positive series is summed in van
+    Wijngaarden's alternating form. The summer is looked up here at call
+    time, where the benchmark wraps it."""
     def rows(points: list, tol: Tolerance) -> EvalRows:
-        batch = Rows(build, points)
-        res = (sum_alternating_accelerated if batch.at().sign_pattern == ALTERNATING
-               else sum_direct)(batch, tol)
+        res = sum_alternating_accelerated(Rows(build, points), tol)
         return EvalRows(res.values, terms=res.work, converged=res.row_converged)
 
     return Evaluator(describe, rows)
@@ -231,6 +228,17 @@ def _spec_logpow_single(p: int, beta: float) -> IntegrandSpec:
     return IntegrandSpec(f, f_right)
 
 
+def _spec_dilog_pair(alpha: float) -> IntegrandSpec:
+    # Li2(w) - Li2(-w) = int_0^1 (log(1+w x) - log(1-w x))/x dx, w = (1-a)/(1+a);
+    # near x = 1, 1 - w x = gap + w d with gap = 1 - w keeps its digits as a -> 0
+    w = (1.0 - alpha) / (1.0 + alpha)
+    gap = 2.0 * alpha / (1.0 + alpha)
+    return IntegrandSpec(
+        lambda x: (np.log1p(w * x) - np.log1p(-w * x)) / x,
+        f_right=lambda d: (np.log1p(w * (1.0 - d)) - np.log(gap + w * d)) / (1.0 - d),
+    )
+
+
 def _spec_atan_recip() -> IntegrandSpec:
     return IntegrandSpec(lambda t: np.arctan(t) * np.arctan(1.0 / t) / t)
 
@@ -306,30 +314,53 @@ def _gen_odd_harmonic_leibniz(alpha) -> TermGenerator:
     return TermGenerator(terms, 1, ALTERNATING, name="odd-harmonic Leibniz series")
 
 
-def _odd_harmonic_over_square(alpha, n0: int, n1: int, signed: bool) -> np.ndarray:
-    # (-1)^(n-1) h_n a^(2n) / n^2 when signed, else h_n a^(2n) / n^2
-    n = np.arange(n0, n1)
-    h = odd_harmonic_float(n)
-    lead = np.where(n % 2 == 1, h, -h) if signed else h
-    return lead * _powers(alpha * alpha, n) / (n * n.astype(float))
-
-
 def _gen_alt_odd_harmonic_sq(alpha=1.0) -> TermGenerator:
     # sum_{n>=1} (-1)^(n-1) h_n a^(2n) / n^2
-    return TermGenerator(lambda n0, n1: _odd_harmonic_over_square(alpha, n0, n1, True),
-                         1, ALTERNATING, name="alternating odd-harmonic series")
+    def terms(n0: int, n1: int) -> np.ndarray:
+        n = np.arange(n0, n1)
+        h = odd_harmonic_float(n)
+        return np.where(n % 2 == 1, h, -h) * _powers(alpha * alpha, n) / (n * n.astype(float))
+
+    return TermGenerator(terms, 1, ALTERNATING, name="alternating odd-harmonic series")
+
+
+_HALF_GAMMA = 0.28860783245076643  # Euler's constant / 2
+
+
+def _odd_harmonic_at(m: np.ndarray) -> np.ndarray:
+    """h_m at each whole float m >= 1: one read of the float prefix below
+    4096, and log 2 + (log m)/2 + gamma/2 + 1/(48 m^2) from there on, whose
+    next term, -7/(1920 m^4), is below 1.3e-17."""
+    small = m < 4096
+    h = odd_harmonic_float(np.where(small, m, 0).astype(int))
+    return np.where(small, h, (_LOG2 + _HALF_GAMMA) + 1.0 / (48.0 * m * m) + 0.5 * np.log(m))
 
 
 def _gen_pos_odd_harmonic_sq(alpha) -> TermGenerator:
-    # sum_{n>=1} h_n a^(2n) / n^2, positive terms, geometric-ratio tail bound
-    r = alpha * alpha
+    # sum_{n>=1} h_n a^(2n) / n^2, a positive series, as van Wijngaarden's
+    # alternating sum_{k>=1} (-1)^(k-1) b_k with b_k = sum_j 2^j t_(2^j k)
+    # = k^-2 sum_j 2^-j h_m r^m, m = 2^j k, r = a^2 (Press et al., Numerical
+    # Recipes, 3rd ed., 5.3). Part j of b_k is at most 2^-j h_(2^j) r^(2^j-1)
+    # <= 2^-j (1 + (j+1) log(2)/2) r^(2^j-1) times part 0, below 2^-55 from
+    # j = 60 on even at r = 1. The levels past those the slowest row needs add
+    # under half an ulp to every b_k: each row keeps the bits of its one-row run
+    r = min(float(np.max(alpha * alpha)), 1.0)
+    levels = 1
+    while levels < 64 and (1.0 + (levels + 1) * 0.5 * _LOG2) * r ** (
+            2**levels - 1) >= 2.0 ** (levels - 55):
+        levels += 1
+    scales = 2.0 ** -np.arange(levels)
+    with np.errstate(divide="ignore"):  # r^m = 0 at a = 0
+        log_r = np.reshape(2.0 * np.log(np.abs(alpha)), (-1, 1, 1))
 
-    def tail(m: np.ndarray, t: np.ndarray) -> np.ndarray:
-        q = r * (1.0 + 1.0 / (2 * m + 1))
-        return np.where(q < 1.0, np.abs(t) / (1.0 - q), math.inf)
+    def terms(k0: int, k1: int) -> np.ndarray:
+        k = np.arange(k0, k1)
+        m = k[:, None] * 2.0 ** np.arange(levels)
+        parts = _odd_harmonic_at(m) * scales * np.exp(m * log_r)
+        b = np.add.accumulate(parts, axis=2)[..., -1]
+        return np.where(k % 2 == 1, b, -b) / (k * k.astype(float))
 
-    return TermGenerator(lambda n0, n1: _odd_harmonic_over_square(alpha, n0, n1, False),
-                         1, POSITIVE, tail_bound=tail, name="odd-harmonic power series")
+    return TermGenerator(terms, 1, ALTERNATING, name="odd-harmonic power series")
 
 
 # A(n,p) and A(n,p) beta((n+1)/2) do not depend on alpha, so every grid point
@@ -441,11 +472,6 @@ def _rhs_lemma_odd(p, beta):
 
 def _rhs_lemma_single(p, beta):
     return _lemma_factor(p) * _polylog_orders(p, beta)
-
-
-def _lhs_dilog_pair(alpha: float) -> float:
-    w = (1.0 - alpha) / (1.0 + alpha)
-    return polylog_real(2, w) - polylog_real(2, -w)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +715,7 @@ def register_all() -> list[IdentityCase]:
                 "-log a log((1-a)/(1+a)) - Li2(a) + Li2(-a) + pi^2/4"
             ),
             source="dilogarithm reflection identity",
-            lhs=_closed("dilogarithm difference", _lhs_dilog_pair),
+            lhs=_quad("tanh-sinh, log(1-w x) near x = 1", _spec_dilog_pair),
             rhs=_closed("reflection form", dilog_identity_rhs),
             continuous=(_ALPHA_OPEN,),
         ),

@@ -1,47 +1,38 @@
 """Summation of infinite series to a requested tolerance.
 
-Direct summation stops at the first index whose remainder bound meets the
+Terms come in index ranges: a :class:`TermGenerator`'s ``terms(n0, n1)``
+returns the terms of indices ``n0 .. n1-1`` as an array. Either sum raises
+:class:`NonFiniteTermError` when it reads an infinite or NaN term.
+
+:func:`sum_direct` stops at the first index whose remainder bound meets the
 tolerance. For a declared-alternating series the bound is the first omitted
 term, which bounds the truncation error when the terms alternate in sign and
 decrease in magnitude from there on; only the alternation is checked. For a
-positive series the bound is the caller's comparison-tail bound. Alternating
-series go through the Cohen-Rodriguez Villegas-Zagier algorithm: a fixed
-weighted sum of the first n + 4 terms, with n set by the first term and the
-rate (3+sqrt 8)^-n, proven for moment sequences. Its bound is proven for the
-registered series of E5, EC6, E6, EC6b and E21-E23 at p = 1, and an estimate
-for E7, E8, E16, E17, E19 and E21-E23 at p >= 2. The registry sums every
-alternating series this way and only positive ones directly; the alternating
-branch of :func:`sum_direct` stays for the public API and the
-``series_acceleration`` demo. Either sum raises :class:`NonFiniteTermError`
-when it reads an infinite or NaN term.
+positive series it is the caller's comparison-tail bound. It reads chunks of
+``_CHUNK`` terms, doubling up to ``_CHUNK_MAX``, whose running sums and
+Neumaier compensations (:func:`~quadident.numerics.neumaier_prefix`) are the
+IEEE operations of the term-by-term accumulator in the same order; terms
+computed past the stop are never read. It serves the public API, the
+``series_acceleration`` demo and the tests' reference sums.
 
-Terms come in index ranges: a :class:`TermGenerator`'s ``terms(n0, n1)``
-returns the terms of indices ``n0 .. n1-1`` as an array.
-
-Rows: a :class:`~quadident.numerics.Rows` of series over a table of points
-passes each parameter to its builder as a ``(rows, 1)`` column, and the
-generator it builds returns a ``(rows, n1 - n0)`` array of terms.
-:func:`sum_direct` sums every row chunk by chunk; chunks start at ``_CHUNK``
-terms per row and double up to ``_CHUNK_MAX``. Each row carries its own
-running sum, Neumaier compensation and largest term; inside a chunk these are
-``np.cumsum`` and ``np.fmax.accumulate`` along the term axis
-(:func:`~quadident.numerics.neumaier_prefix`), which run left to right, so
-each row sees the IEEE operations of Neumaier's term-by-term accumulator in
-the same order. A row stops at the first index that meets the stop rule, so
-its value, ``terms_used``, ``remainder_bound`` and ``converged`` are bit for
-bit those of the one-row run; terms computed past a row's stop are never
-read. :func:`sum_alternating_accelerated` reads the first term of every row,
-then the other terms of all rows in one call. Each row's value is
-``math.fsum`` of its weighted terms; its check sum S_n and the sums of
+:func:`sum_alternating_accelerated` is the Cohen-Rodriguez Villegas-Zagier
+algorithm: a fixed weighted sum of the first n + 4 terms, with n set by the
+first term and the rate (3+sqrt 8)^-n, proven for moment sequences. The
+registry sums every series side this way, E18's positive series in van
+Wijngaarden's alternating form; the bound is proven for E5, EC6, E6, EC6b and
+E21-E23 at p = 1, and an estimate for E7, E8, E16-E19 and E21-E23 at p >= 2.
+A :class:`~quadident.numerics.Rows` of series over a table of points passes
+each parameter to its builder as a ``(rows, 1)`` column, and the generator it
+builds returns a ``(rows, n1 - n0)`` array of terms. The first term of every
+row is read, then the other terms of all rows in one call. Each row's value
+is ``math.fsum`` of its weighted terms; its check sum S_n and the sums of
 |w_k t_k| behind its rounding floor are left-to-right row sums
 (``np.add.accumulate``), whose order does not depend on the batch's width,
-as numpy's pairwise ``np.sum`` does. So its rows too are bit for bit their
-one-row runs. A single
-:class:`TermGenerator` is each driver's one-row case; a rows call returns
-:class:`SummationRows`: ``(rows,)`` columns of value, remainder bound, terms
-used and convergence, plus the batch totals ``terms_used`` (sum over rows)
-and ``converged`` (all rows) as Python numbers. A :class:`SummationResult`
-is made only for a single generator.
+as numpy's pairwise ``np.sum`` does. So each row is bit for bit its one-row
+run. A rows call returns :class:`SummationRows`: ``(rows,)`` columns of
+value, remainder bound, terms used and convergence, plus the batch totals
+``terms_used`` (sum over rows) and ``converged`` (all rows) as Python
+numbers; a single generator gives a :class:`SummationResult`.
 """
 
 from __future__ import annotations
@@ -59,7 +50,7 @@ POSITIVE = "positive"
 ALTERNATING = "alternating"
 
 _SIGN_GRACE = 4  # leading terms exempt from the alternation check
-_CHUNK = 32      # terms per row in the first chunk of a direct sum
+_CHUNK = 32      # terms in the first chunk of a direct sum
 _CHUNK_MAX = 4096  # later chunks double up to this size
 _RATE = 3.0 + math.sqrt(8.0)  # CVZ error decay per term
 _EXTRA = 4  # an accelerated sum returns S_{n+4}, checked against S_n
@@ -189,34 +180,27 @@ def _check_read(g: TermGenerator, a: np.ndarray, same: np.ndarray, n0: int,
         raise _sign_error(g, n0 + j, float(a[i, j]), float(a[i, j + 1]))
 
 
-def _direct(gen_of, k: int, tol: Tolerance) -> SummationRows:
-    """Direct summation of ``k`` rows; ``gen_of(rows)`` returns the generator
-    of the active rows (all for None).
+def _direct(g: TermGenerator, tol: Tolerance) -> SummationResult:
+    """Direct summation of one generator.
 
-    At index ``n`` a row adds term ``n``, then reads term ``n + 1``: a
-    non-finite term or a same-sign pair raises, else the row stops once
+    At index ``n`` the sum adds term ``n``, then reads term ``n + 1``: a
+    non-finite term or a same-sign pair raises, else it stops once
     ``tail + floor`` meets the target, once the rounding floor dominates both,
     or at ``tol.max_work`` terms. A chunk evaluates these steps for indices
-    ``n0 .. n0+m-1`` of every active row at once; each row then takes its
-    first stop, where its columns are filled.
+    ``n0 .. n0+m-1`` at once, as one row, and the sum takes its first stop.
     """
-    g = gen_of(None)
     if g.sign_pattern != ALTERNATING and g.tail_bound is None:
         raise ValueError("sum_direct needs a tail_bound for non-alternating series")
     first = g.first_index
-    out = SummationRows(np.empty(k), np.empty(k), np.empty(k, dtype=int),
-                        np.empty(k, dtype=bool))
-    active = np.arange(k)
-    s, c, amax = np.zeros(k), np.zeros(k), np.zeros(k)
-    pending = None  # term n0 of each active row, read as "next" in the last chunk
+    s, c, amax = np.zeros(1), np.zeros(1), np.zeros(1)
+    pending = None  # term n0, read as "next" in the last chunk
     n0, size = first, _CHUNK
     while True:
         m = min(size, first + tol.max_work - n0)
         if pending is None:
-            a = _terms(g, n0, n0 + m + 1, len(active))
+            a = _terms(g, n0, n0 + m + 1, 1)
         else:
-            a = np.concatenate(
-                [pending[:, None], _terms(g, n0 + 1, n0 + m + 1, len(active))], axis=1)
+            a = np.concatenate([pending, _terms(g, n0 + 1, n0 + m + 1, 1)], axis=1)
         t, t_next = a[:, :-1], a[:, 1:]
         n = np.arange(n0, n0 + m)
         with np.errstate(all="ignore"):  # inf and nan propagate as in Python floats
@@ -235,45 +219,31 @@ def _direct(gen_of, k: int, tol: Tolerance) -> SummationRows:
             met = bound <= target
             # a tolerance below double-precision noise cannot be met by summing
             # further: stop with the best value flagged; likewise at max_work
-            stop = met | ((floor > target) & (tail <= floor))
+            stop = (met | ((floor > target) & (tail <= floor)))[0]
             if n0 + m - first >= tol.max_work:
-                stop[:, -1] = True
+                stop[-1] = True
             same = _same_sign(g, t, t_next, n)
-        ends = np.where(stop.any(axis=1), stop.argmax(axis=1), m)
-        _check_read(g, a, same, n0, ends + 1)  # a row reads terms n0 .. n0 + ends + 1
-        keep = ends == m
-        if not keep.all():
-            done = np.flatnonzero(~keep)
-            at, rows = (done, ends[done]), active[done]
-            out.values[rows] = value[at]
-            out.remainder_bounds[rows] = bound[at]
-            out.work[rows] = ends[done] + (n0 - first + 1)
-            out.row_converged[rows] = met[at]
-            active = active[keep]
-            if not active.size:
-                return out
-            g = gen_of(active)
-        s, c, amax, pending = sums[keep, -1], comp[keep, -1], big[keep, -1], a[keep, -1]
+        end = int(stop.argmax()) if stop.any() else m
+        _check_read(g, a, same, n0, np.array([end + 1]))  # terms n0 .. n0 + end + 1
+        if end < m:
+            return SummationResult(value[0, end].item(), end + n0 - first + 1,
+                                   bound[0, end].item(), met[0, end].item())
+        s, c, amax, pending = sums[:, -1], comp[:, -1], big[:, -1], a[:, -1:]
         n0 += m
         size = min(2 * size, _CHUNK_MAX)
 
 
-def sum_direct(g: TermGenerator | Rows,
-               tol: Tolerance = DEFAULT_TOL) -> SummationResult | SummationRows:
-    """Partial sum with an a-posteriori remainder bound: a
-    :class:`SummationResult`, or a :class:`SummationRows` for
-    :class:`~quadident.numerics.Rows`.
+def sum_direct(g: TermGenerator, tol: Tolerance = DEFAULT_TOL) -> SummationResult:
+    """Partial sum with an a-posteriori remainder bound.
 
     Alternating series use |first omitted term|, a bound on the truncation
     error once the terms alternate and decrease in magnitude; positive series
     require the generator's tail_bound. A rounding floor is added to either.
-    A same-sign pair of a declared-alternating series before a row's stop
-    raises :class:`SignPatternError`, and a term read before a row's stop
-    that is infinite or NaN raises :class:`NonFiniteTermError`.
+    A same-sign pair of a declared-alternating series before the stop raises
+    :class:`SignPatternError`, and a term read before the stop that is
+    infinite or NaN raises :class:`NonFiniteTermError`.
     """
-    if isinstance(g, Rows):
-        return _direct(g.at, len(g.points), tol)
-    return _one_row(_direct(lambda rows: g, 1, tol))
+    return _direct(g, tol)
 
 
 @functools.cache

@@ -8,17 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadident.ledger import REASON_NOT_CONVERGED, verify
-from quadident.numerics import Tolerance
+from quadident.ledger import verify
 from quadident.registry import registry
 
 _CONTINUOUS = [case for case in registry().values() if case.continuous]
 _PER_KIND = 3  # drawn points of each kind per case and discrete value
-# E18's left side is a positive series of ratio alpha^2: it needs about
-# 1/(1 - alpha) terms, so it cannot converge at the default max_work near
-# alpha = 1. Its points there run capped, and must be honest about it
-_E18_NEAR_ONE = 1e-4
-_E18_CAPPED = Tolerance(max_work=20_000)
 
 
 def _uniform(axis):
@@ -49,17 +43,6 @@ def test_every_case_verifies_over_its_declared_domain(case, data):
             st.lists(kind(axis), min_size=_PER_KIND, max_size=_PER_KIND, unique=True))]
         assert all(axis.lo < v < axis.hi for v in values), values
         points = [fixed | {axis.name: v} for v in values]
-        capped = [p for p in points if case.id == "E18" and 1.0 - p["alpha"] < _E18_NEAR_ONE]
-        rest = [p for p in points if p not in capped]
-        for o in verify(case.id, points=rest):
+        for o in verify(case.id, points=points):
             assert o.passed, o
-        for o in verify(case.id, points=capped, tol=_E18_CAPPED) if capped else ():
-            assert o.passed or o.reason == REASON_NOT_CONVERGED, o
 
-
-def test_e18_near_one_reads_not_converged_at_a_capped_max_work():
-    # the known defect of E18: at alpha = 1 - 1e-6 the direct sum stops at
-    # the cap, far from the value, and says so
-    [o] = verify("E18", points=[{"alpha": 1 - 1e-6}], tol=_E18_CAPPED)
-    assert not o.passed and o.reason == REASON_NOT_CONVERGED, o
-    assert o.terms == 20_000 and o.abs_error > 1e-5, o

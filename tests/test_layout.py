@@ -125,9 +125,9 @@ def test_benchmark_tracer_counts_every_point_of_a_batched_call():
     # a batched quadrature or series call carries the summed evaluations or
     # terms of its rows, so the traced counts still equal the report's work
     # per outcome: E9 is a half-line integral (two batched pieces), E18 a
-    # positive series with a tail bound, E21, E22 and E23 batch every p at
-    # once, and the scaled sides of E8, E22 and E23 sum through the same
-    # traced names. The whole pass must serialise as JSON: the totals the
+    # positive series in van Wijngaarden's alternating form, whose terms b_k
+    # are counted, E21, E22 and E23 batch every p at once, and the scaled
+    # sides of E8, E22 and E23 sum through the same traced names. The whole pass must serialise as JSON: the totals the
     # tracer adds up must be Python numbers, as the benchmark writes them
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _COUNTED_PASS,
@@ -139,8 +139,8 @@ def test_benchmark_tracer_counts_every_point_of_a_batched_call():
         proc.stdout.splitlines()[-1])
     assert evals == outcome_evals > 0
     assert terms == outcome_terms > 0
-    # one batch per side: E5 (accelerated, alpha = 1 included), E18
-    # (direct), E21, E22 and E23 (accelerated, every p), E8 (one point)
+    # one accelerated batch per side: E5 (alpha = 1 included), E18, E21, E22
+    # and E23 (every p), E8 (one point)
     assert series_calls == 1 + 1 + 1 + 1 + 1 + 1
 
 

@@ -127,7 +127,7 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
             one = one_point(case.lhs, point, tol)
             assert out == (one.value, one.evals, one.converged), (case.id, point)
     assert batched == {"E2", "E4", "E4alt", "E5", "E7", "E9", "E10", "E11", "E12",
-                       "E16", "E21", "E22"}
+                       "E16", "E18d", "E21", "E22"}
 
 
 @pytest.mark.parametrize("case_id", ["E4", "E9", "E13inf"])
@@ -175,13 +175,13 @@ def _sum_row_bits(res):
 
 
 def test_series_rows_equal_one_point_runs(monkeypatch):
-    # every row of a batched direct or accelerated sum must carry the bits of
-    # the one-point run of the generator its builder makes from scalar
-    # parameters; a side sends all of its points, each p included, to one rows
-    # call: the accelerated sum for an alternating series, the direct sum for
-    # a positive one. E23 has only its discrete p, and a scale column over p
+    # every row of a batched accelerated sum must carry the bits of the
+    # one-point run of the generator its builder makes from scalar parameters;
+    # a side sends all of its points, each p included, to one rows call of the
+    # accelerated sum, E18's positive series in van Wijngaarden's alternating
+    # form. E23 has only its discrete p, and a scale column over p
     calls, originals = _record_calls(monkeypatch, ("sum_direct", "sum_alternating_accelerated"))
-    batched, accelerated = set(), set()
+    batched = set()
     for case in registry().values():
         for side in (case.lhs, case.rhs):
             if "series" not in side.describe or not (case.continuous or case.discrete):
@@ -193,23 +193,21 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
             outs = _side_rows(side.rows(points, tol), "terms")
             [(name, batch, _, res)] = calls
             assert list(batch.points) == points and len(_sum_row_bits(res)) == len(points)
-            alternating = batch.at().sign_pattern == ALTERNATING
-            assert name == ("sum_alternating_accelerated" if alternating else "sum_direct")
-            if alternating:
-                accelerated.add(case.id)
+            assert name == "sum_alternating_accelerated"
+            assert batch.at().sign_pattern == ALTERNATING, case.id
             for point, out, row in zip(points, outs, _sum_row_bits(res)):
                 alone = originals[name](batch.build(**point), tol)
                 assert [row] == [_sum_bits(alone)], (case.id, point)
                 one = one_point(side, point, tol)
                 assert out == (one.value, one.terms, one.converged), (case.id, point)
     assert batched == {"E5", "E7", "EC6", "E16", "E18", "E19", "E21", "E22", "E23"}
-    assert accelerated == {"E5", "E7", "EC6", "E16", "E19", "E21", "E22", "E23"}
 
 
 def test_series_builders_read_each_prefix_once_per_terms_call(monkeypatch):
     # a float prefix is read as one integer array per terms call, never index
-    # by index: a warm grid-33 pass of E18 (its 33 rows, chunk by chunk)
-    # makes as many prefix reads as its generator makes terms calls
+    # by index: a warm grid-33 pass of E18 (its 33 rows, the first term and
+    # then the rest) makes as many prefix reads as its generator makes terms
+    # calls; E18 reads h_m at every m = 2^j k of a block as one (k, j) array
     module = importlib.import_module("quadident.registry")
     series = importlib.import_module("quadident.series")
     verify("E18", grid_size=33)
@@ -229,7 +227,7 @@ def test_series_builders_read_each_prefix_once_per_terms_call(monkeypatch):
     outs = verify("E18", grid_size=33)
     assert all(o.passed for o in outs)
     assert len(reads) == len(terms_calls) > 1
-    assert reads == [1] * len(reads)  # no scalar read
+    assert reads == [2] * len(reads)  # no scalar read
 
 
 def test_every_side_is_made_by_one_of_three_evaluators():
@@ -407,14 +405,14 @@ def test_odd_discrete_parameters_fail_alone(case_id):
 
 
 def test_accelerated_bound_covers_every_grid_row():
-    # every alternating series side goes through the CVZ sum; its bound is
-    # proven for E5, EC6 and E21/E22 at p = 1 and only an estimate for E7,
-    # E16, E19 and E21/E22 at p >= 2. At the evaluation tolerance it must
-    # still cover the error of every grid-33 row against a direct sum
+    # every series side goes through the CVZ sum; its bound is proven for
+    # E5, EC6 and E21/E22 at p = 1 and only an estimate for E7, E16, E18,
+    # E19 and E21/E22 at p >= 2. At the evaluation tolerance it must still
+    # cover the error of every grid-33 row against a one-row direct sum
     # taken to the rounding floor. Each side's own builder is summed, the
-    # factor 1/2 of E16 and E22 included
-    sides = {"E5": "rhs", "EC6": "rhs", "E7": "rhs", "E16": "rhs", "E19": "lhs", "E21": "rhs",
-             "E22": "rhs"}
+    # factor 1/2 of E16 and E22 and E18's van Wijngaarden terms included
+    sides = {"E5": "rhs", "EC6": "rhs", "E7": "rhs", "E16": "rhs", "E18": "lhs", "E19": "lhs",
+             "E21": "rhs", "E22": "rhs"}
     reference = Tolerance(1e-18, 0.0)
     for case_id, side in sides.items():
         case = registry()[case_id]
@@ -423,10 +421,9 @@ def test_accelerated_bound_covers_every_grid_row():
         points = [fixed | {"alpha": a} for fixed in ([{"p": p} for p in (1, 2, 3, 4)]
                                                      if case.discrete else [{}])
                   for a in case.continuous[0].points(33)]
-        batch = Rows(build, points)
-        rows = sum_alternating_accelerated(batch, tol)
-        truth = sum_direct(batch, reference).values
+        rows = sum_alternating_accelerated(Rows(build, points), tol)
         assert rows.row_converged.all(), case_id
-        for point, value, bound, ref in zip(points, rows.values.tolist(),
-                                            rows.remainder_bounds.tolist(), truth.tolist()):
-            assert abs(value - ref) <= bound, (case_id, point)
+        for point, value, bound in zip(points, rows.values.tolist(),
+                                       rows.remainder_bounds.tolist()):
+            truth = sum_direct(build(**point), reference).value
+            assert abs(value - truth) <= bound, (case_id, point)

@@ -18,9 +18,9 @@ from quadident.ledger import render_json, verify_all
 
 _RECORDED_WITH = ("3.11", "2.4.6")  # Python major.minor, numpy
 _DIGESTS = {
-    5: "dad062a8243c7d42142f8b393aed03de4b6ef02cc06023cc89624f5d36150a7a",
-    9: "fe5254ca690fda19df05225da3b9e03946e218a086e74bbd2c833e985a6cfd83",
-    33: "2daff1167c13c590a5cb4014a1508f85ff8299c6505a2dc04bc3e38923ee2050",
+    5: "5f6194ceffabd8fc28a3464eee166584300f3847e8dff094ce4888775b9921e5",
+    9: "088466953e6dd17fbb52e829a998506daed8d5bafaeae8833bcb6628680fa3c4",
+    33: "13bfbb590bc926f147804d79a112e2479a76ddf485bea2522243f331611bb21a",
 }
 _LIST_DIGEST = "d67b8df83bcb114ac13b77b6971aeca4abcfd9f0e4235ccf9b71d3293ef01d09"
 
