@@ -14,12 +14,7 @@ import math
 
 from quadident import CONSTANTS, TermGenerator, Tolerance
 from quadident.combinatorics import skew_harmonic_float
-from quadident.series import (
-    ALTERNATING,
-    sum_alternating_accelerated,
-    sum_direct,
-    sum_eq8,
-)
+from quadident.series import sum_alternating_accelerated, sum_direct, sum_eq8
 
 PI, LOG2 = CONSTANTS.pi, CONSTANTS.log2
 
@@ -38,9 +33,7 @@ def cvz(terms, n):
 
 print("== pi^2/16 = sum_{n>=0} (log2 - H_n^-)/(2n+1) ==")
 gen = TermGenerator(
-    lambda n0, n1: [(LOG2 - skew_harmonic_float(n)) / (2 * n + 1) for n in range(n0, n1)],
-    0,
-    ALTERNATING,
+    lambda n0, n1: [(LOG2 - skew_harmonic_float(n)) / (2 * n + 1) for n in range(n0, n1)]
 )
 target = PI * PI / 16.0
 
@@ -71,9 +64,7 @@ print("== direct summation still wins when decay is geometric ==")
 alpha = 0.5
 gen_half = TermGenerator(
     lambda n0, n1: [(LOG2 - skew_harmonic_float(n)) * alpha ** (2 * n + 1) / (2 * n + 1)
-                    for n in range(n0, n1)],
-    0,
-    ALTERNATING,
+                    for n in range(n0, n1)]
 )
 direct = sum_direct(gen_half, Tolerance(1e-12, 0.0))
 accel = sum_alternating_accelerated(gen_half, Tolerance(1e-12, 0.0))

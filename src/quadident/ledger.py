@@ -95,10 +95,11 @@ def verify(
     replaces the uniform grid with explicit parameter dicts (the axes' ends
     are still appended). A parameter name in ``points`` that is not a string,
     or a continuous value that is not a Python or numpy integer or float
-    (bools are not), raises ``ValueError`` before any side runs.
+    (bools are not), raises ``ValueError`` before any side runs; so does a
+    ``grid_size`` that is not such an integer or is below 1.
     """
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
+    if isinstance(grid_size, bool) or not isinstance(grid_size, numbers.Integral) or grid_size < 1:
+        raise ValueError(f"grid_size must be an integer >= 1, got {grid_size!r}")
     case = lookup(case_id)
     eff = tol if tol is not None else DEFAULT_TOL
     eval_tol = side_tolerance(eff)

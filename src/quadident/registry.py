@@ -24,15 +24,15 @@ import numpy as np
 
 from .combinatorics import (
     arctan_power_coeff,
-    leibniz_partial_float,
+    leibniz_partial_float,  # unused by the sides; the benchmark's tracer wraps it here by name
     odd_harmonic_float,
     skew_harmonic_float,
 )
 from .numerics import CONSTANTS, DEFAULT_TOL, Rows, Tolerance, fsum_rows
 from .quadrature import IntegrandSpec, integrate_semi_infinite, integrate_unit
 from .series import (
-    ALTERNATING,
     TermGenerator,
+    odd_harmonic_leibniz,
     sum_alternating_accelerated,
     sum_direct,  # unused by the sides; the benchmark's tracer wraps it here by name
     sum_eq8,  # unused by the sides; the benchmark's tracer wraps it here by name
@@ -135,11 +135,9 @@ def _series(describe: str, build: Callable[..., TermGenerator]) -> Evaluator:
     """Series side: the sum of the series ``build`` makes from the parameters,
     as scalars or as columns; a constant factor of the side (E8, E16, E22,
     E23) lives in its terms (see :func:`_scaled`). All points go through one
-    rows call of the CVZ sum, whose bound is proven for the moment sequences
-    of E5, EC6, E6, EC6b and E21-E23 at p = 1 and an estimate for E7, E8,
-    E16-E19 and E21-E23 at p >= 2; E18's positive series is summed in van
-    Wijngaarden's alternating form. The summer is looked up here at call
-    time, where the benchmark wraps it."""
+    rows call of the CVZ sum; :mod:`~quadident.series` says for which cases
+    its bound is proven. The summer is looked up here at call time, where the
+    benchmark wraps it."""
     def rows(points: list, tol: Tolerance) -> EvalRows:
         res = sum_alternating_accelerated(Rows(build, points), tol)
         return EvalRows(res.values, terms=res.work, converged=res.row_converged)
@@ -289,7 +287,7 @@ def _gen_skew_odd_denom(alpha=1.0) -> TermGenerator:
         n = np.arange(n0, n1)
         return (_LOG2 - skew_harmonic_float(n)) * alpha * _powers(r, n) / (2.0 * n + 1.0)
 
-    return TermGenerator(terms, 0, ALTERNATING, name="skew-harmonic odd series")
+    return TermGenerator(terms, 0, name="skew-harmonic odd series")
 
 
 def _gen_skew_linear_denom(alpha=1.0) -> TermGenerator:
@@ -298,20 +296,13 @@ def _gen_skew_linear_denom(alpha=1.0) -> TermGenerator:
         n = np.arange(n0, n1)
         return (_LOG2 - skew_harmonic_float(n)) * _powers(alpha, n + 1) / (n + 1.0)
 
-    return TermGenerator(terms, 0, ALTERNATING, name="skew-harmonic series")
+    return TermGenerator(terms, 0, name="skew-harmonic series")
 
 
 def _gen_odd_harmonic_leibniz(alpha) -> TermGenerator:
     # sum_{n>=1} (h_n/n) (L_n - pi/4) a^(2n)
-    r = alpha * alpha
-    quarter_pi = _PI / 4.0
-
-    def terms(n0: int, n1: int) -> np.ndarray:
-        n = np.arange(n0, n1)
-        lead = odd_harmonic_float(n) / n * (leibniz_partial_float(n) - quarter_pi)
-        return lead * _powers(r, n)
-
-    return TermGenerator(terms, 1, ALTERNATING, name="odd-harmonic Leibniz series")
+    g, r = odd_harmonic_leibniz(), alpha * alpha
+    return g._replace(terms=lambda n0, n1: g.terms(n0, n1) * _powers(r, range(n0, n1)))
 
 
 def _gen_alt_odd_harmonic_sq(alpha=1.0) -> TermGenerator:
@@ -321,7 +312,7 @@ def _gen_alt_odd_harmonic_sq(alpha=1.0) -> TermGenerator:
         h = odd_harmonic_float(n)
         return np.where(n % 2 == 1, h, -h) * _powers(alpha * alpha, n) / (n * n.astype(float))
 
-    return TermGenerator(terms, 1, ALTERNATING, name="alternating odd-harmonic series")
+    return TermGenerator(terms, 1, name="alternating odd-harmonic series")
 
 
 _HALF_GAMMA = 0.28860783245076643  # Euler's constant / 2
@@ -360,7 +351,7 @@ def _gen_pos_odd_harmonic_sq(alpha) -> TermGenerator:
         b = np.add.accumulate(parts, axis=2)[..., -1]
         return np.where(k % 2 == 1, b, -b) / (k * k.astype(float))
 
-    return TermGenerator(terms, 1, ALTERNATING, name="odd-harmonic power series")
+    return TermGenerator(terms, 1, name="odd-harmonic power series")
 
 
 # A(n,p) and A(n,p) beta((n+1)/2) do not depend on alpha, so every grid point
@@ -397,13 +388,13 @@ def _gen_atan_pow_over_n(alpha, p) -> TermGenerator:
         t, ns = _atan_pow_terms(_atan_coeff_float, alpha, p, m0, m1)
         return t / ns
 
-    return TermGenerator(terms, 0, ALTERNATING, name="arctan-power coefficient series")
+    return TermGenerator(terms, 0, name="arctan-power coefficient series")
 
 
 def _gen_atan_pow_beta(alpha, p) -> TermGenerator:
     # term m is A(n,p) beta((n+1)/2) a^n at n = p + 2m
     return TermGenerator(lambda m0, m1: _atan_pow_terms(_atan_beta_coeff, alpha, p, m0, m1)[0],
-                         0, ALTERNATING, name="arctan-power beta series")
+                         0, name="arctan-power beta series")
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +555,7 @@ def register_all() -> list[IdentityCase]:
             source="squared-arctangent series at a = 1",
             lhs=_closed("pi^3", lambda: _PI**3),
             rhs=_series("192 x accelerated series",
-                        lambda: _scaled(_gen_odd_harmonic_leibniz(1.0), 192.0)),
+                        lambda: _scaled(odd_harmonic_leibniz(), 192.0)),
         ),
         IdentityCase(
             id="E9",

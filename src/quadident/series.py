@@ -1,19 +1,20 @@
 """Summation of infinite series to a requested tolerance.
 
-Terms come in index ranges: a :class:`TermGenerator`'s ``terms(n0, n1)``
-returns the terms of indices ``n0 .. n1-1`` as an array. Either sum raises
-:class:`NonFiniteTermError` when it reads an infinite or NaN term.
+Every series here is alternating. Terms come in index ranges: a
+:class:`TermGenerator`'s ``terms(n0, n1)`` returns the terms of indices
+``n0 .. n1-1`` as an array. Either sum raises :class:`NonFiniteTermError`
+when it reads an infinite or NaN term, and :class:`SignPatternError` when it
+reads two same-sign terms past the first ``_SIGN_GRACE``.
 
 :func:`sum_direct` stops at the first index whose remainder bound meets the
-tolerance. For a declared-alternating series the bound is the first omitted
-term, which bounds the truncation error when the terms alternate in sign and
-decrease in magnitude from there on; only the alternation is checked. For a
-positive series it is the caller's comparison-tail bound. It reads chunks of
-``_CHUNK`` terms, doubling up to ``_CHUNK_MAX``, whose running sums and
-Neumaier compensations (:func:`~quadident.numerics.neumaier_prefix`) are the
-IEEE operations of the term-by-term accumulator in the same order; terms
-computed past the stop are never read. It serves the public API, the
-``series_acceleration`` demo and the tests' reference sums.
+tolerance. The bound is the first omitted term, which bounds the truncation
+error when the terms alternate in sign and decrease in magnitude from there
+on; only the alternation is checked. It reads chunks of ``_CHUNK`` terms,
+doubling up to ``_CHUNK_MAX``, whose running sums and Neumaier compensations
+(:func:`~quadident.numerics.neumaier_prefix`) are the IEEE operations of the
+term-by-term accumulator in the same order; terms computed past the stop are
+never read. It serves the public API, the ``series_acceleration`` demo and the
+tests' reference sums.
 
 :func:`sum_alternating_accelerated` is the Cohen-Rodriguez Villegas-Zagier
 algorithm: a fixed weighted sum of the first n + 4 terms, with n set by the
@@ -39,15 +40,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .combinatorics import leibniz_partial_float, odd_harmonic_float
 from .numerics import CONSTANTS, DEFAULT_TOL, Rows, Tolerance, neumaier_prefix
-
-POSITIVE = "positive"
-ALTERNATING = "alternating"
 
 _SIGN_GRACE = 4  # leading terms exempt from the alternation check
 _CHUNK = 32      # terms in the first chunk of a direct sum
@@ -57,46 +55,26 @@ _EXTRA = 4  # an accelerated sum returns S_{n+4}, checked against S_n
 
 
 class SignPatternError(RuntimeError):
-    """Raised when a declared-alternating series produces two consecutive
-    same-sign terms beyond the grace window."""
+    """Raised when a series produces two consecutive same-sign terms beyond
+    the grace window."""
 
 
 class NonFiniteTermError(RuntimeError):
     """Raised when a term read before a row's stop is infinite or NaN."""
 
 
-class _TermGeneratorFields(NamedTuple):
-    terms: Callable[[int, int], np.ndarray]
-    first_index: int = 0
-    sign_pattern: str = POSITIVE
-    tail_bound: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    name: str = ""
-
-
-class TermGenerator(_TermGeneratorFields):
-    """A series given by its terms.
+class TermGenerator(NamedTuple):
+    """An alternating series given by its terms.
 
     ``terms(n0, n1)`` returns the terms of indices ``n0 .. n1-1`` as an array
     of shape ``(n1 - n0,)``, or ``(rows, n1 - n0)`` for a generator built from
     a column of parameters; it must be defined for every ``n0 >= first_index``.
-    ``sign_pattern`` is POSITIVE or ALTERNATING. For POSITIVE, direct
-    summation needs ``tail_bound(m, t)``: an upper bound on
-    ``sum_{k>=m} |term(k)|`` given the first omitted index m and its term
-    value t, computed elementwise (``m`` is an integer array of indices,
-    ``t`` the array of their terms).
+    ``name`` labels the series in error messages.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.sign_pattern not in (POSITIVE, ALTERNATING):
-            raise ValueError(f"unknown sign pattern {self.sign_pattern!r}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # and so _replace: through the checks of __new__
-        return cls(*iterable)
+    terms: Callable[[int, int], np.ndarray]
+    first_index: int = 0
+    name: str = ""
 
 
 class SummationResult(NamedTuple):
@@ -138,9 +116,7 @@ def _terms(g: TermGenerator, n0: int, n1: int, k: int) -> np.ndarray:
 
 def _same_sign(g: TermGenerator, t, t_next, n) -> np.ndarray:
     """Where a term (of index ``n``) and the next one have the same sign past
-    the grace window; nowhere for a series not declared alternating."""
-    if g.sign_pattern != ALTERNATING:
-        return np.zeros(np.shape(t), dtype=bool)
+    the grace window."""
     same = t * t_next > 0.0
     if n.size and n[0] - g.first_index < _SIGN_GRACE:
         same &= n - g.first_index >= _SIGN_GRACE
@@ -180,17 +156,18 @@ def _check_read(g: TermGenerator, a: np.ndarray, same: np.ndarray, n0: int,
         raise _sign_error(g, n0 + j, float(a[i, j]), float(a[i, j + 1]))
 
 
-def _direct(g: TermGenerator, tol: Tolerance) -> SummationResult:
-    """Direct summation of one generator.
+def sum_direct(g: TermGenerator, tol: Tolerance = DEFAULT_TOL) -> SummationResult:
+    """Partial sum with an a-posteriori remainder bound: |first omitted term|,
+    a bound on the truncation error once the terms alternate and decrease in
+    magnitude, plus a rounding floor.
 
     At index ``n`` the sum adds term ``n``, then reads term ``n + 1``: a
-    non-finite term or a same-sign pair raises, else it stops once
+    non-finite term raises :class:`NonFiniteTermError` and a same-sign pair
+    past the grace window :class:`SignPatternError`, else it stops once
     ``tail + floor`` meets the target, once the rounding floor dominates both,
     or at ``tol.max_work`` terms. A chunk evaluates these steps for indices
     ``n0 .. n0+m-1`` at once, as one row, and the sum takes its first stop.
     """
-    if g.sign_pattern != ALTERNATING and g.tail_bound is None:
-        raise ValueError("sum_direct needs a tail_bound for non-alternating series")
     first = g.first_index
     s, c, amax = np.zeros(1), np.zeros(1), np.zeros(1)
     pending = None  # term n0, read as "next" in the last chunk
@@ -208,10 +185,7 @@ def _direct(g: TermGenerator, tol: Tolerance) -> SummationResult:
             value = sums + comp
             big = np.fmax.accumulate(
                 np.concatenate([amax[:, None], np.abs(t)], axis=1), axis=1)[:, 1:]
-            if g.sign_pattern == ALTERNATING:
-                tail = np.abs(t_next)
-            else:
-                tail = np.broadcast_to(g.tail_bound(n + 1, t_next), t_next.shape)
+            tail = np.abs(t_next)
             magnitude = np.abs(value)
             floor = 2.3e-16 * (magnitude + big)  # accumulation rounding floor
             bound = tail + floor
@@ -231,19 +205,6 @@ def _direct(g: TermGenerator, tol: Tolerance) -> SummationResult:
         s, c, amax, pending = sums[:, -1], comp[:, -1], big[:, -1], a[:, -1:]
         n0 += m
         size = min(2 * size, _CHUNK_MAX)
-
-
-def sum_direct(g: TermGenerator, tol: Tolerance = DEFAULT_TOL) -> SummationResult:
-    """Partial sum with an a-posteriori remainder bound.
-
-    Alternating series use |first omitted term|, a bound on the truncation
-    error once the terms alternate and decrease in magnitude; positive series
-    require the generator's tail_bound. A rounding floor is added to either.
-    A same-sign pair of a declared-alternating series before the stop raises
-    :class:`SignPatternError`, and a term read before the stop that is
-    infinite or NaN raises :class:`NonFiniteTermError`.
-    """
-    return _direct(g, tol)
 
 
 @functools.cache
@@ -354,14 +315,20 @@ def sum_alternating_accelerated(g: TermGenerator | Rows,
     return _one_row(_accelerated(g, 1, tol))
 
 
+def odd_harmonic_leibniz() -> TermGenerator:
+    """The terms (h_n / n) (L_n - pi/4), n >= 1, of the pi^3/192 series, where
+    h_n is the odd harmonic number and L_n the n-th Leibniz partial sum, one
+    prefix read of each per ``terms`` call; E7 weighs them by alpha^(2n)."""
+    quarter_pi = CONSTANTS.pi / 4.0
+
+    def terms(n0: int, n1: int) -> np.ndarray:
+        n = np.arange(n0, n1)
+        return odd_harmonic_float(n) / n * (leibniz_partial_float(n) - quarter_pi)
+
+    return TermGenerator(terms, 1, name="odd-harmonic Leibniz series")
+
+
 def sum_eq8(tol: Tolerance = DEFAULT_TOL) -> SummationResult:
     """Accelerated value of sum_{n>=1} (h_n / n) (L_n - pi/4), where L_n is
     the n-th Leibniz partial sum; 192 times this value targets pi^3."""
-    quarter_pi = CONSTANTS.pi / 4.0
-
-    def terms(n0: int, n1: int) -> list[float]:
-        return [odd_harmonic_float(n) / n * (leibniz_partial_float(n) - quarter_pi)
-                for n in range(n0, n1)]
-
-    g = TermGenerator(terms, first_index=1, sign_pattern=ALTERNATING, name="pi^3 series")
-    return sum_alternating_accelerated(g, tol)
+    return sum_alternating_accelerated(odd_harmonic_leibniz(), tol)

@@ -12,7 +12,7 @@ is a one-element array), each argument taking one of three paths:
                    + mu^(p-1) / (p-1)! (H_{p-1} - log(-mu)),
 
   which converges for |mu| < 2 pi; 56 terms keep its tail below 2^-60 for
-  |mu| <= 1.03 pi;
+  |mu| <= 1.03 pi, and from p = 57 on the log term is part of that tail;
 * Re z < 0 and |z| > 0.85: near z = -1 the log-series terms, up to about 10,
   cancel to a value near 1, so these arguments take the duplication formula
   Li_p(z) = 2^(1-p) Li_p(z^2) - Li_p(-z), with z^2 and -z in the same pass.
@@ -23,8 +23,9 @@ arguments of its array. Li_1 is the logarithm.
 
 Measured against mpmath for Li_2 .. Li_5: real arguments are within 4 ulp
 (4.4e-16 absolute); complex ones within 7.2e-16 absolute in each component on
-and near the circle. Conjugation symmetry Li_p(conj z) = conj Li_p(z) holds
-exactly: arguments in the lower half plane are routed through their conjugates.
+and near the circle; the tests hold orders up to 5000 to the same bounds.
+Conjugation symmetry Li_p(conj z) = conj Li_p(z) holds exactly: arguments in
+the lower half plane are routed through their conjugates.
 """
 
 from __future__ import annotations
@@ -59,17 +60,21 @@ def zeta(p: int) -> float:
     """Riemann zeta at an integer argument p >= 2.
 
     Table values for p = 2, 3; otherwise a short direct sum with an
-    Euler-Maclaurin tail (error far below double rounding for p >= 4).
-    Each value is computed once per process and argument type.
+    Euler-Maclaurin tail (error far below double rounding for p >= 4), and
+    1.0 above p = 60, the correctly rounded value from p = 54 on. Each value
+    is computed once per process and argument type.
     """
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
         raise ValueError(f"zeta requires an integer p, got {p!r}")
+    p = int(p)  # a numpy integer's n**p would wrap
     if p < 2:
         raise ValueError("zeta requires p >= 2")
     if p == 2:
         return CONSTANTS.zeta2
     if p == 3:
         return CONSTANTS.zeta3
+    if p > 60:
+        return 1.0
     n_cut = 64
     head = math.fsum((1.0 / n**p for n in range(1, n_cut + 1)))
     a = float(n_cut + 1)
@@ -165,9 +170,11 @@ def _power_table(base: np.ndarray, count: int) -> np.ndarray:
 def _series_denominators(p: int) -> np.ndarray:
     """n^p for n = 1 .. N, read-only. N is the fewest terms whose tail at
     |z| = _SERIES_RADIUS = a, at most a^(N+1) / ((N+1)^p (1 - a)), is below
-    2^-54 a: 179 terms for p = 2, 100 for p = 5."""
+    2^-54 a: 179 terms for p = 2, 100 for p = 5, one from p = 57 on. The test
+    runs in logarithms, so (N+1)^p never overflows a float."""
     a = _SERIES_RADIUS
-    count = next(n for n in itertools.count(1) if a**n / ((n + 1) ** p * (1 - a)) <= 2.0**-54)
+    count = next(n for n in itertools.count(1)
+                 if n * math.log(a) - p * math.log(n + 1) - math.log(1 - a) <= -54 * math.log(2))
     power = np.arange(1.0, count + 1.0) ** p
     power.setflags(write=False)
     return power
@@ -181,20 +188,24 @@ def _defining_series(p: int, z: np.ndarray) -> np.ndarray:
 
 def _log_series(p: int, z: np.ndarray) -> np.ndarray:
     """The log-series in mu = log z for each element, 0 < |z| <= 1 +
-    _CIRCLE_EPS; at z = 1 (mu = 0) its log term vanishes, leaving zeta(p)."""
+    _CIRCLE_EPS; at z = 1 (mu = 0) its log term vanishes, leaving zeta(p).
+    From p = _LOG_SERIES_TERMS + 1 on, the log term, of order p - 1, lies in
+    the truncated tail."""
     coeffs, harmonic = _log_series_coefficients(p)
     mu = np.log(z)
     powers = _power_table(mu, len(coeffs) - 1)
-    log_term = np.log((mu == 0.0) - mu)  # log(-mu), and 0 where mu = 0
-    return (coeffs[0] + np.add.reduce(powers * coeffs[1:], axis=1)
-            + powers[:, p - 2] / math.factorial(p - 1) * (harmonic - log_term))
+    value = coeffs[0] + np.add.reduce(powers * coeffs[1:], axis=1)
+    if p - 1 < _LOG_SERIES_TERMS:
+        log_term = np.log((mu == 0.0) - mu)  # log(-mu), and 0 where mu = 0
+        value = value + powers[:, p - 2] / math.factorial(p - 1) * (harmonic - log_term)
+    return value
 
 
 @functools.cache
-def _log_series_coefficients(p: int) -> tuple[np.ndarray, float]:
+def _log_series_coefficients(p: int) -> tuple[np.ndarray, float | None]:
     """zeta(p - k) / k! for k < _LOG_SERIES_TERMS, read-only, with the
-    k = p - 1 slot zero, and the harmonic number H_{p-1}; built once per
-    order."""
+    k = p - 1 slot zero, and the harmonic number H_{p-1} of the log term, or
+    None when that term is past the series; built once per order."""
     coeffs = []
     for k in range(_LOG_SERIES_TERMS):
         s = p - k
@@ -212,7 +223,7 @@ def _log_series_coefficients(p: int) -> tuple[np.ndarray, float]:
         coeffs.append(zeta_s / math.factorial(k))
     table = np.array(coeffs)
     table.setflags(write=False)
-    return table, math.fsum(1.0 / j for j in range(1, p))
+    return table, (math.fsum(1.0 / j for j in range(1, p)) if p - 1 < _LOG_SERIES_TERMS else None)
 
 
 # ---------------------------------------------------------------------------

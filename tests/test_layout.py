@@ -68,6 +68,41 @@ def test_every_module_level_name_is_used_or_public():
     assert unused == []
 
 
+# Imports that their module does not read: the benchmark's tracer wraps each
+# by name in that module, and its install fails if one is gone
+_TRACER_HOOKS = {
+    ("registry.py", "sum_direct"),  # moves to perfbench/ with ROADMAP item 1
+    ("registry.py", "sum_eq8"),  # moves to perfbench/ with ROADMAP item 1
+    ("registry.py", "leibniz_partial_float"),  # moves to perfbench/ with ROADMAP item 1
+}
+
+
+def test_every_import_is_read_exported_or_a_tracer_hook():
+    import quadident
+
+    unread, hooks = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        if path.name == "__init__.py":
+            read |= set(quadident.__all__)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name in read:
+                    continue
+                if (path.name, name) in _TRACER_HOOKS:
+                    hooks.add((path.name, name))
+                else:
+                    unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []
+    assert hooks == _TRACER_HOOKS  # every hook is still imported, and read nowhere else there
+
+
 _TRACED_PASS = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]

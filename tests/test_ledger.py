@@ -19,7 +19,6 @@ from quadident.ledger import (
 from quadident.numerics import CONSTANTS, Tolerance
 from quadident.quadrature import IntegrandSpec, QuadratureError
 from quadident.series import (
-    ALTERNATING,
     NonFiniteTermError,
     SignPatternError,
     TermGenerator,
@@ -140,7 +139,7 @@ def test_failing_series_row_fails_only_its_own_outcome(monkeypatch):
             t = (-alpha) ** n / (n + 1.0)
             return np.where((alpha == 0.5) & (n == 6), -t, t)
 
-        return TermGenerator(terms, 0, ALTERNATING, name="synthetic series")
+        return TermGenerator(terms, 0, name="synthetic series")
 
     case = IdentityCase(
         id="X2", description="sum (-a)^n/(n+1) = log(1+a)/a", source="synthetic",
@@ -175,7 +174,7 @@ def test_non_finite_series_row_fails_only_its_own_outcome(monkeypatch):
             n = np.arange(n0, n1)
             return np.where((alpha == 0.5) & (n == 6), np.nan, (-alpha) ** n / (n + 1.0))
 
-        return TermGenerator(terms, 0, ALTERNATING, name="synthetic series")
+        return TermGenerator(terms, 0, name="synthetic series")
 
     case = IdentityCase(
         id="X3", description="sum (-a)^n/(n+1) = log(1+a)/a", source="synthetic",
@@ -485,6 +484,25 @@ def test_narrow_numpy_floats_verify_as_their_python_floats():
 def test_verify_rejects_bad_grid():
     with pytest.raises(ValueError):
         verify("E1", 0)
+
+
+@pytest.mark.parametrize("case_id", ["E1", "E2"])
+@pytest.mark.parametrize("grid_size", [2.5, 3.0, "3", None, True, False, 0, -1, np.int64(0)])
+def test_grid_size_that_is_no_integer_from_one_raises_before_any_side_runs(
+        monkeypatch, case_id, grid_size):
+    # the rule of discrete parameters: Python and numpy integers, not bools;
+    # E1 has no grid to build, so it would run a float or a bool
+    def unreachable(*args):
+        raise AssertionError("a side ran")
+
+    monkeypatch.setattr(ledger, "_evaluate", unreachable)
+    with pytest.raises(ValueError) as info:
+        verify(case_id, grid_size=grid_size)
+    assert str(info.value) == f"grid_size must be an integer >= 1, got {grid_size!r}"
+
+
+def test_numpy_integer_grid_size_runs_the_python_integer_grid():
+    assert verify("E21", grid_size=np.int64(3)) == verify("E21", grid_size=3)
 
 
 def test_unreachable_tolerance_reported_not_converged():

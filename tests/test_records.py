@@ -1,6 +1,7 @@
 """The record types of the package: immutable named tuples whose fields,
 defaults, ``repr`` and checks are those the frozen dataclasses they replace
-had (``GridAxis`` adds ``ends``; ``IdentityCase`` drops ``default_tol``),
+had (``GridAxis`` adds ``ends``; ``IdentityCase`` drops ``default_tol``,
+``TermGenerator`` ``sign_pattern`` and ``tail_bound``),
 and the values of ``specfun.zeta``, computed once each."""
 
 import hashlib
@@ -52,11 +53,10 @@ _RECORDS = [
      ("values", "error_estimates", "work", "row_converged"), {},
      "QuadratureRows(values=array([1.5]), error_estimates=array([2.e-16]), "
      "work=array([129]), row_converged=array([ True]))"),
-    (TermGenerator(abs, 1, "alternating", None, "s"),
-     ("terms", "first_index", "sign_pattern", "tail_bound", "name"),
-     {"first_index": 0, "sign_pattern": "positive", "tail_bound": None, "name": ""},
-     "TermGenerator(terms=<built-in function abs>, first_index=1, "
-     "sign_pattern='alternating', tail_bound=None, name='s')"),
+    (TermGenerator(abs, 1, "s"),
+     ("terms", "first_index", "name"),
+     {"first_index": 0, "name": ""},
+     "TermGenerator(terms=<built-in function abs>, first_index=1, name='s')"),
     (SummationResult(0.25, 17, 1e-12),
      ("value", "terms_used", "remainder_bound", "converged"), {"converged": True},
      "SummationResult(value=0.25, terms_used=17, remainder_bound=1e-12, converged=True)"),
@@ -106,8 +106,6 @@ def test_record_contract(record, fields, defaults, text):
     (lambda: Tolerance(1e-9, 1e-9, True), "max_work must be a positive integer"),
     (lambda: Tolerance(1e-9, 1e-9, 2.0), "max_work must be a positive integer"),
     (lambda: Tolerance()._replace(rel_tol=-1.0), "tolerances must be nonnegative"),
-    (lambda: TermGenerator(abs, 0, "unknown"), "unknown sign pattern 'unknown'"),
-    (lambda: TermGenerator(abs)._replace(sign_pattern="mixed"), "unknown sign pattern 'mixed'"),
     (lambda: RationalPowerSeries(()), "a series needs at least the constant coefficient"),
     (lambda: RationalPowerSeries((1,))._replace(coefficients=()),
      "a series needs at least the constant coefficient"),

@@ -13,6 +13,7 @@ from quadident.combinatorics import (
     odd_harmonic_float,
     skew_harmonic,
 )
+from quadident import specfun
 from quadident.numerics import CONSTANTS
 from quadident.specfun import (
     dilog_identity_rhs,
@@ -264,6 +265,33 @@ def test_polylog_against_mpmath(p):
             assert abs(polylog_real(p, x) - ref) <= 1e-13, x
 
 
+@pytest.mark.parametrize("p", [6, 56, 57, 171, 1024, 5000])
+def test_high_orders_against_mpmath(p):
+    # from p = 57 the log term of the log-series lies past its 56 terms, from
+    # p = 171 zeta's direct sum and from p = 1024 the count of the defining
+    # series would overflow a float; each point keeps to the p <= 5 bounds
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert zeta(p) == float(mpmath.zeta(p))
+        for x in (-1.0, -0.95, -0.86, -0.5, 0.5, 0.84, 0.95, 1.0):  # both paths, and -1, 1
+            assert abs(polylog_real(p, x) - float(mpmath.polylog(p, x))) <= 1e-15, x
+        for z in (0.5j, 0.6 + 0.6j, 0.9j, 0.8 + 0.6j, -0.7 + 0.6j, -0.6 + 0.8j, 0.3 - 0.9j):
+            ref = complex(mpmath.polylog(p, mpmath.mpc(z.real, z.imag)))
+            val = polylog_complex(p, z)
+            assert abs(val.real - ref.real) <= _COMPLEX_BOUND, z
+            assert abs(val.imag - ref.imag) <= _COMPLEX_BOUND, z
+
+
+def test_defining_series_count_is_the_float_tail_test_at_every_order():
+    # the count runs in logarithms; up to p = 1023, where (N+1)^p still fits
+    # a float, it is the count of the tail test a^N / ((N+1)^p (1 - a)) in floats
+    a = specfun._SERIES_RADIUS
+    for p in range(2, 1024):
+        count = next(n for n in range(1, 1000) if a**n / ((n + 1) ** p * (1 - a)) <= 2.0**-54)
+        assert len(specfun._series_denominators(p)) == count, p
+    assert len(specfun._series_denominators(5000)) == 1
+
+
 def test_zeta_and_eta():
     assert zeta(2) == Z2
     assert zeta(3) == Z3
@@ -278,7 +306,9 @@ def test_zeta_rejects_an_order_that_is_no_integer(p):
     # as polylog orders are checked: a float, even 2.0, or a bool is refused
     with pytest.raises(ValueError, match="zeta requires an integer p"):
         zeta(p)
-    assert zeta(np.int64(4)) == zeta(4)
+    # a numpy integer order computes as its Python int (n**p once wrapped in
+    # int64: zeta(np.int64(11)) was inf)
+    assert [zeta(np.int64(q)) for q in range(2, 62)] == [zeta(q) for q in range(2, 62)]
 
 
 # ---------------------------------------------------------------------------
