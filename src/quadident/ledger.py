@@ -104,26 +104,26 @@ def verify(
     eff = tol if tol is not None else DEFAULT_TOL
     eval_tol = side_tolerance(eff)
 
-    pts = list(points) if points is not None else _grid_points(case, grid_size)
-    pts += _grid_points(case, grid_size, ends=True)
+    given = list(points) if points is not None else []
+    grid = _grid_points(case, grid_size) if points is None else []
+    pts = given + grid + _grid_points(case, grid_size, ends=True)
 
-    # a point lacking a parameter of its case, having one its case lacks, or
-    # whose discrete parameter is not an integer (bools are not) or below its
-    # axis's least value, fails unevaluated; a caller's parameter name that is
-    # no string, or continuous value that is no number, raises
+    # the grid and the ends come from the axes; a caller's point lacking a
+    # parameter of its case, having one its case lacks, or whose discrete
+    # parameter is not an integer (bools are not) or below its axis's least
+    # value, fails unevaluated; a parameter name that is no string, or a
+    # continuous value that is no number, raises
     odd = {}
-    for d in case.discrete:
-        low = min(d.values)
-        for i, pt in enumerate(pts):
+    names = {axis.name for axis in case.discrete + case.continuous}
+    for i, pt in enumerate(given):
+        for d in case.discrete:
             v = pt.get(d.name)
             if d.name not in pt:
                 odd[i] = ValueError(f"missing parameter {d.name}")
             elif type(v) is not int and (type(v) is bool or not isinstance(v, numbers.Integral)):
                 odd[i] = ValueError(f"{d.name} must be an integer, got {v!r}")
-            elif v < low:
-                odd[i] = ValueError(f"{d.name} must be >= {low}, got {v!r}")
-    names = {axis.name for axis in case.discrete + case.continuous}
-    for i, pt in enumerate(pts if points is not None else ()):
+            elif v < min(d.values):
+                odd[i] = ValueError(f"{d.name} must be >= {min(d.values)}, got {v!r}")
         for name in pt:
             if not isinstance(name, str):
                 raise ValueError(f"parameter names must be strings, got {name!r}")
@@ -163,9 +163,9 @@ def _evaluate(evaluator, pts, skip, tol) -> tuple[EvalRows, dict[int, Exception]
     n = len(pts)
     parts: list = []
     errors: dict[int, Exception] = {}
-    idx = [i for i in range(n) if i not in skip]
+    idx = [i for i in range(n) if i not in skip] if skip else range(n)
     if idx:
-        _fill(parts, errors, evaluator, idx, [pts[i] for i in idx], tol)
+        _fill(parts, errors, evaluator, idx, [pts[i] for i in idx] if skip else pts, tol)
     if len(idx) == n and len(parts) == 1:
         return EvalRows(*(c if isinstance(c, np.ndarray) else np.full(n, c)
                           for c in parts[0][1])), errors
@@ -184,6 +184,9 @@ def _fill(parts, errors, evaluator, idx, points, tol):
     ``errors``, and more go to :func:`_bisect`."""
     try:
         out = evaluator.rows(points, tol)
+        dtype = np.asarray(out.value).dtype
+        if dtype.kind not in "fc":  # an object column would reach the judge
+            raise TypeError(f"side values are {dtype}, not float or complex")
     except Exception as exc:
         if len(idx) > 1:
             _bisect(parts, errors, evaluator, idx, points, tol)
@@ -229,9 +232,9 @@ def _judge(case_id, pts, eff, lhs: EvalRows, rhs: EvalRows, errors) -> list[Veri
         if rhs.value.dtype.kind == "c":
             imag = imag | (np.abs(rhs.value.imag) > eff.abs_tol + eff.rel_tol * np.where(
                 abs_a > abs_b, abs_a, abs_b))
-    converged = lhs.converged & rhs.converged
-    code = np.where(~converged, 3, np.where(imag, 2, (~ok).astype(int)))
-    passed, reason = code == 0, _REASONS[code].tolist()
+    code = np.where(lhs.converged & rhs.converged, np.where(imag, 2, ~ok), 3)
+    passed = code == 0
+    reason = _REASONS[code].tolist() if code.any() else [""] * len(code)
     for i, exc in errors.items():
         diff[i] = rel[i] = np.nan
         passed[i] = False

@@ -10,8 +10,10 @@ checks its fields is a subclass whose ``__new__`` (and so ``_make`` and
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
+import operator
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -101,8 +103,8 @@ class Rows(_RowsFields):
 
     @functools.cached_property
     def columns(self) -> dict[str, np.ndarray]:
-        names = dict.fromkeys(name for point in self.points for name in point)
-        columns = {name: np.array([point[name] for point in self.points])[:, None]
+        names = dict.fromkeys(itertools.chain.from_iterable(self.points))
+        columns = {name: np.array(list(map(operator.itemgetter(name), self.points)))[:, None]
                    for name in names}
         return {name: c.astype(float, copy=False) if c.dtype.kind == "f" else c
                 for name, c in columns.items()}

@@ -132,7 +132,7 @@ def _real_values(piece, fn, arg) -> np.ndarray:
     """``fn(arg)`` as a real array: ``(rows, len(arg))``, or fewer dimensions
     that broadcast to it."""
     v = np.asarray(fn(arg))
-    if np.iscomplexobj(v):
+    if v.dtype.kind == "c":
         raise QuadratureError(f"integrand piece {piece} returned complex values")
     return v
 
@@ -145,51 +145,48 @@ def _widened(v: np.ndarray, shape: tuple) -> np.ndarray:
 
 @functools.cache
 def _run_nodes(start: int, stop: int, right: bool):
-    """The nodes of levels ``start .. stop-1`` as one run: the abscissae that
-    ``f`` takes, the distances to 1 that ``f_right`` takes (None without
-    ``right``), and ``(w, n, m)`` per level, with ``f`` taking the first m of
-    its n nodes. Built once per run and cached; the arrays are read-only."""
+    """The nodes of levels ``start .. stop-1`` as one run, ascending ``t`` in
+    each level: the abscissae ``f`` takes, the distances to 1 ``f_right``
+    takes, the weights, the places of the two pieces' values (two slices for
+    one level, else two index arrays; both None without ``right``) and
+    ``(offset, nodes)`` per level. Built once per run and cached; read-only."""
     nodes = [_level_nodes(level) for level in range(start, stop)]
+    sizes = [len(t) for t, *_ in nodes]
     # with f_right, f takes the prefix t <= 0 of each level: t is symmetric about 0
-    split = [(len(t) + 1) // 2 if right else len(t) for t, *_ in nodes]
-    arg = np.concatenate([x[:m] for (_, x, _, _), m in zip(nodes, split)])
-    darg = np.concatenate([d[m:] for (_, _, d, _), m in zip(nodes, split)]) if right else None
-    for a in (arg, darg):
+    left = np.concatenate([np.arange(n) < ((n + 1) // 2 if right else n) for n in sizes])
+    x, delta, w = (np.concatenate([level[i] for level in nodes]) for i in (1, 2, 3))
+    arg, darg, place = x[left], delta[~left] if right else None, None
+    if right:
+        m = (sizes[0] + 1) // 2
+        place = ((slice(0, m), slice(m, sizes[0])) if len(sizes) == 1
+                 else (np.flatnonzero(left), np.flatnonzero(~left)))
+    for a in (arg, darg, w):
         if a is not None:
             a.setflags(write=False)
-    return arg, darg, tuple((w, len(t), m) for (t, _, _, w), m in zip(nodes, split))
+    return arg, darg, w, place, tuple(zip(np.cumsum([0] + sizes).tolist(), sizes))
 
 
 def _eval_levels(f, f_right, levels: range, k: int):
-    """Weighted integrand values ``w f`` of ``k`` rows at the new nodes of a
-    run of levels, from one ``f`` call (and one ``f_right`` call) over the
-    run's nodes: per level, a ``(k, nodes)`` array, its row sums of ``|w f|``
-    and the number of nodes. With ``f_right``, each level's array is one
-    ``np.empty`` block filled from the two pieces' values. A level's values
-    are searched for a non-finite one only when some row sum is not finite,
-    level by level in order."""
-    arg, darg, nodes = _run_nodes(levels.start, levels.stop, f_right is not None)
+    """``w f`` and ``|w f|`` of ``k`` rows at the new nodes of a run of
+    levels, from one ``f`` call (and one ``f_right`` call) over the run's
+    nodes: one ``(2, k, nodes)`` block, written by one multiply and one
+    ``abs``, and the ``(offset, nodes)`` of each level in it. Only when the
+    run's total of ``|w f|`` is not finite are its values searched for a
+    non-finite one, level by level in order (w lies in (0, 1), so ``w f`` is
+    non-finite exactly where ``f`` is)."""
+    arg, darg, w, place, spans = _run_nodes(levels.start, levels.stop, f_right is not None)
+    block = np.empty((2, k, len(w)))
     left = _real_values("f", f, arg)
     if f_right is None:
-        left = _widened(left, (k, len(arg)))
+        np.multiply(w, left, out=block[0])
     else:
-        right = _real_values("f_right", f_right, darg)
-        # each piece needs its nodes on the last axis (a scalar serves every node)
-        left = _widened(left, left.shape[:-1] + (len(arg),))
-        right = _widened(right, right.shape[:-1] + (len(darg),))
-    out, a, b = [], 0, 0
-    for level, (w, n, m) in zip(levels, nodes):
-        if f_right is None:
-            v = left[:, a:a + n]
-        else:
-            v = np.empty((k, n))
-            v[:, :m] = left[..., a:a + m]
-            v[:, m:] = right[..., b:b + n - m]
-        a, b = a + m, b + n - m
-        wf = w * v
-        size = np.abs(wf).sum(axis=1)
-        if not np.isfinite(size).all():
-            finite = np.isfinite(v)
+        block[0][:, place[0]] = left
+        block[0][:, place[1]] = _real_values("f_right", f_right, darg)
+        block[0] *= w
+    np.abs(block[0], out=block[1])
+    if not np.isfinite(np.add.reduce(block[1], axis=None)):
+        for level, (a, n) in zip(levels, spans):
+            finite = np.isfinite(block[0, :, a:a + n])
             if not finite.all():
                 _, x, delta, _ = _level_nodes(level)
                 bad = int(np.flatnonzero(~finite)[0]) % n
@@ -197,8 +194,7 @@ def _eval_levels(f, f_right, levels: range, k: int):
                     f"integrand returned a non-finite value at x={float(x[bad])!r} "
                     f"(distance {float(delta[bad])!r} from 1)"
                 )
-        out.append((wf, size, n))
-    return out
+    return block, spans
 
 
 def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
@@ -206,11 +202,12 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
 
     ``spec_of(rows)`` returns the spec of the active rows (all for None). Each
     level is one array pass over the active rows: their level sums and sums
-    of ``|w f|`` are row sums of the ``(rows, nodes)`` array, and their
-    totals, rounding floors and error estimates are ``(rows,)`` arrays. A row
-    leaves the active set at the level where it converges, and its columns
-    are filled then; every row still active shares the level count, so the
-    ``max_work`` stop applies to all of them at once.
+    of ``|w f|`` are the ``(2, rows)`` sums of the level's part of the run's
+    block, and their totals and sums of ``h |w f|`` one ``(2, rows)`` state.
+    A row leaves the active set at the level where it converges, and its
+    columns are filled then; every row still active shares the level count,
+    so the ``max_work`` stop applies to all of them at once. Rows leave from
+    level 2 on, the last level of the first run, so a block never loses rows.
 
     The error estimate is ten times the level-to-level change, plus a
     rounding floor, plus the level-0 ``|w f|`` at the two outermost nodes
@@ -229,41 +226,39 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
     run, work = 1, len(_level_nodes(0)[0])
     while run <= _MIN_LEVEL and (work := work + len(_level_nodes(run)[0])) <= tol.max_work:
         run += 1
-    pending = _eval_levels(spec.f, spec.f_right, range(run), k)
+    block, spans = _eval_levels(spec.f, spec.f_right, range(run), k)
+    edge = block[1, :, 0] + block[1, :, spans[0][1] - 1]  # truncation at |t| = 4
     for level in range(_MAX_LEVELS + 1):
-        if not pending:
+        if level >= run:
             if evals + len(_level_nodes(level)[0]) > tol.max_work:
                 break
-            pending = _eval_levels(spec.f, spec.f_right, range(level, level + 1), len(active))
-        wf, a_new, n_new = pending.pop(0)
-        evals += n_new
+            block, spans = _eval_levels(spec.f, spec.f_right, range(level, level + 1),
+                                        len(active))
+        a, n = spans[level if level < run else 0]
+        sums = np.add.reduce(block[:, :, a:a + n], axis=2)  # level sums of w f, |w f|
+        evals += n
         h = 0.5 ** level
-        s_new = wf.sum(axis=1)
         if level == 0:
-            total = h * s_new
-            habs = h * a_new  # h * sum |w f|, tracked for the rounding floor
-            edge = np.abs(wf[:, 0]) + np.abs(wf[:, -1])  # truncation at |t| = 4
+            state = h * sums  # the total and h * sum |w f|, for the rounding floor
             continue
-        prev = total
-        total = 0.5 * prev + h * s_new
-        habs = 0.5 * habs + h * a_new
-        err = 10.0 * np.abs(total - prev) + 8e-16 * habs + edge
+        prev = state[0]
+        state = 0.5 * state + h * sums
+        err = 10.0 * np.abs(state[0] - prev) + 8e-16 * state[1] + edge
         if level < _MIN_LEVEL:
             continue
-        done = err <= tol.abs_tol + tol.rel_tol * np.abs(total)
+        done = err <= tol.abs_tol + tol.rel_tol * np.abs(state[0])
         if done.any():
             rows = active[done]
-            out.values[rows] = total[done]
+            out.values[rows] = state[0, done]
             out.error_estimates[rows] = err[done]
             out.work[rows] = evals
             out.row_converged[rows] = True
             keep = ~done
-            active, total, habs, err, edge = (
-                active[keep], total[keep], habs[keep], err[keep], edge[keep])
+            active, state, err, edge = active[keep], state[:, keep], err[keep], edge[keep]
             if not active.size:
                 return out
             spec = spec_of(active)
-    out.values[active] = total
+    out.values[active] = state[0]
     out.error_estimates[active] = err
     out.work[active] = evals
     return out

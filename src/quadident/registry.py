@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -265,13 +264,9 @@ def _spec_atan_pow_cauchy(alpha: float, p: int) -> IntegrandSpec:
 def _powers(base, exponents) -> np.ndarray:
     """``base ** e`` for each row of a scalar or column ``base``: ``(rows, m)``
     for integer ``exponents`` (a range or an array) of shape ``(m,)``, shared
-    by every row, or ``(rows, m)``, one row each. Python's pow: at the grid
-    alphas np.power rounds some powers differently."""
-    bases, exps = np.ravel(base).tolist(), np.atleast_2d(exponents).tolist()
-    rows = max(len(bases), len(exps))  # a single base or exponent row serves every row
-    flat = chain.from_iterable(map(pow, repeat(b), e) for b, e in zip(
-        bases * (rows // len(bases)), exps * (rows // len(exps))))
-    return np.fromiter(flat, float, rows * len(exps[0])).reshape(rows, -1)
+    by every row, or ``(rows, m)``, one row each: one ``np.power``, whose bits
+    do not depend on the rows, a few 1 ulp away from Python's pow."""
+    return np.power(np.reshape(base, (-1, 1)), exponents)
 
 
 def _scaled(g: TermGenerator, s) -> TermGenerator:
@@ -443,8 +438,9 @@ def _rhs_li2_half_diff(alpha: float) -> float:
 
 
 def _lemma_factor(p):
-    """(-1)^(p+1) p! for each row of the integer scalar or column p."""
-    factorials = [math.factorial(q) for q in np.ravel(p).tolist()]
+    """(-1)^(p+1) p! for each row of the integer scalar or column p, in
+    floats: from p = 171 on, p! overflows with an ``OverflowError``."""
+    factorials = [float(math.factorial(q)) for q in np.ravel(p).tolist()]
     return np.where(p % 2 == 0, -1.0, 1.0) * np.reshape(factorials, np.shape(p))
 
 

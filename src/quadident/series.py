@@ -24,10 +24,9 @@ Wijngaarden's alternating form; the bound is proven for E5, EC6, E6, EC6b and
 E21-E23 at p = 1, and an estimate for E7, E8, E16-E19 and E21-E23 at p >= 2.
 A :class:`~quadident.numerics.Rows` of series over a table of points passes
 each parameter to its builder as a ``(rows, 1)`` column, and the generator it
-builds returns a ``(rows, n1 - n0)`` array of terms. The first term of every
-row is read, then the other terms of all rows in one call. Each row's value
-is ``math.fsum`` of its weighted terms; its check sum S_n and the sums of
-|w_k t_k| behind its rounding floor are left-to-right row sums
+builds returns a ``(rows, n1 - n0)`` array of terms, all read in one call.
+Each row's value is ``math.fsum`` of its weighted terms; its check sum S_n
+and the sums of |w_k t_k| behind its rounding floor are left-to-right row sums
 (``np.add.accumulate``), whose order does not depend on the batch's width,
 as numpy's pairwise ``np.sum`` does. So each row is bit for bit its one-row
 run. A rows call returns :class:`SummationRows`: ``(rows,)`` columns of
@@ -251,8 +250,9 @@ def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
     least 1 and at most ``tol.max_work - _EXTRA``. For a moment sequence
     |t_0|/2 <= |S| <= |t_0| and |S_{n+4} - S_n| < 4|t_0|/(3+sqrt 8)^n, so the
     bound then stays below half the target plus the rounding floor; below
-    2^-53 |t_0| the floor dominates and more terms cannot help. A row reads
-    its terms up to n + _EXTRA, each checked as in the direct sum.
+    2^-53 |t_0| the floor dominates and more terms cannot help. A row uses
+    its terms up to n + _EXTRA, all read in one call, each checked as in the
+    direct sum.
 
     The value S_{n+4} of each row is ``math.fsum`` of its products, the one
     sum whose bits the report carries. S_n and the rounding floor's sums of
@@ -263,16 +263,19 @@ def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
     would, so a row's result is bit for bit that of its one-row run.
     """
     first = g.first_index
-    t0 = _terms(g, first, first + 1, k)[:, 0]
-    a0 = np.abs(t0)
+    cap = max(1, tol.max_work - _EXTRA)
+    # a target is at least max(rel_tol/2, 2^-53)|t_0|, which bounds every
+    # row's n (one more for rounding): one call reads all the terms it may use
+    most = math.ceil(math.log(8.0 / max(0.5 * tol.rel_tol, 2.0**-53)) / math.log(_RATE))
     with np.errstate(all="ignore"):
+        t = _terms(g, first, first + min(cap, max(1, most) + 1) + _EXTRA, k)
+        a0 = np.abs(t[:, 0])
         target = np.maximum(tol.abs_tol + 0.5 * tol.rel_tol * a0, 2.0**-53 * a0)
         need = np.ceil(np.log(8.0 * a0 / target) / math.log(_RATE))
         need = np.where(np.isfinite(need), need, 1.0)  # t_0 zero or not finite
-        ns = np.clip(need, 1, max(1, tol.max_work - _EXTRA)).astype(int)
+        ns = np.clip(need, 1, cap).astype(int)
         used = ns + _EXTRA
-        t = np.concatenate([t0[:, None], _terms(g, first + 1, first + int(used.max()), k)],
-                           axis=1)
+        t = t[:, :int(used.max())]
         same = _same_sign(g, t[:, :-1], t[:, 1:], np.arange(first, first + t.shape[1] - 1))
         _check_read(g, t, same, first, used - 1)
         # S_n and S_{n+4} weigh a row's first n and n + 4 terms, and zero the

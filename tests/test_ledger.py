@@ -505,6 +505,36 @@ def test_numpy_integer_grid_size_runs_the_python_integer_grid():
     assert verify("E21", grid_size=np.int64(3)) == verify("E21", grid_size=3)
 
 
+@pytest.mark.parametrize("case_id", ["E11", "E12"])
+def test_lemma_cases_give_outcomes_at_high_orders(case_id):
+    # p! is a float: the right side is finite up to p = 170 and overflows
+    # alone at p = 171, where 21! already made an integer object column that
+    # the judge could not read. The left side's log(x)^p overflows at the
+    # outermost node from p = 160 on, so those points fail there first
+    points = [{"p": p, "beta": 0.5} for p in (21, 60, 170, 171)]
+    with np.errstate(over="ignore"):
+        outs = verify(case_id, points=points)
+    assert [o.params for o in outs[:4]] == points and len(outs) == 4 + 4
+    assert outs[0].passed and outs[1].reason == "not_converged"
+    assert all(o.reason.startswith("error: integrand returned a non-finite value at x=")
+               for o in outs[2:4])
+    assert all(o.passed for o in outs[4:])
+    rhs, errors = ledger._evaluate(lookup(case_id).rhs, points, {},
+                                   ledger.side_tolerance(Tolerance()))
+    assert list(errors) == [3] and str(errors[3]) == "int too large to convert to float"
+    assert isinstance(errors[3], OverflowError) and np.isfinite(rhs.value[:3]).all()
+
+
+def test_side_column_that_is_no_float_fails_its_points():
+    # a side whose values are no float or complex column (here Python ints
+    # too large for int64) fails each of its points; the run goes on
+    big = Evaluator("object column", lambda points, tol: EvalRows(
+        np.array([10**30] * len(points), dtype=object)))
+    side, errors = ledger._evaluate(big, [{}, {}, {}], {}, Tolerance())
+    assert sorted(errors) == [0, 1, 2] and np.isnan(side.value).all()
+    assert {str(e) for e in errors.values()} == {"side values are object, not float or complex"}
+
+
 def test_unreachable_tolerance_reported_not_converged():
     outs = verify("E6", 1, tol=Tolerance(1e-30, 0.0, 2000))
     assert len(outs) == 1

@@ -325,6 +325,30 @@ def test_non_finite_value_is_named_level_by_level():
                                f"(distance {float(_level_nodes(0)[2][5])!r} from 1)")
 
 
+@pytest.mark.parametrize("f_right", [False, True])
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_non_finite_value_is_named_in_the_first_run_and_in_later_runs(level, f_right):
+    # levels 1 and 2 lie in the first run (levels 0-2, one block), level 4 in
+    # a one-level run; row 1 is also NaN at a node of the next level. The
+    # node named is the first non-finite one of the earliest level, in row
+    # order: on the left half for f, on the right half for f_right
+    t, x, delta, _ = _level_nodes(level)
+    j = len(t) - 2 if f_right else 1
+    later = _level_nodes(level + 1)[1][3]
+
+    def f(r):
+        bad = np.where(r == 0, x[j], later)
+        if not f_right:
+            return IntegrandSpec(lambda v: np.where(v == bad, np.nan, v))
+        return IntegrandSpec(lambda v: np.where(v == later, np.nan, v),
+                             f_right=lambda d: np.where((d == delta[j]) & (r == 0), np.inf, 1.0 - d))
+
+    with pytest.raises(QuadratureError) as info:
+        integrate_unit(Rows(f, [{"r": 1}, {"r": 0}]), Tolerance(0.0, 1e-300))
+    assert str(info.value) == (f"integrand returned a non-finite value at x={float(x[j])!r} "
+                               f"(distance {float(delta[j])!r} from 1)")
+
+
 # ---------------------------------------------------------------------------
 # Error-estimate honesty on a suite of known integrals
 # ---------------------------------------------------------------------------
@@ -399,8 +423,10 @@ def _fsum_reference(spec, tol):
     for level in range(_MAX_LEVELS + 1):
         if level >= 1 and evals + len(_level_nodes(level)[0]) > tol.max_work:
             break
-        [(wf, _, n_new)] = _eval_levels(spec.f, spec.f_right, range(level, level + 1), 1)
-        row = wf[0].tolist()
+        # one level as a one-level run: the driver's run of levels 0-2 must
+        # place each level's values as these blocks do
+        block, [(_, n_new)] = _eval_levels(spec.f, spec.f_right, range(level, level + 1), 1)
+        row = block[0, 0].tolist()
         evals += n_new
         h = 0.5 ** level
         s, a = h * math.fsum(row), h * math.fsum(map(abs, row))
@@ -416,8 +442,9 @@ def _fsum_reference(spec, tol):
 
 @pytest.mark.parametrize("digits", [10, 14])
 def test_pairwise_row_sums_stay_within_4_ulps_of_the_fsum_loop(digits):
-    # numpy's pairwise row sum replaced an exactly rounded math.fsum per row:
-    # values may move in the last bits, the work and the convergence may not
+    # numpy's pairwise sum of each level's part of the run block replaced an
+    # exactly rounded math.fsum per row: values may move in the last bits,
+    # the work and the convergence may not
     tol = Tolerance(10.0**-digits, 10.0**-digits)
     specs = [spec for spec, _ in _KNOWN_INTEGRALS] + [
         build(a) for _, build in _ROW_FAMILIES.values() for a in (0.3, 7.0)]

@@ -2,6 +2,7 @@
 quadrature, series and closed-form rows against one-point runs."""
 
 import functools
+import hashlib
 import importlib
 import inspect
 import itertools
@@ -19,10 +20,12 @@ from quadident.registry import (
     _gen_atan_pow_beta,
     _gen_atan_pow_over_n,
     _gen_odd_harmonic_leibniz,
+    _gen_pos_odd_harmonic_sq,
+    _gen_skew_odd_denom,
     _powers,
     registry,
 )
-from quadident.series import sum_alternating_accelerated, sum_direct, sum_eq8
+from quadident.series import TermGenerator, sum_alternating_accelerated, sum_direct, sum_eq8
 from quadident.specfun import incomplete_beta
 from _one_point import one_point
 
@@ -31,28 +34,37 @@ _ALPHAS = (0.1, 0.5, 0.97, 1.0)
 
 
 def test_cached_arctan_power_terms_are_the_uncached_doubles():
-    # the cache must not change a single bit of any term, at every grid alpha
+    # the cache must not change a single bit of any term, at every grid alpha;
+    # the powers a^n come from the builders' kernel, np.power over a row
     for p in (1, 2, 3, 4):
         for a in _ALPHAS:
             count = (_N_MAX - p) // 2 + 1
             beta_terms = _gen_atan_pow_beta(a, p).terms(0, count)[0]
             over_n_terms = _gen_atan_pow_over_n(a, p).terms(0, count)[0]
+            powers = np.power([[a]], p + 2 * np.arange(count))[0].tolist()
             for m in range(count):
                 n = p + 2 * m
                 coeff = float(arctan_power_coeff(n, p))
                 assert beta_terms[m] == (
-                    coeff * incomplete_beta((n + 1) / 2.0) * a**n
+                    coeff * incomplete_beta((n + 1) / 2.0) * powers[m]
                 ), (p, a, n)
-                assert over_n_terms[m] == coeff * a**n / n, (p, a, n)
+                assert over_n_terms[m] == coeff * powers[m] / n, (p, a, n)
 
 
-def test_row_powers_are_python_powers():
-    # np.power rounds some a**n at the grid alphas differently, which would
-    # change the terms' doubles; the builders' powers must be Python's
+def test_row_powers_are_their_one_row_powers_within_2_ulp_of_python():
+    # a row's powers keep their bits in any batch, shared exponents or one
+    # row each, at the grid alphas and their squares; np.power rounds some
+    # of them 1 ulp away from Python's pow, never more than 2
     bases = sorted({a * s for n in (9, 33) for a in GridAxis("alpha", 0.0, 1.0).points(n)
                     for s in (1.0, a)})
-    column = np.array(bases)[:, None]
-    assert _powers(column, range(450)).tolist() == [[b**n for n in range(450)] for b in bases]
+    column, exponents = np.array(bases)[:, None], np.arange(450)
+    rows = _powers(column, range(450))
+    assert rows.shape == (len(bases), 450)
+    assert np.array_equal(rows, np.concatenate([_powers(b, range(450)) for b in bases]))
+    assert np.array_equal(rows, _powers(column, np.tile(exponents, (len(bases), 1))))
+    assert np.array_equal(rows[:, 7:90], _powers(column, exponents[7:90]))
+    python = np.array([[b**n for n in range(450)] for b in bases])
+    assert (np.abs(rows - python) <= 2.0 * np.spacing(python)).all()
 
 
 def _bits(res):
@@ -204,9 +216,9 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
 
 def test_series_builders_read_each_prefix_once_per_terms_call(monkeypatch):
     # a float prefix is read as one integer array per terms call, never index
-    # by index: a warm grid-33 pass of E18 (its 33 rows, the first term and
-    # then the rest) makes as many prefix reads as its generator makes terms
-    # calls; E18 reads h_m at every m = 2^j k of a block as one (k, j) array
+    # by index, and a series side makes one terms call: a warm grid-33 pass of
+    # E18 (its 33 rows) makes one prefix read; E18 reads h_m at every
+    # m = 2^j k of a block as one (k, j) array
     module = importlib.import_module("quadident.registry")
     series = importlib.import_module("quadident.series")
     verify("E18", grid_size=33)
@@ -225,8 +237,41 @@ def test_series_builders_read_each_prefix_once_per_terms_call(monkeypatch):
     monkeypatch.setattr(series, "_terms", record_terms)
     outs = verify("E18", grid_size=33)
     assert all(o.passed for o in outs)
-    assert len(reads) == len(terms_calls) > 1
+    assert len(reads) == len(terms_calls) == 1
     assert reads == [2] * len(reads)  # no scalar read
+
+
+def _alternating_harmonic(n0, n1):
+    n = np.arange(n0, n1)
+    return np.where(n % 2 == 0, 1.0, -1.0) / (n + 1.0)
+
+
+def test_accelerated_rows_keep_their_bits_under_work_caps():
+    # terms, bounds, values and flags of CVZ rows at max_work 1..30 and three
+    # tolerances, pinned as a digest of the sums that read the first term
+    # alone and then the rest: one read of every term a row may use keeps
+    # them. The series are those whose terms take no power of alpha, and E18's
+    # b_k at five alphas
+    sides = [
+        Rows(lambda: TermGenerator(_alternating_harmonic, 0), [{}]),
+        Rows(lambda: _gen_skew_odd_denom(1.0), [{}]),
+        Rows(lambda: _gen_alt_odd_harmonic_sq(1.0), [{}]),
+        Rows(lambda: _gen_odd_harmonic_leibniz(1.0), [{}]),
+        Rows(lambda p: _gen_atan_pow_beta(1.0, p), [{"p": p} for p in (1, 2, 3, 4)]),
+        Rows(_gen_pos_odd_harmonic_sq, [{"alpha": a} for a in (1e-3, 0.25, 0.5, 0.9, 0.999)]),
+    ]
+    rows = []
+    for max_work in range(1, 31):
+        for tol in (Tolerance(1e-10, 1e-10, max_work), Tolerance(2.5e-11, 2.5e-11, max_work),
+                    Tolerance(1e-14, 0.0, max_work)):
+            for side in sides:
+                r = sum_alternating_accelerated(side, tol)
+                rows += [(w, v.hex(), b.hex(), c) for v, b, w, c in zip(
+                    r.values.tolist(), r.remainder_bounds.tolist(), r.work.tolist(),
+                    r.row_converged.tolist())]
+    assert len(rows) == 1170
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "c8348b458f6d1f7e8454d362ddb2961d522fd5ebf541431c3583d9ca2bf78f95")
 
 
 def test_every_side_is_made_by_one_of_three_evaluators():

@@ -18,9 +18,9 @@ from quadident.ledger import render_json, verify_all
 
 _RECORDED_WITH = ("3.11", "2.4.6")  # Python major.minor, numpy
 _DIGESTS = {
-    5: "5f6194ceffabd8fc28a3464eee166584300f3847e8dff094ce4888775b9921e5",
-    9: "088466953e6dd17fbb52e829a998506daed8d5bafaeae8833bcb6628680fa3c4",
-    33: "13bfbb590bc926f147804d79a112e2479a76ddf485bea2522243f331611bb21a",
+    5: "1d8609a3d9acba50dd2f5f93531a2308716b25b0f1a44194f3418a2551363e7a",
+    9: "09debb56df22a61e438c8a14590d4540a5c2d39bb953607853a7b134e62dd8eb",
+    33: "8e4be9dd9e34775aa70c9deed2087b5e7cf8a0d3c18ef9dba9c279eccf2fabb6",
 }
 _LIST_DIGEST = "d67b8df83bcb114ac13b77b6971aeca4abcfd9f0e4235ccf9b71d3293ef01d09"
 

@@ -365,7 +365,7 @@ def test_default_generator_is_checked_as_alternating():
 def test_accelerated_non_finite_term_fails_fast():
     # a NaN term makes the weighted sum NaN, so the result would be NaN and
     # not converged; it raises with the direct sum's text instead, after the
-    # one call that builds the terms past the first
+    # one call that builds every term the sum may use
     calls = []
 
     def terms(n0, n1):
@@ -378,10 +378,54 @@ def test_accelerated_non_finite_term_fails_fast():
                        match=r"^term at index 3 of poisoned series is not finite \(nan\)$"):
         sum_alternating_accelerated(g)
     # the first term 1 sets n = 15 at the default tolerance: 8/(3+sqrt 8)^15 is
-    # below 1e-10 + 1e-10/2, and the sum reads n + 4 terms
-    assert calls == [(0, 1), (1, 19)]
+    # below 1e-10 + 1e-10/2, and the row uses n + 4 terms. The one call reads
+    # 20: no row's n exceeds ceil(log(8/(1e-10/2))/log(3+sqrt 8)) = 15 at
+    # rel_tol 1e-10, one more for rounding, and 4 past it
+    assert calls == [(0, 20)]
     with pytest.raises(NonFiniteTermError, match=r"index 3 of poisoned series"):
         sum_direct(g)
+
+
+_FIRST_TERMS = [0.0, 5e-324, 1e-310, 1e-300, 1e-20, 1.0, -3.0, 1e300, -1.7e308,
+                math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FIRST_TERMS) | st.floats(-1e6, 1e6), min_size=1, max_size=6),
+       st.sampled_from([0.0, 1e-300, 1e-16, 1e-10, 1.0, 1e10]),
+       st.sampled_from([0.0, 1e-300, 1e-16, 2.5e-11, 1e-10, 0.5, 1.0, 1e300]),
+       st.integers(1, 40) | st.just(2_000_000),
+       st.integers(0, 3))
+def test_accelerated_reads_every_term_a_row_uses_in_one_call(firsts, abs_tol, rel_tol,
+                                                              max_work, first_index):
+    # rows with these first terms t_0 (then t_0 (-1/2)^k) read their terms in
+    # one call, which covers every row's n + 4; a non-finite t_0 sets n = 1
+    # and fails at the first index
+    if abs_tol == rel_tol == 0.0:
+        rel_tol = 1e-10
+    tol = Tolerance(abs_tol, rel_tol, max_work)
+    calls = []
+
+    def build(t0):
+        def terms(n0, n1):
+            calls.append((n0, n1))
+            with np.errstate(all="ignore"):
+                return t0 * (-0.5) ** np.arange(n0 - first_index, n1 - first_index)
+
+        return TermGenerator(terms, first_index)
+
+    finite = [t for t in firsts if math.isfinite(t)]
+    if finite:
+        res = sum_alternating_accelerated(Rows(build, [{"t0": t} for t in finite]), tol)
+        [(n0, n1)] = calls
+        assert n0 == first_index and n1 - n0 >= res.work.max()
+        assert (res.work >= 5).all() and (res.work <= max(5, max_work)).all()
+    if len(finite) < len(firsts):
+        calls.clear()
+        with pytest.raises(NonFiniteTermError, match=rf"^term at index {first_index} of "):
+            sum_alternating_accelerated(Rows(build, [{"t0": t} for t in firsts]), tol)
+        [(n0, n1)] = calls
+        assert n0 == first_index and n1 - n0 >= 5
 
 
 def test_unreachable_tolerance_flagged_not_converged():
