@@ -180,28 +180,24 @@ def _evaluate(evaluator, pts, skip, tol) -> tuple[EvalRows, dict[int, Exception]
 
 def _fill(parts, errors, evaluator, idx, points, tol):
     """The points in one ``evaluator.rows`` call, appended to ``parts`` with
-    their indices ``idx``; if it raises, one point records the exception in
-    ``errors``, and more go to :func:`_bisect`."""
+    their indices ``idx``. If the call raises, one point records the
+    exception in ``errors``, and more are retried in two halves, each through
+    ``_fill``: a half that succeeds has the bits of the whole call, as a row
+    is its one-point run."""
     try:
         out = evaluator.rows(points, tol)
         dtype = np.asarray(out.value).dtype
         if dtype.kind not in "fc":  # an object column would reach the judge
             raise TypeError(f"side values are {dtype}, not float or complex")
     except Exception as exc:
-        if len(idx) > 1:
-            _bisect(parts, errors, evaluator, idx, points, tol)
-        else:
+        if len(idx) == 1:
             errors[idx[0]] = exc
+            return
+        half = len(idx) // 2
+        for part in (slice(None, half), slice(half, None)):
+            _fill(parts, errors, evaluator, idx[part], points[part], tol)
     else:
         parts.append((idx, out))
-
-
-def _bisect(parts, errors, evaluator, idx, points, tol):
-    """Points whose rows call raised, in two halves through :func:`_fill`; a
-    half that succeeds has the bits of the whole call: a row is its one-point run."""
-    half = len(idx) // 2
-    for part in (slice(None, half), slice(half, None)):
-        _fill(parts, errors, evaluator, idx[part], points[part], tol)
 
 
 _REASONS = np.array(["", REASON_MISMATCH, REASON_IMAG, REASON_NOT_CONVERGED])

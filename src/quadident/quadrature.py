@@ -7,26 +7,27 @@ rapidly. Levels halve the step and reuse previous nodes; the error estimate is
 the last level-to-level change with a safety factor of 10, a rounding floor,
 and the truncation term ``|w f|`` at the outermost nodes ``t = +-4``. No row
 may stop before level 2, so levels 0-2 (those that ``max_work`` allows) are
-evaluated as one run: one ``f`` call and one ``f_right`` call over their
-nodes, each level's sums taken from its own slice. A run's nodes, joined
+evaluated as one run: one ``f`` call and one ``f_right`` call per piece over
+their nodes, each level's sums taken from its own slice. A run's nodes, joined
 for those calls, are built once and cached, like each level's.
 
 Semi-infinite integrals are split at 1 and the far part is mapped back to the
 unit interval with ``x -> 1/x``, mirroring the classical manipulation of the
 integrals this package verifies. The near and far pieces of ``k`` rows are the
-``2k`` rows of one driver pass.
+``2k`` rows of one driver pass, each piece writing its own rows of the block.
 
 Integrand callables must be numpy vectorized and real-valued: they receive a
 float ndarray of abscissae and must return a real ndarray of values (or a real
 scalar, broadcast over the nodes). Complex values raise
-:class:`QuadratureError`, and so does a non-finite value. No node lies on 0:
-the smallest abscissa and the smallest distance ``1 - x`` at any level are
-5.8e-38. Near the right end, however, ``x`` itself rounds to exactly 1.0, so
-an integrand singular at 1 must supply ``f_right``, which is called with the
-exact distance ``delta = 1 - x`` (doubles cannot represent ``1 - delta`` to
-useful relative precision once ``delta`` is tiny). The interval is chosen by
-the integrator called: :func:`integrate_unit` or
-:func:`integrate_semi_infinite`.
+:class:`QuadratureError`, and so does a non-finite value, under any warnings
+filter: numpy's floating-point warnings are off in the driver, so an integrand
+emits no ``RuntimeWarning``. No node lies on 0: the smallest abscissa and the
+smallest distance ``1 - x`` at any level are 5.8e-38. Near the right end,
+however, ``x`` itself rounds to exactly 1.0, so an integrand singular at 1
+must supply ``f_right``, which is called with the exact distance
+``delta = 1 - x`` (doubles cannot represent ``1 - delta`` to useful relative
+precision once ``delta`` is tiny). The interval is chosen by the integrator
+called: :func:`integrate_unit` or :func:`integrate_semi_infinite`.
 
 Rows: a :class:`~quadident.numerics.Rows` of integrands over a table of
 points passes each parameter to its builder as a ``(rows, 1)`` column, so one
@@ -137,18 +138,12 @@ def _real_values(piece, fn, arg) -> np.ndarray:
     return v
 
 
-def _widened(v: np.ndarray, shape: tuple) -> np.ndarray:
-    """Integrand values ``v`` as an array of ``shape``, copied only when they
-    need broadcasting (np.full is faster than np.broadcast_to at these sizes)."""
-    return v if v.shape == shape else np.full(shape, v)
-
-
 @functools.cache
 def _run_nodes(start: int, stop: int, right: bool):
     """The nodes of levels ``start .. stop-1`` as one run, ascending ``t`` in
     each level: the abscissae ``f`` takes, the distances to 1 ``f_right``
-    takes, the weights, the places of the two pieces' values (two slices for
-    one level, else two index arrays; both None without ``right``) and
+    takes, the weights, the places of their values (two slices for one
+    level, else two index arrays; both None without ``right``) and
     ``(offset, nodes)`` per level. Built once per run and cached; read-only."""
     nodes = [_level_nodes(level) for level in range(start, stop)]
     sizes = [len(t) for t, *_ in nodes]
@@ -166,23 +161,26 @@ def _run_nodes(start: int, stop: int, right: bool):
     return arg, darg, w, place, tuple(zip(np.cumsum([0] + sizes).tolist(), sizes))
 
 
-def _eval_levels(f, f_right, levels: range, k: int):
+def _eval_levels(pieces, levels: range, k: int):
     """``w f`` and ``|w f|`` of ``k`` rows at the new nodes of a run of
-    levels, from one ``f`` call (and one ``f_right`` call) over the run's
-    nodes: one ``(2, k, nodes)`` block, written by one multiply and one
-    ``abs``, and the ``(offset, nodes)`` of each level in it. Only when the
-    run's total of ``|w f|`` is not finite are its values searched for a
-    non-finite one, level by level in order (w lies in (0, 1), so ``w f`` is
-    non-finite exactly where ``f`` is)."""
-    arg, darg, w, place, spans = _run_nodes(levels.start, levels.stop, f_right is not None)
-    block = np.empty((2, k, len(w)))
-    left = _real_values("f", f, arg)
-    if f_right is None:
-        np.multiply(w, left, out=block[0])
-    else:
-        block[0][:, place[0]] = left
-        block[0][:, place[1]] = _real_values("f_right", f_right, darg)
-        block[0] *= w
+    levels: one ``(2, k, nodes)`` block, and the ``(offset, nodes)`` of each
+    level in it. Each ``(spec, rows)`` piece writes its rows of the block from
+    one ``f`` call (and one ``f_right`` call) over the run's nodes, by one
+    multiply that broadcasts ``f``'s values; one ``abs`` fills the rest. Only
+    when the run's total of ``|w f|`` is not finite are its values searched
+    for a non-finite one, level by level in order (w lies in (0, 1), so
+    ``w f`` is non-finite exactly where ``f`` is)."""
+    spans = _run_nodes(levels.start, levels.stop, False)[4]
+    block = np.empty((2, k, sum(spans[-1])))  # up to the end of the last level
+    for spec, rows in pieces:
+        arg, darg, w, place, _ = _run_nodes(levels.start, levels.stop, spec.f_right is not None)
+        if spec.f_right is None:
+            np.multiply(w, _real_values("f", spec.f, arg), out=block[0, rows])
+        else:
+            values = block[0, rows]
+            values[:, place[0]] = _real_values("f", spec.f, arg)
+            values[:, place[1]] = _real_values("f_right", spec.f_right, darg)
+            values *= w
     np.abs(block[0], out=block[1])
     if not np.isfinite(np.add.reduce(block[1], axis=None)):
         for level, (a, n) in zip(levels, spans):
@@ -197,17 +195,19 @@ def _eval_levels(f, f_right, levels: range, k: int):
     return block, spans
 
 
-def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
+@np.errstate(all="ignore")  # a non-finite value raises QuadratureError under any filter
+def _tanh_sinh(pieces_of, k: int, tol: Tolerance) -> QuadratureRows:
     """Trapezoid-with-halving driver for ``k`` real-valued integrand rows.
 
-    ``spec_of(rows)`` returns the spec of the active rows (all for None). Each
-    level is one array pass over the active rows: their level sums and sums
-    of ``|w f|`` are the ``(2, rows)`` sums of the level's part of the run's
-    block, and their totals and sums of ``h |w f|`` one ``(2, rows)`` state.
-    A row leaves the active set at the level where it converges, and its
-    columns are filled then; every row still active shares the level count,
-    so the ``max_work`` stop applies to all of them at once. Rows leave from
-    level 2 on, the last level of the first run, so a block never loses rows.
+    ``pieces_of(rows)`` returns the ``(IntegrandSpec, row slice)`` pieces of
+    the active rows (all for None), in row order. Each level is one array pass
+    over the active rows: their level sums and sums of ``|w f|`` are the
+    ``(2, rows)`` sums of the level's part of the run's block, and their
+    totals and sums of ``h |w f|`` one ``(2, rows)`` state. A row leaves the
+    active set at the level where it converges, and its columns are filled
+    then; every row still active shares the level count, so the ``max_work``
+    stop applies to all of them at once. Rows leave from level 2 on, the last
+    level of the first run, so a block never loses rows.
 
     The error estimate is ten times the level-to-level change, plus a
     rounding floor, plus the level-0 ``|w f|`` at the two outermost nodes
@@ -219,21 +219,20 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
     out = QuadratureRows(np.empty(k), np.empty(k), np.empty(k, dtype=int),
                          np.zeros(k, dtype=bool))
     active = np.arange(k)
-    spec = spec_of(None)
+    pieces = pieces_of(None)
     evals = 0
     err = np.full(k, np.inf)
     # levels 0 to _MIN_LEVEL, as far as max_work allows, are one run
     run, work = 1, len(_level_nodes(0)[0])
     while run <= _MIN_LEVEL and (work := work + len(_level_nodes(run)[0])) <= tol.max_work:
         run += 1
-    block, spans = _eval_levels(spec.f, spec.f_right, range(run), k)
+    block, spans = _eval_levels(pieces, range(run), k)
     edge = block[1, :, 0] + block[1, :, spans[0][1] - 1]  # truncation at |t| = 4
     for level in range(_MAX_LEVELS + 1):
         if level >= run:
             if evals + len(_level_nodes(level)[0]) > tol.max_work:
                 break
-            block, spans = _eval_levels(spec.f, spec.f_right, range(level, level + 1),
-                                        len(active))
+            block, spans = _eval_levels(pieces, range(level, level + 1), len(active))
         a, n = spans[level if level < run else 0]
         sums = np.add.reduce(block[:, :, a:a + n], axis=2)  # level sums of w f, |w f|
         evals += n
@@ -257,7 +256,7 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance) -> QuadratureRows:
             active, state, err, edge = active[keep], state[:, keep], err[keep], edge[keep]
             if not active.size:
                 return out
-            spec = spec_of(active)
+            pieces = pieces_of(active)
     out.values[active] = state[0]
     out.error_estimates[active] = err
     out.work[active] = evals
@@ -293,7 +292,7 @@ def integrate_unit(spec: IntegrandSpec | Rows,
     Non-finite integrand values raise :class:`QuadratureError`.
     """
     spec_of, k = _rows_of(spec)
-    return _result(spec, _tanh_sinh(spec_of, k, tol))
+    return _result(spec, _tanh_sinh(lambda rows: [(spec_of(rows), slice(None))], k, tol))
 
 
 def integrate_semi_infinite(spec: IntegrandSpec | Rows,
@@ -311,14 +310,14 @@ def integrate_semi_infinite(spec: IntegrandSpec | Rows,
     half = Tolerance(tol.abs_tol / 2.0, tol.rel_tol / 2.0, max(1, tol.max_work // 2))
 
     def pieces_of(rows):
+        # the active near rows are a prefix of the active rows
         rows = np.arange(2 * k) if rows is None else rows
         near, far = rows[rows < k], rows[rows >= k] - k
-        pieces = [(spec_of(near).f, near.size)] if near.size else []
+        pieces = [(spec_of(near), slice(0, near.size))] if near.size else []
         if far.size:
             f = spec_of(far).f
-            pieces.append((lambda u: f(1.0 / u) / u**2, far.size))
-        return IntegrandSpec(lambda x: np.concatenate(
-            [_widened(_real_values("f", g, x), (n, len(x))) for g, n in pieces]))
+            pieces.append((IntegrandSpec(lambda u: f(1.0 / u) / u**2), slice(near.size, None)))
+        return pieces
 
     # row i is the sum of rows i and k + i
     both = _tanh_sinh(pieces_of, 2 * k, half)

@@ -2,9 +2,10 @@
 
 Every series here is alternating. Terms come in index ranges: a
 :class:`TermGenerator`'s ``terms(n0, n1)`` returns the terms of indices
-``n0 .. n1-1`` as an array. Either sum raises :class:`NonFiniteTermError`
-when it reads an infinite or NaN term, and :class:`SignPatternError` when it
-reads two same-sign terms past the first ``_SIGN_GRACE``.
+``n0 .. n1-1`` as an array. Either sum checks each read of terms once: it
+raises :class:`NonFiniteTermError` when it reads an infinite or NaN term, and
+:class:`SignPatternError` when it reads two same-sign terms past the first
+``_SIGN_GRACE``.
 
 :func:`sum_direct` stops at the first index whose remainder bound meets the
 tolerance. The bound is the first omitted term, which bounds the truncation
@@ -113,15 +114,6 @@ def _terms(g: TermGenerator, n0: int, n1: int, k: int) -> np.ndarray:
     return a if a.shape == (k, n1 - n0) else np.broadcast_to(a, (k, n1 - n0))
 
 
-def _same_sign(g: TermGenerator, t, t_next, n) -> np.ndarray:
-    """Where a term (of index ``n``) and the next one have the same sign past
-    the grace window."""
-    same = t * t_next > 0.0
-    if n.size and n[0] - g.first_index < _SIGN_GRACE:
-        same &= n - g.first_index >= _SIGN_GRACE
-    return same
-
-
 def _sign_error(g: TermGenerator, n: int, t: float, t_next: float) -> SignPatternError:
     return SignPatternError(
         f"terms at indices {n} and {n + 1} of {g.name or 'series'} "
@@ -133,13 +125,13 @@ def _nonfinite_error(g: TermGenerator, n: int, t: float) -> NonFiniteTermError:
     return NonFiniteTermError(f"term at index {n} of {g.name or 'series'} is not finite ({t!r})")
 
 
-def _check_read(g: TermGenerator, a: np.ndarray, same: np.ndarray, n0: int,
-                last: np.ndarray) -> None:
+def _check_read(g: TermGenerator, a: np.ndarray, n0: int, last: np.ndarray) -> None:
     """Raise for the first row of ``a`` (terms from index ``n0``) that reads
-    a non-finite term, else for the first that reads a same-sign pair (where
-    ``same`` marks the pair of columns j and j + 1), among its columns
-    ``0 .. last``."""
+    a non-finite term, else for the first that reads two same-sign terms
+    past the first ``_SIGN_GRACE`` of ``g``, among its columns ``0 .. last``."""
     nonfinite = ~np.isfinite(a)
+    same = a[:, :-1] * a[:, 1:] > 0.0  # pair j: the terms of columns j and j + 1
+    same[:, :max(0, g.first_index + _SIGN_GRACE - n0)] = False
     if not (nonfinite.any() or same.any()):
         return
     read = np.arange(a.shape[1]) <= last[:, None]
@@ -178,7 +170,6 @@ def sum_direct(g: TermGenerator, tol: Tolerance = DEFAULT_TOL) -> SummationResul
         else:
             a = np.concatenate([pending, _terms(g, n0 + 1, n0 + m + 1, 1)], axis=1)
         t, t_next = a[:, :-1], a[:, 1:]
-        n = np.arange(n0, n0 + m)
         with np.errstate(all="ignore"):  # inf and nan propagate as in Python floats
             sums, comp = neumaier_prefix(s, c, t)
             value = sums + comp
@@ -195,9 +186,8 @@ def sum_direct(g: TermGenerator, tol: Tolerance = DEFAULT_TOL) -> SummationResul
             stop = (met | ((floor > target) & (tail <= floor)))[0]
             if n0 + m - first >= tol.max_work:
                 stop[-1] = True
-            same = _same_sign(g, t, t_next, n)
-        end = int(stop.argmax()) if stop.any() else m
-        _check_read(g, a, same, n0, np.array([end + 1]))  # terms n0 .. n0 + end + 1
+            end = int(stop.argmax()) if stop.any() else m
+            _check_read(g, a, n0, np.array([end + 1]))  # terms n0 .. n0 + end + 1
         if end < m:
             return SummationResult(value[0, end].item(), end + n0 - first + 1,
                                    bound[0, end].item(), met[0, end].item())
@@ -276,8 +266,7 @@ def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
         ns = np.clip(need, 1, cap).astype(int)
         used = ns + _EXTRA
         t = t[:, :int(used.max())]
-        same = _same_sign(g, t[:, :-1], t[:, 1:], np.arange(first, first + t.shape[1] - 1))
-        _check_read(g, t, same, first, used - 1)
+        _check_read(g, t, first, used - 1)
         # S_n and S_{n+4} weigh a row's first n and n + 4 terms, and zero the
         # rest, which are never read: zeros stand in for them
         w = _cvz_table(t.shape[1])

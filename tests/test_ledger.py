@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -512,8 +513,7 @@ def test_lemma_cases_give_outcomes_at_high_orders(case_id):
     # the judge could not read. The left side's log(x)^p overflows at the
     # outermost node from p = 160 on, so those points fail there first
     points = [{"p": p, "beta": 0.5} for p in (21, 60, 170, 171)]
-    with np.errstate(over="ignore"):
-        outs = verify(case_id, points=points)
+    outs = verify(case_id, points=points)
     assert [o.params for o in outs[:4]] == points and len(outs) == 4 + 4
     assert outs[0].passed and outs[1].reason == "not_converged"
     assert all(o.reason.startswith("error: integrand returned a non-finite value at x=")
@@ -523,6 +523,23 @@ def test_lemma_cases_give_outcomes_at_high_orders(case_id):
                                    ledger.side_tolerance(Tolerance()))
     assert list(errors) == [3] and str(errors[3]) == "int too large to convert to float"
     assert isinstance(errors[3], OverflowError) and np.isfinite(rhs.value[:3]).all()
+
+
+@pytest.mark.parametrize("case_id, point", [
+    ("E2", {"alpha": 2.0}), ("E9", {"alpha": -2.0}), ("E12", {"p": 170, "beta": 0.5})])
+def test_non_finite_integrand_value_fails_alike_under_any_warnings_filter(case_id, point):
+    # arcsin of a value above 1, log1p(-1) and an overflowing power: numpy
+    # would warn, and a filter that raises would replace the driver's text by
+    # the warning's. The driver evaluates with numpy's warnings off
+    reasons = []
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            out = verify(case_id, points=[point])[0]
+        assert out.params == point and not out.passed
+        reasons.append(out.reason)
+    assert reasons[0] == reasons[1]
+    assert reasons[0].startswith("error: integrand returned a non-finite value at x=")
 
 
 def test_side_column_that_is_no_float_fails_its_points():

@@ -199,6 +199,28 @@ def test_rows_equal_one_row_runs_at_any_row_count(family, k, seed, levels, digit
     assert batch.converged == all(one.converged for one in alone)
 
 
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_half_line_rows_of_one_broadcast_integrand_are_their_two_pieces(k):
+    # the builder ignores its parameter, so each piece's f returns one
+    # (nodes,) array for all of its rows, which the driver broadcasts into
+    # those rows of the block; the near rows stop at 65 nodes and the far
+    # rows at 257, so the far piece also runs alone. Each row is the sum of
+    # its near and far one-row runs at half the tolerance
+    def f(x):
+        return np.exp(-x)
+
+    tol = Tolerance()
+    half = Tolerance(tol.abs_tol / 2.0, tol.rel_tol / 2.0, tol.max_work // 2)
+    rows = integrate_semi_infinite(Rows(lambda a: IntegrandSpec(f), [{"a": a} for a in range(k)]),
+                                   tol)
+    near, far = quad(f, half), quad(lambda u: f(1.0 / u) / u**2, half)
+    assert (near.evaluations, far.evaluations) == (65, 257)
+    assert _row_bits(rows) == k * [((near.value + far.value).hex(),
+                                     (near.error_estimate + far.error_estimate).hex(),
+                                     near.evaluations + far.evaluations,
+                                     near.converged and far.converged)]
+
+
 # ---------------------------------------------------------------------------
 # The first levels are one integrand call: pinned under work caps
 # ---------------------------------------------------------------------------
@@ -425,7 +447,7 @@ def _fsum_reference(spec, tol):
             break
         # one level as a one-level run: the driver's run of levels 0-2 must
         # place each level's values as these blocks do
-        block, [(_, n_new)] = _eval_levels(spec.f, spec.f_right, range(level, level + 1), 1)
+        block, [(_, n_new)] = _eval_levels([(spec, slice(None))], range(level, level + 1), 1)
         row = block[0, 0].tolist()
         evals += n_new
         h = 0.5 ** level
@@ -535,7 +557,7 @@ def test_some_right_end_nodes_round_to_one():
 
 
 def test_right_singular_integrand_needs_f_right():
-    with np.errstate(divide="ignore"), pytest.raises(QuadratureError, match="x=1.0"):
+    with pytest.raises(QuadratureError, match="x=1.0"):
         quad(lambda x: np.log1p(-x))
     res = quad(lambda x: np.log1p(-x), f_right=np.log)
     assert res.converged

@@ -142,7 +142,7 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
                        "E16", "E18d", "E21", "E22"}
 
 
-@pytest.mark.parametrize("case_id", ["E4", "E9", "E13inf"])
+@pytest.mark.parametrize("case_id", ["E4", "E9", "E13inf", "E14inf"])
 def test_half_line_pass_equals_its_two_pieces(monkeypatch, case_id):
     # the near and far pieces of k rows are the 2k rows of one driver pass;
     # each row is the sum of the one-row runs of its near integrand and of
@@ -172,7 +172,8 @@ def test_half_line_pass_equals_its_two_pieces(monkeypatch, case_id):
                        (near.error_estimate + far.error_estimate).hex(),
                        near.evaluations + far.evaluations,
                        near.converged and far.converged), (case_id, point)
-    assert levels_differ or case_id == "E13inf"
+    # the one point of E13inf or E14inf stops both pieces at one level
+    assert levels_differ or case_id in ("E13inf", "E14inf")
 
 
 def _sum_bits(res):
@@ -367,14 +368,21 @@ def test_closed_form_rows_equal_one_point_runs():
 def test_every_grouped_call_runs_without_the_one_point_fallback(monkeypatch):
     # a side whose rows call raises is evaluated again by halves down to
     # single points: correct, but slow and silent. No registered side may
-    # take that path, and every outcome passes
-    def fallback(side, errors, evaluator, idx, points, tol):
-        raise AssertionError(f"{evaluator.describe!r} fell back to halves at {points}")
+    # take that path: each side makes exactly one _fill call, and every
+    # outcome passes
+    module = importlib.import_module("quadident.ledger")
+    fill, calls = module._fill, []
 
-    monkeypatch.setattr(importlib.import_module("quadident.ledger"), "_bisect", fallback)
-    for case_id in registry():
+    def count(parts, errors, evaluator, idx, points, tol):
+        calls.append(evaluator)
+        return fill(parts, errors, evaluator, idx, points, tol)
+
+    monkeypatch.setattr(module, "_fill", count)
+    for case_id, case in registry().items():
+        del calls[:]
         outs = verify(case_id, 33)
         assert outs and all(o.passed for o in outs), case_id
+        assert calls == [case.lhs, case.rhs], case_id
 
 
 def test_every_case_verifies_at_the_one_gate_with_a_wide_margin():

@@ -362,6 +362,29 @@ def test_default_generator_is_checked_as_alternating():
             summer(g)
 
 
+@pytest.mark.parametrize("first", [0, 1, 3])
+def test_sign_grace_window_exempts_the_first_four_pairs_in_both_sums(first):
+    # terms (-1)^n/(n+1) that keep the sign of term flip - 1 from index flip
+    # on: the one same-sign pair is (flip - 1, flip). Pairs starting at
+    # indices first .. first+3 are exempt, the one at first+4 is not; at this
+    # tolerance and cap either sum reads past index first+5
+    def gen(flip):
+        return _gen(lambda n: (-1.0) ** (n if n < flip else n + 1) / (n + 1.0), first,
+                    name="flipped series")
+
+    tol = Tolerance(1e-12, 1e-12, 100)
+    for summer in (sum_alternating_accelerated, sum_direct):
+        summer(gen(first + 4), tol)
+        with pytest.raises(SignPatternError, match=(
+                rf"^terms at indices {first + 4} and {first + 5} of flipped series ")):
+            summer(gen(first + 5), tol)
+    # the first pair of a direct sum's second chunk: its first term is the
+    # one carried over from the first chunk
+    with pytest.raises(SignPatternError, match=(
+            rf"^terms at indices {first + 32} and {first + 33} of flipped series ")):
+        sum_direct(gen(first + 33), tol)
+
+
 def test_accelerated_non_finite_term_fails_fast():
     # a NaN term makes the weighted sum NaN, so the result would be NaN and
     # not converged; it raises with the direct sum's text instead, after the
