@@ -1,4 +1,4 @@
-"""Tour of the tanh-sinh integrator: smooth, singular, and half-line integrals.
+"""Tour of the double-exponential integrators: smooth, singular, and half-line integrals.
 
 Run:  python demos/quadrature_tour.py
 """
@@ -44,7 +44,7 @@ show("int 1/sqrt(x(1-x)) dx = pi  (both ends)",
          f_right=lambda d: 1.0 / np.sqrt(d * (1.0 - d)))), PI)
 
 print()
-print("== half-line integrals: split at 1, map the far piece back with x -> 1/x ==")
+print("== half-line integrals: exp-sinh nodes x = exp((pi/2) sinh t) ==")
 show("int 2 arctan(x)/(1+x^2) dx = pi^2/4",
      integrate_semi_infinite(IntegrandSpec(
          lambda x: 2.0 * np.arctan(x) / (1.0 + x * x))),

@@ -2,8 +2,8 @@
 
 The library evaluates polylogarithms on the closed unit disc, the alternating
 incomplete beta series, exact harmonic/Stirling/Lah combinatorics and the
-coefficients of integer arctangent powers; integrates with tanh-sinh
-quadrature robust to endpoint singularities; accelerates slowly convergent
+coefficients of integer arctangent powers; integrates with tanh-sinh and
+exp-sinh quadrature robust to endpoint singularities; accelerates slowly convergent
 alternating series with the Cohen-Rodriguez Villegas-Zagier weighted sum; and
 verifies a registry of classical integral/series identities over parameter
 grids, reporting machine-readable results.

@@ -30,7 +30,7 @@ class Tolerance(_ToleranceFields):
 
     A comparison passes when ``|a - b| <= abs_tol + rel_tol * max(|a|, |b|)``.
     ``max_work`` caps function evaluations (quadrature) or series terms, down
-    to floors: tanh-sinh's level 0 (9; 18 on the half-line) and 5 CVZ terms.
+    to floors: the quadrature's level 0 (9, on either interval) and 5 CVZ terms.
     """
 
     __slots__ = ()

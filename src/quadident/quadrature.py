@@ -1,33 +1,33 @@
-"""Tanh-sinh (double-exponential) quadrature on the unit interval and the half-line.
+"""Double-exponential quadrature on the unit interval and the half-line.
 
-The variable change ``x = (1 + tanh((pi/2) sinh t)) / 2`` pushes endpoint
-singularities of logarithmic or inverse-square-root type into a double
+On (0, 1) the tanh-sinh change ``x = (1 + tanh((pi/2) sinh t)) / 2`` pushes
+endpoint singularities of logarithmic or inverse-square-root type into a double
 exponentially decaying weight, so a plain trapezoid rule in ``t`` converges
-rapidly. Levels halve the step and reuse previous nodes; the error estimate is
-the last level-to-level change with a safety factor of 10, a rounding floor,
-and the truncation term ``|w f|`` at the outermost nodes ``t = +-4``. No row
-may stop before level 2, so levels 0-2 (those that ``max_work`` allows) are
-evaluated as one run: one ``f`` call and one ``f_right`` call per piece over
-their nodes, each level's sums taken from its own slice. A run's nodes, joined
-for those calls, are built once and cached, like each level's.
-
-Semi-infinite integrals are split at 1 and the far part is mapped back to the
-unit interval with ``x -> 1/x``, mirroring the classical manipulation of the
-integrals this package verifies. The near and far pieces of ``k`` rows are the
-``2k`` rows of one driver pass, each piece writing its own rows of the block.
+rapidly. On (0, inf) the exp-sinh change ``x = exp((pi/2) sinh t)`` does the
+same for both ends (Takahasi & Mori 1974; Mori & Sugihara, "The double
+exponential transformation in numerical analysis", 2001). Both tables share the
+``t`` grid, and one driver serves both: levels halve the step and reuse
+previous nodes; the error estimate is the last level-to-level change with a
+safety factor of 10, a rounding floor, and the truncation term ``|w f|`` at the
+outermost nodes ``t = +-4``. No row may stop before level 2, so levels 0-2
+(those that ``max_work`` allows) are evaluated as one run: one ``f`` call and
+one ``f_right`` call over their nodes, each level's sums taken from its own
+slice. A run's nodes, joined for those calls, are built once and cached, like
+each level's.
 
 Integrand callables must be numpy vectorized and real-valued: they receive a
 float ndarray of abscissae and must return a real ndarray of values (or a real
 scalar, broadcast over the nodes). Complex values raise
 :class:`QuadratureError`, and so does a non-finite value, under any warnings
 filter: numpy's floating-point warnings are off in the driver, so an integrand
-emits no ``RuntimeWarning``. No node lies on 0: the smallest abscissa and the
-smallest distance ``1 - x`` at any level are 5.8e-38. Near the right end,
-however, ``x`` itself rounds to exactly 1.0, so an integrand singular at 1
-must supply ``f_right``, which is called with the exact distance
-``delta = 1 - x`` (doubles cannot represent ``1 - delta`` to useful relative
-precision once ``delta`` is tiny). The interval is chosen by the integrator
-called: :func:`integrate_unit` or :func:`integrate_semi_infinite`.
+emits no ``RuntimeWarning``. No node lies on 0: on (0, 1) the smallest abscissa
+and the smallest distance ``1 - x`` at any level are 5.8e-38, and on (0, inf)
+the abscissae span 2.4e-19 to 4.1e18. Near the right end of (0, 1), however,
+``x`` itself rounds to exactly 1.0, so an integrand singular at 1 must supply
+``f_right``, which is called with the exact distance ``delta = 1 - x``
+(doubles cannot represent ``1 - delta`` to useful relative precision once
+``delta`` is tiny). The interval is chosen by the integrator called:
+:func:`integrate_unit` or :func:`integrate_semi_infinite`.
 
 Rows: a :class:`~quadident.numerics.Rows` of integrands over a table of
 points passes each parameter to its builder as a ``(rows, 1)`` column, so one
@@ -103,14 +103,15 @@ class QuadratureRows(NamedTuple):
 
 
 @functools.cache
-def _level_nodes(level: int):
+def _level_nodes(level: int, half_line: bool = False):
     """Nodes introduced at a halving level: (t, x, delta, weight) arrays.
 
     Level 0 holds all integer t in [-T_MAX, T_MAX]; level k > 0 adds the odd
     multiples of h = 2^-k. ``t`` ascends, so the nodes with ``t <= 0`` are a
-    prefix. ``x`` and ``delta = 1 - x`` are computed through separate
-    exponential forms so each is accurate near its own endpoint. Built once
-    and cached; the arrays are read-only.
+    prefix. On (0, 1), ``x`` and ``delta = 1 - x`` are computed through
+    separate exponential forms so each is accurate near its own endpoint; on
+    the half-line ``x = exp(u)`` ascends from 2.4e-19 to 4.1e18 and ``delta``
+    is None. Built once and cached; the arrays are read-only.
     """
     h = 0.5 ** level
     if level == 0:
@@ -121,10 +122,15 @@ def _level_nodes(level: int):
         j = np.concatenate([-pos[::-1], pos])
     t = j * h
     u = 0.5 * np.pi * np.sinh(t)
-    x = 1.0 / (1.0 + np.exp(-2.0 * u))
-    delta = 1.0 / (1.0 + np.exp(2.0 * u))
-    w = 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
-    for arr in (t, x, delta, w):
+    if half_line:
+        x, delta = np.exp(u), None
+        w = 0.5 * np.pi * np.cosh(t) * x
+    else:
+        x = 1.0 / (1.0 + np.exp(-2.0 * u))
+        delta = 1.0 / (1.0 + np.exp(2.0 * u))
+        w = 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+        delta.setflags(write=False)
+    for arr in (t, x, w):
         arr.setflags(write=False)
     return t, x, delta, w
 
@@ -139,19 +145,20 @@ def _real_values(piece, fn, arg) -> np.ndarray:
 
 
 @functools.cache
-def _run_nodes(start: int, stop: int, right: bool):
+def _run_nodes(start: int, stop: int, right: bool, half_line: bool):
     """The nodes of levels ``start .. stop-1`` as one run, ascending ``t`` in
     each level: the abscissae ``f`` takes, the distances to 1 ``f_right``
     takes, the weights, the places of their values (two slices for one
     level, else two index arrays; both None without ``right``) and
     ``(offset, nodes)`` per level. Built once per run and cached; read-only."""
-    nodes = [_level_nodes(level) for level in range(start, stop)]
+    nodes = [_level_nodes(level, half_line) for level in range(start, stop)]
     sizes = [len(t) for t, *_ in nodes]
     # with f_right, f takes the prefix t <= 0 of each level: t is symmetric about 0
     left = np.concatenate([np.arange(n) < ((n + 1) // 2 if right else n) for n in sizes])
-    x, delta, w = (np.concatenate([level[i] for level in nodes]) for i in (1, 2, 3))
-    arg, darg, place = x[left], delta[~left] if right else None, None
+    x, w = (np.concatenate([level[i] for level in nodes]) for i in (1, 3))
+    arg, darg, place = x[left], None, None
     if right:
+        darg = np.concatenate([level[2] for level in nodes])[~left]
         m = (sizes[0] + 1) // 2
         place = ((slice(0, m), slice(m, sizes[0])) if len(sizes) == 1
                  else (np.flatnonzero(left), np.flatnonzero(~left)))
@@ -161,78 +168,78 @@ def _run_nodes(start: int, stop: int, right: bool):
     return arg, darg, w, place, tuple(zip(np.cumsum([0] + sizes).tolist(), sizes))
 
 
-def _eval_levels(pieces, levels: range, k: int):
+def _eval_levels(spec: IntegrandSpec, levels: range, k: int, half_line: bool):
     """``w f`` and ``|w f|`` of ``k`` rows at the new nodes of a run of
     levels: one ``(2, k, nodes)`` block, and the ``(offset, nodes)`` of each
-    level in it. Each ``(spec, rows)`` piece writes its rows of the block from
-    one ``f`` call (and one ``f_right`` call) over the run's nodes, by one
-    multiply that broadcasts ``f``'s values; one ``abs`` fills the rest. Only
-    when the run's total of ``|w f|`` is not finite are its values searched
-    for a non-finite one, level by level in order (w lies in (0, 1), so
-    ``w f`` is non-finite exactly where ``f`` is)."""
-    spans = _run_nodes(levels.start, levels.stop, False)[4]
+    level in it. One ``f`` call (and one ``f_right`` call) over the run's
+    nodes fills the first half by one multiply that broadcasts ``f``'s
+    values; one ``abs`` fills the rest. Only when the run's total of
+    ``|w f|`` is not finite are its values searched for a non-finite one,
+    level by level in order (w is finite and positive, so ``w f`` is
+    non-finite where ``f`` is, or where the product overflows)."""
+    arg, darg, w, place, spans = _run_nodes(levels.start, levels.stop,
+                                            spec.f_right is not None, half_line)
     block = np.empty((2, k, sum(spans[-1])))  # up to the end of the last level
-    for spec, rows in pieces:
-        arg, darg, w, place, _ = _run_nodes(levels.start, levels.stop, spec.f_right is not None)
-        if spec.f_right is None:
-            np.multiply(w, _real_values("f", spec.f, arg), out=block[0, rows])
-        else:
-            values = block[0, rows]
-            values[:, place[0]] = _real_values("f", spec.f, arg)
-            values[:, place[1]] = _real_values("f_right", spec.f_right, darg)
-            values *= w
+    if spec.f_right is None:
+        np.multiply(w, _real_values("f", spec.f, arg), out=block[0])
+    else:
+        values = block[0]
+        values[:, place[0]] = _real_values("f", spec.f, arg)
+        values[:, place[1]] = _real_values("f_right", spec.f_right, darg)
+        values *= w
     np.abs(block[0], out=block[1])
     if not np.isfinite(np.add.reduce(block[1], axis=None)):
         for level, (a, n) in zip(levels, spans):
             finite = np.isfinite(block[0, :, a:a + n])
             if not finite.all():
-                _, x, delta, _ = _level_nodes(level)
+                _, x, delta, _ = _level_nodes(level, half_line)
                 bad = int(np.flatnonzero(~finite)[0]) % n
+                # on the half-line 1 - x is no distance to an end
+                where = "" if half_line else f" (distance {float(delta[bad])!r} from 1)"
                 raise QuadratureError(
-                    f"integrand returned a non-finite value at x={float(x[bad])!r} "
-                    f"(distance {float(delta[bad])!r} from 1)"
-                )
+                    f"integrand returned a non-finite value at x={float(x[bad])!r}{where}")
     return block, spans
 
 
 @np.errstate(all="ignore")  # a non-finite value raises QuadratureError under any filter
-def _tanh_sinh(pieces_of, k: int, tol: Tolerance) -> QuadratureRows:
-    """Trapezoid-with-halving driver for ``k`` real-valued integrand rows.
+def _tanh_sinh(spec_of, k: int, tol: Tolerance, half_line: bool) -> QuadratureRows:
+    """Trapezoid-with-halving driver for ``k`` real-valued integrand rows, on
+    the tanh-sinh nodes of (0, 1) or the exp-sinh nodes of (0, inf).
 
-    ``pieces_of(rows)`` returns the ``(IntegrandSpec, row slice)`` pieces of
-    the active rows (all for None), in row order. Each level is one array pass
-    over the active rows: their level sums and sums of ``|w f|`` are the
-    ``(2, rows)`` sums of the level's part of the run's block, and their
-    totals and sums of ``h |w f|`` one ``(2, rows)`` state. A row leaves the
-    active set at the level where it converges, and its columns are filled
-    then; every row still active shares the level count, so the ``max_work``
-    stop applies to all of them at once. Rows leave from level 2 on, the last
-    level of the first run, so a block never loses rows.
+    ``spec_of(rows)`` returns the :class:`IntegrandSpec` of the active rows
+    (all for None). Each level is one array pass over the active rows: their
+    level sums and sums of ``|w f|`` are the ``(2, rows)`` sums of the level's
+    part of the run's block, and their totals and sums of ``h |w f|`` one
+    ``(2, rows)`` state. A row leaves the active set at the level where it
+    converges, and its columns are filled then; every row still active shares
+    the level count, so the ``max_work`` stop applies to all of them at once.
+    Rows leave from level 2 on, the last level of the first run, so a block
+    never loses rows.
 
     The error estimate is ten times the level-to-level change, plus a
     rounding floor, plus the level-0 ``|w f|`` at the two outermost nodes
     (``t = +-4``) for the truncation of the trapezoid sum (Takahasi & Mori,
     "Double exponential formulas for numerical integration", 1974; Bailey,
     Jeyabalan & Li, "A comparison of three high-precision quadrature
-    schemes", 2005).
+    schemes", 2005). On the half-line those nodes are x = 2.4e-19 and 4.1e18.
     """
     out = QuadratureRows(np.empty(k), np.empty(k), np.empty(k, dtype=int),
                          np.zeros(k, dtype=bool))
     active = np.arange(k)
-    pieces = pieces_of(None)
+    spec = spec_of(None)
     evals = 0
     err = np.full(k, np.inf)
     # levels 0 to _MIN_LEVEL, as far as max_work allows, are one run
     run, work = 1, len(_level_nodes(0)[0])
     while run <= _MIN_LEVEL and (work := work + len(_level_nodes(run)[0])) <= tol.max_work:
         run += 1
-    block, spans = _eval_levels(pieces, range(run), k)
+    block, spans = _eval_levels(spec, range(run), k, half_line)
     edge = block[1, :, 0] + block[1, :, spans[0][1] - 1]  # truncation at |t| = 4
     for level in range(_MAX_LEVELS + 1):
         if level >= run:
             if evals + len(_level_nodes(level)[0]) > tol.max_work:
                 break
-            block, spans = _eval_levels(pieces, range(level, level + 1), len(active))
+            block, spans = _eval_levels(spec, range(level, level + 1), len(active), half_line)
         a, n = spans[level if level < run else 0]
         sums = np.add.reduce(block[:, :, a:a + n], axis=2)  # level sums of w f, |w f|
         evals += n
@@ -256,7 +263,7 @@ def _tanh_sinh(pieces_of, k: int, tol: Tolerance) -> QuadratureRows:
             active, state, err, edge = active[keep], state[:, keep], err[keep], edge[keep]
             if not active.size:
                 return out
-            pieces = pieces_of(active)
+            spec = spec_of(active)
     out.values[active] = state[0]
     out.error_estimates[active] = err
     out.work[active] = evals
@@ -288,39 +295,22 @@ def integrate_unit(spec: IntegrandSpec | Rows,
     ``x**-0.9``, still large at the left end, the estimate is 1.62e-2 against
     a true error of 1.89e-3 (``converged`` is False). ``converged`` is set when
     the estimate met ``tol`` within ``tol.max_work`` evaluations; level 0 (9
-    evaluations, one per piece on the half-line) runs whatever the cap.
-    Non-finite integrand values raise :class:`QuadratureError`.
+    evaluations) runs whatever the cap. Non-finite integrand values raise
+    :class:`QuadratureError`.
     """
     spec_of, k = _rows_of(spec)
-    return _result(spec, _tanh_sinh(lambda rows: [(spec_of(rows), slice(None))], k, tol))
+    return _result(spec, _tanh_sinh(spec_of, k, tol, half_line=False))
 
 
 def integrate_semi_infinite(spec: IntegrandSpec | Rows,
                             tol: Tolerance = DEFAULT_TOL) -> QuadratureResult | QuadratureRows:
-    """Integrate ``spec.f`` over (0, inf) as the sum of two unit-interval pieces.
+    """Integrate ``spec.f`` over (0, inf) on exp-sinh nodes, with the driver,
+    levels, error estimate and stop rule of :func:`integrate_unit`.
 
-    Splits at 1 and substitutes ``x -> 1/u`` on the far piece, so each row is
-    ``int_0^1 f(x) dx + int_0^1 f(1/u)/u^2 du`` with the two error estimates
-    added; each piece runs at half the tolerance. The pieces of ``k`` rows are
-    the ``2k`` rows of one driver pass: near pieces first, then far pieces.
+    A non-finite value names its abscissa ``x`` alone. ``f_right`` raises
+    ``ValueError``: the half-line has no finite right end.
     """
     spec_of, k = _rows_of(spec)
     if spec_of(None).f_right is not None:
         raise ValueError("f_right applies to unit-interval integrands only")
-    half = Tolerance(tol.abs_tol / 2.0, tol.rel_tol / 2.0, max(1, tol.max_work // 2))
-
-    def pieces_of(rows):
-        # the active near rows are a prefix of the active rows
-        rows = np.arange(2 * k) if rows is None else rows
-        near, far = rows[rows < k], rows[rows >= k] - k
-        pieces = [(spec_of(near), slice(0, near.size))] if near.size else []
-        if far.size:
-            f = spec_of(far).f
-            pieces.append((IntegrandSpec(lambda u: f(1.0 / u) / u**2), slice(near.size, None)))
-        return pieces
-
-    # row i is the sum of rows i and k + i
-    both = _tanh_sinh(pieces_of, 2 * k, half)
-    return _result(spec, QuadratureRows(
-        *(col.reshape(2, k).sum(axis=0) for col in (both.values, both.error_estimates, both.work)),
-        both.row_converged.reshape(2, k).all(axis=0)))
+    return _result(spec, _tanh_sinh(spec_of, k, tol, half_line=True))

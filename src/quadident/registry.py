@@ -1,12 +1,12 @@
 """The identity registry: every verified equation as an LHS/RHS evaluator pair.
 
-Each case couples two independently computed sides: a tanh-sinh quadrature, a
-CVZ-accelerated series sum, or a closed form built from polylogarithms and
-the constants table. Removable-singularity handling and endpoints are owned
-here: integrands singular at 1 state their stable form ``f_right`` in the
-distance to 1, a continuous axis lists the ends of its interval that are
-evaluated besides its interior grid, and a closed form takes the limit of a
-0 * inf term at such an end itself.
+Each case couples two independently computed sides: a double-exponential
+quadrature, a CVZ-accelerated series sum, or a closed form built from
+polylogarithms and the constants table. Removable-singularity handling and
+endpoints are owned here: integrands singular at 1 state their stable form
+``f_right`` in the distance to 1, a continuous axis lists the ends of its
+interval that are evaluated besides its interior grid, and a closed form
+takes the limit of a 0 * inf term at such an end itself.
 
 Identity ids (E1, E2, E4, ..., E23) are stable strings used by the CLI and
 the report schema; ``source`` labels where each identity is classically
@@ -197,7 +197,7 @@ def _spec_atan_cauchy(alpha: float) -> IntegrandSpec:
 
 def _spec_log_kernel(alpha: float) -> IntegrandSpec:
     # log(1+a x)/(x(1+x)) -> a at x -> 0; decays like log(x)/x^2 at infinity,
-    # so the x -> 1/u image of the half-line is log-singular at u = 0
+    # which the exp-sinh nodes reach out to x = 4.1e18
     return IntegrandSpec(lambda x: np.log1p(alpha * x) / (x * (1.0 + x)))
 
 
@@ -241,7 +241,7 @@ def _spec_atan_recip() -> IntegrandSpec:
 
 
 def _spec_log_recip() -> IntegrandSpec:
-    # log(1+t) log(1+1/t)/t; log-singular at 0 (and, transformed, at infinity)
+    # log(1+t) log(1+1/t)/t; log-singular at 0, and like log(t)/t^2 at infinity
     return IntegrandSpec(lambda t: np.log1p(t) * (np.log1p(t) - np.log(t)) / t)
 
 
@@ -499,8 +499,7 @@ def register_all() -> list[IdentityCase]:
                 "log a log((1-a)/(1+a)) + Li2(a) - Li2(-a)"
             ),
             source="parameter differentiation; cf. Prudnikov 2.7.4(12)",
-            lhs=_quad("split semi-infinite tanh-sinh", _spec_atan_cauchy,
-                      half_line=True),
+            lhs=_quad("exp-sinh on (0,inf)", _spec_atan_cauchy, half_line=True),
             rhs=_closed("log/dilog closed form", _rhs_atan_inf),
             continuous=(_ALPHA_CLOSED,),
         ),
@@ -508,8 +507,7 @@ def register_all() -> list[IdentityCase]:
             id="E4alt",
             description="same integral in the tabulated alternative closed form",
             source="Prudnikov, Integrals and Series I, 2.7.4(12)",
-            lhs=_quad("split semi-infinite tanh-sinh", _spec_atan_cauchy,
-                      half_line=True),
+            lhs=_quad("exp-sinh on (0,inf)", _spec_atan_cauchy, half_line=True),
             rhs=_closed("pi^2/3 - log^2(1+a)/2 - Li2(1/(1+a)) - Li2(1-a)",
                         _rhs_atan_inf_alt),
             continuous=(_ALPHA_CLOSED,),
@@ -561,8 +559,7 @@ def register_all() -> list[IdentityCase]:
                 "on the half-line)"
             ),
             source="G&R 4.295.18 at a=1; Prudnikov 2.6.10.52",
-            lhs=_quad("split semi-infinite tanh-sinh", _spec_log_kernel,
-                      half_line=True),
+            lhs=_quad("exp-sinh on (0,inf)", _spec_log_kernel, half_line=True),
             rhs=_closed("log a log(1-a) + Li2(a)", _rhs_log_inf),
             continuous=(_ALPHA_TO_ONE,),
         ),
@@ -635,8 +632,7 @@ def register_all() -> list[IdentityCase]:
             id="E13inf",
             description="int_0^inf arctan(t) arctan(1/t)/t dt = (7/4) zeta(3)",
             source="reciprocal-split form of E13",
-            lhs=_quad("split semi-infinite tanh-sinh", _spec_atan_recip,
-                      half_line=True),
+            lhs=_quad("exp-sinh on (0,inf)", _spec_atan_recip, half_line=True),
             rhs=_closed("(7/4) zeta(3)", lambda: 1.75 * _Z3),
         ),
         IdentityCase(
@@ -650,8 +646,7 @@ def register_all() -> list[IdentityCase]:
             id="E14inf",
             description="int_0^inf log(1+t) log(1+1/t)/t dt = 2 zeta(3)",
             source="reciprocal-split form of E14",
-            lhs=_quad("split semi-infinite tanh-sinh", _spec_log_recip,
-                      half_line=True),
+            lhs=_quad("exp-sinh on (0,inf)", _spec_log_recip, half_line=True),
             rhs=_closed("2 zeta(3)", lambda: 2.0 * _Z3),
         ),
         IdentityCase(

@@ -159,7 +159,7 @@ print(json.dumps([counts.get("quadrature.evals", 0), sum(o.evals for o in outs),
 def test_benchmark_tracer_counts_every_point_of_a_batched_call():
     # a batched quadrature or series call carries the summed evaluations or
     # terms of its rows, so the traced counts still equal the report's work
-    # per outcome: E9 is a half-line integral (two batched pieces), E18 a
+    # per outcome: E9 is a half-line integral, E18 a
     # positive series in van Wijngaarden's alternating form, whose terms b_k
     # are counted, E21, E22 and E23 batch every p at once, and the scaled
     # sides of E8, E22 and E23 sum through the same traced names. The whole pass must serialise as JSON: the totals the

@@ -60,7 +60,7 @@ def test_log_kernel_zeta3():
 
 
 # ---------------------------------------------------------------------------
-# Semi-infinite split
+# Known values on (0, inf)
 # ---------------------------------------------------------------------------
 
 def test_semi_infinite_arctan():
@@ -189,8 +189,7 @@ def test_rows_equal_one_row_runs_at_any_row_count(family, k, seed, levels, digit
     integrate, build = _ROW_FAMILIES[family]
     values = np.random.default_rng(seed).uniform(0.05, 20.0, k).tolist()
     nodes = sum(len(_level_nodes(level)[0]) for level in range(levels + 1))
-    pieces = 2 if integrate is integrate_semi_infinite else 1
-    tol = Tolerance(10.0**-digits, 10.0**-digits, max_work=pieces * nodes)
+    tol = Tolerance(10.0**-digits, 10.0**-digits, max_work=nodes)
     batch = integrate(Rows(build, [{"a": a} for a in values]), tol)
     alone = [integrate(build(a), tol) for a in values]
     assert _row_bits(batch) == [_quad_bits(one) for one in alone]
@@ -200,25 +199,17 @@ def test_rows_equal_one_row_runs_at_any_row_count(family, k, seed, levels, digit
 
 
 @pytest.mark.parametrize("k", [1, 3, 7])
-def test_half_line_rows_of_one_broadcast_integrand_are_their_two_pieces(k):
-    # the builder ignores its parameter, so each piece's f returns one
-    # (nodes,) array for all of its rows, which the driver broadcasts into
-    # those rows of the block; the near rows stop at 65 nodes and the far
-    # rows at 257, so the far piece also runs alone. Each row is the sum of
-    # its near and far one-row runs at half the tolerance
+def test_half_line_rows_of_one_broadcast_integrand_are_its_one_row_run(k):
+    # the builder ignores its parameter, so f returns one (nodes,) array for
+    # all rows, which the driver broadcasts into every row of the block past
+    # the first run (exp(-x) stops at 257 nodes, level 5)
     def f(x):
         return np.exp(-x)
 
-    tol = Tolerance()
-    half = Tolerance(tol.abs_tol / 2.0, tol.rel_tol / 2.0, tol.max_work // 2)
-    rows = integrate_semi_infinite(Rows(lambda a: IntegrandSpec(f), [{"a": a} for a in range(k)]),
-                                   tol)
-    near, far = quad(f, half), quad(lambda u: f(1.0 / u) / u**2, half)
-    assert (near.evaluations, far.evaluations) == (65, 257)
-    assert _row_bits(rows) == k * [((near.value + far.value).hex(),
-                                     (near.error_estimate + far.error_estimate).hex(),
-                                     near.evaluations + far.evaluations,
-                                     near.converged and far.converged)]
+    rows = integrate_semi_infinite(Rows(lambda a: IntegrandSpec(f), [{"a": a} for a in range(k)]))
+    one = integrate_semi_infinite(IntegrandSpec(f))
+    assert one.evaluations == 257 and one.converged
+    assert _row_bits(rows) == k * [_quad_bits(one)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +226,9 @@ _PINNED_SPECS = {
                   IntegrandSpec(lambda x: np.arctan(x) * np.arctan(1.0 / x) / x)),
 }
 # (value, error estimate, evaluations, converged) of each row by max_work
-# (None: the default), recorded before levels 0-2 became one integrand call
-# and the half-line pieces one driver pass
+# (None: the default); the unit-interval rows were recorded before levels 0-2
+# became one integrand call, the half-line row when the half-line moved to
+# exp-sinh nodes (the one-level fsum loop below checks its levels)
 _PINNED = {
     "f_right": {
         1: [("0x1.08946b8ab5124p+1", "inf", 9, False)],
@@ -309,17 +301,17 @@ _PINNED = {
         ],
     },
     "half_line": {
-        1: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
-        9: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
-        16: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
-        17: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
-        20: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
-        32: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
-        33: [("0x1.0ea120628cac0p+1", "inf", 18, False)],
-        50: [("0x1.0d3b099f32718p+1", "0x1.bf9c7430c9139p-4", 34, False)],
-        65: [("0x1.0d3b099f32718p+1", "0x1.bf9c7430c9139p-4", 34, False)],
-        66: [("0x1.0d42c045f1f6ap+1", "0x1.348a0deccdf28p-9", 66, False)],
-        None: [("0x1.0d42c0452055ep+1", "0x1.b943a685a03a5p-48", 258, True)],
+        1: [("0x1.0d625a5514c6cp+1", "inf", 9, False)],
+        9: [("0x1.0d625a5514c6cp+1", "inf", 9, False)],
+        16: [("0x1.0d625a5514c6cp+1", "inf", 9, False)],
+        17: [("0x1.0d42bfbc69902p+1", "0x1.3c09f6b0227ddp-7", 17, False)],
+        20: [("0x1.0d42bfbc69902p+1", "0x1.3c09f6b0227ddp-7", 17, False)],
+        32: [("0x1.0d42bfbc69902p+1", "0x1.3c09f6b0227ddp-7", 17, False)],
+        33: [("0x1.0d42c0452055fp+1", "0x1.55c8ee977389cp-21", 33, False)],
+        50: [("0x1.0d42c0452055fp+1", "0x1.55c8ee977389cp-21", 33, False)],
+        65: [("0x1.0d42c0452055ep+1", "0x1.bb9c4de33020fp-48", 65, True)],
+        66: [("0x1.0d42c0452055ep+1", "0x1.bb9c4de33020fp-48", 65, True)],
+        None: [("0x1.0d42c0452055ep+1", "0x1.bb9c4de33020fp-48", 65, True)],
     },
 }
 
@@ -327,7 +319,7 @@ _PINNED = {
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_first_levels_keep_their_bits_under_work_caps(name):
     # a cap may cut the run of levels 0-2 after level 0 (below 17 nodes) or
-    # level 1 (below 33); the half-line pieces each get half the cap
+    # level 1 (below 33), on either interval
     integrate, spec = _PINNED_SPECS[name]
     for max_work, expected in _PINNED[name].items():
         tol = Tolerance() if max_work is None else Tolerance(max_work=max_work)
@@ -345,6 +337,14 @@ def test_non_finite_value_is_named_level_by_level():
         integrate_unit(rows)
     assert str(info.value) == (f"integrand returned a non-finite value at x={float(x0)!r} "
                                f"(distance {float(_level_nodes(0)[2][5])!r} from 1)")
+
+
+def test_half_line_non_finite_value_names_its_abscissa():
+    # the first NaN node is x = exp((pi/2) sinh 1), at level 0; 1 - x is no
+    # distance to an end of (0, inf), so no distance is named
+    with pytest.raises(QuadratureError) as info:
+        integrate_semi_infinite(IntegrandSpec(lambda x: np.sqrt(1.5 - x) / (1.0 + x * x)))
+    assert str(info.value) == "integrand returned a non-finite value at x=6.334441939256981"
 
 
 @pytest.mark.parametrize("f_right", [False, True])
@@ -436,7 +436,7 @@ def test_error_estimate_covers_the_truncation_at_the_outermost_nodes():
     assert abs(res.value - 10.0) <= res.error_estimate <= 10.0 * abs(res.value - 10.0)
 
 
-def _fsum_reference(spec, tol):
+def _fsum_reference(spec, tol, half_line=False):
     """The per-row loop the array driver replaced: ``math.fsum`` of each
     level, Python-float bookkeeping, the same estimate and stop rule."""
     total = habs = edge = 0.0
@@ -447,7 +447,7 @@ def _fsum_reference(spec, tol):
             break
         # one level as a one-level run: the driver's run of levels 0-2 must
         # place each level's values as these blocks do
-        block, [(_, n_new)] = _eval_levels([(spec, slice(None))], range(level, level + 1), 1)
+        block, [(_, n_new)] = _eval_levels(spec, range(level, level + 1), 1, half_line)
         row = block[0, 0].tolist()
         evals += n_new
         h = 0.5 ** level
@@ -468,11 +468,11 @@ def test_pairwise_row_sums_stay_within_4_ulps_of_the_fsum_loop(digits):
     # exactly rounded math.fsum per row: values may move in the last bits,
     # the work and the convergence may not
     tol = Tolerance(10.0**-digits, 10.0**-digits)
-    specs = [spec for spec, _ in _KNOWN_INTEGRALS] + [
-        build(a) for _, build in _ROW_FAMILIES.values() for a in (0.3, 7.0)]
-    for i, spec in enumerate(specs):
-        res = integrate_unit(spec, tol)
-        value, err, evals, ok = _fsum_reference(spec, tol)
+    specs = [(integrate_unit, spec) for spec, _ in _KNOWN_INTEGRALS] + [
+        (integrate, build(a)) for integrate, build in _ROW_FAMILIES.values() for a in (0.3, 7.0)]
+    for i, (integrate, spec) in enumerate(specs):
+        res = integrate(spec, tol)
+        value, err, evals, ok = _fsum_reference(spec, tol, integrate is integrate_semi_infinite)
         ulp = np.spacing(abs(value))
         assert (res.evaluations, res.converged) == (evals, ok), i
         assert abs(res.value - value) <= 4.0 * ulp, i
@@ -519,14 +519,13 @@ def test_non_convergence_flag():
 
 
 def test_max_work_has_a_floor_of_one_level_zero():
-    # level 0 is always evaluated: 9 evaluations on (0, 1) and 18 on the
-    # half-line (one level 0 per piece), however small max_work is; above
-    # that, the integrator never runs past the cap
+    # level 0 is always evaluated: 9 evaluations on either interval, however
+    # small max_work is; above that, the integrator never runs past the cap
     for max_work in (1, 8, 9, 16):
         tol = Tolerance(1e-15, 1e-15, max_work)
         unit = quad(lambda x: np.log(x) ** 2, tol=tol)
         half = integrate_semi_infinite(IntegrandSpec(lambda x: (1.0 + x * x) ** -1.3), tol)
-        assert (unit.evaluations, half.evaluations) == (9, 18), max_work
+        assert (unit.evaluations, half.evaluations) == (9, 9), max_work
         assert not (unit.converged or half.converged)
     assert quad(lambda x: np.log(x) ** 2, tol=Tolerance(1e-15, 1e-15, 17)).evaluations == 17
 
@@ -543,13 +542,33 @@ def test_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# Node contract: never on 0, but x rounds to 1.0 near the right end
+# Node contract: never on 0, but x rounds to 1.0 near the right end of (0, 1)
 # ---------------------------------------------------------------------------
 
 def test_nodes_stay_off_zero_at_every_level():
+    smallest = 1.0
     for level in range(_MAX_LEVELS + 1):
         _, x, delta, _ = _level_nodes(level)
         assert x.min() > 0.0 and delta.min() > 0.0, level
+        smallest = min(smallest, x.min(), delta.min())
+    assert f"{smallest:.1e}" == "5.8e-38"
+
+
+def test_half_line_nodes_are_finite_positive_and_span_the_half_line():
+    # x = exp((pi/2) sinh t), w = (pi/2) cosh t x: both ascend with t, and
+    # level 0 holds the outermost nodes t = -4 and t = 4
+    lows, highs = [], []
+    for level in range(_MAX_LEVELS + 1):
+        t, x, delta, w = _level_nodes(level, half_line=True)
+        assert delta is None
+        assert np.array_equal(t, _level_nodes(level)[0]), level
+        for a in (x, w):
+            assert np.isfinite(a).all() and (a > 0.0).all(), level
+            assert (np.diff(a) > 0.0).all(), level
+        lows.append(x[0])
+        highs.append(x[-1])
+    assert min(lows) == lows[0] and max(highs) == highs[0]
+    assert (f"{lows[0]:.1e}", f"{highs[0]:.1e}") == ("2.4e-19", "4.1e+18")
 
 
 def test_some_right_end_nodes_round_to_one():

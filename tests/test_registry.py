@@ -13,7 +13,7 @@ import pytest
 from quadident.combinatorics import arctan_power_coeff
 from quadident.ledger import _grid_points, side_tolerance, verify
 from quadident.numerics import DEFAULT_TOL, Rows, Tolerance
-from quadident.quadrature import IntegrandSpec, integrate_semi_infinite, integrate_unit
+from quadident.quadrature import IntegrandSpec, integrate_semi_infinite
 from quadident.registry import (
     GridAxis,
     _gen_alt_odd_harmonic_sq,
@@ -97,6 +97,10 @@ def _record_calls(monkeypatch, names):
     return calls, originals
 
 
+def _is_quadrature(side):
+    return side.rows.__qualname__.startswith("_quad.")
+
+
 def _is_scalar_spec(spec):
     # a spec built from scalar parameters returns one value per node, not a row
     return np.ndim(spec.f(np.array([0.5]))) == 1
@@ -122,7 +126,7 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
     calls, originals = _record_calls(monkeypatch, ("integrate_unit", "integrate_semi_infinite"))
     batched = set()
     for case in registry().values():
-        if "tanh-sinh" not in case.lhs.describe or not case.continuous:
+        if not _is_quadrature(case.lhs) or not case.continuous:
             continue
         batched.add(case.id)
         tol = side_tolerance(DEFAULT_TOL)
@@ -143,37 +147,45 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("case_id", ["E4", "E9", "E13inf", "E14inf"])
-def test_half_line_pass_equals_its_two_pieces(monkeypatch, case_id):
-    # the near and far pieces of k rows are the 2k rows of one driver pass;
-    # each row is the sum of the one-row runs of its near integrand and of
-    # f(1/u)/u**2, both at half the tolerance, whatever level each stops at
+def test_half_line_pass_rows_are_their_one_row_runs(monkeypatch, case_id):
+    # the k rows of a half-line side are one driver pass on the exp-sinh
+    # nodes, and each row is its one-row run, bit for bit, whatever level it
+    # stops at
     module = importlib.import_module("quadident.quadrature")
     driver, passes = module._tanh_sinh, []
 
-    def count(spec_of, k, tol):
-        passes.append(k)
-        return driver(spec_of, k, tol)
+    def count(spec_of, k, tol, half_line):
+        passes.append((k, half_line))
+        return driver(spec_of, k, tol, half_line)
 
     monkeypatch.setattr(module, "_tanh_sinh", count)
     case = registry()[case_id]
     build = inspect.getclosurevars(case.lhs.rows).nonlocals["build"]
     tol = side_tolerance(DEFAULT_TOL)
-    half = Tolerance(tol.abs_tol / 2.0, tol.rel_tol / 2.0, tol.max_work // 2)
-    points = _grid_points(case, 9)
+    points = _grid_points(case, 9) + _grid_points(case, 9, ends=True)
     rows = integrate_semi_infinite(Rows(build, points), tol)
-    assert passes == [2 * len(points)]
-    levels_differ = False
+    assert passes == [(len(points), True)]
     for point, row in zip(points, _row_bits(rows)):
-        f = build(**point).f
-        near = integrate_unit(IntegrandSpec(f), half)
-        far = integrate_unit(IntegrandSpec(lambda u: f(1.0 / u) / u**2), half)
-        levels_differ |= near.evaluations != far.evaluations
-        assert row == ((near.value + far.value).hex(),
-                       (near.error_estimate + far.error_estimate).hex(),
-                       near.evaluations + far.evaluations,
-                       near.converged and far.converged), (case_id, point)
-    # the one point of E13inf or E14inf stops both pieces at one level
-    assert levels_differ or case_id in ("E13inf", "E14inf")
+        assert row == _bits(integrate_semi_infinite(build(**point), tol)), (case_id, point)
+    # the grid rows of E4 and E9 stop at different levels
+    assert len(set(rows.work.tolist())) > 1 or case_id in ("E13inf", "E14inf")
+
+
+@pytest.mark.parametrize("case_id", ["E13inf", "E14inf"])
+def test_self_reciprocal_half_line_integrands_reach_both_ends(case_id):
+    # f(1/x)/x**2 is f(x) for both integrands, so mapping x > 1 back to (0, 1)
+    # integrated the nodes of E13 or E14 twice; the half-line side now calls
+    # its integrand beyond 1e18 and below 1e-18
+    build = inspect.getclosurevars(registry()[case_id].lhs.rows).nonlocals["build"]
+    f, seen = build().f, []
+
+    def record(x):
+        seen.append(x)
+        return f(x)
+
+    res = integrate_semi_infinite(IntegrandSpec(record), side_tolerance(DEFAULT_TOL))
+    assert res.converged
+    assert min(x.min() for x in seen) < 1e-18 and max(x.max() for x in seen) > 1e18
 
 
 def _sum_bits(res):

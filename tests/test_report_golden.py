@@ -18,9 +18,9 @@ from quadident.ledger import render_json, verify_all
 
 _RECORDED_WITH = ("3.11", "2.4.6")  # Python major.minor, numpy
 _DIGESTS = {
-    5: "1d8609a3d9acba50dd2f5f93531a2308716b25b0f1a44194f3418a2551363e7a",
-    9: "09debb56df22a61e438c8a14590d4540a5c2d39bb953607853a7b134e62dd8eb",
-    33: "8e4be9dd9e34775aa70c9deed2087b5e7cf8a0d3c18ef9dba9c279eccf2fabb6",
+    5: "5ca1c722a039b343393ccb69d6db3aba5c41a958da6138b4bfd5685fae19a067",
+    9: "e7dbe125afa200714bf78d88d940899599d101facfff45a282609116187e7725",
+    33: "0d09e80d9005b55582aa6bab1a00e6009d02113c20f0da3b5311776aeb734751",
 }
 _LIST_DIGEST = "d67b8df83bcb114ac13b77b6971aeca4abcfd9f0e4235ccf9b71d3293ef01d09"
 
