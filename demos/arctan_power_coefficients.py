@@ -40,7 +40,7 @@ print("== pi^{p+1} from the coefficient series ==")
 # pi^(p+1) = (p+1) 2^(2p+1) sum_n A(n,p) beta((n+1)/2), CVZ-accelerated;
 # the side takes every p in one rows call, one value per point
 ps = (1, 2, 3, 4)
-values = lookup("E23").rhs.rows([{"p": p} for p in ps], Tolerance(1e-8, 0.0)).value
+values = lookup("E23").rhs([{"p": p} for p in ps], Tolerance(1e-8, 0.0)).value
 for p, val in zip(ps, values.tolist()):
     print(f"  p={p}: series gives {val:.12f}   pi^{p + 1} = {PI ** (p + 1):.12f}   "
           f"err {abs(val - PI ** (p + 1)):.1e}")

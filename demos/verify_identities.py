@@ -3,10 +3,10 @@
 Run:  python demos/verify_identities.py
 """
 
-from quadident import register_all, render_report, verify, verify_all
+from quadident import registry, render_report, verify, verify_all
 
 print("== the registry ==")
-for case in register_all():
+for case in registry().values():
     print(f"{case.id:<8} {case.description}")
 
 print()

@@ -16,7 +16,6 @@ from .combinatorics import (
     arctan_power_coeff,
     arctan_series,
     lah,
-    leibniz_partial,
     odd_harmonic,
     series_pow,
     skew_harmonic,
@@ -37,7 +36,7 @@ from .quadrature import (
     integrate_semi_infinite,
     integrate_unit,
 )
-from .registry import IdentityCase, lookup, register_all, registry
+from .registry import IdentityCase, lookup, registry
 from .series import (
     SummationResult,
     TermGenerator,
@@ -48,7 +47,6 @@ from .series import (
 from .specfun import (
     dilog_identity_rhs,
     eq19_rhs,
-    eta,
     incomplete_beta,
     polylog_complex,
     polylog_real,
@@ -73,18 +71,15 @@ __all__ = [
     "arctan_series",
     "dilog_identity_rhs",
     "eq19_rhs",
-    "eta",
     "incomplete_beta",
     "integrate_semi_infinite",
     "integrate_unit",
     "lah",
-    "leibniz_partial",
     "lookup",
     "odd_harmonic",
     "polylog_complex",
     "polylog_real",
     "ramanujan_rhs",
-    "register_all",
     "registry",
     "render_report",
     "series_pow",

@@ -8,8 +8,9 @@ arctan-power coefficients are both triangular tables, grown one column per p
 from the column below by a recurrence, one exact step per entry, through one
 shared column grower.
 
-Exact values use :class:`fractions.Fraction`; the harmonic-type sums also have
-float mirrors. Caches grow on demand under one lock and only ever append, so
+Exact values use :class:`fractions.Fraction`. The skew and odd harmonic sums
+are exact, with float mirrors; the Leibniz partial sums, which only the
+series sides read, are floats alone. Caches grow on demand under one lock and only ever append, so
 sharing across threads is safe.
 """
 
@@ -33,7 +34,6 @@ _CACHE_LOCK = threading.Lock()
 
 _SKEW: list[Fraction] = [Fraction(0)]   # 1 - 1/2 + 1/3 - ...
 _ODD: list[Fraction] = [Fraction(0)]    # 1 + 1/3 + 1/5 + ...
-_LEIBNIZ: list[Fraction] = [Fraction(0)]  # 1 - 1/3 + 1/5 - ...
 
 
 def _grow(cache: list[Fraction], n: int, step) -> Fraction:
@@ -55,11 +55,6 @@ def skew_harmonic(n: int) -> Fraction:
 def odd_harmonic(n: int) -> Fraction:
     """Sum of reciprocals of the first n odd numbers; 0 for n = 0."""
     return _grow(_ODD, n, lambda k: Fraction(1, 2 * k - 1))
-
-
-def leibniz_partial(n: int) -> Fraction:
-    """Partial sum 1 - 1/3 + ... + (-1)^(n-1)/(2n-1) of the Leibniz series; 0 for n = 0."""
-    return _grow(_LEIBNIZ, n, lambda k: Fraction(1 if k % 2 else -1, 2 * k - 1))
 
 
 class _FloatPrefix:
@@ -128,7 +123,8 @@ def odd_harmonic_float(n):
 
 
 def leibniz_partial_float(n):
-    """``leibniz_partial(n)`` as a float, or at each index of an integer array."""
+    """The partial sum 1 - 1/3 + ... + (-1)^(n-1)/(2n-1) of the Leibniz series
+    (0 for n = 0) as a float, or at each index of an integer array."""
     return _LEIBNIZ_F.value(n)
 
 

@@ -9,9 +9,10 @@ carries the aggregate status.
 Each side of a case goes through one batched ``rows`` call over all of its
 points, discrete parameters included; a call that raises is retried by
 halves, so each failure reads as its one-point call would. A point that
-lacks a parameter of its case, has one its case does not know, or whose
+lacks a parameter of its case, has one its case does not know, whose
 discrete parameter is not an integer or is below the least value of its axis,
-fails without being evaluated. Each side's results stay one full-length
+or whose continuous parameter is NaN or infinite, fails without being
+evaluated. Each side's results stay one full-length
 ``EvalRows`` of columns (value, work, convergence) until one array pass judges
 every point of the case; the outcomes, immutable named tuples like every
 record of the package, are then made from those columns in one ``map``.
@@ -109,10 +110,11 @@ def verify(
     pts = given + grid + _grid_points(case, grid_size, ends=True)
 
     # the grid and the ends come from the axes; a caller's point lacking a
-    # parameter of its case, having one its case lacks, or whose discrete
+    # parameter of its case, having one its case lacks, whose discrete
     # parameter is not an integer (bools are not) or below its axis's least
-    # value, fails unevaluated; a parameter name that is no string, or a
-    # continuous value that is no number, raises
+    # value, or whose continuous value is not finite, fails unevaluated; a
+    # parameter name that is no string, or a continuous value that is no
+    # number, raises
     odd = {}
     names = {axis.name for axis in case.discrete + case.continuous}
     for i, pt in enumerate(given):
@@ -133,6 +135,8 @@ def verify(
                 odd[i] = ValueError(f"missing parameter {c.name}")
             elif isinstance(v, bool) or not isinstance(v, _REAL):
                 raise ValueError(f"{c.name} must be a real number, got {v!r}")
+            elif isinstance(v, (float, np.floating)) and not math.isfinite(v):
+                odd[i] = ValueError(f"{c.name} must be finite, got {v!r}")
         unknown = [name for name in pt if name not in names]
         if unknown:
             odd[i] = ValueError(f"unknown parameter {unknown[0]}")
@@ -150,11 +154,11 @@ def side_tolerance(tol: Tolerance) -> Tolerance:
     return Tolerance(tol.abs_tol / 4.0, tol.rel_tol / 4.0, tol.max_work)
 
 
-def _evaluate(evaluator, pts, skip, tol) -> tuple[EvalRows, dict[int, Exception]]:
+def _evaluate(side, pts, skip, tol) -> tuple[EvalRows, dict[int, Exception]]:
     """One side at the points not in ``skip``, as a full-length ``EvalRows``,
     and the exception of each point that raised, by index.
 
-    The points go to one ``evaluator.rows`` call (see :func:`_fill`). When
+    The points go to one ``side(points, tol)`` call (see :func:`_fill`). When
     that call covers every point, its columns are the side's as they come,
     scalar work and convergence broadcast to every row; only when a point was
     skipped or the call raised are the parts' columns scattered into new
@@ -165,27 +169,27 @@ def _evaluate(evaluator, pts, skip, tol) -> tuple[EvalRows, dict[int, Exception]
     errors: dict[int, Exception] = {}
     idx = [i for i in range(n) if i not in skip] if skip else range(n)
     if idx:
-        _fill(parts, errors, evaluator, idx, [pts[i] for i in idx] if skip else pts, tol)
+        _fill(parts, errors, side, idx, [pts[i] for i in idx] if skip else pts, tol)
     if len(idx) == n and len(parts) == 1:
         return EvalRows(*(c if isinstance(c, np.ndarray) else np.full(n, c)
                           for c in parts[0][1])), errors
     dtype = np.result_type(float, *(out.value for _, out in parts))
-    side = EvalRows(np.full(n, np.nan, dtype), np.zeros(n, dtype=int), np.zeros(n, dtype=int),
+    rows = EvalRows(np.full(n, np.nan, dtype), np.zeros(n, dtype=int), np.zeros(n, dtype=int),
                     np.ones(n, dtype=bool))
     for at, out in parts:
-        for column, values in zip(side, out):
+        for column, values in zip(rows, out):
             column[at] = values
-    return side, errors
+    return rows, errors
 
 
-def _fill(parts, errors, evaluator, idx, points, tol):
-    """The points in one ``evaluator.rows`` call, appended to ``parts`` with
+def _fill(parts, errors, side, idx, points, tol):
+    """The points in one ``side(points, tol)`` call, appended to ``parts`` with
     their indices ``idx``. If the call raises, one point records the
     exception in ``errors``, and more are retried in two halves, each through
     ``_fill``: a half that succeeds has the bits of the whole call, as a row
     is its one-point run."""
     try:
-        out = evaluator.rows(points, tol)
+        out = side(points, tol)
         dtype = np.asarray(out.value).dtype
         if dtype.kind not in "fc":  # an object column would reach the judge
             raise TypeError(f"side values are {dtype}, not float or complex")
@@ -195,7 +199,7 @@ def _fill(parts, errors, evaluator, idx, points, tol):
             return
         half = len(idx) // 2
         for part in (slice(None, half), slice(half, None)):
-            _fill(parts, errors, evaluator, idx[part], points[part], tol)
+            _fill(parts, errors, side, idx[part], points[part], tol)
     else:
         parts.append((idx, out))
 

@@ -55,10 +55,6 @@ class Tolerance(_ToleranceFields):
     def margin(self, a: float, b: float) -> float:
         return self.abs_tol + self.rel_tol * max(abs(a), abs(b))
 
-    def passes(self, a: float, b: float) -> bool:
-        d = abs(a - b)
-        return bool(d <= self.margin(a, b)) if math.isfinite(d) else False
-
 
 DEFAULT_TOL = Tolerance()
 

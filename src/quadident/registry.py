@@ -1,4 +1,4 @@
-"""The identity registry: every verified equation as an LHS/RHS evaluator pair.
+"""The identity registry: every verified equation as a pair of LHS/RHS sides.
 
 Each case couples two independently computed sides: a double-exponential
 quadrature, a CVZ-accelerated series sum, or a closed form built from
@@ -63,16 +63,6 @@ class EvalRows(NamedTuple):
     converged: np.ndarray | bool = True
 
 
-class Evaluator(NamedTuple):
-    """One side of an identity. ``rows(points, tol)`` evaluates a list of
-    parameter dicts in one batched call and returns their :class:`EvalRows`,
-    one row per point in order; the builders receive every parameter, p
-    included, as a column of a :class:`~quadident.numerics.Rows` table."""
-
-    describe: str
-    rows: Callable[[list, Tolerance], EvalRows]
-
-
 class GridAxis(NamedTuple):
     """Continuous parameter on an open interval; the grid stays strictly
     inside, and ``ends`` (each ``lo`` or ``hi``) are evaluated besides it."""
@@ -93,11 +83,17 @@ class DiscreteAxis(NamedTuple):
 
 
 class IdentityCase(NamedTuple):
+    """An identity and its two sides. A side is a rows function: ``lhs(points,
+    tol)`` evaluates a list of parameter dicts in one batched call and returns
+    their :class:`EvalRows`, one row per point in order; the builders receive
+    every parameter, p included, as a column of a
+    :class:`~quadident.numerics.Rows` table."""
+
     id: str
     description: str
     source: str
-    lhs: Evaluator
-    rhs: Evaluator
+    lhs: Callable[[list, Tolerance], EvalRows]
+    rhs: Callable[[list, Tolerance], EvalRows]
     continuous: tuple[GridAxis, ...] = ()
     discrete: tuple[DiscreteAxis, ...] = ()
 
@@ -114,12 +110,11 @@ class IdentityCase(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Evaluator helpers
+# Side makers
 # ---------------------------------------------------------------------------
 
 
-def _quad(describe: str, build: Callable[..., IntegrandSpec],
-          half_line: bool = False) -> Evaluator:
+def _quad(build: Callable[..., IntegrandSpec], half_line: bool = False):
     """Quadrature side on (0, 1), or on (0, inf) for ``half_line``; ``build``
     takes the parameters as scalars or as columns. The integrator is looked
     up in this module at call time, where the benchmark's tracer wraps it."""
@@ -127,10 +122,10 @@ def _quad(describe: str, build: Callable[..., IntegrandSpec],
         res = (integrate_semi_infinite if half_line else integrate_unit)(Rows(build, points), tol)
         return EvalRows(res.values, evals=res.work, converged=res.row_converged)
 
-    return Evaluator(describe, rows)
+    return rows
 
 
-def _series(describe: str, build: Callable[..., TermGenerator]) -> Evaluator:
+def _series(build: Callable[..., TermGenerator]):
     """Series side: the sum of the series ``build`` makes from the parameters,
     as scalars or as columns; a constant factor of the side (E8, E16, E22,
     E23) lives in its terms (see :func:`_scaled`). All points go through one
@@ -141,10 +136,10 @@ def _series(describe: str, build: Callable[..., TermGenerator]) -> Evaluator:
         res = sum_alternating_accelerated(Rows(build, points), tol)
         return EvalRows(res.values, terms=res.work, converged=res.row_converged)
 
-    return Evaluator(describe, rows)
+    return rows
 
 
-def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
+def _closed(value: Callable[..., float | complex]):
     """Closed-form side; ``value`` takes the parameters as scalars or as
     columns and returns one value per row, or one value for every row. A
     value may be complex (E19); the ledger checks its imaginary part."""
@@ -154,7 +149,7 @@ def _closed(describe: str, value: Callable[..., float | complex]) -> Evaluator:
             result = np.repeat(result, len(points))
         return EvalRows(result)
 
-    return Evaluator(describe, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -474,22 +469,22 @@ _P_LEMMA = DiscreteAxis("p", (0, 1, 2, 3))
 _P_POWERS = DiscreteAxis("p", (1, 2, 3, 4))
 
 
-def register_all() -> list[IdentityCase]:
+def _register_all() -> list[IdentityCase]:
     """Build the full identity registry (28 cases)."""
     cases = [
         IdentityCase(
             id="E1",
             description="Basel integral: -int_0^1 log(1-t)/t dt = pi^2/6",
             source="classical (Basel problem)",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_basel),
-            rhs=_closed("pi^2/6", lambda: _Z2),
+            lhs=_quad(_spec_basel),
+            rhs=_closed(lambda: _Z2),
         ),
         IdentityCase(
             id="E2",
             description="int_0^1 arcsin(a x)/sqrt(1-x^2) dx = [Li2(a) - Li2(-a)]/2",
             source="arcsine route to the Basel problem",
-            lhs=_quad("tanh-sinh, inverse-sqrt right endpoint", _spec_arcsin),
-            rhs=_closed("dilogarithm difference", _rhs_arcsin),
+            lhs=_quad(_spec_arcsin),
+            rhs=_closed(_rhs_arcsin),
             continuous=(_ALPHA_SYM_TO_ONE,),
         ),
         IdentityCase(
@@ -499,17 +494,16 @@ def register_all() -> list[IdentityCase]:
                 "log a log((1-a)/(1+a)) + Li2(a) - Li2(-a)"
             ),
             source="parameter differentiation; cf. Prudnikov 2.7.4(12)",
-            lhs=_quad("exp-sinh on (0,inf)", _spec_atan_cauchy, half_line=True),
-            rhs=_closed("log/dilog closed form", _rhs_atan_inf),
+            lhs=_quad(_spec_atan_cauchy, half_line=True),
+            rhs=_closed(_rhs_atan_inf),
             continuous=(_ALPHA_CLOSED,),
         ),
         IdentityCase(
             id="E4alt",
             description="same integral in the tabulated alternative closed form",
             source="Prudnikov, Integrals and Series I, 2.7.4(12)",
-            lhs=_quad("exp-sinh on (0,inf)", _spec_atan_cauchy, half_line=True),
-            rhs=_closed("pi^2/3 - log^2(1+a)/2 - Li2(1/(1+a)) - Li2(1-a)",
-                        _rhs_atan_inf_alt),
+            lhs=_quad(_spec_atan_cauchy, half_line=True),
+            rhs=_closed(_rhs_atan_inf_alt),
             continuous=(_ALPHA_CLOSED,),
         ),
         IdentityCase(
@@ -519,16 +513,16 @@ def register_all() -> list[IdentityCase]:
                 "sum (log2 - H_n^-) a^(2n+1)/(2n+1)"
             ),
             source="skew-harmonic expansion via the incomplete beta series",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_atan_cauchy),
-            rhs=_series("alternating skew-harmonic series", _gen_skew_odd_denom),
+            lhs=_quad(_spec_atan_cauchy),
+            rhs=_series(_gen_skew_odd_denom),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E6",
             description="pi^2/16 = sum_{n>=0} (log2 - H_n^-)/(2n+1)",
             source="skew-harmonic series at a = 1",
-            lhs=_closed("pi^2/16", lambda: _PI * _PI / 16.0),
-            rhs=_series("accelerated series", _gen_skew_odd_denom),
+            lhs=_closed(lambda: _PI * _PI / 16.0),
+            rhs=_series(_gen_skew_odd_denom),
         ),
         IdentityCase(
             id="E7",
@@ -537,19 +531,16 @@ def register_all() -> list[IdentityCase]:
                 "sum (h_n/n)(L_n - pi/4) a^(2n)"
             ),
             source="squared-arctangent expansion, odd harmonic numbers",
-            lhs=_quad("tanh-sinh on (0,1)",
-                      lambda alpha: _spec_atan_pow_cauchy(alpha, 2)),
-            rhs=_series("alternating odd-harmonic Leibniz series",
-                        _gen_odd_harmonic_leibniz),
+            lhs=_quad(lambda alpha: _spec_atan_pow_cauchy(alpha, 2)),
+            rhs=_series(_gen_odd_harmonic_leibniz),
             continuous=(_ALPHA_OPEN,),
         ),
         IdentityCase(
             id="E8",
             description="pi^3 = 192 sum (h_n/n)(L_n - pi/4)",
             source="squared-arctangent series at a = 1",
-            lhs=_closed("pi^3", lambda: _PI**3),
-            rhs=_series("192 x accelerated series",
-                        lambda: _scaled(odd_harmonic_leibniz(), 192.0)),
+            lhs=_closed(lambda: _PI**3),
+            rhs=_series(lambda: _scaled(odd_harmonic_leibniz(), 192.0)),
         ),
         IdentityCase(
             id="E9",
@@ -559,44 +550,39 @@ def register_all() -> list[IdentityCase]:
                 "on the half-line)"
             ),
             source="G&R 4.295.18 at a=1; Prudnikov 2.6.10.52",
-            lhs=_quad("exp-sinh on (0,inf)", _spec_log_kernel, half_line=True),
-            rhs=_closed("log a log(1-a) + Li2(a)", _rhs_log_inf),
+            lhs=_quad(_spec_log_kernel, half_line=True),
+            rhs=_closed(_rhs_log_inf),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E10",
-            description=(
-                "int_0^1 log(1+a x)/(x(1+x)) dx = Li2(1/2) - Li2((1-a)/2)"
-            ),
+            description="int_0^1 log(1+a x)/(x(1+x)) dx = Li2(1/2) - Li2((1-a)/2)",
             source="G&R 4.291.12 at a=1; Prudnikov 2.6.10.8",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_log_kernel),
-            rhs=_closed("Li2(1/2) - Li2((1-a)/2)", _rhs_li2_half_diff),
+            lhs=_quad(_spec_log_kernel),
+            rhs=_closed(_rhs_li2_half_diff),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E10b",
             description="int_0^1 log(1+x)/(x(1+x)) dx = pi^2/12 - log^2(2)/2",
             source="Gradshteyn-Ryzhik, entry 4.291.12",
-            lhs=_quad("tanh-sinh on (0,1)", lambda: _spec_log_kernel(1.0)),
-            rhs=_closed("pi^2/12 - log^2(2)/2",
-                        lambda: 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2),
+            lhs=_quad(lambda: _spec_log_kernel(1.0)),
+            rhs=_closed(lambda: 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2),
         ),
         IdentityCase(
             id="EC6",
-            description=(
-                "Li2(1/2) - Li2((1-a)/2) = sum (log2 - H_n^-) a^(n+1)/(n+1)"
-            ),
+            description="Li2(1/2) - Li2((1-a)/2) = sum (log2 - H_n^-) a^(n+1)/(n+1)",
             source="dilogarithm as a skew-harmonic power series",
-            lhs=_closed("Li2(1/2) - Li2((1-a)/2)", _rhs_li2_half_diff),
-            rhs=_series("alternating skew-harmonic series", _gen_skew_linear_denom),
+            lhs=_closed(_rhs_li2_half_diff),
+            rhs=_series(_gen_skew_linear_denom),
             continuous=(_ALPHA_OPEN,),
         ),
         IdentityCase(
             id="EC6b",
             description="sum (log2 - H_n^-)/(n+1) = pi^2/12 - log^2(2)/2",
             source="skew-harmonic series at a = 1",
-            lhs=_series("accelerated series", _gen_skew_linear_denom),
-            rhs=_closed("Li2(1/2)", lambda: 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2),
+            lhs=_series(_gen_skew_linear_denom),
+            rhs=_closed(lambda: 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2),
         ),
         IdentityCase(
             id="E11",
@@ -605,19 +591,17 @@ def register_all() -> list[IdentityCase]:
                 "(-1)^(p+1) p! [Li_{p+2}(b) - Li_{p+2}(-b)]"
             ),
             source="log-power kernel; companion of Prudnikov 2.6.19.6",
-            lhs=_quad("tanh-sinh, log singularities", _spec_logpow_odd),
-            rhs=_closed("polylog difference", _rhs_lemma_odd),
+            lhs=_quad(_spec_logpow_odd),
+            rhs=_closed(_rhs_lemma_odd),
             discrete=(_P_LEMMA,),
             continuous=(_BETA_TO_ONE,),
         ),
         IdentityCase(
             id="E12",
-            description=(
-                "int_0^1 log(x)^p log(1-b x)/x dx = (-1)^(p+1) p! Li_{p+2}(b)"
-            ),
+            description="int_0^1 log(x)^p log(1-b x)/x dx = (-1)^(p+1) p! Li_{p+2}(b)",
             source="Prudnikov, Integrals and Series I, 2.6.19.6",
-            lhs=_quad("tanh-sinh, log singularities", _spec_logpow_single),
-            rhs=_closed("(-1)^(p+1) p! Li_{p+2}(b)", _rhs_lemma_single),
+            lhs=_quad(_spec_logpow_single),
+            rhs=_closed(_rhs_lemma_single),
             discrete=(_P_LEMMA,),
             continuous=(_BETA_TO_ONE,),
         ),
@@ -625,57 +609,51 @@ def register_all() -> list[IdentityCase]:
             id="E13",
             description="int_0^1 arctan(t) arctan(1/t)/t dt = (7/8) zeta(3)",
             source="Catalan/zeta(3) companion integral",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_atan_recip),
-            rhs=_closed("(7/8) zeta(3)", lambda: 0.875 * _Z3),
+            lhs=_quad(_spec_atan_recip),
+            rhs=_closed(lambda: 0.875 * _Z3),
         ),
         IdentityCase(
             id="E13inf",
             description="int_0^inf arctan(t) arctan(1/t)/t dt = (7/4) zeta(3)",
             source="reciprocal-split form of E13",
-            lhs=_quad("exp-sinh on (0,inf)", _spec_atan_recip, half_line=True),
-            rhs=_closed("(7/4) zeta(3)", lambda: 1.75 * _Z3),
+            lhs=_quad(_spec_atan_recip, half_line=True),
+            rhs=_closed(lambda: 1.75 * _Z3),
         ),
         IdentityCase(
             id="E14",
             description="int_0^1 log(1+t) log(1+1/t)/t dt = zeta(3)",
             source="zeta(3) as a log-product integral",
-            lhs=_quad("tanh-sinh, log-singular at 0", _spec_log_recip),
-            rhs=_closed("zeta(3)", lambda: _Z3),
+            lhs=_quad(_spec_log_recip),
+            rhs=_closed(lambda: _Z3),
         ),
         IdentityCase(
             id="E14inf",
             description="int_0^inf log(1+t) log(1+1/t)/t dt = 2 zeta(3)",
             source="reciprocal-split form of E14",
-            lhs=_quad("exp-sinh on (0,inf)", _spec_log_recip, half_line=True),
-            rhs=_closed("2 zeta(3)", lambda: 2.0 * _Z3),
+            lhs=_quad(_spec_log_recip, half_line=True),
+            rhs=_closed(lambda: 2.0 * _Z3),
         ),
         IdentityCase(
             id="E15",
-            description=(
-                "int_0^1 arctan(t)^2/t dt = (pi/2) G - (7/8) zeta(3)"
-            ),
+            description="int_0^1 arctan(t)^2/t dt = (pi/2) G - (7/8) zeta(3)",
             source="Adamchik's Catalan list, entry 8; Bradley (2001), p. 18",
-            lhs=_quad("tanh-sinh on (0,1)", lambda: _spec_atan_pow_over_x(1.0)),
-            rhs=_closed("(pi/2) G - (7/8) zeta(3)",
-                        lambda: 0.5 * _PI * _G - 0.875 * _Z3),
+            lhs=_quad(lambda: _spec_atan_pow_over_x(1.0)),
+            rhs=_closed(lambda: 0.5 * _PI * _G - 0.875 * _Z3),
         ),
         IdentityCase(
             id="E16",
-            description=(
-                "int_0^1 arctan(a x)^2/x dx = (1/2) sum (-1)^(n-1) h_n a^(2n)/n^2"
-            ),
+            description="int_0^1 arctan(a x)^2/x dx = (1/2) sum (-1)^(n-1) h_n a^(2n)/n^2",
             source="squared arctangent over x, odd-harmonic series",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_atan_pow_over_x),
-            rhs=_series("alternating odd-harmonic series",
-                        lambda alpha: _scaled(_gen_alt_odd_harmonic_sq(alpha), 0.5)),
+            lhs=_quad(_spec_atan_pow_over_x),
+            rhs=_series(lambda alpha: _scaled(_gen_alt_odd_harmonic_sq(alpha), 0.5)),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E17",
             description="sum (-1)^(n-1) h_n/n^2 = pi G - (7/4) zeta(3)",
             source="Bradley, Representations of Catalan's constant, entry (59)",
-            lhs=_series("accelerated series", _gen_alt_odd_harmonic_sq),
-            rhs=_closed("pi G - (7/4) zeta(3)", lambda: _PI * _G - 1.75 * _Z3),
+            lhs=_series(_gen_alt_odd_harmonic_sq),
+            rhs=_closed(lambda: _PI * _G - 1.75 * _Z3),
         ),
         IdentityCase(
             id="E18",
@@ -685,9 +663,8 @@ def register_all() -> list[IdentityCase]:
                 "Li3((1-a)/(1+a)) + Li3((a-1)/(1+a)) + (7/4) zeta(3)"
             ),
             source="Ramanujan (Berndt, Notebooks I, p. 255)",
-            lhs=_series("positive odd-harmonic power series",
-                        _gen_pos_odd_harmonic_sq),
-            rhs=_closed("Ramanujan closed form", ramanujan_rhs),
+            lhs=_series(_gen_pos_odd_harmonic_sq),
+            rhs=_closed(ramanujan_rhs),
             continuous=(_ALPHA_OPEN,),
         ),
         IdentityCase(
@@ -697,8 +674,8 @@ def register_all() -> list[IdentityCase]:
                 "-log a log((1-a)/(1+a)) - Li2(a) + Li2(-a) + pi^2/4"
             ),
             source="dilogarithm reflection identity",
-            lhs=_quad("tanh-sinh, log(1-w x) near x = 1", _spec_dilog_pair),
-            rhs=_closed("reflection form", dilog_identity_rhs),
+            lhs=_quad(_spec_dilog_pair),
+            rhs=_closed(dilog_identity_rhs),
             continuous=(_ALPHA_OPEN,),
         ),
         IdentityCase(
@@ -709,16 +686,16 @@ def register_all() -> list[IdentityCase]:
                 " - 2(i pi/2 + log a) arctan(a)^2 - (7/4) zeta(3)"
             ),
             source="alternating odd-harmonic sum via circle trilogarithms",
-            lhs=_series("alternating odd-harmonic series", _gen_alt_odd_harmonic_sq),
-            rhs=_closed("complex closed form (real part)", eq19_rhs),
+            lhs=_series(_gen_alt_odd_harmonic_sq),
+            rhs=_closed(eq19_rhs),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E21",
             description="int_0^1 arctan(a x)^p/x dx = sum A(n,p) a^n/n",
             source="integer powers of arctan; Stirling/Lah coefficients",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_atan_pow_over_x),
-            rhs=_series("arctan-power coefficient series", _gen_atan_pow_over_n),
+            lhs=_quad(_spec_atan_pow_over_x),
+            rhs=_series(_gen_atan_pow_over_n),
             discrete=(_P_POWERS,),
             continuous=(_ALPHA_OPEN,),
         ),
@@ -729,9 +706,8 @@ def register_all() -> list[IdentityCase]:
                 "(1/2) sum A(n,p) beta((n+1)/2) a^n"
             ),
             source="arctan powers against the Cauchy kernel",
-            lhs=_quad("tanh-sinh on (0,1)", _spec_atan_pow_cauchy),
-            rhs=_series("arctan-power beta series",
-                        lambda alpha, p: _scaled(_gen_atan_pow_beta(alpha, p), 0.5)),
+            lhs=_quad(_spec_atan_pow_cauchy),
+            rhs=_series(lambda alpha, p: _scaled(_gen_atan_pow_beta(alpha, p), 0.5)),
             discrete=(_P_POWERS,),
             continuous=(_ALPHA_OPEN,),
         ),
@@ -739,9 +715,8 @@ def register_all() -> list[IdentityCase]:
             id="E23",
             description="pi^(p+1) = (p+1) 2^(2p+1) sum A(n,p) beta((n+1)/2)",
             source="arctan-power series at a = 1",
-            lhs=_closed("pi^(p+1)", lambda p: _PI ** (p + 1)),
-            rhs=_series("scaled accelerated beta series",
-                        lambda p: _scaled(_gen_atan_pow_beta(1.0, p),
+            lhs=_closed(lambda p: _PI ** (p + 1)),
+            rhs=_series(lambda p: _scaled(_gen_atan_pow_beta(1.0, p),
                                           (p + 1) * 2.0 ** (2 * p + 1))),
             discrete=(_P_POWERS,),
         ),
@@ -755,7 +730,7 @@ _REGISTRY: dict[str, IdentityCase] | None = None
 def registry() -> dict[str, IdentityCase]:
     global _REGISTRY
     if _REGISTRY is None:
-        cases = register_all()
+        cases = _register_all()
         by_id = {c.id: c for c in cases}
         if len(by_id) != len(cases):
             raise RuntimeError("duplicate identity ids in registry")

@@ -14,8 +14,8 @@ on; only the alternation is checked. It reads chunks of ``_CHUNK`` terms,
 doubling up to ``_CHUNK_MAX``, whose running sums and Neumaier compensations
 (:func:`~quadident.numerics.neumaier_prefix`) are the IEEE operations of the
 term-by-term accumulator in the same order; terms computed past the stop are
-never read. It serves the public API, the ``series_acceleration`` demo and the
-tests' reference sums.
+never read. It serves the public API and the ``series_acceleration`` demo; no
+registered side sums with it.
 
 :func:`sum_alternating_accelerated` is the Cohen-Rodriguez Villegas-Zagier
 algorithm: a fixed weighted sum of the first n + 4 terms, with n set by the

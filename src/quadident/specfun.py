@@ -39,17 +39,6 @@ import numpy as np
 
 from .numerics import CONSTANTS, fsum_rows
 
-__all__ = [
-    "dilog_identity_rhs",
-    "eq19_rhs",
-    "eta",
-    "incomplete_beta",
-    "polylog_complex",
-    "polylog_real",
-    "ramanujan_rhs",
-    "zeta",
-]
-
 _CIRCLE_EPS = 1e-12         # |z| may exceed 1 by at most this much
 _SERIES_RADIUS = 0.85       # defining series up to here: the more accurate path
 _LOG_SERIES_TERMS = 56      # tail < 2^-60 for |mu| <= 1.03 pi and every p >= 2
@@ -85,11 +74,6 @@ def zeta(p: int) -> float:
         - p * (p + 1) * (p + 2) * a ** (-p - 3) / 720.0
     )
     return head + tail
-
-
-def eta(p: int) -> float:
-    """Dirichlet eta (alternating zeta) at an integer argument p >= 2."""
-    return (1.0 - 2.0 ** (1 - p)) * zeta(p)
 
 
 def _check_order(p) -> int:

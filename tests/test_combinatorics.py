@@ -18,7 +18,6 @@ from quadident.combinatorics import (
     arctan_power_coeff,
     arctan_series,
     lah,
-    leibniz_partial,
     leibniz_partial_float,
     odd_harmonic,
     odd_harmonic_float,
@@ -30,6 +29,7 @@ from quadident.combinatorics import (
 
 from _arctan_oracles import arctan_power_coeff_lah, arctan_power_coeff_stirling
 from _neumaier import NeumaierSum
+from _oracles import leibniz_partial
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_float_prefixes_are_the_streaming_sums(monkeypatch, accessor, cache, ter
 
 
 def test_negative_index_rejected():
-    for fn in (skew_harmonic, odd_harmonic, leibniz_partial,
+    for fn in (skew_harmonic, odd_harmonic,
                skew_harmonic_float, odd_harmonic_float, leibniz_partial_float):
         with pytest.raises(ValueError, match="nonnegative"):
             fn(-1)

@@ -59,7 +59,7 @@ def _points(case):
 @pytest.mark.parametrize("case_id", sorted(_TRUTH))
 def test_every_half_line_row_lies_within_its_error_estimate(case_id):
     case = lookup(case_id)
-    build = inspect.getclosurevars(case.lhs.rows).nonlocals["build"]
+    build = inspect.getclosurevars(case.lhs).nonlocals["build"]
     tol = side_tolerance(DEFAULT_TOL)
     points = _points(case)
     rows = integrate_semi_infinite(Rows(build, points), tol)

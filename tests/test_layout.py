@@ -68,6 +68,21 @@ def test_every_module_level_name_is_used_or_public():
     assert unused == []
 
 
+def test_every_public_name_has_a_reader():
+    # a name of quadident.__all__ that no other statement of the package, no
+    # demo, no benchmark script and no acceptance test reads serves only the
+    # tests: an oracle, which belongs under tests/
+    import quadident
+
+    read = {name for path in sorted(PACKAGE.glob("*.py"))
+            for statement in ast.parse(path.read_text(encoding="utf-8")).body
+            for name in _read_names(statement) - set(_defined_names(statement))}
+    for path in [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        read |= _read_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(quadident.__all__) - read) == []
+
+
 # Imports that their module does not read: the benchmark's tracer wraps each
 # by name in that module, and its install fails if one is gone
 _TRACER_HOOKS = {
@@ -218,3 +233,22 @@ def test_package_imports_no_dataclasses():
                           timeout=60, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_benchmark_child_runs_in_each_mode():
+    # perfbench/child.py reads registry(), lookup(i).default_tol, verify and
+    # cli.main of the checkout's src/; a change there that breaks one of them
+    # fails here, not only in a benchmark run. -B keeps bytecode out of
+    # perfbench/
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    last = {}
+    for mode in ("setup", "inproc --ids E1,E19,E23 --grid 1 --seed 1 --seconds 0.01",
+                 "cli -- verify --ids E1 --grid 1 --format json"):
+        proc = subprocess.run([sys.executable, "-B", str(ROOT / "perfbench" / "child.py"),
+                               *mode.split()], cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, (mode, proc.stderr)
+        last[mode.split()[0]] = json.loads(proc.stdout.splitlines()[-1])
+    assert len(last["setup"]["ids"]) == len(last["setup"]["tols"]) == 28
+    assert last["inproc"]["judged"][0]["failed"] == 0
+    assert last["cli"]["summary"] == {"passed": 1, "failed": 0, "not_converged": 0}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from quadident.numerics import CONSTANTS, Tolerance, neumaier_prefix
 
 from _neumaier import NeumaierSum
+from _oracles import passes
 
 
 # ---------------------------------------------------------------------------
@@ -18,12 +19,14 @@ from _neumaier import NeumaierSum
 # ---------------------------------------------------------------------------
 
 def test_tolerance_pass_predicate():
+    # the pass rule over Tolerance.margin, as the tests' scalar judge reads it
     tol = Tolerance(1e-10, 1e-10)
     for a in (0.0, 1.0, -3.5, 1e300, 1e-300):
-        assert tol.passes(a, a)
-    assert tol.passes(1.0, 1.0 + 5e-11)
-    assert not tol.passes(1.0, 1.0 + 5e-10)
-    assert not tol.passes(float("nan"), 0.0)
+        assert passes(tol, a, a)
+    assert tol.margin(1.0, -3.5) == 1e-10 + 1e-10 * 3.5
+    assert passes(tol, 1.0, 1.0 + 5e-11)
+    assert not passes(tol, 1.0, 1.0 + 5e-10)
+    assert not passes(tol, float("nan"), 0.0)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -33,7 +36,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @given(a=_FINITE, b=_FINITE, abs_tol=st.floats(0.0, 1e3), rel_tol=st.floats(1e-16, 1.0))
 def test_tolerance_passes_is_symmetric(a, b, abs_tol, rel_tol):
     tol = Tolerance(abs_tol, rel_tol)
-    assert tol.passes(a, b) == tol.passes(b, a)
+    assert passes(tol, a, b) == passes(tol, b, a)
 
 
 def test_tolerance_validation():

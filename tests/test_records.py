@@ -1,7 +1,8 @@
 """The record types of the package: immutable named tuples whose fields,
 defaults, ``repr`` and checks are those the frozen dataclasses they replace
 had (``GridAxis`` adds ``ends``; ``IdentityCase`` drops ``default_tol``,
-``TermGenerator`` ``sign_pattern`` and ``tail_bound``),
+``TermGenerator`` ``sign_pattern`` and ``tail_bound``; a side of an
+``IdentityCase`` is a plain rows function),
 and the values of ``specfun.zeta``, computed once each."""
 
 import hashlib
@@ -19,15 +20,12 @@ from quadident.quadrature import IntegrandSpec, QuadratureResult, QuadratureRows
 from quadident.registry import (
     DiscreteAxis,
     EvalRows,
-    Evaluator,
     GridAxis,
     IdentityCase,
 )
 from quadident.series import SummationResult, SummationRows, TermGenerator
 from quadident.specfun import zeta
 
-_EV = Evaluator("pi^2/6", abs)
-_EV_REPR = "Evaluator(describe='pi^2/6', rows=<built-in function abs>)"
 _AXIS = GridAxis("alpha", 0.0, 1.0, (1.0,))
 _P = DiscreteAxis("p", (1, 2))
 
@@ -67,14 +65,14 @@ _RECORDS = [
     (EvalRows(np.array([1.0, 2.0]), 3), ("value", "evals", "terms", "converged"),
      {"evals": 0, "terms": 0, "converged": True},
      "EvalRows(value=array([1., 2.]), evals=3, terms=0, converged=True)"),
-    (_EV, ("describe", "rows"), {}, _EV_REPR),
     (_AXIS, ("name", "lo", "hi", "ends"), {"ends": ()},
      "GridAxis(name='alpha', lo=0.0, hi=1.0, ends=(1.0,))"),
     (_P, ("name", "values"), {}, "DiscreteAxis(name='p', values=(1, 2))"),
-    (IdentityCase("EX", "d", "s", _EV, _EV, (_AXIS,), (_P,)),
+    (IdentityCase("EX", "d", "s", abs, abs, (_AXIS,), (_P,)),
      ("id", "description", "source", "lhs", "rhs", "continuous", "discrete"),
      {"continuous": (), "discrete": ()},
-     f"IdentityCase(id='EX', description='d', source='s', lhs={_EV_REPR}, rhs={_EV_REPR}, "
+     "IdentityCase(id='EX', description='d', source='s', lhs=<built-in function abs>, "
+     "rhs=<built-in function abs>, "
      "continuous=(GridAxis(name='alpha', lo=0.0, hi=1.0, ends=(1.0,)),), "
      "discrete=(DiscreteAxis(name='p', values=(1, 2)),))"),
     (Report("9.9", "T", None, 1e-9, ()),

@@ -1,4 +1,4 @@
-"""Registry evaluators: the per-(n, p) coefficient cache, and batched
+"""Registry sides: the per-(n, p) coefficient cache, and batched
 quadrature, series and closed-form rows against one-point runs."""
 
 import functools
@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import inspect
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from quadident.registry import (
     _powers,
     registry,
 )
-from quadident.series import TermGenerator, sum_alternating_accelerated, sum_direct, sum_eq8
+from quadident.series import TermGenerator, sum_alternating_accelerated, sum_eq8
 from quadident.specfun import incomplete_beta
 from _one_point import one_point
 
@@ -98,7 +99,11 @@ def _record_calls(monkeypatch, names):
 
 
 def _is_quadrature(side):
-    return side.rows.__qualname__.startswith("_quad.")
+    return side.__qualname__.startswith("_quad.")
+
+
+def _is_series(side):
+    return side.__qualname__.startswith("_series.")
 
 
 def _is_scalar_spec(spec):
@@ -132,7 +137,7 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
         tol = side_tolerance(DEFAULT_TOL)
         points = _side_points(case)
         del calls[:]
-        outs = _side_rows(case.lhs.rows(points, tol), "evals")
+        outs = _side_rows(case.lhs(points, tol), "evals")
         [(name, batch, _, res)] = calls
         assert list(batch.points) == points
         assert len(_row_bits(res)) == len(outs) == len(points)
@@ -160,7 +165,7 @@ def test_half_line_pass_rows_are_their_one_row_runs(monkeypatch, case_id):
 
     monkeypatch.setattr(module, "_tanh_sinh", count)
     case = registry()[case_id]
-    build = inspect.getclosurevars(case.lhs.rows).nonlocals["build"]
+    build = inspect.getclosurevars(case.lhs).nonlocals["build"]
     tol = side_tolerance(DEFAULT_TOL)
     points = _grid_points(case, 9) + _grid_points(case, 9, ends=True)
     rows = integrate_semi_infinite(Rows(build, points), tol)
@@ -176,7 +181,7 @@ def test_self_reciprocal_half_line_integrands_reach_both_ends(case_id):
     # f(1/x)/x**2 is f(x) for both integrands, so mapping x > 1 back to (0, 1)
     # integrated the nodes of E13 or E14 twice; the half-line side now calls
     # its integrand beyond 1e18 and below 1e-18
-    build = inspect.getclosurevars(registry()[case_id].lhs.rows).nonlocals["build"]
+    build = inspect.getclosurevars(registry()[case_id].lhs).nonlocals["build"]
     f, seen = build().f, []
 
     def record(x):
@@ -209,13 +214,13 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
     batched = set()
     for case in registry().values():
         for side in (case.lhs, case.rhs):
-            if "series" not in side.describe or not (case.continuous or case.discrete):
+            if not _is_series(side) or not (case.continuous or case.discrete):
                 continue
             batched.add(case.id)
             tol = side_tolerance(DEFAULT_TOL)
             points = _side_points(case)
             del calls[:]
-            outs = _side_rows(side.rows(points, tol), "terms")
+            outs = _side_rows(side(points, tol), "terms")
             [(name, batch, _, res)] = calls
             assert list(batch.points) == points and len(_sum_row_bits(res)) == len(points)
             assert name == "sum_alternating_accelerated"
@@ -290,7 +295,7 @@ def test_accelerated_rows_keep_their_bits_under_work_caps():
 def test_every_side_is_made_by_one_of_three_evaluators():
     # every side is one batched quadrature, series or closed-form call over
     # its points; a fourth way to evaluate a side must not come back
-    makers = {side.rows.__qualname__ for case in registry().values()
+    makers = {side.__qualname__ for case in registry().values()
               for side in (case.lhs, case.rhs)}
     assert makers == {"_quad.<locals>.rows", "_series.<locals>.rows", "_closed.<locals>.rows"}
 
@@ -333,14 +338,14 @@ def test_halved_series_sides_are_half_their_sums_at_twice_the_abs_tol():
     doubled = Tolerance(2.0 * tol.abs_tol, tol.rel_tol, tol.max_work)
     for case_id, build in (("E16", _gen_alt_odd_harmonic_sq), ("E22", _gen_atan_pow_beta)):
         points = _grid_points(registry()[case_id], 9)
-        side = registry()[case_id].rhs.rows(points, tol)
+        side = registry()[case_id].rhs(points, tol)
         res = sum_alternating_accelerated(Rows(build, points), doubled)
         assert (side.value.tolist(), side.terms.tolist(), side.converged.tolist()) == (
             (0.5 * res.values).tolist(), res.work.tolist(), res.row_converged.tolist()), case_id
 
 
 def _is_closed_form(side):
-    return side.rows.__qualname__.startswith("_closed.")
+    return side.__qualname__.startswith("_closed.")
 
 
 def _parts_hex(value, complex_ok):
@@ -362,9 +367,9 @@ def test_closed_form_rows_equal_one_point_runs():
             if not _is_closed_form(side):
                 continue
             batched.add(case.id)
-            value = inspect.getclosurevars(side.rows).nonlocals["value"]
+            value = inspect.getclosurevars(side).nonlocals["value"]
             points = _side_points(case)
-            outs = side.rows(points, tol)
+            outs = side(points, tol)
             complex_ok = case.id == "E19"
             assert outs.value.dtype == (complex if complex_ok else float)
             assert len(outs.value) == len(points)
@@ -385,9 +390,9 @@ def test_every_grouped_call_runs_without_the_one_point_fallback(monkeypatch):
     module = importlib.import_module("quadident.ledger")
     fill, calls = module._fill, []
 
-    def count(parts, errors, evaluator, idx, points, tol):
-        calls.append(evaluator)
-        return fill(parts, errors, evaluator, idx, points, tol)
+    def count(parts, errors, side, idx, points, tol):
+        calls.append(side)
+        return fill(parts, errors, side, idx, points, tol)
 
     monkeypatch.setattr(module, "_fill", count)
     for case_id, case in registry().items():
@@ -468,26 +473,73 @@ def test_odd_discrete_parameters_fail_alone(case_id):
         assert repr(mixed[:half] + mixed[half + 1:]) == clean, p
 
 
+@pytest.mark.parametrize("case_id", ["E2", "E11", "E19", "E21"])
+def test_non_finite_continuous_parameters_fail_alone(case_id):
+    # a NaN or infinite alpha or beta fails unevaluated, as a missing
+    # parameter does, naming the parameter, where a side would blame a node
+    # or a term; every other point of the same call keeps its bits
+    case = registry()[case_id]
+    name = case.continuous[0].name
+    grid = _grid_points(case, 9)
+    clean = repr(verify(case_id, points=grid))
+    half = len(grid) // 2
+    for v in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        odd = grid[0] | {name: v}
+        [alone, *_] = verify(case_id, points=[odd])
+        assert not alone.passed and alone.evals == alone.terms == 0, (v, alone)
+        assert alone.reason == f"error: {name} must be finite, got {v!r}"
+        mixed = verify(case_id, points=grid[:half] + [odd] + grid[half:])
+        assert mixed[half].params is odd and mixed[half].reason == alone.reason
+        assert repr(mixed[:half] + mixed[half + 1:]) == clean, v
+
+
 def test_accelerated_bound_covers_every_grid_row():
     # every series side goes through the CVZ sum; its bound is proven for
     # E5, EC6 and E21/E22 at p = 1 and only an estimate for E7, E16, E18,
     # E19 and E21/E22 at p >= 2. At the evaluation tolerance it must still
-    # cover the error of every grid-33 row against a one-row direct sum
-    # taken to the rounding floor. Each side's own builder is summed, the
-    # factor 1/2 of E16 and E22 and E18's van Wijngaarden terms included
+    # cover the error of every grid-33 row against the value the identity
+    # equates to the series, in mpmath at 30 digits from the same double
+    # alpha: an integral, or a closed form (EC6, E18). Each side's own builder
+    # is summed, the factor 1/2 of E16 and E22 and E18's van Wijngaarden
+    # terms included
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+
+    def unit(f):
+        return mp.quad(f, [0, 1])
+
+    def ramanujan(alpha):
+        w = (1 - alpha) / (1 + alpha)
+        lw = mp.log(w)
+        return (mp.log(alpha) * lw**2 / 2 + (mp.polylog(2, w) - mp.polylog(2, -w)) * lw
+                - mp.polylog(3, w) + mp.polylog(3, -w) + 7 * mp.zeta(3) / 4)
+
+    truths = {
+        "E5": lambda alpha: 2 * unit(lambda x: mp.atan(alpha * x) / (1 + x * x)),
+        "EC6": lambda alpha: mp.polylog(2, mp.mpf(1) / 2) - mp.polylog(2, (1 - alpha) / 2),
+        "E7": lambda alpha: unit(lambda x: mp.atan(alpha * x) ** 2 / (1 + x * x)),
+        "E16": lambda alpha: unit(lambda x: mp.atan(alpha * x) ** 2 / x),
+        "E18": ramanujan,
+        "E19": lambda alpha: 2 * unit(lambda x: mp.atan(alpha * x) ** 2 / x),
+        "E21": lambda alpha, p: unit(lambda x: mp.atan(alpha * x) ** p / x),
+        "E22": lambda alpha, p: unit(lambda x: mp.atan(alpha * x) ** p / (1 + x * x)),
+    }
     sides = {"E5": "rhs", "EC6": "rhs", "E7": "rhs", "E16": "rhs", "E18": "lhs", "E19": "lhs",
              "E21": "rhs", "E22": "rhs"}
-    reference = Tolerance(1e-18, 0.0)
+    checked = 0
     for case_id, side in sides.items():
         case = registry()[case_id]
-        build = inspect.getclosurevars(getattr(case, side).rows).nonlocals["build"]
+        build = inspect.getclosurevars(getattr(case, side)).nonlocals["build"]
         tol = side_tolerance(DEFAULT_TOL)
         points = [fixed | {"alpha": a} for fixed in ([{"p": p} for p in (1, 2, 3, 4)]
                                                      if case.discrete else [{}])
                   for a in case.continuous[0].points(33)]
         rows = sum_alternating_accelerated(Rows(build, points), tol)
         assert rows.row_converged.all(), case_id
-        for point, value, bound in zip(points, rows.values.tolist(),
-                                       rows.remainder_bounds.tolist()):
-            truth = sum_direct(build(**point), reference).value
-            assert abs(value - truth) <= bound, (case_id, point)
+        with mpmath.workdps(30):
+            for point, value, bound in zip(points, rows.values.tolist(),
+                                           rows.remainder_bounds.tolist()):
+                truth = truths[case_id](**(point | {"alpha": mpmath.mpf(point["alpha"])}))
+                assert abs(value - truth) <= bound, (case_id, point)
+                checked += 1
+    assert checked == 462
