@@ -63,14 +63,16 @@ class _FloatPrefix:
     Registered cases read at most index 4095 (E18 takes h_m from its
     expansion above); only the public direct sum of a slowly decaying series
     reads further, where exact rationals are intractable. ``step`` maps
-    indices to terms; ``_BLOCK`` values at a time are ``sums + comps`` of
-    ``neumaier_prefix``, seeded with the last sum and compensation, within an
-    ulp or two of the rounded exact values.
+    indices to terms; the values are ``sums + comps`` of ``neumaier_prefix``,
+    within an ulp or two of the rounded exact values.
 
-    The values are one stored array, replaced by a longer one as it grows. A
-    read takes one index, giving a float, or an integer array of indices,
-    giving an array of the same doubles; a negative index raises
-    ``ValueError`` in either form (numpy indexing would wrap it).
+    The values are one stored array. A read past its end takes the lock and
+    replaces it by one of at least ``max(high + 1, 2 len - 1, len + _BLOCK)``
+    values, grown in one ``neumaier_prefix`` call seeded with the last sum
+    and compensation; ``np.cumsum`` adds left to right, so the bits do not
+    depend on how the array grew. A read takes one index, giving a float, or
+    an integer array of indices, giving an array of the same doubles; a
+    negative index raises ``ValueError`` in either form (numpy would wrap it).
     """
 
     __slots__ = ("_vals", "_s", "_c", "_step")
@@ -85,28 +87,18 @@ class _FloatPrefix:
         low, high = (n, n) if scalar else (n.min(initial=0), n.max(initial=0))
         if low < 0:
             raise ValueError("index must be nonnegative")
-        vals = self._vals
-        if len(vals) <= high:
-            vals = self._grow(high)
-        return vals[n].item() if scalar else vals[n]
-
-    def _grow(self, n: int) -> np.ndarray:
-        """The stored values, grown by whole blocks to hold index ``n``."""
-        with _CACHE_LOCK:
-            blocks = [self._vals]
-            size = len(self._vals)
-            while size <= n:
-                k = np.arange(size, size + _BLOCK)
-                sums, comps = neumaier_prefix(self._s, self._c, self._step(k)[None])
-                self._s, self._c = sums[:, -1], comps[:, -1]
-                blocks.append((sums + comps)[0])
-                size += _BLOCK
-            if len(blocks) > 1:
-                self._vals = np.concatenate(blocks)
-            return self._vals
+        if len(self._vals) <= high:
+            with _CACHE_LOCK:
+                size = len(self._vals)
+                if size <= high:
+                    k = np.arange(size, max(high + 1, 2 * size - 1, size + _BLOCK))
+                    sums, comps = neumaier_prefix(self._s, self._c, self._step(k)[None])
+                    self._s, self._c = sums[:, -1], comps[:, -1]
+                    self._vals = np.concatenate([self._vals, (sums + comps)[0]])
+        return self._vals[n].item() if scalar else self._vals[n]
 
 
-_BLOCK = 1024
+_BLOCK = 1024  # the least growth of a float prefix
 _SKEW_F = _FloatPrefix(lambda k: np.where(k % 2 == 1, 1.0, -1.0) / k)
 _ODD_F = _FloatPrefix(lambda k: 1.0 / (2 * k - 1))
 _LEIBNIZ_F = _FloatPrefix(lambda k: np.where(k % 2 == 1, 1.0, -1.0) / (2 * k - 1))

@@ -162,8 +162,8 @@ def _run_nodes(start: int, stop: int, right: bool, half_line: bool):
         m = (sizes[0] + 1) // 2
         place = ((slice(0, m), slice(m, sizes[0])) if len(sizes) == 1
                  else (np.flatnonzero(left), np.flatnonzero(~left)))
-    for a in (arg, darg, w):
-        if a is not None:
+    for a in (arg, darg, w, *(place or ())):
+        if isinstance(a, np.ndarray):
             a.setflags(write=False)
     return arg, darg, w, place, tuple(zip(np.cumsum([0] + sizes).tolist(), sizes))
 

@@ -197,39 +197,25 @@ def sum_direct(g: TermGenerator, tol: Tolerance = DEFAULT_TOL) -> SummationResul
 
 
 @functools.cache
-def _cvz_weights(n: int) -> np.ndarray:
-    """Weights of the first ``n`` terms in the CVZ sum S_n = sum_k w_k t_k.
-
-    With b_j = n/(n+j) C(n+j, 2j) 4^j, the integer coefficients of the
-    shifted Chebyshev polynomial T_n(1 - 2x) up to sign, and d = sum_j b_j =
-    T_n(3), the weight of term k is sum_{j>k} b_j / d: it falls from about 1
-    to 0. Each weight is a quotient of exact integers, correctly rounded.
+def _cvz_table(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row n <= ``width`` holds the weights of the CVZ sum S_n = sum_k w_k t_k,
+    then zeros; with it come the rates (3+sqrt 8)^n, n = 0 .. ``width``, each
+    Python's pow. Both read-only. With b_j = n/(n+j) C(n+j, 2j) 4^j, the
+    integer coefficients of the shifted Chebyshev polynomial T_n(1 - 2x) up
+    to sign, and d = sum_j b_j = T_n(3), the weight of term k is
+    sum_{j>k} b_j / d, a quotient of exact integers, correctly rounded.
     """
-    b = [1]
-    for j in range(n):
-        b.append(b[-1] * 2 * (n + j) * (n - j) // ((2 * j + 1) * (j + 1)))
-    d = sum(b)
-    w = np.array([sum(b[k + 1:]) / d for k in range(n)])
-    w.flags.writeable = False
-    return w
-
-
-@functools.cache
-def _cvz_table(width: int) -> np.ndarray:
-    """Row n <= ``width`` holds the weights of S_n, then zeros."""
     table = np.zeros((width + 1, width))
     for n in range(1, width + 1):
-        table[n, :n] = _cvz_weights(n)
-    table.flags.writeable = False
-    return table
-
-
-@functools.cache
-def _rate_powers(width: int) -> np.ndarray:
-    """(3+sqrt 8)^n for n = 0 .. ``width``, each Python's pow."""
+        b = [1]
+        for j in range(n):
+            b.append(b[-1] * 2 * (n + j) * (n - j) // ((2 * j + 1) * (j + 1)))
+        d = sum(b)
+        table[n, :n] = [sum(b[k + 1:]) / d for k in range(n)]
     powers = np.array([_RATE**n for n in range(width + 1)])
-    powers.flags.writeable = False
-    return powers
+    for a in (table, powers):
+        a.flags.writeable = False
+    return table, powers
 
 
 def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
@@ -269,7 +255,7 @@ def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
         _check_read(g, t, first, used - 1)
         # S_n and S_{n+4} weigh a row's first n and n + 4 terms, and zero the
         # rest, which are never read: zeros stand in for them
-        w = _cvz_table(t.shape[1])
+        w, rates = _cvz_table(t.shape[1])
         w_full, w_head = w[used], w[ns]
         t = np.where(w_full != 0.0, t, 0.0)
         full, heads = w_full * t, w_head * t
@@ -278,7 +264,7 @@ def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
             [heads, np.abs(full), np.abs(heads)], axis=2)[..., -1]
         # (n-1)u/(1-(n-1)u) < n 2^-53 bounds the rounding of S_n's running sum
         floor = 4.5e-16 * size + 2.0**-53 * ns * head_size
-        bounds = np.abs(values - partial) + 2.0 * a0 / _rate_powers(t.shape[1])[ns] + floor
+        bounds = np.abs(values - partial) + 2.0 * a0 / rates[ns] + floor
         return SummationRows(values, bounds, used,
                              bounds <= tol.abs_tol + tol.rel_tol * np.abs(values))
 

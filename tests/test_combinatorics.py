@@ -26,6 +26,7 @@ from quadident.combinatorics import (
     skew_harmonic_float,
     stirling_first,
 )
+from quadident.numerics import neumaier_prefix
 
 from _arctan_oracles import arctan_power_coeff_lah, arctan_power_coeff_stirling
 from _neumaier import NeumaierSum
@@ -125,6 +126,26 @@ def test_float_prefixes_are_the_streaming_sums(monkeypatch, accessor, cache, ter
     assert held == 1 + combinatorics._BLOCK
     assert accessor(indices[held - 3:held + 3]).tolist() == expected[held - 3:held + 3]
     assert accessor(indices[::-1][:5]).tolist() == expected[::-1][:5]
+
+
+def test_float_prefix_grows_geometrically(monkeypatch):
+    # reading a prefix in chunks of 4096 indices up to 800k grows it in a few
+    # calls of neumaier_prefix, each to about twice its length, not one call
+    # per 1024 values; the values are one single read's, bit for bit
+    calls = []
+
+    def counted(s, c, terms):
+        calls.append(terms.shape[1])
+        return neumaier_prefix(s, c, terms)
+
+    step = combinatorics._ODD_F._step
+    indices = np.arange(800_001)
+    expected = combinatorics._FloatPrefix(step).value(indices)
+    prefix = combinatorics._FloatPrefix(step)
+    monkeypatch.setattr(combinatorics, "neumaier_prefix", counted)
+    chunks = [prefix.value(indices[i:i + 4096]) for i in range(0, len(indices), 4096)]
+    assert len(calls) < 20, calls
+    assert np.concatenate(chunks).tobytes() == expected.tobytes()
 
 
 def test_negative_index_rejected():

@@ -1,5 +1,5 @@
-"""Layout rules of the package: module boundaries, and the entry points the
-benchmark's tracer wraps from outside."""
+"""Layout rules of the package: module boundaries, read-only cached tables,
+and the entry points the benchmark's tracer wraps from outside."""
 
 import ast
 import json
@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quadident"
@@ -81,6 +83,38 @@ def test_every_public_name_has_a_reader():
                  ROOT / "tests" / "test_acceptance.py"]:
         read |= _read_names(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(set(quadident.__all__) - read) == []
+
+
+def _arrays(value):
+    """Every ndarray in a cached builder's result, through nested tuples."""
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    return [value] if isinstance(value, np.ndarray) else []
+
+
+def test_every_cached_table_is_read_only():
+    # a cached table is shared by every later call: one write through an
+    # array it returns would change every later result, so none is writable.
+    # The runs cover one level and several, with and without f_right (which
+    # the half-line has not)
+    from quadident import quadrature, series, specfun
+
+    built = {}
+    for half_line in (False, True):
+        for level in (0, 1, 5):
+            built[f"_level_nodes{(level, half_line)}"] = quadrature._level_nodes(level, half_line)
+        for start, stop in ((0, 1), (0, 3), (3, 4), (2, 6)):
+            for right in (False,) if half_line else (False, True):
+                args = (start, stop, right, half_line)
+                built[f"_run_nodes{args}"] = quadrature._run_nodes(*args)
+    for width in (1, 5, 23):
+        built[f"_cvz_table({width})"] = series._cvz_table(width)
+    for p in (2, 3, 5, 57, 60):
+        built[f"_series_denominators({p})"] = specfun._series_denominators(p)
+        built[f"_log_series_coefficients({p})"] = specfun._log_series_coefficients(p)
+    writable = [f"{name}[{i}]" for name, value in built.items()
+                for i, a in enumerate(_arrays(value)) if a.flags.writeable]
+    assert writable == []
 
 
 # Imports that their module does not read: the benchmark's tracer wraps each
