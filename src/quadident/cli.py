@@ -65,7 +65,7 @@ def _cmd_verify(args) -> int:
         for case_id in ids:
             if case_id not in registry():
                 return _usage_error(f"unknown identity id {case_id!r}")
-        ids = sorted(ids)
+        ids = sorted(set(ids))  # a repeated id is verified and reported once
     given = {"abs_tol": args.tol, "rel_tol": args.tol, "max_work": args.max_work}
     try:  # checked before any case runs, as verify would, e.g. for a subnormal --tol
         tol = Tolerance(**{name: v for name, v in given.items() if v is not None})

@@ -211,14 +211,13 @@ def _judge(case_id, pts, eff, lhs: EvalRows, rhs: EvalRows, errors) -> list[Veri
     """The outcomes of a case's points from both sides' columns, in one
     array pass, as the scalar rule gives them for real parts a and b:
     abs_error = |a - b|, rel_error = abs_error / max(|a|, |b|) (0 where that
-    is 0), and a pass needs a finite abs_error within ``eff.margin(a, b)``;
-    ``max`` is Python's, which keeps its first argument against a NaN. The
-    imaginary part of a complex column fails beyond ``abs_tol + rel_tol *
-    max(|its real part|, |a|)`` (``|a|`` for the right side only); a real
-    column has none to check. ``not_converged`` comes before the imaginary
-    check, which comes before ``mismatch``. A point in ``errors`` (index ->
-    exception) fails with the exception's text and NaN errors, and keeps the
-    value and the work of a left side that finished."""
+    is 0), and a pass needs a finite abs_error within ``eff``'s ``abs_tol +
+    rel_tol * max(|a|, |b|)``, by Python's ``max``, which keeps its first
+    argument against a NaN. A complex column's imaginary part fails beyond
+    ``abs_tol + rel_tol * max(|its real part|, |a|)`` (``|a|`` for the right
+    side only). ``not_converged`` comes before the imaginary check, then
+    ``mismatch``. A point in ``errors`` (index -> exception) fails with the
+    exception's text and NaN errors, and keeps a finished left side's value and work."""
     a, b = lhs.value.real, rhs.value.real
     imag = False
     with np.errstate(all="ignore"):  # inf and nan propagate as in Python floats

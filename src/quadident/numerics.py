@@ -52,9 +52,6 @@ class Tolerance(_ToleranceFields):
     def _make(cls, iterable):  # and so _replace: through the checks of __new__
         return cls(*iterable)
 
-    def margin(self, a: float, b: float) -> float:
-        return self.abs_tol + self.rel_tol * max(abs(a), abs(b))
-
 
 DEFAULT_TOL = Tolerance()
 

@@ -110,7 +110,10 @@ def _one_row(rows: SummationRows) -> SummationResult:
 
 def _terms(g: TermGenerator, n0: int, n1: int, k: int) -> np.ndarray:
     """Terms ``n0 .. n1-1`` of the ``k`` rows of ``g``, shape ``(k, n1 - n0)``."""
-    a = np.asarray(g.terms(n0, n1), dtype=float)
+    a = np.asarray(g.terms(n0, n1))
+    if a.dtype.kind in "cSU":  # a float cast would drop imaginary parts or parse text
+        raise TypeError(f"terms of {g.name or 'series'} are {a.dtype}, not real numbers")
+    a = a.astype(float, copy=False)
     return a if a.shape == (k, n1 - n0) else np.broadcast_to(a, (k, n1 - n0))
 
 

@@ -1,7 +1,7 @@
 """Scalar references for the tests: the exact Leibniz partial sums, against
 which ``combinatorics.leibniz_partial_float`` and the incomplete beta series
 are checked, and the one-pair pass rule, against which the ledger's array
-judge is checked. Only the tests use them."""
+judge is checked, with its margin. Only the tests use them."""
 
 import math
 from fractions import Fraction
@@ -17,8 +17,13 @@ def leibniz_partial(n: int) -> Fraction:
     return _LEIBNIZ[n]
 
 
+def margin(tol, a: float, b: float) -> float:
+    """``abs_tol + rel_tol * max(|a|, |b|)``: the width within which a and b agree."""
+    return tol.abs_tol + tol.rel_tol * max(abs(a), abs(b))
+
+
 def passes(tol, a: float, b: float) -> bool:
-    """Whether ``a`` and ``b`` agree within ``tol.margin(a, b)``; a NaN or
+    """Whether ``a`` and ``b`` agree within ``margin(tol, a, b)``; a NaN or
     infinite difference never does."""
     d = abs(a - b)
-    return bool(d <= tol.margin(a, b)) if math.isfinite(d) else False
+    return bool(d <= margin(tol, a, b)) if math.isfinite(d) else False

@@ -1,11 +1,6 @@
-"""Closed forms against mpmath at 40 digits, at the grid-33 points of their cases,
-and E18's series and E18d's integral against the same values up to the ends
-of their domain.
-
-Each closed form is recomputed in mpmath from the same exact double
-parameter. The worst error measured over all points is 1.8e-15
-(``_rhs_lemma_odd``); the bound below is 1e-14 absolute.
-"""
+"""E18's series and E18d's integral against their identities' exact values
+up to the ends of their domain, and E18's odd harmonic numbers at any index
+against exact rationals and mpmath."""
 
 import math
 
@@ -16,103 +11,11 @@ from quadident.combinatorics import odd_harmonic
 from quadident.ledger import side_tolerance, verify
 from quadident.numerics import DEFAULT_TOL
 from quadident.quadrature import integrate_unit
-from quadident.registry import (
-    _odd_harmonic_at,
-    _rhs_arcsin,
-    _rhs_atan_inf,
-    _rhs_atan_inf_alt,
-    _rhs_lemma_odd,
-    _rhs_lemma_single,
-    _rhs_li2_half_diff,
-    _rhs_log_inf,
-    _spec_dilog_pair,
-    lookup,
-)
-from quadident.specfun import dilog_identity_rhs, eq19_rhs, ramanujan_rhs
+from quadident.registry import _odd_harmonic_at, _spec_dilog_pair
 
 mpmath = pytest.importorskip("mpmath")
 
-_ABS_BOUND = 1e-14
-_GRID = 33
-
-
-def _points(case_id):
-    return lookup(case_id).continuous[0].points(_GRID)
-
-
-def _li(p, z):
-    return mpmath.polylog(p, z)
-
-
-def _ramanujan(a):
-    w = (1 - a) / (1 + a)
-    lw = mpmath.log(w)
-    return (mpmath.log(a) * lw**2 / 2 + (_li(2, w) - _li(2, -w)) * lw
-            - _li(3, w) + _li(3, -w) + mpmath.mpf(7) / 4 * mpmath.zeta(3))
-
-
-def _dilog_identity(a):
-    w = (1 - a) / (1 + a)
-    return -mpmath.log(a) * mpmath.log(w) - _li(2, a) + _li(2, -a) + mpmath.pi**2 / 4
-
-
-def eq19_rhs_real(alpha):
-    return eq19_rhs(alpha).real
-
-
-def _eq19_real(a):
-    ia = mpmath.mpc(0, a)
-    w = (1 - ia) / (1 + ia)
-    at = mpmath.atan(a)
-    value = (_li(3, w) - _li(3, -w)
-             - 2j * at * (_li(2, ia) - _li(2, -ia) - mpmath.pi**2 / 4)
-             - 2 * (1j * mpmath.pi / 2 + mpmath.log(a)) * at**2
-             - mpmath.mpf(7) / 4 * mpmath.zeta(3))
-    return mpmath.re(value)
-
-
-def _lemma_odd(p, b):
-    return (-1) ** (p + 1) * math.factorial(p) * (_li(p + 2, b) - _li(p + 2, -b))
-
-
-def _lemma_single(p, b):
-    return (-1) ** (p + 1) * math.factorial(p) * _li(p + 2, b)
-
-
-_ALPHA_FORMS = [
-    ("E2", _rhs_arcsin, lambda a: (_li(2, a) - _li(2, -a)) / 2),
-    ("E4", _rhs_atan_inf,
-     lambda a: mpmath.log(a) * (mpmath.log(1 - a) - mpmath.log(1 + a))
-     + _li(2, a) - _li(2, -a)),
-    ("E4alt", _rhs_atan_inf_alt,
-     lambda a: mpmath.pi**2 / 3 - mpmath.log(1 + a) ** 2 / 2
-     - _li(2, 1 / (1 + a)) - _li(2, 1 - a)),
-    ("E9", _rhs_log_inf, lambda a: mpmath.log(a) * mpmath.log(1 - a) + _li(2, a)),
-    ("E10", _rhs_li2_half_diff,
-     lambda a: _li(2, mpmath.mpf(1) / 2) - _li(2, (1 - a) / 2)),
-    ("E18", ramanujan_rhs, _ramanujan),
-    ("E18d", dilog_identity_rhs, _dilog_identity),
-    ("E19", eq19_rhs_real, _eq19_real),
-]
-
-
-@pytest.mark.parametrize("case_id, form, oracle", _ALPHA_FORMS,
-                         ids=[f"{c}-{f.__name__}" for c, f, _ in _ALPHA_FORMS])
-def test_alpha_closed_form_against_mpmath(case_id, form, oracle):
-    with mpmath.workdps(40):
-        worst = max(abs(form(a) - float(oracle(mpmath.mpf(a)))) for a in _points(case_id))
-    assert worst <= _ABS_BOUND, worst
-
-
-@pytest.mark.parametrize("case_id, form, oracle", [
-    ("E11", _rhs_lemma_odd, _lemma_odd),
-    ("E12", _rhs_lemma_single, _lemma_single),
-])
-def test_lemma_closed_form_against_mpmath(case_id, form, oracle):
-    with mpmath.workdps(40):
-        worst = max(abs(form(p, b) - float(oracle(p, mpmath.mpf(b))))
-                    for p in range(4) for b in _points(case_id))
-    assert worst <= _ABS_BOUND, worst
+from _truth import error  # noqa: E402  (needs mpmath)
 
 
 def test_e18_series_verifies_up_to_the_ends_of_its_domain():
@@ -121,10 +24,9 @@ def test_e18_series_verifies_up_to_the_ends_of_its_domain():
     # reads at most 24 terms b_k at every alpha, within 1e-14 of the value
     alphas = (1e-14, 1e-3, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1 - 2.0**-52)
     outs = verify("E18", points=[{"alpha": a} for a in alphas], tol=DEFAULT_TOL)
-    with mpmath.workdps(40):
-        for a, o in zip(alphas, outs):
-            assert o.passed and o.terms <= 24, o
-            assert abs(o.lhs_value - float(_ramanujan(mpmath.mpf(a)))) <= _ABS_BOUND, o
+    for a, o in zip(alphas, outs):
+        assert o.passed and o.terms <= 24, o
+        assert error("E18", {"alpha": a}, o.lhs_value) <= 1e-14, o
 
 
 def test_e18d_integral_holds_up_to_the_ends_of_its_domain():
@@ -135,11 +37,8 @@ def test_e18d_integral_holds_up_to_the_ends_of_its_domain():
     tol = side_tolerance(DEFAULT_TOL)
     for a in (1e-16, 1e-14, 1e-10, 1e-6, 1e-3, 0.5, 1 - 1e-6, 1 - 1e-12):
         res = integrate_unit(_spec_dilog_pair(a), tol)
-        with mpmath.workdps(40):
-            w = (1 - mpmath.mpf(a)) / (1 + mpmath.mpf(a))
-            exact = float(_li(2, w) - _li(2, -w))
         assert res.converged and res.evaluations <= 257, (a, res)
-        assert abs(res.value - exact) <= 2e-15, (a, res.value, exact)
+        assert error("E18d", {"alpha": a}, res.value) <= 2e-15, (a, res.value)
 
 
 def _ulps(value, exact):

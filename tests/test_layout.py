@@ -6,9 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quadident"
@@ -83,6 +85,42 @@ def test_every_public_name_has_a_reader():
                  ROOT / "tests" / "test_acceptance.py"]:
         read |= _read_names(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(set(quadident.__all__) - read) == []
+
+
+def test_the_truth_table_holds_one_truth_per_id_and_imports_no_quadident_module():
+    # a truth that shared code with the sides it judges could share their
+    # error: tests/_truth.py reaches its values through mpmath alone
+    tree = ast.parse((ROOT / "tests" / "_truth.py").read_text(encoding="utf-8"))
+    modules = [node.module if isinstance(node, ast.ImportFrom) else alias.name
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names]
+    assert "mpmath" in modules
+    assert [m for m in modules if m is None or m.split(".")[0] == "quadident"] == []
+    pytest.importorskip("mpmath")
+    from _truth import TRUTH
+
+    from quadident import registry
+
+    assert sorted(TRUTH) == sorted(registry())
+
+
+def test_every_side_is_run_by_exactly_one_truth_test():
+    # each side kind's truth test, parametrized by the ids of its cases, runs
+    # that case's side of its kind: together they run each of the 56 once
+    pytest.importorskip("mpmath")
+    import test_quadrature_truth as truth
+    from _one_point import maker
+
+    from quadident import registry
+
+    tests = {"_quad": truth.test_every_quadrature_row_lies_within_its_error_estimate,
+             "_series": truth.test_every_series_row_lies_within_its_remainder_bound,
+             "_closed": truth.test_every_closed_form_row_is_pinned_against_the_truth}
+    run = Counter((case_id, name) for kind, test in tests.items()
+                  for case_id in test.pytestmark[0].args[1] for name in ("lhs", "rhs")
+                  if maker(getattr(registry()[case_id], name)) == kind)
+    assert run == Counter((case_id, name) for case_id in registry() for name in ("lhs", "rhs"))
+    assert len(run) == 56
 
 
 def _arrays(value):

@@ -793,6 +793,12 @@ def test_cli_verify_pass_subset(capsys):
     assert {o["id"] for o in parsed["outcomes"]} == {"E13", "E15"}
 
 
+def test_cli_reports_a_repeated_id_once(capsys):
+    assert cli.main(["verify", "--ids", "E1,E1", "--grid", "1", "--format", "json"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert [o["id"] for o in parsed["outcomes"]] == ["E1"]
+    assert parsed["summary"] == {"passed": 1, "failed": 0, "not_converged": 0}
+
 def test_cli_json_pass_is_boolean(capsys):
     assert cli.main(["verify", "--ids", "E17", "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)

@@ -28,7 +28,8 @@ from quadident.registry import (
 )
 from quadident.series import TermGenerator, sum_alternating_accelerated, sum_eq8
 from quadident.specfun import incomplete_beta
-from _one_point import one_point
+from _one_point import maker, one_point
+from _oracles import margin
 
 _N_MAX = 430
 _ALPHAS = (0.1, 0.5, 0.97, 1.0)
@@ -98,14 +99,6 @@ def _record_calls(monkeypatch, names):
     return calls, originals
 
 
-def _is_quadrature(side):
-    return side.__qualname__.startswith("_quad.")
-
-
-def _is_series(side):
-    return side.__qualname__.startswith("_series.")
-
-
 def _is_scalar_spec(spec):
     # a spec built from scalar parameters returns one value per node, not a row
     return np.ndim(spec.f(np.array([0.5]))) == 1
@@ -131,7 +124,7 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
     calls, originals = _record_calls(monkeypatch, ("integrate_unit", "integrate_semi_infinite"))
     batched = set()
     for case in registry().values():
-        if not _is_quadrature(case.lhs) or not case.continuous:
+        if maker(case.lhs) != "_quad" or not case.continuous:
             continue
         batched.add(case.id)
         tol = side_tolerance(DEFAULT_TOL)
@@ -214,7 +207,7 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
     batched = set()
     for case in registry().values():
         for side in (case.lhs, case.rhs):
-            if not _is_series(side) or not (case.continuous or case.discrete):
+            if maker(side) != "_series" or not (case.continuous or case.discrete):
                 continue
             batched.add(case.id)
             tol = side_tolerance(DEFAULT_TOL)
@@ -344,10 +337,6 @@ def test_halved_series_sides_are_half_their_sums_at_twice_the_abs_tol():
             (0.5 * res.values).tolist(), res.work.tolist(), res.row_converged.tolist()), case_id
 
 
-def _is_closed_form(side):
-    return side.__qualname__.startswith("_closed.")
-
-
 def _parts_hex(value, complex_ok):
     """The hex of a closed-form value, as (real, imaginary) where complex."""
     assert type(value) is (complex if complex_ok else float)
@@ -364,7 +353,7 @@ def test_closed_form_rows_equal_one_point_runs():
         if not case.continuous:
             continue
         for side in (case.lhs, case.rhs):
-            if not _is_closed_form(side):
+            if maker(side) != "_closed":
                 continue
             batched.add(case.id)
             value = inspect.getclosurevars(side).nonlocals["value"]
@@ -405,13 +394,13 @@ def test_every_grouped_call_runs_without_the_one_point_fallback(monkeypatch):
 def test_every_case_verifies_at_the_one_gate_with_a_wide_margin():
     # every case is judged at DEFAULT_TOL. The ten cases that had gates 10
     # to 1000 times looser keep their largest margin, |a - b| over
-    # DEFAULT_TOL.margin(a, b), below 1e-4 (E21's is 5.5e-5) at grid 33;
+    # margin(DEFAULT_TOL, a, b), below 1e-4 (E21's is 5.5e-5) at grid 33;
     # E19 at grid 9
     assert {case.default_tol for case in registry().values()} == {DEFAULT_TOL}
     for case_id in ("E7", "E8", "E11", "E12", "E16", "E17", "E19", "E21", "E22", "E23"):
         outs = verify(case_id, 9 if case_id == "E19" else 33)
         assert all(o.passed for o in outs), case_id
-        worst = max(o.abs_error / DEFAULT_TOL.margin(o.lhs_value, o.rhs_value) for o in outs)
+        worst = max(o.abs_error / margin(DEFAULT_TOL, o.lhs_value, o.rhs_value) for o in outs)
         assert worst <= 1e-4, (case_id, worst)
 
 
@@ -425,7 +414,7 @@ def test_every_side_makes_one_driver_call(monkeypatch):
     for case in registry().values():
         del calls[:]
         verify(case.id, 9)
-        sides = sum(not _is_closed_form(side) for side in (case.lhs, case.rhs))
+        sides = sum(maker(side) != "_closed" for side in (case.lhs, case.rhs))
         assert len(calls) == sides, case.id
         assert [tol for _, _, tol, _ in calls] == [side_tolerance(DEFAULT_TOL)] * sides, case.id
 
@@ -491,55 +480,3 @@ def test_non_finite_continuous_parameters_fail_alone(case_id):
         mixed = verify(case_id, points=grid[:half] + [odd] + grid[half:])
         assert mixed[half].params is odd and mixed[half].reason == alone.reason
         assert repr(mixed[:half] + mixed[half + 1:]) == clean, v
-
-
-def test_accelerated_bound_covers_every_grid_row():
-    # every series side goes through the CVZ sum; its bound is proven for
-    # E5, EC6 and E21/E22 at p = 1 and only an estimate for E7, E16, E18,
-    # E19 and E21/E22 at p >= 2. At the evaluation tolerance it must still
-    # cover the error of every grid-33 row against the value the identity
-    # equates to the series, in mpmath at 30 digits from the same double
-    # alpha: an integral, or a closed form (EC6, E18). Each side's own builder
-    # is summed, the factor 1/2 of E16 and E22 and E18's van Wijngaarden
-    # terms included
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp
-
-    def unit(f):
-        return mp.quad(f, [0, 1])
-
-    def ramanujan(alpha):
-        w = (1 - alpha) / (1 + alpha)
-        lw = mp.log(w)
-        return (mp.log(alpha) * lw**2 / 2 + (mp.polylog(2, w) - mp.polylog(2, -w)) * lw
-                - mp.polylog(3, w) + mp.polylog(3, -w) + 7 * mp.zeta(3) / 4)
-
-    truths = {
-        "E5": lambda alpha: 2 * unit(lambda x: mp.atan(alpha * x) / (1 + x * x)),
-        "EC6": lambda alpha: mp.polylog(2, mp.mpf(1) / 2) - mp.polylog(2, (1 - alpha) / 2),
-        "E7": lambda alpha: unit(lambda x: mp.atan(alpha * x) ** 2 / (1 + x * x)),
-        "E16": lambda alpha: unit(lambda x: mp.atan(alpha * x) ** 2 / x),
-        "E18": ramanujan,
-        "E19": lambda alpha: 2 * unit(lambda x: mp.atan(alpha * x) ** 2 / x),
-        "E21": lambda alpha, p: unit(lambda x: mp.atan(alpha * x) ** p / x),
-        "E22": lambda alpha, p: unit(lambda x: mp.atan(alpha * x) ** p / (1 + x * x)),
-    }
-    sides = {"E5": "rhs", "EC6": "rhs", "E7": "rhs", "E16": "rhs", "E18": "lhs", "E19": "lhs",
-             "E21": "rhs", "E22": "rhs"}
-    checked = 0
-    for case_id, side in sides.items():
-        case = registry()[case_id]
-        build = inspect.getclosurevars(getattr(case, side)).nonlocals["build"]
-        tol = side_tolerance(DEFAULT_TOL)
-        points = [fixed | {"alpha": a} for fixed in ([{"p": p} for p in (1, 2, 3, 4)]
-                                                     if case.discrete else [{}])
-                  for a in case.continuous[0].points(33)]
-        rows = sum_alternating_accelerated(Rows(build, points), tol)
-        assert rows.row_converged.all(), case_id
-        with mpmath.workdps(30):
-            for point, value, bound in zip(points, rows.values.tolist(),
-                                           rows.remainder_bounds.tolist()):
-                truth = truths[case_id](**(point | {"alpha": mpmath.mpf(point["alpha"])}))
-                assert abs(value - truth) <= bound, (case_id, point)
-                checked += 1
-    assert checked == 462
