@@ -170,7 +170,7 @@ def _evaluate(side, pts, skip, tol) -> tuple[EvalRows, dict[int, Exception]]:
     idx = [i for i in range(n) if i not in skip] if skip else range(n)
     if idx:
         _fill(parts, errors, side, idx, [pts[i] for i in idx] if skip else pts, tol)
-    if len(idx) == n and len(parts) == 1:
+    if len(parts) == 1 and len(parts[0][0]) == n:
         return EvalRows(*(c if isinstance(c, np.ndarray) else np.full(n, c)
                           for c in parts[0][1])), errors
     dtype = np.result_type(float, *(out.value for _, out in parts))

@@ -389,12 +389,14 @@ def _gen_atan_pow_beta(alpha, p) -> TermGenerator:
 
 # ---------------------------------------------------------------------------
 # Closed forms: each takes its parameters as scalars or as columns and makes
-# one polylog_real call per polylogarithm (and per order) over all its rows.
+# one polylog_real call per side, every polylogarithm, order and sign of the
+# side stacked into its columns.
 # ---------------------------------------------------------------------------
 
 
 def _rhs_arcsin(alpha: float) -> float:
-    return 0.5 * (polylog_real(2, alpha) - polylog_real(2, -alpha))
+    li2_a, li2_ma = polylog_real(2, np.stack([alpha, -alpha]))
+    return 0.5 * (li2_a - li2_ma)
 
 
 def _log_term(alpha, factor):
@@ -407,20 +409,22 @@ def _log_term(alpha, factor):
 
 
 def _rhs_atan_inf(alpha: float) -> float:
+    li2_a, li2_ma = polylog_real(2, np.stack([alpha, -alpha]))
     return fsum_rows(
         _log_term(alpha, lambda a: np.log1p(-a) - np.log1p(a)),
-        polylog_real(2, alpha),
-        -polylog_real(2, -alpha),
+        li2_a,
+        -li2_ma,
     )
 
 
 def _rhs_atan_inf_alt(alpha: float) -> float:
     # equivalent tabulated form of the same integral
+    li2_recip, li2_comp = polylog_real(2, np.stack([1.0 / (1.0 + alpha), 1.0 - alpha]))
     return fsum_rows(
         _PI * _PI / 3.0,
         -0.5 * np.log1p(alpha) ** 2,
-        -polylog_real(2, 1.0 / (1.0 + alpha)),
-        -polylog_real(2, 1.0 - alpha),
+        -li2_recip,
+        -li2_comp,
     )
 
 
@@ -429,7 +433,9 @@ def _rhs_log_inf(alpha: float) -> float:
 
 
 def _rhs_li2_half_diff(alpha: float) -> float:
-    return polylog_real(2, 0.5) - polylog_real(2, (1.0 - alpha) / 2.0)
+    # Li2(1/2), shared by every row, is one more element of the column
+    li2 = polylog_real(2, np.append((1.0 - alpha) / 2.0, 0.5))
+    return li2[-1] - np.reshape(li2[:-1], np.shape(alpha))
 
 
 def _lemma_factor(p):
@@ -439,21 +445,13 @@ def _lemma_factor(p):
     return np.where(p % 2 == 0, -1.0, 1.0) * np.reshape(factorials, np.shape(p))
 
 
-def _polylog_orders(p, x):
-    """Li_{p+2}(x) for each row of p and x, one polylog_real call per order."""
-    p, x = np.asarray(p), np.asarray(x)
-    out = np.empty(x.shape)
-    for q in dict.fromkeys(p.ravel().tolist()):
-        out[p == q] = polylog_real(q + 2, x[p == q])
-    return out
-
-
 def _rhs_lemma_odd(p, beta):
-    return _lemma_factor(p) * (_polylog_orders(p, beta) - _polylog_orders(p, -beta))
+    li_b, li_mb = polylog_real(p + 2, np.stack([beta, -beta]))
+    return _lemma_factor(p) * (li_b - li_mb)
 
 
 def _rhs_lemma_single(p, beta):
-    return _lemma_factor(p) * _polylog_orders(p, beta)
+    return _lemma_factor(p) * polylog_real(p + 2, beta)
 
 
 # ---------------------------------------------------------------------------

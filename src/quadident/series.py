@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,7 +112,10 @@ def _one_row(rows: SummationRows) -> SummationResult:
 def _terms(g: TermGenerator, n0: int, n1: int, k: int) -> np.ndarray:
     """Terms ``n0 .. n1-1`` of the ``k`` rows of ``g``, shape ``(k, n1 - n0)``."""
     a = np.asarray(g.terms(n0, n1))
-    if a.dtype.kind in "cSU":  # a float cast would drop imaginary parts or parse text
+    # a float cast would drop imaginary parts or parse text, in an object
+    # array too, whose elements are checked one by one
+    if a.dtype.kind in "cSU" or (a.dtype.kind == "O" and not all(
+            isinstance(t, numbers.Real) for t in a.flat)):
         raise TypeError(f"terms of {g.name or 'series'} are {a.dtype}, not real numbers")
     a = a.astype(float, copy=False)
     return a if a.shape == (k, n1 - n0) else np.broadcast_to(a, (k, n1 - n0))

@@ -1,8 +1,9 @@
 """Polylogarithms on the closed unit disc, the alternating incomplete beta
 series, and the closed-form sides of the odd-harmonic power-series identities.
 
-For orders p >= 2, Li_p runs over an array of arguments in one pass (a scalar
-is a one-element array), each argument taking one of three paths:
+For orders p >= 2, Li_p runs over an array of arguments, and over several
+orders, in one pass (a scalar is a one-element array), each argument taking
+one of three paths:
 
 * |z| <= 0.85: the defining series sum z^n / n^p, over a fixed number of terms
   per order whose tail at |z| = 0.85 is below 2^-54 |z| (179 for p = 2);
@@ -19,7 +20,10 @@ is a one-element array), each argument taking one of three paths:
 
 Powers are running products along a row, and each row is summed over its
 fixed length by numpy's pairwise sum, so a value does not depend on the other
-arguments of its array. Li_1 is the logarithm.
+arguments of its array. The orders of a pass share the duplication split, one
+table of z^n as wide as the longest defining series, which each order reads
+up to its own length, and one table of mu^k, so a value does not depend on
+the other orders either. Li_1 is the logarithm.
 
 Measured against mpmath for Li_2 .. Li_5: real arguments are within 4 ulp
 (4.4e-16 absolute); complex ones within 7.2e-16 absolute in each component on
@@ -84,22 +88,54 @@ def _check_order(p) -> int:
     return int(p)
 
 
-def polylog_real(p: int, x):
-    """Li_p(x) for real -1 <= x <= 1 (x != 1 when p = 1), elementwise: a float
-    gives a float, an array an array of its shape."""
-    p = _check_order(p)
+def _check_orders(p) -> np.ndarray:
+    """The orders of a scalar or array p as an integer array, each element
+    checked as ``_check_order`` checks one, in order."""
+    if isinstance(p, np.ndarray) and p.dtype.kind in "iu":
+        if np.count_nonzero(p < 1):
+            raise ValueError("polylog order must be >= 1")
+        return p
+    if isinstance(p, (int, np.integer)):
+        return np.asarray(_check_order(p))
+    orders = np.array(p, dtype=object)
+    return np.reshape([_check_order(q) for q in orders.flat], orders.shape)
+
+
+def polylog_real(p, x):
+    """Li_p(x) for integer orders p >= 1 and real -1 <= x <= 1 (x != 1 where
+    p = 1), elementwise over p and x broadcast together: scalars give a float,
+    anything else an array of the broadcast shape. One pass serves every
+    element, and each keeps the bits of its own scalar call: a scalar p is
+    evaluated at every element of x, and an array of orders at each distinct
+    argument (by its bits, so 0.0 and -0.0 stay apart) once per distinct
+    order."""
+    orders = _check_orders(p)
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     inside = np.abs(flat) <= 1.0
     if np.count_nonzero(inside) < flat.size:
         raise ValueError(f"polylog_real requires -1 <= x <= 1, got {flat[~inside][0]}")
-    if p == 1:
-        if np.count_nonzero(flat == 1.0):
-            raise ValueError("Li_1 has a pole at x = 1")
-        values = -np.log1p(-flat)
+    if not (orders.size and flat.size):
+        return np.empty(np.broadcast_shapes(orders.shape, xs.shape))
+    if orders.ndim:  # the distinct orders, and the distinct arguments by their bits
+        qs = sorted(set(orders.ravel().tolist()))
+        first: dict = {}
+        col = np.array([first.setdefault(k, len(first)) for k in flat.view(np.int64).tolist()])
+        args = np.array(list(first), dtype=np.int64).view(float)
     else:
-        values = _polylog(p, flat)
-    return float(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
+        qs, args = [int(orders)], flat
+    rows = []
+    if qs[0] == 1:  # Li_1 is the logarithm
+        if np.count_nonzero((orders == 1) & (xs == 1.0)):
+            raise ValueError("Li_1 has a pole at x = 1")
+        with np.errstate(divide="ignore"):  # at an x = 1 of another order
+            rows.append(-np.log1p(-args)[None])
+    if qs[-1] >= 2:
+        rows.append(_polylog(tuple(q for q in qs if q >= 2), args))
+    table = np.concatenate(rows) if len(rows) > 1 else rows[0]
+    if orders.ndim:
+        return table[np.searchsorted(qs, orders), col.reshape(xs.shape)]
+    return float(table[0, 0]) if not xs.ndim else table[0].reshape(xs.shape)
 
 
 def polylog_complex(p: int, z: complex) -> complex:
@@ -119,26 +155,30 @@ def polylog_complex(p: int, z: complex) -> complex:
         return polylog_complex(p, z.conjugate()).conjugate()
     if p == 1:
         return -cmath.log(1.0 - z)
-    return complex(_polylog(p, np.array([z]))[0])
+    return complex(_polylog((p,), np.array([z]))[0, 0])
 
 
-def _polylog(p: int, z: np.ndarray) -> np.ndarray:
-    """Li_p at each element of the 1-D float or complex array z, for p >= 2 and
-    |z| <= 1 + _CIRCLE_EPS (z = 0 and z = 1 included), by the paths of the
-    module docstring: the duplication formula first, then by |z|."""
+def _polylog(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
+    """Li_p at each element of the 1-D float or complex array z, one row per
+    order p >= 2 of ``orders``, for |z| <= 1 + _CIRCLE_EPS (z = 0 and z = 1
+    included), by the paths of the module docstring: the duplication formula
+    first, then by |z|. The orders share the split and the power tables; each
+    row has the bits of a one-order call."""
     size, a = len(z), np.abs(z)
     dup = (z.real < 0.0) & (a > _SERIES_RADIUS)
     if np.count_nonzero(dup):
         z = np.concatenate([np.where(dup, z * z, z), -z[dup]])
         a = np.abs(z)
     small = a <= _SERIES_RADIUS
-    out = np.empty_like(z)
+    out = np.empty((len(orders), len(z)), dtype=z.dtype)
     for rows, path in ((small, _defining_series), (~small, _log_series)):
         if np.count_nonzero(rows):
-            out[rows] = path(p, z[rows])
+            for row, values in zip(out, path(orders, z[rows])):
+                row[rows] = values
     if len(z) > size:
-        out, minus = out[:size], out[size:]
-        out[dup] = 2.0 ** (1 - p) * out[dup] - minus
+        out, minus = out[:, :size], out[:, size:]
+        scale = np.array([2.0 ** (1 - p) for p in orders])[:, None]
+        out[:, dup] = scale * out[:, dup] - minus
     return out
 
 
@@ -164,25 +204,31 @@ def _series_denominators(p: int) -> np.ndarray:
     return power
 
 
-def _defining_series(p: int, z: np.ndarray) -> np.ndarray:
-    """sum_{n <= N} z^n / n^p for each element, |z| <= _SERIES_RADIUS."""
-    denominators = _series_denominators(p)
-    return np.add.reduce(_power_table(z, len(denominators)) / denominators, axis=1)
+def _defining_series(orders: tuple[int, ...], z: np.ndarray):
+    """sum_{n <= N} z^n / n^p for each element, |z| <= _SERIES_RADIUS, one
+    row per order: one power table as wide as the longest series, each order
+    summing its own first N columns."""
+    denominators = [_series_denominators(p) for p in orders]
+    powers = _power_table(z, max(map(len, denominators)))
+    for d in denominators:
+        yield np.add.reduce(powers[:, :len(d)] / d, axis=1)
 
 
-def _log_series(p: int, z: np.ndarray) -> np.ndarray:
+def _log_series(orders: tuple[int, ...], z: np.ndarray):
     """The log-series in mu = log z for each element, 0 < |z| <= 1 +
-    _CIRCLE_EPS; at z = 1 (mu = 0) its log term vanishes, leaving zeta(p).
-    From p = _LOG_SERIES_TERMS + 1 on, the log term, of order p - 1, lies in
-    the truncated tail."""
-    coeffs, harmonic = _log_series_coefficients(p)
+    _CIRCLE_EPS, one row per order, over one table of mu^k; at z = 1 (mu = 0)
+    its log term vanishes, leaving zeta(p). From p = _LOG_SERIES_TERMS + 1 on,
+    the log term, of order p - 1, lies in the truncated tail."""
     mu = np.log(z)
-    powers = _power_table(mu, len(coeffs) - 1)
-    value = coeffs[0] + np.add.reduce(powers * coeffs[1:], axis=1)
-    if p - 1 < _LOG_SERIES_TERMS:
+    powers = _power_table(mu, _LOG_SERIES_TERMS - 1)
+    if min(orders) <= _LOG_SERIES_TERMS:
         log_term = np.log((mu == 0.0) - mu)  # log(-mu), and 0 where mu = 0
-        value = value + powers[:, p - 2] / math.factorial(p - 1) * (harmonic - log_term)
-    return value
+    for p in orders:
+        coeffs, harmonic = _log_series_coefficients(p)
+        value = coeffs[0] + np.add.reduce(powers * coeffs[1:], axis=1)
+        if harmonic is not None:
+            value = value + powers[:, p - 2] / math.factorial(p - 1) * (harmonic - log_term)
+        yield value
 
 
 @functools.cache
@@ -268,11 +314,13 @@ def ramanujan_rhs(alpha):
     alpha = _open_unit("ramanujan_rhs", alpha)
     w = (1.0 - alpha) / (1.0 + alpha)
     lw = np.log(w)
+    x = np.stack([w, -w])
+    (li2_w, li2_mw), (li3_w, li3_mw) = polylog_real(np.reshape([2, 3], (2,) + (1,) * x.ndim), x)
     return fsum_rows(
         0.5 * np.log(alpha) * lw * lw,
-        (polylog_real(2, w) - polylog_real(2, -w)) * lw,
-        -polylog_real(3, w),
-        polylog_real(3, -w),
+        (li2_w - li2_mw) * lw,
+        -li3_w,
+        li3_mw,
         1.75 * CONSTANTS.zeta3,
     )
 
@@ -286,10 +334,11 @@ def dilog_identity_rhs(alpha):
     """
     alpha = _open_unit("dilog_identity_rhs", alpha)
     w = (1.0 - alpha) / (1.0 + alpha)
+    li2_a, li2_ma = polylog_real(2, np.stack([alpha, -alpha]))
     return fsum_rows(
         -np.log(alpha) * np.log(w),
-        -polylog_real(2, alpha),
-        polylog_real(2, -alpha),
+        -li2_a,
+        li2_ma,
         CONSTANTS.pi**2 / 4.0,
     )
 
@@ -298,34 +347,37 @@ def eq19_rhs(alpha):
     """Closed form of sum_{n>=1} (-1)^(n-1) h_n alpha^(2n) / n^2, 0 < alpha <= 1,
     elementwise over an array alpha (a float gives a complex).
 
-    Built from trilogarithms at (1 - i alpha)/(1 + i alpha), a point of the
+    Built from trilogarithms at w = (1 - i alpha)/(1 + i alpha), a point of the
     unit circle with nonnegative real part for alpha <= 1, so the principal
     branch is never crossed (asserted at runtime). The imaginary part of the
     result cancels analytically; callers should check it stays near zero.
-    Each element makes its own scalar ``polylog_complex`` calls, from whose
-    argument the benchmark's tracer names the layer.
+    The column makes two polylogarithm passes: Li_3 at conj(w) and -w, whose
+    imaginary parts are positive (Li_3(w) is the conjugate of the first, as
+    ``polylog_complex`` routes it), and Li_2 at i alpha, with
+    Li_2(-i alpha) its conjugate. An element outside the domain, or off the
+    branch, raises for the whole column.
     """
-    if np.ndim(alpha):
-        return np.reshape([eq19_rhs(a) for a in np.ravel(alpha).tolist()], np.shape(alpha))
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"eq19_rhs requires 0 < alpha <= 1, got {alpha}")
-    ia = 1j * alpha
-    w = (1.0 - ia) / (1.0 + ia)
-    if w.real < -1e-12:
+    alphas = np.ravel(np.asarray(alpha, dtype=float)).tolist()
+    for a in alphas:
+        if not 0.0 < a <= 1.0:
+            raise ValueError(f"eq19_rhs requires 0 < alpha <= 1, got {a}")
+    ia = [1j * a for a in alphas]
+    w = [(1.0 - z) / (1.0 + z) for z in ia]
+    if any(z.real < -1e-12 for z in w):
         raise AssertionError("branch safety violated: Re((1-ia)/(1+ia)) < 0")
-    at = math.atan(alpha)
-    li3_w = polylog_complex(3, w)
-    li3_mw = polylog_complex(3, -w)
-    li2_ia = polylog_complex(2, ia)
-    li2_mia = polylog_complex(2, -ia)
-    pieces = (
-        li3_w,
-        -li3_mw,
-        -2j * at * (li2_ia - li2_mia - CONSTANTS.pi**2 / 4.0),
-        -2.0 * (0.5j * CONSTANTS.pi + math.log(alpha)) * at * at,
-        complex(-1.75 * CONSTANTS.zeta3),
-    )
-    return complex(
-        math.fsum(c.real for c in pieces), math.fsum(c.imag for c in pieces)
-    )
+    z3 = np.array([z.conjugate() for z in w] + [-z for z in w], dtype=complex)
+    li3 = _polylog((3,), z3)[0].tolist()
+    li2 = _polylog((2,), np.array(ia, dtype=complex))[0].tolist()
+    values = []
+    for a, li3_cw, li3_mw, li2_ia in zip(alphas, li3, li3[len(w):], li2):
+        at = math.atan(a)
+        pieces = (
+            li3_cw.conjugate(),
+            -li3_mw,
+            -2j * at * (li2_ia - li2_ia.conjugate() - CONSTANTS.pi**2 / 4.0),
+            -2.0 * (0.5j * CONSTANTS.pi + math.log(a)) * at * at,
+            complex(-1.75 * CONSTANTS.zeta3),
+        )
+        values.append(complex(
+            math.fsum(c.real for c in pieces), math.fsum(c.imag for c in pieces)))
+    return values[0] if np.ndim(alpha) == 0 else np.reshape(values, np.shape(alpha))

@@ -198,32 +198,39 @@ tracer = Tracer()
 verify = tracer.install()
 for case_id in ("E2", "E8", "E19", "E21", "E22"):
     verify(case_id, grid_size=1)
-print(json.dumps(sorted(tracer.take_pass()["calls"])))
+specfun = sys.modules["quadident.specfun"]
+print(json.dumps([sorted(tracer.take_pass()["calls"]),
+                  hasattr(specfun.polylog_complex, "__wrapped__")]))
 """
 
 
 def test_benchmark_tracer_installs_and_traces_its_layers():
     # perfbench/tracer.py wraps entry points by name in the modules that call
     # them; a renamed or unbound one fails its install, an unused one drops
-    # its layer from a pass. -B keeps bytecode out of perfbench/.
+    # its layer from a pass. -B keeps bytecode out of perfbench/. E19's
+    # closed form runs its column through specfun._polylog, so the pass over
+    # E19 makes no polylog_complex call, though the install still wraps it
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _TRACED_PASS,
          str(ROOT / "perfbench"), str(ROOT / "src")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    layers = set(json.loads(proc.stdout.splitlines()[-1]))
+    names, complex_wrapped = json.loads(proc.stdout.splitlines()[-1])
+    layers = set(names)
     assert {
         "quadrature",
         "series",
         "specfun.incomplete_beta",
         "specfun.polylog_real",
-        "specfun.polylog_complex.circle",
         "specfun.closed_form",
         "combinatorics.arctan_power_coeff",
         "combinatorics.prefix",
+        "case:E19",
         "case:E21",
     } <= layers, sorted(layers)
+    assert not [name for name in layers if name.startswith("specfun.polylog_complex")]
+    assert complex_wrapped
 
 
 _COUNTED_PASS = """

@@ -419,21 +419,63 @@ def test_every_side_makes_one_driver_call(monkeypatch):
         assert [tol for _, _, tol, _ in calls] == [side_tolerance(DEFAULT_TOL)] * sides, case.id
 
 
-def test_e11_makes_one_polylog_call_per_order_and_sign(monkeypatch):
+def test_e11_makes_one_polylog_call(monkeypatch):
     # E11's closed form takes all 136 points (p = 0..3, each at 33 grid
-    # points and beta = 1) in one call, and evaluates Li_{p+2}(b) and then
-    # Li_{p+2}(-b) with one polylog_real pass per order over that order's rows
+    # points and beta = 1) in one call, and evaluates Li_{p+2}(b) and
+    # Li_{p+2}(-b) for every p in one polylog_real call over 272 elements
     module = importlib.import_module("quadident.registry")
     calls = []
     polylog_real = module.polylog_real
 
     def record(p, x):
-        calls.append((p, np.shape(x), np.sign(x).min(), np.sign(x).max()))
+        calls.append((np.unique(p).tolist(), np.broadcast_shapes(np.shape(p), np.shape(x)),
+                      np.sign(x).min(), np.sign(x).max()))
         return polylog_real(p, x)
 
     monkeypatch.setattr(module, "polylog_real", record)
     assert all(o.passed for o in verify("E11", 33))
-    assert calls == [(p, (34,), sign, sign) for sign in (1.0, -1.0) for p in (2, 3, 4, 5)]
+    assert calls == [([2, 3, 4, 5], (2, 136, 1), -1.0, 1.0)]
+
+
+def test_every_closed_form_side_makes_one_polylog_pass(monkeypatch):
+    # every polylogarithm, order and sign of a closed-form side shares one
+    # specfun._polylog pass over the side's grid-33 points; E19 makes two,
+    # its trilogarithms and its dilogarithms
+    specfun = importlib.import_module("quadident.specfun")
+    passes = []
+    polylog = specfun._polylog
+
+    def record(orders, z):
+        passes.append(orders)
+        return polylog(orders, z)
+
+    monkeypatch.setattr(specfun, "_polylog", record)
+    counted = {}
+    for case in registry().values():
+        for side in (case.lhs, case.rhs):
+            if maker(side) != "_closed":
+                continue
+            del passes[:]
+            side(_side_points(case), DEFAULT_TOL)
+            counted[case.id] = passes[:]
+    assert {case_id: len(p) for case_id, p in counted.items() if len(p) > 1} == {"E19": 2}
+    assert counted["E19"] == [(3,), (2,)]
+    assert counted["E11"] == counted["E12"] == [(2, 3, 4, 5)]
+    assert counted["E18"] == [(2, 3)]
+    assert {case_id for case_id, p in counted.items() if p} == {
+        "E2", "E4", "E4alt", "E9", "E10", "EC6", "E11", "E12", "E18", "E18d", "E19"}
+
+
+def test_e19_fails_a_point_off_its_domain_alone():
+    # E19's right side raises for its whole column at alpha = 1.5; the
+    # ledger retries by halves, so that point alone fails and the others,
+    # the end alpha = 1 included, keep the bits of their own runs
+    bad, good, end = verify("E19", points=[{"alpha": 1.5}, {"alpha": 0.5}])
+    assert not bad.passed and bad.reason == "error: eq19_rhs requires 0 < alpha <= 1, got 1.5"
+    assert math.isnan(bad.rhs_value)
+    alone = verify("E19", points=[{"alpha": 0.5}])
+    assert [good, end] == alone and good.passed
+    assert [o.rhs_value.hex() for o in (good, end)] == [o.rhs_value.hex() for o in alone]
 
 
 @pytest.mark.parametrize("case_id", ["E11", "E12", "E21", "E22", "E23"])

@@ -388,10 +388,12 @@ def test_sign_grace_window_exempts_the_first_four_pairs_in_both_sums(first):
 @pytest.mark.parametrize("dtype, term", [
     ("complex128", lambda n: (-1.0) ** n / (n + 1.0) * (1 + 1j)),
     ("<U", lambda n: ((-1.0) ** n / (n + 1.0)).astype(str)),
+    ("object", lambda n: np.array([str(t) for t in (-1.0) ** n / (n + 1.0)], dtype=object)),
 ])
 def test_complex_or_text_terms_raise_in_both_sums(dtype, term):
     # a float cast kept the real part of complex terms (log 2, converged) and
-    # parsed text terms; either sum, and a rows call, names the series instead
+    # parsed text terms, held in an object array too; either sum, and a rows
+    # call, names the series instead
     g = TermGenerator(lambda n0, n1: term(np.arange(n0, n1)), name="odd series")
     for summer, arg in ((sum_direct, g), (sum_alternating_accelerated, g),
                         (sum_alternating_accelerated, Rows(lambda: g, [{}, {}]))):

@@ -128,6 +128,49 @@ def test_polylog_real_array_domain_errors():
         polylog_real(2, np.array([0.5, 1.5, -2.0]))
     with pytest.raises(ValueError, match="pole at x = 1"):
         polylog_real(1, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="polylog order must be an integer"):
+        polylog_real(np.array([True, False]), 0.5)
+    # Li_1 and x = 1 in one column, never as a pair, is no pole
+    li = polylog_real(np.array([1, 2]), np.array([0.5, 1.0]))
+    assert li.tolist() == [polylog_real(1, 0.5), polylog_real(2, 1.0)]
+
+
+# every real path: the defining series, the log-series, the duplication
+# formula (-0.86, -0.9), and 0, -0 and +-1
+_COLUMN_ORDERS = (1, 2, 3, 5, 57, 60)
+_COLUMN_ARGS = (0.0, -0.0, 0.85, -0.85, 0.86, -0.86, -0.9, 1.0, -1.0)
+
+
+def test_polylog_real_order_column_equals_scalar_calls():
+    # a column of orders and arguments, shuffled and with repeats, gives each
+    # element the bits of its own scalar call, whatever else the column holds
+    pairs = [(p, x) for p in _COLUMN_ORDERS for x in _COLUMN_ARGS if (p, x) != (1, 1.0)]
+    pairs = [pairs[i] for i in np.random.default_rng(35).permutation(len(pairs) * 2) % len(pairs)]
+    p, x = np.array(pairs, dtype=object).T
+    batch = polylog_real(p.astype(int), x.astype(float))
+    assert [v.hex() for v in batch.tolist()] == [polylog_real(q, y).hex() for q, y in pairs]
+    # an order row against an argument column: the broadcast table
+    grid = polylog_real(np.array(_COLUMN_ORDERS[1:])[:, None], np.array(_COLUMN_ARGS))
+    assert grid.shape == (5, len(_COLUMN_ARGS))
+    assert [[v.hex() for v in row] for row in grid.tolist()] == [
+        [polylog_real(q, y).hex() for y in _COLUMN_ARGS] for q in _COLUMN_ORDERS[1:]]
+
+
+@pytest.mark.parametrize("p, x, text", [
+    ([2, 3, 2], [0.5, 1.5, -2.0], r"polylog_real requires -1 <= x <= 1, got 1\.5$"),
+    ([2, 1, 3], [1.0, 1.0, 1.0], r"^Li_1 has a pole at x = 1$"),
+    ([2, 0, 3], [0.5, 0.5, 0.5], r"^polylog order must be >= 1$"),
+    ([2, True, 3], [0.5, 0.5, 0.5], r"^polylog order must be an integer$"),
+    ([2, 2.0, 3], [0.5, 0.5, 0.5], r"^polylog order must be an integer$"),
+])
+def test_polylog_real_order_column_domain_errors(p, x, text):
+    # each check of a scalar call holds for every element of a column, with
+    # the same text: as a list, and as an array of the list's own dtype
+    for orders in (p, np.array(p, dtype=object), np.array(p)):
+        if np.asarray(orders).dtype.kind == "i" and text.endswith("integer$"):
+            continue  # [2, True, 3] as an int array is the orders 2, 1, 3
+        with pytest.raises(ValueError, match=text):
+            polylog_real(orders, np.array(x))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -404,6 +447,41 @@ def test_eq19_rhs_matches_series():
         eq19_rhs(0.0)
     with pytest.raises(ValueError):
         eq19_rhs(1.5)
+
+
+def _eq19_one_value(alpha):
+    """E19's right side at one alpha from four scalar polylog_complex calls."""
+    ia = 1j * alpha
+    w = (1.0 - ia) / (1.0 + ia)
+    at = math.atan(alpha)
+    pieces = (
+        polylog_complex(3, w),
+        -polylog_complex(3, -w),
+        -2j * at * (polylog_complex(2, ia) - polylog_complex(2, -ia) - PI**2 / 4.0),
+        -2.0 * (0.5j * PI + math.log(alpha)) * at * at,
+        complex(-1.75 * Z3),
+    )
+    return complex(math.fsum(c.real for c in pieces), math.fsum(c.imag for c in pieces))
+
+
+@pytest.mark.parametrize("n", [9, 33])
+def test_eq19_rhs_column_equals_its_one_value_calls(n):
+    # the column's two passes give every element the bits of its own call,
+    # and of the scalar polylog_complex values it replaced, alpha = 1 included
+    alphas = [i / (n + 1) for i in range(1, n + 1)] + [1.0]
+    column = eq19_rhs(np.array(alphas)[:, None])
+    assert column.shape == (n + 1, 1) and column.dtype == complex
+    hexes = [(v.real.hex(), v.imag.hex()) for v in column.ravel().tolist()]
+    assert hexes == [(eq19_rhs(a).real.hex(), eq19_rhs(a).imag.hex()) for a in alphas]
+    assert hexes == [(_eq19_one_value(a).real.hex(), _eq19_one_value(a).imag.hex())
+                     for a in alphas]
+
+
+def test_eq19_rhs_column_raises_for_a_bad_element():
+    with pytest.raises(ValueError, match=r"^eq19_rhs requires 0 < alpha <= 1, got 1\.5$"):
+        eq19_rhs(np.array([0.5, 1.5, 0.0]))
+    with pytest.raises(ValueError, match=r"got nan$"):
+        eq19_rhs(np.array([0.5, math.nan]))
 
 
 def test_dilog_identity_rhs():
