@@ -99,11 +99,11 @@ def verify(
     (bools are not), raises ``ValueError`` before any side runs; so does a
     ``grid_size`` that is not such an integer or is below 1.
     """
-    if isinstance(grid_size, bool) or not isinstance(grid_size, numbers.Integral) or grid_size < 1:
+    if type(grid_size) is not int and (isinstance(grid_size, bool) or not isinstance(
+            grid_size, numbers.Integral)) or grid_size < 1:
         raise ValueError(f"grid_size must be an integer >= 1, got {grid_size!r}")
     case = lookup(case_id)
-    eff = tol if tol is not None else DEFAULT_TOL
-    eval_tol = side_tolerance(eff)
+    eff, eval_tol = (DEFAULT_TOL, _DEFAULT_SIDE_TOL) if tol is None else (tol, side_tolerance(tol))
 
     given = list(points) if points is not None else []
     grid = _grid_points(case, grid_size) if points is None else []
@@ -154,16 +154,19 @@ def side_tolerance(tol: Tolerance) -> Tolerance:
     return Tolerance(tol.abs_tol / 4.0, tol.rel_tol / 4.0, tol.max_work)
 
 
+_DEFAULT_SIDE_TOL = side_tolerance(DEFAULT_TOL)
+
+
 def _evaluate(side, pts, skip, tol) -> tuple[EvalRows, dict[int, Exception]]:
     """One side at the points not in ``skip``, as a full-length ``EvalRows``,
     and the exception of each point that raised, by index.
 
     The points go to one ``side(points, tol)`` call (see :func:`_fill`). When
-    that call covers every point, its columns are the side's as they come,
-    scalar work and convergence broadcast to every row; only when a point was
-    skipped or the call raised are the parts' columns scattered into new
-    ones, NaN and no work where unset. Values are float64, or complex128 for
-    a complex closed form."""
+    that call covers every point, its ``EvalRows`` is the side's, scalar work
+    and convergence left scalar for the judge; only when a point was skipped
+    or the call raised are the parts' columns scattered into new ones, NaN
+    and no work where unset. Values are float64, or complex128 for a complex
+    closed form."""
     n = len(pts)
     parts: list = []
     errors: dict[int, Exception] = {}
@@ -171,8 +174,7 @@ def _evaluate(side, pts, skip, tol) -> tuple[EvalRows, dict[int, Exception]]:
     if idx:
         _fill(parts, errors, side, idx, [pts[i] for i in idx] if skip else pts, tol)
     if len(parts) == 1 and len(parts[0][0]) == n:
-        return EvalRows(*(c if isinstance(c, np.ndarray) else np.full(n, c)
-                          for c in parts[0][1])), errors
+        return parts[0][1], errors
     dtype = np.result_type(float, *(out.value for _, out in parts))
     rows = EvalRows(np.full(n, np.nan, dtype), np.zeros(n, dtype=int), np.zeros(n, dtype=int),
                     np.ones(n, dtype=bool))
@@ -216,8 +218,9 @@ def _judge(case_id, pts, eff, lhs: EvalRows, rhs: EvalRows, errors) -> list[Veri
     argument against a NaN. A complex column's imaginary part fails beyond
     ``abs_tol + rel_tol * max(|its real part|, |a|)`` (``|a|`` for the right
     side only). ``not_converged`` comes before the imaginary check, then
-    ``mismatch``. A point in ``errors`` (index -> exception) fails with the
-    exception's text and NaN errors, and keeps a finished left side's value and work."""
+    ``mismatch``, coded only when some point fails. A point in ``errors``
+    (index -> exception) fails with the exception's text and NaN errors, and
+    keeps a finished left side's value and work, scalar work every point's."""
     a, b = lhs.value.real, rhs.value.real
     imag = False
     with np.errstate(all="ignore"):  # inf and nan propagate as in Python floats
@@ -231,17 +234,20 @@ def _judge(case_id, pts, eff, lhs: EvalRows, rhs: EvalRows, errors) -> list[Veri
         if rhs.value.dtype.kind == "c":
             imag = imag | (np.abs(rhs.value.imag) > eff.abs_tol + eff.rel_tol * np.where(
                 abs_a > abs_b, abs_a, abs_b))
-    code = np.where(lhs.converged & rhs.converged, np.where(imag, 2, ~ok), 3)
-    passed = code == 0
-    reason = _REASONS[code].tolist() if code.any() else [""] * len(code)
+    conv = lhs.converged & rhs.converged
+    passed = ok & conv if imag is False else ok & conv & ~imag
+    diff, rel, reason = diff.tolist(), rel.tolist(), [""] * len(pts)
+    if not passed.all():
+        reason = _REASONS[np.where(conv, np.where(imag, 2, ~ok), 3)].tolist()
+    passed = passed.tolist()
     for i, exc in errors.items():
-        diff[i] = rel[i] = np.nan
+        diff[i] = rel[i] = math.nan
         passed[i] = False
         reason[i] = f"error: {exc}"
     return list(map(VerificationOutcome._make, zip(
-        itertools.repeat(case_id), pts, a.tolist(), b.tolist(), diff.tolist(), rel.tolist(),
-        passed.tolist(), reason, (lhs.evals + rhs.evals).tolist(),
-        (lhs.terms + rhs.terms).tolist())))
+        itertools.repeat(case_id), pts, a.tolist(), b.tolist(), diff, rel, passed, reason,
+        *(c.tolist() if isinstance(c, np.ndarray) else itertools.repeat(int(c))
+          for c in (lhs.evals + rhs.evals, lhs.terms + rhs.terms)))))
 
 
 def make_report(outcomes, tol_abs: Optional[float], tol_rel: Optional[float]) -> Report:

@@ -9,11 +9,12 @@ exponential transformation in numerical analysis", 2001). Both tables share the
 ``t`` grid, and one driver serves both: levels halve the step and reuse
 previous nodes; the error estimate is the last level-to-level change with a
 safety factor of 10, a rounding floor, and the truncation term ``|w f|`` at the
-outermost nodes ``t = +-4``. No row may stop before level 2, so levels 0-2
-(those that ``max_work`` allows) are evaluated as one run: one ``f`` call and
-one ``f_right`` call over their nodes, each level's sums taken from its own
-slice. A run's nodes, joined for those calls, are built once and cached, like
-each level's.
+outermost nodes ``t = +-4``. No row may stop before level 2, and most stop at
+level 3 or 4, so levels 0-3 (those that ``max_work`` allows) are evaluated as
+one run: one ``f`` call and one ``f_right`` call over their nodes, each level's
+sums taken from its own slice. A row that stops at level 2 leaves inside the
+run, evaluated on level 3 as well. A run's nodes, joined for those calls, are
+built once and cached, like each level's.
 
 Integrand callables must be numpy vectorized and real-valued: they receive a
 float ndarray of abscissae and must return a real ndarray of values (or a real
@@ -39,8 +40,8 @@ on the number of nodes, so it is the same for every row count. Each row
 leaves the active set at the level where it would have converged alone, so
 its value, error estimate, evaluation count and convergence flag are bit for
 bit those of the one-row run. A rows call returns :class:`QuadratureRows`:
-``(rows,)`` columns of value, error estimate, evaluations and convergence,
-filled by the driver as rows leave the active set, plus the batch totals
+``(rows,)`` columns of value, error estimate, evaluations (the nodes of the
+levels a row used) and convergence, filled as rows leave, plus the batch totals
 ``evaluations`` (sum over rows) and ``converged`` (all rows) as Python
 numbers. A :class:`QuadratureResult` is made only for a single spec.
 """
@@ -57,6 +58,7 @@ from .numerics import DEFAULT_TOL, Rows, Tolerance
 _T_MAX = 4.0        # |t| range of the trapezoid in the transformed variable
 _MAX_LEVELS = 12    # step-halving levels before giving up
 _MIN_LEVEL = 2      # the first level at which a row may stop
+_RUN_LEVEL = 3      # the last level of the first run
 
 
 class QuadratureError(RuntimeError):
@@ -173,10 +175,7 @@ def _eval_levels(spec: IntegrandSpec, levels: range, k: int, half_line: bool):
     levels: one ``(2, k, nodes)`` block, and the ``(offset, nodes)`` of each
     level in it. One ``f`` call (and one ``f_right`` call) over the run's
     nodes fills the first half by one multiply that broadcasts ``f``'s
-    values; one ``abs`` fills the rest. Only when the run's total of
-    ``|w f|`` is not finite are its values searched for a non-finite one,
-    level by level in order (w is finite and positive, so ``w f`` is
-    non-finite where ``f`` is, or where the product overflows)."""
+    values; one ``abs`` fills the rest. The driver checks them."""
     arg, darg, w, place, spans = _run_nodes(levels.start, levels.stop,
                                             spec.f_right is not None, half_line)
     block = np.empty((2, k, sum(spans[-1])))  # up to the end of the last level
@@ -188,16 +187,6 @@ def _eval_levels(spec: IntegrandSpec, levels: range, k: int, half_line: bool):
         values[:, place[1]] = _real_values("f_right", spec.f_right, darg)
         values *= w
     np.abs(block[0], out=block[1])
-    if not np.isfinite(np.add.reduce(block[1], axis=None)):
-        for level, (a, n) in zip(levels, spans):
-            finite = np.isfinite(block[0, :, a:a + n])
-            if not finite.all():
-                _, x, delta, _ = _level_nodes(level, half_line)
-                bad = int(np.flatnonzero(~finite)[0]) % n
-                # on the half-line 1 - x is no distance to an end
-                where = "" if half_line else f" (distance {float(delta[bad])!r} from 1)"
-                raise QuadratureError(
-                    f"integrand returned a non-finite value at x={float(x[bad])!r}{where}")
     return block, spans
 
 
@@ -207,14 +196,19 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance, half_line: bool) -> QuadratureRo
     the tanh-sinh nodes of (0, 1) or the exp-sinh nodes of (0, inf).
 
     ``spec_of(rows)`` returns the :class:`IntegrandSpec` of the active rows
-    (all for None). Each level is one array pass over the active rows: their
-    level sums and sums of ``|w f|`` are the ``(2, rows)`` sums of the level's
-    part of the run's block, and their totals and sums of ``h |w f|`` one
+    (all for None), built again only for a block after rows left. Each level
+    is one array pass over the active rows: their level sums and sums of
+    ``|w f|`` are the ``(2, rows)`` sums of the level's part of its block,
+    taken once per block, and their totals and sums of ``h |w f|`` one
     ``(2, rows)`` state. A row leaves the active set at the level where it
     converges, and its columns are filled then; every row still active shares
     the level count, so the ``max_work`` stop applies to all of them at once.
-    Rows leave from level 2 on, the last level of the first run, so a block
-    never loses rows.
+    Rows leave from level 2 on, inside the first run (levels 0-3), whose
+    later levels the rest read at their places in its block. A row's
+    ``work`` counts the nodes of the levels it used, so a row that stops at
+    level 2 was also evaluated on the 32 nodes of level 3. Only when a
+    block's total of ``|w f|`` is not finite are its levels searched for a
+    non-finite value, each among the rows active there.
 
     The error estimate is ten times the level-to-level change, plus a
     rounding floor, plus the level-0 ``|w f|`` at the two outermost nodes
@@ -227,25 +221,36 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance, half_line: bool) -> QuadratureRo
                          np.zeros(k, dtype=bool))
     active = np.arange(k)
     spec = spec_of(None)
-    evals = 0
+    evals = stop = 0  # stop: the end of the levels evaluated so far
     err = np.full(k, np.inf)
-    # levels 0 to _MIN_LEVEL, as far as max_work allows, are one run
+    # levels 0 to _RUN_LEVEL, as far as max_work allows, are one run
     run, work = 1, len(_level_nodes(0)[0])
-    while run <= _MIN_LEVEL and (work := work + len(_level_nodes(run)[0])) <= tol.max_work:
+    while run <= _RUN_LEVEL and (work := work + len(_level_nodes(run)[0])) <= tol.max_work:
         run += 1
-    block, spans = _eval_levels(spec, range(run), k, half_line)
-    edge = block[1, :, 0] + block[1, :, spans[0][1] - 1]  # truncation at |t| = 4
     for level in range(_MAX_LEVELS + 1):
-        if level >= run:
-            if evals + len(_level_nodes(level)[0]) > tol.max_work:
+        if level == stop:
+            if level and evals + len(_level_nodes(level)[0]) > tol.max_work:
                 break
-            block, spans = _eval_levels(spec, range(level, level + 1), len(active), half_line)
-        a, n = spans[level if level < run else 0]
-        sums = np.add.reduce(block[:, :, a:a + n], axis=2)  # level sums of w f, |w f|
+            first, stop, at = level, level + 1 if level else run, slice(None)
+            spec = spec or spec_of(active)
+            block, spans = _eval_levels(spec, range(first, stop), len(active), half_line)
+            finite = np.isfinite(np.add.reduce(block[1], axis=None))
+            level_sums = [np.add.reduce(block[:, :, a:a + n], axis=2) for a, n in spans]
+        a, n = spans[level - first]
+        if not finite and not np.isfinite(wf := block[0, at, a:a + n]).all():
+            # w is finite and positive: w f is non-finite where f is, or it overflowed
+            _, x, delta, _ = _level_nodes(level, half_line)
+            bad = int(np.flatnonzero(~np.isfinite(wf))[0]) % n  # the first, in row order
+            # on the half-line 1 - x is no distance to an end
+            where = "" if half_line else f" (distance {float(delta[bad])!r} from 1)"
+            raise QuadratureError(
+                f"integrand returned a non-finite value at x={float(x[bad])!r}{where}")
+        sums = level_sums[level - first][:, at]  # level sums of w f, |w f|
         evals += n
         h = 0.5 ** level
         if level == 0:
             state = h * sums  # the total and h * sum |w f|, for the rounding floor
+            edge = block[1, :, 0] + block[1, :, n - 1]  # truncation at |t| = 4
             continue
         prev = state[0]
         state = 0.5 * state + h * sums
@@ -263,7 +268,7 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance, half_line: bool) -> QuadratureRo
             active, state, err, edge = active[keep], state[:, keep], err[keep], edge[keep]
             if not active.size:
                 return out
-            spec = spec_of(active)
+            at, spec = active, None  # in the first run's block a row's place is its index
     out.values[active] = state[0]
     out.error_estimates[active] = err
     out.work[active] = evals

@@ -118,12 +118,12 @@ def polylog_real(p, x):
     if not (orders.size and flat.size):
         return np.empty(np.broadcast_shapes(orders.shape, xs.shape))
     if orders.ndim:  # the distinct orders, and the distinct arguments by their bits
-        qs = sorted(set(orders.ravel().tolist()))
+        qs = tuple(sorted(set(orders.ravel().tolist())))
         first: dict = {}
         col = np.array([first.setdefault(k, len(first)) for k in flat.view(np.int64).tolist()])
         args = np.array(list(first), dtype=np.int64).view(float)
     else:
-        qs, args = [int(orders)], flat
+        qs, args = (int(orders),), flat
     rows = []
     if qs[0] == 1:  # Li_1 is the logarithm
         if np.count_nonzero((orders == 1) & (xs == 1.0)):
@@ -131,7 +131,7 @@ def polylog_real(p, x):
         with np.errstate(divide="ignore"):  # at an x = 1 of another order
             rows.append(-np.log1p(-args)[None])
     if qs[-1] >= 2:
-        rows.append(_polylog(tuple(q for q in qs if q >= 2), args))
+        rows.append(_polylog(qs[1:] if qs[0] == 1 else qs, args))
     table = np.concatenate(rows) if len(rows) > 1 else rows[0]
     if orders.ndim:
         return table[np.searchsorted(qs, orders), col.reshape(xs.shape)]
@@ -142,7 +142,7 @@ def polylog_complex(p: int, z: complex) -> complex:
     """Li_p(z) on the closed unit disc, principal branch: a one-element array
     pass. Arguments with negative imaginary part evaluate as the conjugate of
     the mirrored argument, so conjugation symmetry is exact by construction.
-    """
+    No registered case calls it: ``eq19_rhs`` calls ``_polylog`` directly."""
     p = _check_order(p)
     z = complex(z)
     a = abs(z)
@@ -160,7 +160,7 @@ def polylog_complex(p: int, z: complex) -> complex:
 
 def _polylog(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     """Li_p at each element of the 1-D float or complex array z, one row per
-    order p >= 2 of ``orders``, for |z| <= 1 + _CIRCLE_EPS (z = 0 and z = 1
+    ascending order p >= 2, for |z| <= 1 + _CIRCLE_EPS (z = 0 and z = 1
     included), by the paths of the module docstring: the duplication formula
     first, then by |z|. The orders share the split and the power tables; each
     row has the bits of a one-order call."""
@@ -171,14 +171,14 @@ def _polylog(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
         a = np.abs(z)
     small = a <= _SERIES_RADIUS
     out = np.empty((len(orders), len(z)), dtype=z.dtype)
-    for rows, path in ((small, _defining_series), (~small, _log_series)):
-        if np.count_nonzero(rows):
-            for row, values in zip(out, path(orders, z[rows])):
-                row[rows] = values
+    if count := np.count_nonzero(small):
+        _defining_series(orders, z[small], out, small)
+    if count < len(z):
+        _log_series(orders, z[large := ~small], out, large)
     if len(z) > size:
         out, minus = out[:, :size], out[:, size:]
-        scale = np.array([2.0 ** (1 - p) for p in orders])[:, None]
-        out[:, dup] = scale * out[:, dup] - minus
+        for row, p, m in zip(out, orders, minus):  # a row is a view: written in place
+            row[dup] = 2.0 ** (1 - p) * row[dup] - m
     return out
 
 
@@ -204,31 +204,31 @@ def _series_denominators(p: int) -> np.ndarray:
     return power
 
 
-def _defining_series(orders: tuple[int, ...], z: np.ndarray):
-    """sum_{n <= N} z^n / n^p for each element, |z| <= _SERIES_RADIUS, one
-    row per order: one power table as wide as the longest series, each order
-    summing its own first N columns."""
-    denominators = [_series_denominators(p) for p in orders]
-    powers = _power_table(z, max(map(len, denominators)))
-    for d in denominators:
-        yield np.add.reduce(powers[:, :len(d)] / d, axis=1)
+def _defining_series(orders: tuple[int, ...], z: np.ndarray, out: np.ndarray, part):
+    """sum_{n <= N} z^n / n^p for each element, |z| <= _SERIES_RADIUS, into
+    ``out[i][part]`` for order i: one power table as wide as the first,
+    longest series, each order summing its own first N columns."""
+    powers = _power_table(z, len(_series_denominators(orders[0])))
+    for i, p in enumerate(orders):
+        d = _series_denominators(p)
+        out[i][part] = np.add.reduce((powers[:, :len(d)] if i else powers) / d, axis=1)
 
 
-def _log_series(orders: tuple[int, ...], z: np.ndarray):
+def _log_series(orders: tuple[int, ...], z: np.ndarray, out: np.ndarray, part):
     """The log-series in mu = log z for each element, 0 < |z| <= 1 +
-    _CIRCLE_EPS, one row per order, over one table of mu^k; at z = 1 (mu = 0)
-    its log term vanishes, leaving zeta(p). From p = _LOG_SERIES_TERMS + 1 on,
-    the log term, of order p - 1, lies in the truncated tail."""
+    _CIRCLE_EPS, into ``out[i][part]`` for order i, over one table of mu^k;
+    at z = 1 (mu = 0) its log term vanishes, leaving zeta(p). From p =
+    _LOG_SERIES_TERMS + 1 on, the log term, of order p - 1, is in the tail."""
     mu = np.log(z)
     powers = _power_table(mu, _LOG_SERIES_TERMS - 1)
-    if min(orders) <= _LOG_SERIES_TERMS:
+    if orders[0] <= _LOG_SERIES_TERMS:
         log_term = np.log((mu == 0.0) - mu)  # log(-mu), and 0 where mu = 0
-    for p in orders:
+    for i, p in enumerate(orders):
         coeffs, harmonic = _log_series_coefficients(p)
         value = coeffs[0] + np.add.reduce(powers * coeffs[1:], axis=1)
         if harmonic is not None:
-            value = value + powers[:, p - 2] / math.factorial(p - 1) * (harmonic - log_term)
-        yield value
+            value += powers[:, p - 2] / math.factorial(p - 1) * (harmonic - log_term)
+        out[i][part] = value
 
 
 @functools.cache

@@ -377,6 +377,39 @@ def test_vectorised_judge_matches_the_scalar_rule(monkeypatch):
     assert parsed["outcomes"][6]["rhs"] is None and parsed["outcomes"][6]["rel_error"] == 0.0
 
 
+def test_closed_form_sides_give_python_numbers(monkeypatch):
+    # two closed forms: their work is one scalar for every row, which the
+    # judge repeats as Python ints; a failing row still gets its reason, and
+    # a raising row its error text and NaN errors
+    def rhs(alpha):
+        if 0.6 in np.ravel(alpha):
+            raise ValueError("no closed form at alpha=0.6")
+        return np.where(alpha == 0.5, 2.0 * alpha, alpha)
+
+    case = IdentityCase(
+        id="X7", description="a = a", source="synthetic",
+        lhs=_closed(lambda alpha: alpha), rhs=_closed(rhs),
+        continuous=(GridAxis("alpha", 0.0, 1.0),),
+    )
+    monkeypatch.setitem(registry(), "X7", case)
+    assert case.rhs([{"alpha": 0.25}], Tolerance()).evals == 0  # scalar work
+    for points in ([0.25, 0.75], [0.25, 0.5, 0.75], [0.25, 0.5, 0.6]):
+        outs = verify("X7", points=[{"alpha": a} for a in points])
+        for o in outs:
+            assert (type(o.evals), type(o.terms), type(o.passed)) == (int, int, bool)
+            assert (o.evals, o.terms) == (0, 0)
+        by_alpha = {o.params["alpha"]: o for o in outs}
+        assert by_alpha[0.25].passed and by_alpha[0.25].reason == ""
+        if 0.5 in by_alpha:
+            assert (by_alpha[0.5].passed, by_alpha[0.5].reason) == (False, "mismatch")
+            assert by_alpha[0.5].abs_error == 0.5 and by_alpha[0.5].rel_error == 0.5
+        if 0.6 in by_alpha:
+            bad = by_alpha[0.6]
+            assert (bad.passed, bad.reason) == (False, "error: no closed form at alpha=0.6")
+            assert math.isnan(bad.abs_error) and math.isnan(bad.rel_error)
+            assert bad.lhs_value == 0.6 and math.isnan(bad.rhs_value)
+
+
 def test_verify_e19_checks_imaginary_part():
     outs = verify("E19", 3)
     assert all(o.passed for o in outs)

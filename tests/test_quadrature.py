@@ -17,6 +17,7 @@ from quadident.quadrature import (
     integrate_semi_infinite,
     integrate_unit,
 )
+from quadident.registry import _spec_atan_cauchy
 
 PI = CONSTANTS.pi
 G = CONSTANTS.catalan
@@ -318,8 +319,8 @@ _PINNED = {
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_first_levels_keep_their_bits_under_work_caps(name):
-    # a cap may cut the run of levels 0-2 after level 0 (below 17 nodes) or
-    # level 1 (below 33), on either interval
+    # a cap may cut the run of levels 0-3 after level 0 (below 17 nodes),
+    # level 1 (below 33) or level 2 (below 65), on either interval
     integrate, spec = _PINNED_SPECS[name]
     for max_work, expected in _PINNED[name].items():
         tol = Tolerance() if max_work is None else Tolerance(max_work=max_work)
@@ -350,7 +351,7 @@ def test_half_line_non_finite_value_names_its_abscissa():
 @pytest.mark.parametrize("f_right", [False, True])
 @pytest.mark.parametrize("level", [1, 2, 4])
 def test_non_finite_value_is_named_in_the_first_run_and_in_later_runs(level, f_right):
-    # levels 1 and 2 lie in the first run (levels 0-2, one block), level 4 in
+    # levels 1 and 2 lie in the first run (levels 0-3, one block), level 4 in
     # a one-level run; row 1 is also NaN at a node of the next level. The
     # node named is the first non-finite one of the earliest level, in row
     # order: on the left half for f, on the right half for f_right
@@ -436,22 +437,23 @@ def test_error_estimate_covers_the_truncation_at_the_outermost_nodes():
     assert abs(res.value - 10.0) <= res.error_estimate <= 10.0 * abs(res.value - 10.0)
 
 
-def _fsum_reference(spec, tol, half_line=False):
+def _fsum_reference(spec, tol, half_line=False, level_sum=math.fsum):
     """The per-row loop the array driver replaced: ``math.fsum`` of each
-    level, Python-float bookkeeping, the same estimate and stop rule."""
+    level (or another ``level_sum``), Python-float bookkeeping, the same
+    estimate and stop rule, one level evaluated at a time."""
     total = habs = edge = 0.0
     err = math.inf
     evals = 0
     for level in range(_MAX_LEVELS + 1):
         if level >= 1 and evals + len(_level_nodes(level)[0]) > tol.max_work:
             break
-        # one level as a one-level run: the driver's run of levels 0-2 must
+        # one level as a one-level run: the driver's run of levels 0-3 must
         # place each level's values as these blocks do
         block, [(_, n_new)] = _eval_levels(spec, range(level, level + 1), 1, half_line)
         row = block[0, 0].tolist()
         evals += n_new
         h = 0.5 ** level
-        s, a = h * math.fsum(row), h * math.fsum(map(abs, row))
+        s, a = h * level_sum(row), h * level_sum(map(abs, row))
         if level == 0:
             total, habs, edge = s, a, abs(row[0]) + abs(row[-1])
             continue
@@ -477,6 +479,47 @@ def test_pairwise_row_sums_stay_within_4_ulps_of_the_fsum_loop(digits):
         assert (res.evaluations, res.converged) == (evals, ok), i
         assert abs(res.value - value) <= 4.0 * ulp, i
         assert abs(res.error_estimate - err) <= 100.0 * ulp, i
+
+
+def _pairwise(values):
+    """numpy's pairwise sum of one row, the driver's level sum."""
+    return np.add.reduce(np.fromiter(values, float)).item()
+
+
+@pytest.mark.parametrize("max_work", [None, 33, 64, 65])
+def test_rows_leaving_inside_the_first_run_keep_their_one_row_bits(max_work):
+    # E4's left side on its grid-9 points and ends: alpha = 0 stops at level
+    # 2, inside the run of levels 0-3, alpha = 1 at level 3 and alpha = 0.1
+    # at level 4. Caps of 33 and 64 end the run at level 2, 65 at level 3.
+    # Each row of the batch has the bits of its one-row run and of the
+    # one-level-at-a-time loop with the driver's pairwise level sums
+    points = [{"alpha": k / 10.0} for k in range(1, 10)] + [{"alpha": 0.0}, {"alpha": 1.0}]
+    tol = Tolerance(2.5e-11, 2.5e-11, max_work or Tolerance().max_work)
+    batch = integrate_semi_infinite(Rows(_spec_atan_cauchy, points), tol)
+    if max_work is None:
+        assert sorted(set(batch.work.tolist())) == [33, 65, 129]
+        assert batch.work[[0, 9, 10]].tolist() == [129, 33, 65]
+    for i, point in enumerate(points):
+        alone = integrate_semi_infinite(Rows(_spec_atan_cauchy, [point]), tol)
+        loop = _fsum_reference(Rows(_spec_atan_cauchy, [point]).at(), tol, True, _pairwise)
+        row = tuple(column[i].item() for column in batch)
+        assert row == tuple(column[0].item() for column in alone) == loop, point
+
+
+def test_non_finite_value_raises_only_for_a_row_that_uses_its_level():
+    # level 3 lies in the first run, so a row that stops at level 2 is
+    # evaluated there too: a NaN at a level-3 node fails only a row that
+    # goes on to level 3, with the text of a one-level run
+    _, x, delta, _ = _level_nodes(3)
+    rows = Rows(lambda c: IntegrandSpec(lambda v: np.where(v == x[5], np.nan, c * v)),
+                [{"c": 0.0}, {"c": 1.0}])
+    zero = integrate_unit(Rows(rows.build, rows.points[:1]))
+    assert (zero.values.tolist(), zero.work.tolist(), zero.converged) == ([0.0], [33], True)
+    for batch in (rows, Rows(rows.build, rows.points[1:])):
+        with pytest.raises(QuadratureError) as info:
+            integrate_unit(batch)
+        assert str(info.value) == (f"integrand returned a non-finite value at x={float(x[5])!r} "
+                                   f"(distance {float(delta[5])!r} from 1)")
 
 
 # ---------------------------------------------------------------------------
