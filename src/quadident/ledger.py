@@ -2,7 +2,10 @@
 
 Grids place ``grid_size`` evenly spaced points strictly inside each continuous
 parameter's open interval, enumerate every value of discrete parameters, and
-append the ends that each continuous axis lists. A failing or non-converged
+append the ends that each continuous axis lists. A grid is a read-only table of
+parameter values only, never a side's value, built once per axes and grid size
+and kept in a bounded cache; both sides read its columns, and each outcome gets
+a fresh dict of its point's parameters. A failing or non-converged
 point never aborts a run; the report is the product, and the CLI exit code
 carries the aggregate status.
 
@@ -23,6 +26,7 @@ with the same inputs are byte-identical apart from the timestamp.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -33,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import DEFAULT_TOL, Rows, Tolerance
 from .registry import EvalRows, IdentityCase, lookup, registry
 
 REASON_MISMATCH = "mismatch"
@@ -76,12 +80,31 @@ class Report(NamedTuple):
 def _grid_points(case: IdentityCase, grid_size: int, ends: bool = False) -> list[dict]:
     """Each discrete value with each grid point, or with ``ends`` each end, of
     the continuous axes; a case without a continuous axis has no ends."""
-    if ends and not case.continuous:
-        return []
-    axes = [[(d.name, v) for v in d.values] for d in case.discrete]
-    axes += [[(c.name, v) for v in (c.ends if ends else c.points(grid_size))]
-             for c in case.continuous]
-    return [dict(combo) for combo in itertools.product(*axes)]
+    items, n, _ = _grid_table(case.discrete, case.continuous, grid_size)
+    return list(map(dict, items[n:] if ends else items[:n]))
+
+
+class _GridPoints(list):
+    """A grid's points, fresh dicts, with its table's ``columns`` for ``Rows``."""
+
+    __slots__ = ("columns",)
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _grid_table(discrete, continuous, grid_size: int) -> tuple[tuple, int, dict]:
+    """The ``(name, value)`` items of the grid's points, then of the ends',
+    the grid's count, and one read-only ``(points, 1)`` column per parameter:
+    parameter values only, keyed by the axes and the typed grid size (numpy
+    floats from ``np.int64(9)``, Python floats from ``9``), never a case id."""
+    axes = [[(d.name, v) for v in d.values] for d in discrete]
+    grid = list(itertools.product(*axes, *[[(c.name, v) for v in c.points(grid_size)]
+                                           for c in continuous]))
+    ends = list(itertools.product(*axes, *[[(c.name, v) for v in c.ends] for c in continuous]))
+    items = tuple(grid + ends if continuous else grid)
+    columns = Rows(None, list(map(dict, items))).columns
+    for column in columns.values():
+        column.setflags(write=False)
+    return items, len(grid), columns
 
 
 def verify(
@@ -106,8 +129,12 @@ def verify(
     eff, eval_tol = (DEFAULT_TOL, _DEFAULT_SIDE_TOL) if tol is None else (tol, side_tolerance(tol))
 
     given = list(points) if points is not None else []
-    grid = _grid_points(case, grid_size) if points is None else []
-    pts = given + grid + _grid_points(case, grid_size, ends=True)
+    if points is None:  # both sides read the table's columns
+        items, _, columns = _grid_table(case.discrete, case.continuous, grid_size)
+        pts = _GridPoints(map(dict, items))
+        pts.columns = columns
+    else:
+        pts = given + _grid_points(case, grid_size, ends=True)
 
     # the grid and the ends come from the axes; a caller's point lacking a
     # parameter of its case, having one its case lacks, whose discrete
@@ -228,7 +255,7 @@ def _judge(case_id, pts, eff, lhs: EvalRows, rhs: EvalRows, errors) -> list[Veri
         diff = np.abs(a - b)
         scale = np.where(abs_b > abs_a, abs_b, abs_a)
         ok = np.isfinite(diff) & (diff <= eff.abs_tol + eff.rel_tol * scale)
-        rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale != 0.0)
+        rel = np.where(scale != 0.0, diff / scale, 0.0)
         if lhs.value.dtype.kind == "c":
             imag = np.abs(lhs.value.imag) > eff.abs_tol + eff.rel_tol * abs_a
         if rhs.value.dtype.kind == "c":
@@ -237,7 +264,7 @@ def _judge(case_id, pts, eff, lhs: EvalRows, rhs: EvalRows, errors) -> list[Veri
     conv = lhs.converged & rhs.converged
     passed = ok & conv if imag is False else ok & conv & ~imag
     diff, rel, reason = diff.tolist(), rel.tolist(), [""] * len(pts)
-    if not passed.all():
+    if np.count_nonzero(passed) < len(pts):
         reason = _REASONS[np.where(conv, np.where(imag, 2, ~ok), 3)].tolist()
     passed = passed.tolist()
     for i, exc in errors.items():

@@ -90,12 +90,19 @@ class Rows(_RowsFields):
     integers, floats of any width become float64) and returns their spec,
     generator or values, each row computed by the same elementwise operations
     as for scalar parameters; without parameters, it gives every row the same
-    one. A parameter that some points lack raises ``KeyError``. The columns
-    are built once, on first use, and kept in the instance's ``__dict__``.
+    one. A parameter that some points lack raises ``KeyError``. Points that
+    carry ``columns`` (a ledger grid's cached read-only table) give those;
+    else they are built once, on first use, and kept in the instance's
+    ``__dict__``.
     """
 
-    @functools.cached_property
+    @property
     def columns(self) -> dict[str, np.ndarray]:
+        columns = getattr(self.points, "columns", None)
+        return self._built if columns is None else columns
+
+    @functools.cached_property
+    def _built(self) -> dict[str, np.ndarray]:
         names = dict.fromkeys(itertools.chain.from_iterable(self.points))
         columns = {name: np.array(list(map(operator.itemgetter(name), self.points)))[:, None]
                    for name in names}

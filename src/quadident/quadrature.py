@@ -217,10 +217,12 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance, half_line: bool) -> QuadratureRo
     Jeyabalan & Li, "A comparison of three high-precision quadrature
     schemes", 2005). On the half-line those nodes are x = 2.4e-19 and 4.1e18.
     """
+    spec = spec_of(None)
+    if half_line and spec.f_right is not None:
+        raise ValueError("f_right applies to unit-interval integrands only")
     out = QuadratureRows(np.empty(k), np.empty(k), np.empty(k, dtype=int),
                          np.zeros(k, dtype=bool))
     active = np.arange(k)
-    spec = spec_of(None)
     evals = stop = 0  # stop: the end of the levels evaluated so far
     err = np.full(k, np.inf)
     # levels 0 to _RUN_LEVEL, as far as max_work allows, are one run
@@ -258,7 +260,7 @@ def _tanh_sinh(spec_of, k: int, tol: Tolerance, half_line: bool) -> QuadratureRo
         if level < _MIN_LEVEL:
             continue
         done = err <= tol.abs_tol + tol.rel_tol * np.abs(state[0])
-        if done.any():
+        if np.count_nonzero(done):
             rows = active[done]
             out.values[rows] = state[0, done]
             out.error_estimates[rows] = err[done]
@@ -316,6 +318,4 @@ def integrate_semi_infinite(spec: IntegrandSpec | Rows,
     ``ValueError``: the half-line has no finite right end.
     """
     spec_of, k = _rows_of(spec)
-    if spec_of(None).f_right is not None:
-        raise ValueError("f_right applies to unit-interval integrands only")
     return _result(spec, _tanh_sinh(spec_of, k, tol, half_line=True))

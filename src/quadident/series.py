@@ -256,7 +256,7 @@ def _accelerated(g: TermGenerator, k: int, tol: Tolerance) -> SummationRows:
         target = np.maximum(tol.abs_tol + 0.5 * tol.rel_tol * a0, 2.0**-53 * a0)
         need = np.ceil(np.log(8.0 * a0 / target) / math.log(_RATE))
         need = np.where(np.isfinite(need), need, 1.0)  # t_0 zero or not finite
-        ns = np.clip(need, 1, cap).astype(int)
+        ns = np.minimum(np.maximum(need, 1), cap).astype(int)
         used = ns + _EXTRA
         t = t[:, :int(used.max())]
         _check_read(g, t, first, used - 1)

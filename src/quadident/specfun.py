@@ -95,8 +95,6 @@ def _check_orders(p) -> np.ndarray:
         if np.count_nonzero(p < 1):
             raise ValueError("polylog order must be >= 1")
         return p
-    if isinstance(p, (int, np.integer)):
-        return np.asarray(_check_order(p))
     orders = np.array(p, dtype=object)
     return np.reshape([_check_order(q) for q in orders.flat], orders.shape)
 
@@ -109,21 +107,25 @@ def polylog_real(p, x):
     evaluated at every element of x, and an array of orders at each distinct
     argument (by its bits, so 0.0 and -0.0 stay apart) once per distinct
     order."""
-    orders = _check_orders(p)
+    one = isinstance(p, (int, np.integer))
+    orders = _check_order(p) if one else _check_orders(p)
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     inside = np.abs(flat) <= 1.0
     if np.count_nonzero(inside) < flat.size:
         raise ValueError(f"polylog_real requires -1 <= x <= 1, got {flat[~inside][0]}")
+    if one:  # one order at every element of x
+        if orders == 1 and np.count_nonzero(flat == 1.0):
+            raise ValueError("Li_1 has a pole at x = 1")
+        values = -np.log1p(-flat) if orders == 1 else _polylog((orders,), flat)[0]
+        return float(values[0]) if not xs.ndim else values.reshape(xs.shape)
     if not (orders.size and flat.size):
         return np.empty(np.broadcast_shapes(orders.shape, xs.shape))
-    if orders.ndim:  # the distinct orders, and the distinct arguments by their bits
-        qs = tuple(sorted(set(orders.ravel().tolist())))
-        first: dict = {}
-        col = np.array([first.setdefault(k, len(first)) for k in flat.view(np.int64).tolist()])
-        args = np.array(list(first), dtype=np.int64).view(float)
-    else:
-        qs, args = (int(orders),), flat
+    # the distinct orders, and the distinct arguments by their bits
+    qs = tuple(sorted(set(orders.ravel().tolist())))
+    first: dict = {}
+    col = np.array([first.setdefault(k, len(first)) for k in flat.view(np.int64).tolist()])
+    args = np.array(list(first), dtype=np.int64).view(float)
     rows = []
     if qs[0] == 1:  # Li_1 is the logarithm
         if np.count_nonzero((orders == 1) & (xs == 1.0)):
@@ -133,9 +135,8 @@ def polylog_real(p, x):
     if qs[-1] >= 2:
         rows.append(_polylog(qs[1:] if qs[0] == 1 else qs, args))
     table = np.concatenate(rows) if len(rows) > 1 else rows[0]
-    if orders.ndim:
-        return table[np.searchsorted(qs, orders), col.reshape(xs.shape)]
-    return float(table[0, 0]) if not xs.ndim else table[0].reshape(xs.shape)
+    values = table[np.searchsorted(qs, orders), col.reshape(xs.shape)]
+    return values if values.ndim else float(values)
 
 
 def polylog_complex(p: int, z: complex) -> complex:

@@ -124,7 +124,10 @@ def test_every_side_is_run_by_exactly_one_truth_test():
 
 
 def _arrays(value):
-    """Every ndarray in a cached builder's result, through nested tuples."""
+    """Every ndarray in a cached builder's result, through nested tuples and
+    the values of dicts."""
+    if isinstance(value, dict):
+        return _arrays(tuple(value.values()))
     if isinstance(value, tuple):
         return [a for item in value for a in _arrays(item)]
     return [value] if isinstance(value, np.ndarray) else []
@@ -135,9 +138,14 @@ def test_every_cached_table_is_read_only():
     # array it returns would change every later result, so none is writable.
     # The runs cover one level and several, with and without f_right (which
     # the half-line has not)
-    from quadident import quadrature, series, specfun
+    from quadident import ledger, quadrature, registry, series, specfun
 
     built = {}
+    for case_id in ("E2", "E11", "E15", "E21"):  # p and beta; alpha; none; p and alpha
+        case = registry()[case_id]
+        for grid_size in (1, 9, np.int64(9)):
+            built[f"_grid_table({case_id}, {grid_size!r})"] = ledger._grid_table(
+                case.discrete, case.continuous, grid_size)
     for half_line in (False, True):
         for level in (0, 1, 5):
             built[f"_level_nodes{(level, half_line)}"] = quadrature._level_nodes(level, half_line)
@@ -153,6 +161,7 @@ def test_every_cached_table_is_read_only():
     writable = [f"{name}[{i}]" for name, value in built.items()
                 for i, a in enumerate(_arrays(value)) if a.flags.writeable]
     assert writable == []
+    assert _arrays(built["_grid_table(E11, 9)"])  # the p and beta columns
 
 
 # Imports that their module does not read: the benchmark's tracer wraps each

@@ -539,6 +539,72 @@ def test_numpy_integer_grid_size_runs_the_python_integer_grid():
     assert verify("E21", grid_size=np.int64(3)) == verify("E21", grid_size=3)
 
 
+def test_repeated_grid_calls_are_equal_and_own_their_params():
+    # the grid's table is kept across calls, but every outcome gets a fresh
+    # dict: changing one call's params changes no later call's
+    first, second = verify("E11", grid_size=9), verify("E11", grid_size=9)
+    assert first == second
+    assert not any(a.params is b.params for a, b in zip(first, second))
+    for o in first:
+        o.params["beta"] = -1.0
+        o.params["gamma"] = 2.0
+    third = verify("E11", grid_size=9)
+    assert third == second
+    assert {tuple(o.params) for o in third} == {("p", "beta")}
+
+
+def _param_types(grid_size):
+    return sorted({(name, type(v).__name__) for o in verify("E11", grid_size=grid_size)
+                   for name, v in o.params.items()})
+
+
+def test_a_numpy_grid_size_and_a_python_one_keep_their_own_tables():
+    # np.int64(9) gives numpy floats inside the interval where 9 gives Python
+    # ones; each call, in either order, gets the types it gets in a fresh
+    # process, whose empty cache the first call after a clear stands for
+    fresh = {"int": [("beta", "float"), ("p", "int")],
+             "int64": [("beta", "float"), ("beta", "float64"), ("p", "int")]}
+    for sizes in ((9, np.int64(9)), (np.int64(9), 9)):
+        ledger._grid_table.cache_clear()
+        assert [_param_types(n) for n in sizes] == [fresh[type(n).__name__] for n in sizes]
+
+
+def test_a_case_under_a_reused_id_gets_the_grid_of_its_own_axes(monkeypatch):
+    # the table is keyed by the axes, never by the id a test reuses
+    for name, hi in (("alpha", 1.0), ("alpha", 2.0), ("beta", 1.0)):
+        case = IdentityCase(
+            id="X6", description="a = a", source="synthetic",
+            lhs=_closed(lambda **kw: next(iter(kw.values()))),
+            rhs=_closed(lambda **kw: next(iter(kw.values()))),
+            continuous=(GridAxis(name, 0.0, hi, ends=(hi,)),),
+        )
+        monkeypatch.setitem(registry(), "X6", case)
+        outs = verify("X6", grid_size=3)
+        assert [o.params for o in outs] == [{name: hi * k / 4} for k in (1, 2, 3, 4)]
+        assert all(o.passed for o in outs)
+
+
+def test_grid_tables_stay_within_their_bound(monkeypatch):
+    # a sweep over many grid sizes evicts the oldest tables
+    case = IdentityCase(
+        id="X7", description="a = a", source="synthetic",
+        lhs=_closed(lambda alpha: alpha), rhs=_closed(lambda alpha: alpha),
+        continuous=(GridAxis("alpha", 0.0, 1.0, ends=(1.0,)),),
+    )
+    monkeypatch.setitem(registry(), "X7", case)
+    bound = ledger._grid_table.cache_info().maxsize
+    for n in range(1, 2 * bound + 1):
+        assert len(verify("X7", grid_size=n)) == n + 1
+    assert ledger._grid_table.cache_info().currsize == bound
+
+
+def test_outcomes_of_given_points_hold_the_callers_dicts():
+    points = [{"alpha": 0.35}, {"alpha": 0.65}]
+    outs = verify("E2", 1, points=points)
+    assert [o.params for o in outs] == points + [{"alpha": 1.0}]
+    assert outs[0].params is points[0] and outs[1].params is points[1]
+
+
 @pytest.mark.parametrize("case_id", ["E11", "E12"])
 def test_lemma_cases_give_outcomes_at_high_orders(case_id):
     # p! is a float: the right side is finite up to p = 170 and overflows

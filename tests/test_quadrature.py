@@ -526,6 +526,23 @@ def test_non_finite_value_raises_only_for_a_row_that_uses_its_level():
 # Failure modes and validation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("integrate", [integrate_unit, integrate_semi_infinite])
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(1e-16, 0.0)])
+def test_one_row_builds_its_integrand_once(integrate, tol):
+    # the first run builds the rows' integrand, and the half-line's f_right
+    # check reads that one; a row still active after the run (the second
+    # tolerance is out of reach) keeps it through every later level
+    calls = []
+
+    def build(a):
+        calls.append(a)
+        return IntegrandSpec(lambda x: a / (1.0 + x * x) ** 1.5)
+
+    rows = integrate(Rows(build, [{"a": 1.0}]), tol)
+    assert len(calls) == 1
+    assert rows.work[0] > (129 if tol.rel_tol == 0.0 else 0)
+
+
 def test_nan_integrand_raises_with_abscissa():
     def f(x):
         return np.where(np.abs(x - 0.5) < 0.01, np.nan, x)

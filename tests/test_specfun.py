@@ -156,6 +156,20 @@ def test_polylog_real_order_column_equals_scalar_calls():
         [polylog_real(q, y).hex() for y in _COLUMN_ARGS] for q in _COLUMN_ORDERS[1:]]
 
 
+def test_polylog_real_numpy_and_zero_dimensional_orders_equal_int_orders():
+    # an int order takes the direct path; a numpy integer takes it too, and a
+    # 0-d order array the column path: the same bits and the same types
+    x = np.array(_COLUMN_ARGS[:-3] + (-1.0,))
+    for q in _COLUMN_ORDERS:
+        want = polylog_real(q, x)
+        for order in (np.int64(q), np.array(q)):
+            got = polylog_real(order, x)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+            one = polylog_real(order, 0.5)
+            assert type(one) is float and one.hex() == polylog_real(q, 0.5).hex()
+    assert polylog_real(2, np.empty((0, 3))).shape == (0, 3)
+
+
 @pytest.mark.parametrize("p, x, text", [
     ([2, 3, 2], [0.5, 1.5, -2.0], r"polylog_real requires -1 <= x <= 1, got 1\.5$"),
     ([2, 1, 3], [1.0, 1.0, 1.0], r"^Li_1 has a pole at x = 1$"),
