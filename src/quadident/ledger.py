@@ -44,7 +44,12 @@ REASON_MISMATCH = "mismatch"
 REASON_NOT_CONVERGED = "not_converged"
 REASON_IMAG = "imaginary_part_exceeds_tolerance"
 
-_REAL = (int, float, np.integer, np.floating)  # the parameter values that are numbers
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _is_number(v) -> bool:
+    """A parameter value that is a number: an integer or float, not a bool."""
+    return isinstance(v, _REAL) and not isinstance(v, bool)
 
 
 class VerificationOutcome(NamedTuple):
@@ -160,7 +165,7 @@ def verify(
             v = pt.get(c.name)
             if c.name not in pt:
                 odd[i] = ValueError(f"missing parameter {c.name}")
-            elif isinstance(v, bool) or not isinstance(v, _REAL):
+            elif not _is_number(v):
                 raise ValueError(f"{c.name} must be a real number, got {v!r}")
             elif isinstance(v, (float, np.floating)) and not math.isfinite(v):
                 odd[i] = ValueError(f"{c.name} must be finite, got {v!r}")
@@ -288,7 +293,7 @@ def make_report(outcomes, tol_abs: Optional[float], tol_rel: Optional[float]) ->
         tol_abs=tol_abs,
         tol_rel=tol_rel,
         outcomes=tuple(sorted(outcomes, key=lambda o: (o.id, [
-            (k, (0, v) if isinstance(v, _REAL) else (1, repr(v)))
+            (k, (0, v) if _is_number(v) else (1, repr(v)))
             for k, v in sorted(o.params.items())]))),
     )
 
@@ -313,8 +318,8 @@ def _finite(x):
 
 def _param(v):
     """A parameter value as written to JSON: a number as one (non-finite
-    floats null), anything else as its ``repr``."""
-    if not isinstance(v, _REAL):
+    floats null), anything else, a bool included, as its ``repr``."""
+    if not _is_number(v):
         return repr(v)
     return _finite(v.item() if isinstance(v, np.generic) else v)
 
@@ -353,7 +358,7 @@ def render_table(report: Report) -> str:
         f"{'id':<8}{'params':<28}{'lhs':>24}{'rhs':>24}{'abs_err':>11}  status"
     ]
     for o in report.outcomes:
-        params = ",".join(f"{k}={v:g}" if isinstance(v, _REAL) else f"{k}={v!r}"
+        params = ",".join(f"{k}={v:g}" if _is_number(v) else f"{k}={v!r}"
                           for k, v in sorted(o.params.items())) or "-"
         status = "pass" if o.passed else (o.reason or "fail")
         lines.append(

@@ -1,12 +1,13 @@
 """The identity registry: every verified equation as a pair of LHS/RHS sides.
 
-Each case couples two independently computed sides: a double-exponential
-quadrature, a CVZ-accelerated series sum, or a closed form built from
-polylogarithms and the constants table. Removable-singularity handling and
-endpoints are owned here: integrands singular at 1 state their stable form
-``f_right`` in the distance to 1, a continuous axis lists the ends of its
-interval that are evaluated besides its interior grid, and a closed form
-takes the limit of a 0 * inf term at such an end itself.
+Each case couples two independently computed sides, each a :class:`Side`
+of its kind and builder: a double-exponential quadrature, a CVZ-accelerated
+series sum, or a closed form built from polylogarithms and the constants
+table; cases that share a side hold equal values. Removable-singularity
+handling and endpoints are owned here: integrands singular at 1 state their
+stable form ``f_right`` in the distance to 1, a continuous axis lists the
+ends of its interval that are evaluated besides its interior grid, and a
+closed form takes the limit of a 0 * inf term at such an end itself.
 
 Identity ids (E1, E2, E4, ..., E23) are stable strings used by the CLI and
 the report schema; ``source`` labels where each identity is classically
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -52,10 +53,10 @@ _G = CONSTANTS.catalan
 
 
 class EvalRows(NamedTuple):
-    """One side at the points of a ``rows`` call: ``value`` (float, or
-    complex for a complex closed form), integrand evaluations ``evals``,
-    series terms ``terms`` and ``converged``, each a ``(rows,)`` column or
-    one scalar for every row."""
+    """One side at the points of a ``side(points, tol)`` call: ``value``
+    (float, or complex for a complex closed form), integrand evaluations
+    ``evals``, series terms ``terms`` and ``converged``, each a ``(rows,)``
+    column or one scalar for every row."""
 
     value: np.ndarray | float | complex
     evals: np.ndarray | int = 0
@@ -83,11 +84,12 @@ class DiscreteAxis(NamedTuple):
 
 
 class IdentityCase(NamedTuple):
-    """An identity and its two sides. A side is a rows function: ``lhs(points,
-    tol)`` evaluates a list of parameter dicts in one batched call and returns
-    their :class:`EvalRows`, one row per point in order; the builders receive
-    every parameter, p included, as a column of a
-    :class:`~quadident.numerics.Rows` table."""
+    """An identity and its two sides. A side is called as ``lhs(points,
+    tol)``: it evaluates a list of parameter dicts in one batched call and
+    returns their :class:`EvalRows`, one row per point in order. Every
+    registered side is a :class:`Side`, whose builder receives every
+    parameter, p included, as a column of a :class:`~quadident.numerics.Rows`
+    table."""
 
     id: str
     description: str
@@ -109,47 +111,31 @@ class IdentityCase(NamedTuple):
         return "; ".join(parts) if parts else "none"
 
 
-# ---------------------------------------------------------------------------
-# Side makers
-# ---------------------------------------------------------------------------
+class Side(NamedTuple):
+    """One side of an identity: its ``kind`` and ``build``, which takes the
+    parameters as scalars or as columns; equal fields are the same side. A
+    ``"unit"`` or ``"half_line"`` side integrates the spec ``build`` makes on
+    (0, 1) or (0, inf); a ``"series"`` side is the CVZ sum of its series, a
+    constant factor in its terms (see :func:`_scaled`); a ``"closed"`` side
+    takes its values, one per row or one for every row (complex for E19, whose
+    imaginary part the ledger checks). Each kind's driver is looked up here at
+    call time, where the benchmark's tracer wraps it."""
 
+    kind: str
+    build: Callable[..., Any]
 
-def _quad(build: Callable[..., IntegrandSpec], half_line: bool = False):
-    """Quadrature side on (0, 1), or on (0, inf) for ``half_line``; ``build``
-    takes the parameters as scalars or as columns. The integrator is looked
-    up in this module at call time, where the benchmark's tracer wraps it."""
-    def rows(points: list, tol: Tolerance) -> EvalRows:
-        res = (integrate_semi_infinite if half_line else integrate_unit)(Rows(build, points), tol)
+    def __call__(self, points: list, tol: Tolerance) -> EvalRows:
+        rows = Rows(self.build, points)
+        if self.kind == "closed":
+            value = np.ravel(rows.at())
+            if len(value) == 1:  # one value for every row, as from a constant
+                value = np.repeat(value, len(points))
+            return EvalRows(value)
+        if self.kind == "series":
+            res = sum_alternating_accelerated(rows, tol)
+            return EvalRows(res.values, terms=res.work, converged=res.row_converged)
+        res = {"unit": integrate_unit, "half_line": integrate_semi_infinite}[self.kind](rows, tol)
         return EvalRows(res.values, evals=res.work, converged=res.row_converged)
-
-    return rows
-
-
-def _series(build: Callable[..., TermGenerator]):
-    """Series side: the sum of the series ``build`` makes from the parameters,
-    as scalars or as columns; a constant factor of the side (E8, E16, E22,
-    E23) lives in its terms (see :func:`_scaled`). All points go through one
-    rows call of the CVZ sum; :mod:`~quadident.series` says for which cases
-    its bound is proven. The summer is looked up here at call time, where the
-    benchmark wraps it."""
-    def rows(points: list, tol: Tolerance) -> EvalRows:
-        res = sum_alternating_accelerated(Rows(build, points), tol)
-        return EvalRows(res.values, terms=res.work, converged=res.row_converged)
-
-    return rows
-
-
-def _closed(value: Callable[..., float | complex]):
-    """Closed-form side; ``value`` takes the parameters as scalars or as
-    columns and returns one value per row, or one value for every row. A
-    value may be complex (E19); the ledger checks its imaginary part."""
-    def rows(points: list, tol: Tolerance) -> EvalRows:
-        result = np.ravel(Rows(value, points).at())
-        if len(result) == 1:  # one value for every row, as from a constant
-            result = np.repeat(result, len(points))
-        return EvalRows(result)
-
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +176,7 @@ def _spec_atan_cauchy(alpha: float) -> IntegrandSpec:
     return IntegrandSpec(lambda x: 2.0 * np.arctan(alpha * x) / (1.0 + x * x))
 
 
-def _spec_log_kernel(alpha: float) -> IntegrandSpec:
+def _spec_log_kernel(alpha: float = 1.0) -> IntegrandSpec:
     # log(1+a x)/(x(1+x)) -> a at x -> 0; decays like log(x)/x^2 at infinity,
     # which the exp-sinh nodes reach out to x = 4.1e18
     return IntegrandSpec(lambda x: np.log1p(alpha * x) / (x * (1.0 + x)))
@@ -240,11 +226,11 @@ def _spec_log_recip() -> IntegrandSpec:
     return IntegrandSpec(lambda t: np.log1p(t) * (np.log1p(t) - np.log(t)) / t)
 
 
-def _spec_atan_pow_over_x(alpha: float, p: int = 2) -> IntegrandSpec:
+def _spec_atan_pow_over_x(alpha: float = 1.0, p: int = 2) -> IntegrandSpec:
     return IntegrandSpec(lambda x: _pow(np.arctan(alpha * x), p) / x)
 
 
-def _spec_atan_pow_cauchy(alpha: float, p: int) -> IntegrandSpec:
+def _spec_atan_pow_cauchy(alpha: float, p: int = 2) -> IntegrandSpec:
     return IntegrandSpec(lambda x: _pow(np.arctan(alpha * x), p) / (1.0 + x * x))
 
 
@@ -438,6 +424,11 @@ def _rhs_li2_half_diff(alpha: float) -> float:
     return li2[-1] - np.reshape(li2[:-1], np.shape(alpha))
 
 
+def _rhs_log_kernel_at_one() -> float:
+    # pi^2/12 - log^2(2)/2, E10's right side at alpha = 1
+    return 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2
+
+
 def _lemma_factor(p):
     """(-1)^(p+1) p! for each row of the integer scalar or column p, in
     floats: from p = 171 on, p! overflows with an ``OverflowError``."""
@@ -474,15 +465,15 @@ def _register_all() -> list[IdentityCase]:
             id="E1",
             description="Basel integral: -int_0^1 log(1-t)/t dt = pi^2/6",
             source="classical (Basel problem)",
-            lhs=_quad(_spec_basel),
-            rhs=_closed(lambda: _Z2),
+            lhs=Side("unit", _spec_basel),
+            rhs=Side("closed", lambda: _Z2),
         ),
         IdentityCase(
             id="E2",
             description="int_0^1 arcsin(a x)/sqrt(1-x^2) dx = [Li2(a) - Li2(-a)]/2",
             source="arcsine route to the Basel problem",
-            lhs=_quad(_spec_arcsin),
-            rhs=_closed(_rhs_arcsin),
+            lhs=Side("unit", _spec_arcsin),
+            rhs=Side("closed", _rhs_arcsin),
             continuous=(_ALPHA_SYM_TO_ONE,),
         ),
         IdentityCase(
@@ -492,16 +483,16 @@ def _register_all() -> list[IdentityCase]:
                 "log a log((1-a)/(1+a)) + Li2(a) - Li2(-a)"
             ),
             source="parameter differentiation; cf. Prudnikov 2.7.4(12)",
-            lhs=_quad(_spec_atan_cauchy, half_line=True),
-            rhs=_closed(_rhs_atan_inf),
+            lhs=Side("half_line", _spec_atan_cauchy),
+            rhs=Side("closed", _rhs_atan_inf),
             continuous=(_ALPHA_CLOSED,),
         ),
         IdentityCase(
             id="E4alt",
             description="same integral in the tabulated alternative closed form",
             source="Prudnikov, Integrals and Series I, 2.7.4(12)",
-            lhs=_quad(_spec_atan_cauchy, half_line=True),
-            rhs=_closed(_rhs_atan_inf_alt),
+            lhs=Side("half_line", _spec_atan_cauchy),
+            rhs=Side("closed", _rhs_atan_inf_alt),
             continuous=(_ALPHA_CLOSED,),
         ),
         IdentityCase(
@@ -511,16 +502,16 @@ def _register_all() -> list[IdentityCase]:
                 "sum (log2 - H_n^-) a^(2n+1)/(2n+1)"
             ),
             source="skew-harmonic expansion via the incomplete beta series",
-            lhs=_quad(_spec_atan_cauchy),
-            rhs=_series(_gen_skew_odd_denom),
+            lhs=Side("unit", _spec_atan_cauchy),
+            rhs=Side("series", _gen_skew_odd_denom),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E6",
             description="pi^2/16 = sum_{n>=0} (log2 - H_n^-)/(2n+1)",
             source="skew-harmonic series at a = 1",
-            lhs=_closed(lambda: _PI * _PI / 16.0),
-            rhs=_series(_gen_skew_odd_denom),
+            lhs=Side("closed", lambda: _PI * _PI / 16.0),
+            rhs=Side("series", _gen_skew_odd_denom),
         ),
         IdentityCase(
             id="E7",
@@ -529,16 +520,16 @@ def _register_all() -> list[IdentityCase]:
                 "sum (h_n/n)(L_n - pi/4) a^(2n)"
             ),
             source="squared-arctangent expansion, odd harmonic numbers",
-            lhs=_quad(lambda alpha: _spec_atan_pow_cauchy(alpha, 2)),
-            rhs=_series(_gen_odd_harmonic_leibniz),
+            lhs=Side("unit", _spec_atan_pow_cauchy),
+            rhs=Side("series", _gen_odd_harmonic_leibniz),
             continuous=(_ALPHA_OPEN,),
         ),
         IdentityCase(
             id="E8",
             description="pi^3 = 192 sum (h_n/n)(L_n - pi/4)",
             source="squared-arctangent series at a = 1",
-            lhs=_closed(lambda: _PI**3),
-            rhs=_series(lambda: _scaled(odd_harmonic_leibniz(), 192.0)),
+            lhs=Side("closed", lambda: _PI**3),
+            rhs=Side("series", lambda: _scaled(odd_harmonic_leibniz(), 192.0)),
         ),
         IdentityCase(
             id="E9",
@@ -548,39 +539,39 @@ def _register_all() -> list[IdentityCase]:
                 "on the half-line)"
             ),
             source="G&R 4.295.18 at a=1; Prudnikov 2.6.10.52",
-            lhs=_quad(_spec_log_kernel, half_line=True),
-            rhs=_closed(_rhs_log_inf),
+            lhs=Side("half_line", _spec_log_kernel),
+            rhs=Side("closed", _rhs_log_inf),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E10",
             description="int_0^1 log(1+a x)/(x(1+x)) dx = Li2(1/2) - Li2((1-a)/2)",
             source="G&R 4.291.12 at a=1; Prudnikov 2.6.10.8",
-            lhs=_quad(_spec_log_kernel),
-            rhs=_closed(_rhs_li2_half_diff),
+            lhs=Side("unit", _spec_log_kernel),
+            rhs=Side("closed", _rhs_li2_half_diff),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E10b",
             description="int_0^1 log(1+x)/(x(1+x)) dx = pi^2/12 - log^2(2)/2",
             source="Gradshteyn-Ryzhik, entry 4.291.12",
-            lhs=_quad(lambda: _spec_log_kernel(1.0)),
-            rhs=_closed(lambda: 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2),
+            lhs=Side("unit", _spec_log_kernel),
+            rhs=Side("closed", _rhs_log_kernel_at_one),
         ),
         IdentityCase(
             id="EC6",
             description="Li2(1/2) - Li2((1-a)/2) = sum (log2 - H_n^-) a^(n+1)/(n+1)",
             source="dilogarithm as a skew-harmonic power series",
-            lhs=_closed(_rhs_li2_half_diff),
-            rhs=_series(_gen_skew_linear_denom),
+            lhs=Side("closed", _rhs_li2_half_diff),
+            rhs=Side("series", _gen_skew_linear_denom),
             continuous=(_ALPHA_OPEN,),
         ),
         IdentityCase(
             id="EC6b",
             description="sum (log2 - H_n^-)/(n+1) = pi^2/12 - log^2(2)/2",
             source="skew-harmonic series at a = 1",
-            lhs=_series(_gen_skew_linear_denom),
-            rhs=_closed(lambda: 0.5 * _Z2 - 0.5 * _LOG2 * _LOG2),
+            lhs=Side("series", _gen_skew_linear_denom),
+            rhs=Side("closed", _rhs_log_kernel_at_one),
         ),
         IdentityCase(
             id="E11",
@@ -589,8 +580,8 @@ def _register_all() -> list[IdentityCase]:
                 "(-1)^(p+1) p! [Li_{p+2}(b) - Li_{p+2}(-b)]"
             ),
             source="log-power kernel; companion of Prudnikov 2.6.19.6",
-            lhs=_quad(_spec_logpow_odd),
-            rhs=_closed(_rhs_lemma_odd),
+            lhs=Side("unit", _spec_logpow_odd),
+            rhs=Side("closed", _rhs_lemma_odd),
             discrete=(_P_LEMMA,),
             continuous=(_BETA_TO_ONE,),
         ),
@@ -598,8 +589,8 @@ def _register_all() -> list[IdentityCase]:
             id="E12",
             description="int_0^1 log(x)^p log(1-b x)/x dx = (-1)^(p+1) p! Li_{p+2}(b)",
             source="Prudnikov, Integrals and Series I, 2.6.19.6",
-            lhs=_quad(_spec_logpow_single),
-            rhs=_closed(_rhs_lemma_single),
+            lhs=Side("unit", _spec_logpow_single),
+            rhs=Side("closed", _rhs_lemma_single),
             discrete=(_P_LEMMA,),
             continuous=(_BETA_TO_ONE,),
         ),
@@ -607,51 +598,51 @@ def _register_all() -> list[IdentityCase]:
             id="E13",
             description="int_0^1 arctan(t) arctan(1/t)/t dt = (7/8) zeta(3)",
             source="Catalan/zeta(3) companion integral",
-            lhs=_quad(_spec_atan_recip),
-            rhs=_closed(lambda: 0.875 * _Z3),
+            lhs=Side("unit", _spec_atan_recip),
+            rhs=Side("closed", lambda: 0.875 * _Z3),
         ),
         IdentityCase(
             id="E13inf",
             description="int_0^inf arctan(t) arctan(1/t)/t dt = (7/4) zeta(3)",
             source="reciprocal-split form of E13",
-            lhs=_quad(_spec_atan_recip, half_line=True),
-            rhs=_closed(lambda: 1.75 * _Z3),
+            lhs=Side("half_line", _spec_atan_recip),
+            rhs=Side("closed", lambda: 1.75 * _Z3),
         ),
         IdentityCase(
             id="E14",
             description="int_0^1 log(1+t) log(1+1/t)/t dt = zeta(3)",
             source="zeta(3) as a log-product integral",
-            lhs=_quad(_spec_log_recip),
-            rhs=_closed(lambda: _Z3),
+            lhs=Side("unit", _spec_log_recip),
+            rhs=Side("closed", lambda: _Z3),
         ),
         IdentityCase(
             id="E14inf",
             description="int_0^inf log(1+t) log(1+1/t)/t dt = 2 zeta(3)",
             source="reciprocal-split form of E14",
-            lhs=_quad(_spec_log_recip, half_line=True),
-            rhs=_closed(lambda: 2.0 * _Z3),
+            lhs=Side("half_line", _spec_log_recip),
+            rhs=Side("closed", lambda: 2.0 * _Z3),
         ),
         IdentityCase(
             id="E15",
             description="int_0^1 arctan(t)^2/t dt = (pi/2) G - (7/8) zeta(3)",
             source="Adamchik's Catalan list, entry 8; Bradley (2001), p. 18",
-            lhs=_quad(lambda: _spec_atan_pow_over_x(1.0)),
-            rhs=_closed(lambda: 0.5 * _PI * _G - 0.875 * _Z3),
+            lhs=Side("unit", _spec_atan_pow_over_x),
+            rhs=Side("closed", lambda: 0.5 * _PI * _G - 0.875 * _Z3),
         ),
         IdentityCase(
             id="E16",
             description="int_0^1 arctan(a x)^2/x dx = (1/2) sum (-1)^(n-1) h_n a^(2n)/n^2",
             source="squared arctangent over x, odd-harmonic series",
-            lhs=_quad(_spec_atan_pow_over_x),
-            rhs=_series(lambda alpha: _scaled(_gen_alt_odd_harmonic_sq(alpha), 0.5)),
+            lhs=Side("unit", _spec_atan_pow_over_x),
+            rhs=Side("series", lambda alpha: _scaled(_gen_alt_odd_harmonic_sq(alpha), 0.5)),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E17",
             description="sum (-1)^(n-1) h_n/n^2 = pi G - (7/4) zeta(3)",
             source="Bradley, Representations of Catalan's constant, entry (59)",
-            lhs=_series(_gen_alt_odd_harmonic_sq),
-            rhs=_closed(lambda: _PI * _G - 1.75 * _Z3),
+            lhs=Side("series", _gen_alt_odd_harmonic_sq),
+            rhs=Side("closed", lambda: _PI * _G - 1.75 * _Z3),
         ),
         IdentityCase(
             id="E18",
@@ -661,8 +652,8 @@ def _register_all() -> list[IdentityCase]:
                 "Li3((1-a)/(1+a)) + Li3((a-1)/(1+a)) + (7/4) zeta(3)"
             ),
             source="Ramanujan (Berndt, Notebooks I, p. 255)",
-            lhs=_series(_gen_pos_odd_harmonic_sq),
-            rhs=_closed(ramanujan_rhs),
+            lhs=Side("series", _gen_pos_odd_harmonic_sq),
+            rhs=Side("closed", ramanujan_rhs),
             continuous=(_ALPHA_OPEN,),
         ),
         IdentityCase(
@@ -672,8 +663,8 @@ def _register_all() -> list[IdentityCase]:
                 "-log a log((1-a)/(1+a)) - Li2(a) + Li2(-a) + pi^2/4"
             ),
             source="dilogarithm reflection identity",
-            lhs=_quad(_spec_dilog_pair),
-            rhs=_closed(dilog_identity_rhs),
+            lhs=Side("unit", _spec_dilog_pair),
+            rhs=Side("closed", dilog_identity_rhs),
             continuous=(_ALPHA_OPEN,),
         ),
         IdentityCase(
@@ -684,16 +675,16 @@ def _register_all() -> list[IdentityCase]:
                 " - 2(i pi/2 + log a) arctan(a)^2 - (7/4) zeta(3)"
             ),
             source="alternating odd-harmonic sum via circle trilogarithms",
-            lhs=_series(_gen_alt_odd_harmonic_sq),
-            rhs=_closed(eq19_rhs),
+            lhs=Side("series", _gen_alt_odd_harmonic_sq),
+            rhs=Side("closed", eq19_rhs),
             continuous=(_ALPHA_TO_ONE,),
         ),
         IdentityCase(
             id="E21",
             description="int_0^1 arctan(a x)^p/x dx = sum A(n,p) a^n/n",
             source="integer powers of arctan; Stirling/Lah coefficients",
-            lhs=_quad(_spec_atan_pow_over_x),
-            rhs=_series(_gen_atan_pow_over_n),
+            lhs=Side("unit", _spec_atan_pow_over_x),
+            rhs=Side("series", _gen_atan_pow_over_n),
             discrete=(_P_POWERS,),
             continuous=(_ALPHA_OPEN,),
         ),
@@ -704,8 +695,8 @@ def _register_all() -> list[IdentityCase]:
                 "(1/2) sum A(n,p) beta((n+1)/2) a^n"
             ),
             source="arctan powers against the Cauchy kernel",
-            lhs=_quad(_spec_atan_pow_cauchy),
-            rhs=_series(lambda alpha, p: _scaled(_gen_atan_pow_beta(alpha, p), 0.5)),
+            lhs=Side("unit", _spec_atan_pow_cauchy),
+            rhs=Side("series", lambda alpha, p: _scaled(_gen_atan_pow_beta(alpha, p), 0.5)),
             discrete=(_P_POWERS,),
             continuous=(_ALPHA_OPEN,),
         ),
@@ -713,8 +704,8 @@ def _register_all() -> list[IdentityCase]:
             id="E23",
             description="pi^(p+1) = (p+1) 2^(2p+1) sum A(n,p) beta((n+1)/2)",
             source="arctan-power series at a = 1",
-            lhs=_closed(lambda p: _PI ** (p + 1)),
-            rhs=_series(lambda p: _scaled(_gen_atan_pow_beta(1.0, p),
+            lhs=Side("closed", lambda p: _PI ** (p + 1)),
+            rhs=Side("series", lambda p: _scaled(_gen_atan_pow_beta(1.0, p),
                                           (p + 1) * 2.0 ** (2 * p + 1))),
             discrete=(_P_POWERS,),
         ),

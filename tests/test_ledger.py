@@ -28,10 +28,8 @@ from quadident.registry import (
     EvalRows,
     GridAxis,
     IdentityCase,
-    _closed,
-    _quad,
+    Side,
     _register_all,
-    _series,
     lookup,
     registry,
 )
@@ -106,8 +104,8 @@ def test_failing_row_fails_only_its_own_outcome(monkeypatch):
 
     case = IdentityCase(
         id="X1", description="int_0^1 a x dx = a/2", source="synthetic",
-        lhs=_quad(build),
-        rhs=_closed(lambda alpha: 0.5 * alpha),
+        lhs=Side("unit", build),
+        rhs=Side("closed", lambda alpha: 0.5 * alpha),
         continuous=(GridAxis("alpha", 0.0, 1.0),),
     )
     monkeypatch.setitem(registry(), "X1", case)
@@ -144,8 +142,8 @@ def test_failing_series_row_fails_only_its_own_outcome(monkeypatch):
 
     case = IdentityCase(
         id="X2", description="sum (-a)^n/(n+1) = log(1+a)/a", source="synthetic",
-        lhs=_series(build),
-        rhs=_closed(lambda alpha: np.log1p(alpha) / alpha),
+        lhs=Side("series", build),
+        rhs=Side("closed", lambda alpha: np.log1p(alpha) / alpha),
         continuous=(GridAxis("alpha", 0.0, 1.0),),
     )
     monkeypatch.setitem(registry(), "X2", case)
@@ -179,8 +177,8 @@ def test_non_finite_series_row_fails_only_its_own_outcome(monkeypatch):
 
     case = IdentityCase(
         id="X3", description="sum (-a)^n/(n+1) = log(1+a)/a", source="synthetic",
-        lhs=_series(build),
-        rhs=_closed(lambda alpha: np.log1p(alpha) / alpha),
+        lhs=Side("series", build),
+        rhs=Side("closed", lambda alpha: np.log1p(alpha) / alpha),
         continuous=(GridAxis("alpha", 0.0, 1.0),),
     )
     monkeypatch.setitem(registry(), "X3", case)
@@ -210,8 +208,8 @@ def test_raising_closed_form_fails_only_its_own_outcome(monkeypatch):
 
     case = IdentityCase(
         id="X4", description="a/2 = a/2", source="synthetic",
-        lhs=_closed(lhs),
-        rhs=_closed(rhs),
+        lhs=Side("closed", lhs),
+        rhs=Side("closed", rhs),
         continuous=(GridAxis("alpha", 0.0, 1.0),),
     )
     monkeypatch.setitem(registry(), "X4", case)
@@ -248,8 +246,8 @@ def test_one_bad_point_is_found_by_halving(monkeypatch):
 
     case = IdentityCase(
         id="X5", description="a/2 = a/2", source="synthetic",
-        lhs=_closed(lhs),
-        rhs=_closed(lambda alpha: alpha / 2.0),
+        lhs=Side("closed", lhs),
+        rhs=Side("closed", lambda alpha: alpha / 2.0),
         continuous=(axis,),
     )
     monkeypatch.setitem(registry(), "X5", case)
@@ -388,7 +386,7 @@ def test_closed_form_sides_give_python_numbers(monkeypatch):
 
     case = IdentityCase(
         id="X7", description="a = a", source="synthetic",
-        lhs=_closed(lambda alpha: alpha), rhs=_closed(rhs),
+        lhs=Side("closed", lambda alpha: alpha), rhs=Side("closed", rhs),
         continuous=(GridAxis("alpha", 0.0, 1.0),),
     )
     monkeypatch.setitem(registry(), "X7", case)
@@ -574,8 +572,8 @@ def test_a_case_under_a_reused_id_gets_the_grid_of_its_own_axes(monkeypatch):
     for name, hi in (("alpha", 1.0), ("alpha", 2.0), ("beta", 1.0)):
         case = IdentityCase(
             id="X6", description="a = a", source="synthetic",
-            lhs=_closed(lambda **kw: next(iter(kw.values()))),
-            rhs=_closed(lambda **kw: next(iter(kw.values()))),
+            lhs=Side("closed", lambda **kw: next(iter(kw.values()))),
+            rhs=Side("closed", lambda **kw: next(iter(kw.values()))),
             continuous=(GridAxis(name, 0.0, hi, ends=(hi,)),),
         )
         monkeypatch.setitem(registry(), "X6", case)
@@ -588,7 +586,7 @@ def test_grid_tables_stay_within_their_bound(monkeypatch):
     # a sweep over many grid sizes evicts the oldest tables
     case = IdentityCase(
         id="X7", description="a = a", source="synthetic",
-        lhs=_closed(lambda alpha: alpha), rhs=_closed(lambda alpha: alpha),
+        lhs=Side("closed", lambda alpha: alpha), rhs=Side("closed", lambda alpha: alpha),
         continuous=(GridAxis("alpha", 0.0, 1.0, ends=(1.0,)),),
     )
     monkeypatch.setitem(registry(), "X7", case)
@@ -764,6 +762,23 @@ def test_report_writes_a_parameter_that_is_no_number_as_its_repr():
     assert all(type(q["alpha"]) is float for q in params)
     [line] = [row for row in render_report(report).splitlines() if "p='2'" in row]
     assert line.startswith("E21     alpha=0.5,p='2' ") and "error: p must be an integer" in line
+
+
+def test_report_writes_a_bool_parameter_as_no_number():
+    # a caller's p = True fails its point, as p = "2" does: the report sorts
+    # it after the numbers and writes "True" in JSON and p=True in the table,
+    # never the number 1 that a bool also is
+    outs = verify("E12", points=[{"p": True, "beta": 0.5}, {"p": 1, "beta": 0.5}])
+    assert outs[0].reason == "error: p must be an integer, got True" and outs[1].passed
+    report = make_report(outs, None, None)
+    assert [o.params["p"] for o in report.outcomes[:2]] == [1, True]
+    assert type(report.outcomes[1].params["p"]) is bool
+    parsed = json.loads(render_report(report, "json"))
+    assert [o["params"] for o in parsed["outcomes"][:2]] == [
+        {"beta": 0.5, "p": 1}, {"beta": 0.5, "p": "True"}]
+    lines = render_report(report).splitlines()
+    assert lines[2].startswith("E12     beta=0.5,p=True ") and "error: p must" in lines[2]
+    assert lines[1].startswith("E12     beta=0.5,p=1 ")
 
 
 def test_report_json_round_trip():

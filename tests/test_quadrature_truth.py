@@ -7,8 +7,6 @@ has no bound. The worst |value - truth| of each quadrature and closed-form
 side, as a share of the side tolerance at the truth, is pinned from above: a
 change that moves these values records the new worst."""
 
-import inspect
-
 import pytest
 
 from quadident.ledger import _grid_points, side_tolerance
@@ -16,8 +14,6 @@ from quadident.numerics import DEFAULT_TOL, Rows
 from quadident.quadrature import integrate_semi_infinite, integrate_unit
 from quadident.registry import lookup, registry
 from quadident.series import sum_alternating_accelerated
-
-from _one_point import maker
 
 pytest.importorskip("mpmath")
 
@@ -46,16 +42,19 @@ _CLOSED_WORST = {
 _E19_IMAG = 8.9e-16  # the largest |imaginary part| of E19's closed form
 
 
-def _ids(kind):
-    """The ids of the cases with a side made by ``kind``: _quad, _series or _closed."""
-    return [i for i, case in registry().items() if kind in (maker(case.lhs), maker(case.rhs))]
+_QUADRATURE = ("unit", "half_line")
 
 
-def _side(case_id, kind):
-    """The case, its one side made by ``kind``, and the side's closure."""
+def _ids(*kinds):
+    """The ids of the cases with a side of one of ``kinds``."""
+    return [i for i, case in registry().items() if {case.lhs.kind, case.rhs.kind} & set(kinds)]
+
+
+def _side(case_id, *kinds):
+    """The case and its one side of one of ``kinds``."""
     case = lookup(case_id)
-    [side] = [side for side in (case.lhs, case.rhs) if maker(side) == kind]
-    return case, side, inspect.getclosurevars(side).nonlocals
+    [side] = [side for side in (case.lhs, case.rhs) if side.kind in kinds]
+    return case, side
 
 
 def _points(case, half_line=False):
@@ -69,12 +68,13 @@ def _ratio(case_id, point, err):
     return err / (_TOL.abs_tol + _TOL.rel_tol * float(abs(truth(case_id, point))))
 
 
-@pytest.mark.parametrize("case_id", _ids("_quad"))
+@pytest.mark.parametrize("case_id", _ids(*_QUADRATURE))
 def test_every_quadrature_row_lies_within_its_error_estimate(case_id):
-    case, _, closure = _side(case_id, "_quad")
-    points = _points(case, closure["half_line"])
-    integrate = integrate_semi_infinite if closure["half_line"] else integrate_unit
-    rows = integrate(Rows(closure["build"], points), _TOL)
+    case, side = _side(case_id, *_QUADRATURE)
+    half_line = side.kind == "half_line"
+    points = _points(case, half_line)
+    integrate = integrate_semi_infinite if half_line else integrate_unit
+    rows = integrate(Rows(side.build, points), _TOL)
     assert rows.converged, case_id
     worst = 0.0
     for point, value, estimate in zip(points, rows.values.tolist(),
@@ -85,15 +85,15 @@ def test_every_quadrature_row_lies_within_its_error_estimate(case_id):
     assert worst <= _WORST[case_id], (case_id, worst)
 
 
-@pytest.mark.parametrize("case_id", _ids("_series"))
+@pytest.mark.parametrize("case_id", _ids("series"))
 def test_every_series_row_lies_within_its_remainder_bound(case_id):
     # the bound is proven for E5, E6, EC6, EC6b and E21-E23 at p = 1, and an
     # estimate for E7, E8, E16-E19 and E21-E23 at p >= 2. The side's own
     # builder is summed: the factors of E8, E16, E22 and E23 and E18's van
     # Wijngaarden terms included
-    case, _, closure = _side(case_id, "_series")
+    case, side = _side(case_id, "series")
     points = _points(case)
-    rows = sum_alternating_accelerated(Rows(closure["build"], points), _TOL)
+    rows = sum_alternating_accelerated(Rows(side.build, points), _TOL)
     assert rows.converged, case_id
     for point, value, bound in zip(points, rows.values.tolist(),
                                    rows.remainder_bounds.tolist()):
@@ -101,10 +101,10 @@ def test_every_series_row_lies_within_its_remainder_bound(case_id):
         assert err <= bound, (case_id, point, err, bound)
 
 
-@pytest.mark.parametrize("case_id", _ids("_closed"))
+@pytest.mark.parametrize("case_id", _ids("closed"))
 def test_every_closed_form_row_is_pinned_against_the_truth(case_id):
     # the registered side's value column; only E19's is complex
-    case, side, _ = _side(case_id, "_closed")
+    case, side = _side(case_id, "closed")
     points = _points(case)
     values = [complex(v) for v in side(points, _TOL).value.tolist()]
     worst = max(_ratio(case_id, point, error(case_id, point, value.real))

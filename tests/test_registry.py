@@ -1,12 +1,15 @@
-"""Registry sides: the per-(n, p) coefficient cache, and batched
-quadrature, series and closed-form rows against one-point runs."""
+"""Registry sides: the per-(n, p) coefficient cache, batched quadrature,
+series and closed-form rows against one-point runs, the sides that cases
+share, and the layers that the two sides of a case do not share."""
 
+import collections
 import functools
 import hashlib
 import importlib
-import inspect
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from quadident.numerics import DEFAULT_TOL, Rows, Tolerance
 from quadident.quadrature import IntegrandSpec, integrate_semi_infinite
 from quadident.registry import (
     GridAxis,
+    Side,
     _gen_alt_odd_harmonic_sq,
     _gen_atan_pow_beta,
     _gen_atan_pow_over_n,
@@ -28,7 +32,7 @@ from quadident.registry import (
 )
 from quadident.series import TermGenerator, sum_alternating_accelerated, sum_eq8
 from quadident.specfun import incomplete_beta
-from _one_point import maker, one_point
+from _one_point import one_point
 from _oracles import margin
 
 _N_MAX = 430
@@ -124,7 +128,7 @@ def test_quadrature_rows_equal_one_point_runs(monkeypatch):
     calls, originals = _record_calls(monkeypatch, ("integrate_unit", "integrate_semi_infinite"))
     batched = set()
     for case in registry().values():
-        if maker(case.lhs) != "_quad" or not case.continuous:
+        if case.lhs.kind not in ("unit", "half_line") or not case.continuous:
             continue
         batched.add(case.id)
         tol = side_tolerance(DEFAULT_TOL)
@@ -158,7 +162,7 @@ def test_half_line_pass_rows_are_their_one_row_runs(monkeypatch, case_id):
 
     monkeypatch.setattr(module, "_tanh_sinh", count)
     case = registry()[case_id]
-    build = inspect.getclosurevars(case.lhs).nonlocals["build"]
+    build = case.lhs.build
     tol = side_tolerance(DEFAULT_TOL)
     points = _grid_points(case, 9) + _grid_points(case, 9, ends=True)
     rows = integrate_semi_infinite(Rows(build, points), tol)
@@ -174,8 +178,7 @@ def test_self_reciprocal_half_line_integrands_reach_both_ends(case_id):
     # f(1/x)/x**2 is f(x) for both integrands, so mapping x > 1 back to (0, 1)
     # integrated the nodes of E13 or E14 twice; the half-line side now calls
     # its integrand beyond 1e18 and below 1e-18
-    build = inspect.getclosurevars(registry()[case_id].lhs).nonlocals["build"]
-    f, seen = build().f, []
+    f, seen = registry()[case_id].lhs.build().f, []
 
     def record(x):
         seen.append(x)
@@ -207,7 +210,7 @@ def test_series_rows_equal_one_point_runs(monkeypatch):
     batched = set()
     for case in registry().values():
         for side in (case.lhs, case.rhs):
-            if maker(side) != "_series" or not (case.continuous or case.discrete):
+            if side.kind != "series" or not (case.continuous or case.discrete):
                 continue
             batched.add(case.id)
             tol = side_tolerance(DEFAULT_TOL)
@@ -286,11 +289,12 @@ def test_accelerated_rows_keep_their_bits_under_work_caps():
 
 
 def test_every_side_is_made_by_one_of_three_evaluators():
-    # every side is one batched quadrature, series or closed-form call over
-    # its points; a fourth way to evaluate a side must not come back
-    makers = {side.__qualname__ for case in registry().values()
-              for side in (case.lhs, case.rhs)}
-    assert makers == {"_quad.<locals>.rows", "_series.<locals>.rows", "_closed.<locals>.rows"}
+    # every side is a Side record whose call is one batched quadrature (on the
+    # unit interval or the half-line), series or closed-form call over its
+    # points; a fourth way to evaluate a side must not come back
+    sides = [side for case in registry().values() for side in (case.lhs, case.rhs)]
+    assert {type(side) for side in sides} == {Side}
+    assert {side.kind for side in sides} == {"unit", "half_line", "series", "closed"}
 
 
 def _times(s, g):
@@ -353,10 +357,10 @@ def test_closed_form_rows_equal_one_point_runs():
         if not case.continuous:
             continue
         for side in (case.lhs, case.rhs):
-            if maker(side) != "_closed":
+            if side.kind != "closed":
                 continue
             batched.add(case.id)
-            value = inspect.getclosurevars(side).nonlocals["value"]
+            value = side.build
             points = _side_points(case)
             outs = side(points, tol)
             complex_ok = case.id == "E19"
@@ -414,7 +418,7 @@ def test_every_side_makes_one_driver_call(monkeypatch):
     for case in registry().values():
         del calls[:]
         verify(case.id, 9)
-        sides = sum(maker(side) != "_closed" for side in (case.lhs, case.rhs))
+        sides = sum(side.kind != "closed" for side in (case.lhs, case.rhs))
         assert len(calls) == sides, case.id
         assert [tol for _, _, tol, _ in calls] == [side_tolerance(DEFAULT_TOL)] * sides, case.id
 
@@ -453,7 +457,7 @@ def test_every_closed_form_side_makes_one_polylog_pass(monkeypatch):
     counted = {}
     for case in registry().values():
         for side in (case.lhs, case.rhs):
-            if maker(side) != "_closed":
+            if side.kind != "closed":
                 continue
             del passes[:]
             side(_side_points(case), DEFAULT_TOL)
@@ -522,3 +526,89 @@ def test_non_finite_continuous_parameters_fail_alone(case_id):
         mixed = verify(case_id, points=grid[:half] + [odd] + grid[half:])
         assert mixed[half].params is odd and mixed[half].reason == alone.reason
         assert repr(mixed[:half] + mixed[half + 1:]) == clean, v
+
+
+def test_equal_sides_are_shared_sides_with_equal_bits():
+    # a side two cases share is one Side value, equal by its kind and builder;
+    # the 56 slots hold 46 distinct sides. At grid 33 with its ends a shared
+    # side gives every row its value and work in either case, whatever else
+    # its batch holds (E21's p column, E16's alpha = 1 end): a case without
+    # alpha is the other at alpha = 1, and only p = 2 rows are compared
+    slots = collections.defaultdict(list)
+    for case in registry().values():
+        for name in ("lhs", "rhs"):
+            slots[getattr(case, name)].append(f"{case.id}.{name}")
+    assert len(slots) == 46
+    assert sorted(names for names in slots.values() if len(names) > 1) == sorted([
+        ["E4.lhs", "E4alt.lhs"], ["E5.rhs", "E6.rhs"], ["E7.lhs", "E22.lhs"],
+        ["E10.lhs", "E10b.lhs"], ["E10.rhs", "EC6.lhs"], ["E10b.rhs", "EC6b.rhs"],
+        ["EC6.rhs", "EC6b.lhs"], ["E15.lhs", "E16.lhs", "E21.lhs"], ["E17.lhs", "E19.lhs"]])
+    tol = side_tolerance(DEFAULT_TOL)
+
+    def rows(case_id, name):
+        case = registry()[case_id]
+        points = _grid_points(case, 33) + _grid_points(case, 33, ends=True)
+        out = getattr(case, name)(points, tol)
+        columns = [np.broadcast_to(c, len(points)).tolist() for c in out]
+        return {p.get("alpha", 1.0): (v.hex(), e, t, c)
+                for p, v, e, t, c in zip(points, *columns) if p.get("p", 2) == 2}
+
+    for a, b, name_a, name_b, shared in [
+            ("E4alt", "E4", "lhs", "lhs", 35), ("E7", "E22", "lhs", "lhs", 33),
+            ("E16", "E21", "lhs", "lhs", 33), ("EC6", "E10", "lhs", "rhs", 33),
+            ("E15", "E16", "lhs", "lhs", 1), ("E10b", "E10", "lhs", "lhs", 1),
+            ("E6", "E5", "rhs", "rhs", 1), ("E17", "E19", "lhs", "lhs", 1),
+            ("E10b", "EC6b", "rhs", "rhs", 1)]:
+        assert getattr(registry()[a], name_a) == getattr(registry()[b], name_b), (a, b)
+        rows_a, rows_b = rows(a, name_a), rows(b, name_b)
+        common = rows_a.keys() & rows_b.keys()
+        assert len(common) == shared, (a, b)
+        assert [rows_a[k] for k in sorted(common)] == [rows_b[k] for k in sorted(common)], (a, b)
+
+
+# the helpers both sides of a case may run besides Side.__call__: its points'
+# columns, and the compensated sum and powers that hold no numerical method
+_SHARED_HELPERS = {"Rows", "fsum_rows", "_pow", "_powers"}
+
+
+def _package_functions(side, points, tol):
+    """The package's functions that ``side(points, tol)`` runs, each as the
+    file, first line and qualified name of its code, with every ``functools``
+    cache of the package cleared first, so that a cached helper runs too."""
+    package = os.path.dirname(importlib.import_module("quadident").__file__)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("quadident."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    seen = set()
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and os.path.dirname(code.co_filename) == package:
+            seen.add((os.path.basename(code.co_filename), code.co_firstlineno,
+                      getattr(code, "co_qualname", code.co_name)))
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        side(points, tol)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_the_two_sides_of_every_case_share_no_numerical_layer():
+    # the north star's first contract: each identity compares two separate
+    # computations. No case holds one side twice, and at grid 5 with its ends
+    # the two sides run no common function of the package beyond the shared
+    # helpers (a comprehension inside one of them counts as the helper)
+    tol = side_tolerance(DEFAULT_TOL)
+    for case in registry().values():
+        assert case.lhs != case.rhs, case.id
+        points = _grid_points(case, 5) + _grid_points(case, 5, ends=True)
+        lhs, rhs = (_package_functions(side, points, tol) for side in (case.lhs, case.rhs))
+        assert lhs and rhs, case.id
+        shared = {(file, line, name) for file, line, name in lhs & rhs
+                  if name != "Side.__call__" and name.split(".")[0] not in _SHARED_HELPERS}
+        assert shared == set(), case.id
